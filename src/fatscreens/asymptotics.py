@@ -54,7 +54,13 @@ def evaluate_family(fam: MonomialFamily, t: float) -> LambdaAssignment:
     """Weights t**p_e at one parameter value."""
     if t < 1.0:
         raise DomainError("parameter must be >= 1")
-    return LambdaAssignment(tuple(float(t) ** float(p) for p in fam.exponents))
+    weights = []
+    for e, p in enumerate(fam.exponents):
+        try:
+            weights.append(float(t) ** float(p))
+        except OverflowError:
+            raise DomainError(f"weight t**{p} of edge {e} overflows at t={t:g}") from None
+    return LambdaAssignment(tuple(weights))
 
 
 @dataclass(frozen=True)

@@ -108,10 +108,12 @@ def cmd_trace(args) -> int:
     lam = ser.read_lambda_csv(g, _read(args.lam))
     path = ser.parse_curve(g, args.path)
     tr = hol.abs_trace_of_path(g, lam, path)
+    # the gap is taken at extended precision near 2, where tr - 2.0 is 0
+    gap = hol.trace_gap_of_path(g, lam, path)
     print(f"abs_trace={ser.fmt(tr)}")
-    print(f"abs_trace_minus_2={ser.fmt(tr - 2.0)}")
-    if tr >= 2.0:
-        print(f"hyp_length={ser.fmt(hol.hyp_length(tr))}")
+    print(f"abs_trace_minus_2={ser.fmt(gap)}")
+    if gap >= 0.0:
+        print(f"hyp_length={ser.fmt(hol.hyp_length_from_gap(gap))}")
     else:
         print("hyp_length=undefined (elliptic)")
     return 0
@@ -130,8 +132,7 @@ def _family_from_args(g: fgr.Fatgraph, args) -> scn.MonomialFamily:
 def cmd_sweep(args) -> int:
     g = _load_graph(args.graph)
     fam = _family_from_args(g, args)
-    sched = asy.SweepSchedule(tuple(float(x) for x in args.t.split(","))) \
-        if args.t else asy.SweepSchedule()
+    sched = asy.SweepSchedule(args.t) if args.t else asy.SweepSchedule()
     candidate = scn.screen_of_exponents(g, fam)
     curves = scn.screen_boundary(candidate)
     report = asy.sweep(g, fam, curves, sched)
@@ -199,6 +200,14 @@ def cmd_ij_check(args) -> int:
     return 0
 
 
+def _t_values(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma separated numbers, got {text!r}") from None
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fatscreens",
@@ -243,7 +252,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="trace table along a monomial family")
     p.add_argument("graph")
     add_family_args(p)
-    p.add_argument("--t", help="comma separated t values (default 10,100,1000,10000)")
+    p.add_argument("--t", type=_t_values,
+                   help="comma separated t values (default 10,100,1000,10000)")
     p.add_argument("--summary", metavar="JSON", help="write curve verdicts here")
     p.set_defaults(func=cmd_sweep)
 

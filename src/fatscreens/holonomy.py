@@ -13,9 +13,14 @@ cross-ratio matrix per traversed edge:
 in the neighbor-slot notation of :mod:`fatscreens.geometry`.  Matrices are
 kept unnormalized; only |trace| is geometric (PSL sign ambiguity), and
 |trace| = 2 cosh(length/2) for the hyperbolic length of the geodesic
-representative.  Traces that land within 1e-6 of 2 are re-evaluated at
-extended precision, since near-parabolic products cancel catastrophically
-in double precision.
+representative.
+
+The product is one loop over four scalars, run over ``float`` and, when
+refining, over ``mpmath.mpf``: R, L and X act as closed-form column updates
+(R sends (a11, a12, a21, a22) to (a11 - a12, a11, a21 - a22, a21)) that
+round exactly like full 2x2 products, the other entries being 0 and +-1.
+Both trace functions refine by one rule: when |trace| is within 1e-6 of 2
+or rounding may swamp the gap, the loop reruns over ``mpf`` at 60 digits.
 """
 
 from __future__ import annotations
@@ -102,6 +107,31 @@ def path_turns(g: Fatgraph, path: EdgePath) -> tuple[str, ...]:
     return tuple(turns)
 
 
+def _walk(g: Fatgraph, path: EdgePath):
+    """Per step: the turn into it (None at a backtrack) and its quad slots."""
+    iota, sigma, edge_of = g._iota, g._sigma, g._edge_of
+    incoming = iota[path.steps[-1]]
+    for h in path.steps:
+        turn = None if h == incoming else RIGHT if h == sigma[incoming] else LEFT
+        incoming = iota[h]
+        yield (turn, edge_of[sigma[h]], edge_of[sigma[sigma[h]]],
+               edge_of[sigma[incoming]], edge_of[sigma[sigma[incoming]]])
+
+
+def _product(g: Fatgraph, path: EdgePath, w: Sequence, sqrt) -> tuple:
+    """Entries of T_1 X_1 T_2 X_2 ... with edge weights ``w`` and ``sqrt`` of their type."""
+    a11, a12, a21, a22 = 1, 0, 0, 1     # ints: exact in either scalar type
+    for turn, a, b, c, d in _walk(g, path):
+        if turn == RIGHT:
+            a11, a12, a21, a22 = a11 - a12, a11, a21 - a22, a21
+        elif turn == LEFT:
+            a11, a12, a21, a22 = a12, a12 - a11, a22, a22 - a21
+        s = sqrt((w[a] * w[c]) / (w[b] * w[d]))
+        inv = -1 / s
+        a11, a12, a21, a22 = a12 * inv, a11 * s, a22 * inv, a21 * s
+    return a11, a12, a21, a22
+
+
 def holonomy(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
              allow_backtrack: bool = False) -> Mat2:
     """Path-ordered product T_1 X_1 T_2 X_2 ... over the closed path.
@@ -115,18 +145,7 @@ def holonomy(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
     check_closed_path(g, path)
     if not allow_backtrack and not is_efficient(g, path):
         raise DomainError("path is not efficient")
-    r_mat, l_mat = turn_matrices()
-    acc = IDENTITY
-    n = len(path.steps)
-    for k in range(n):
-        incoming = g.pairing(path.steps[k - 1])
-        outgoing = path.steps[k]
-        if outgoing == incoming:
-            turn = IDENTITY
-        else:
-            turn = r_mat if turn_direction(g, incoming, outgoing) == RIGHT else l_mat
-        acc = acc @ turn @ edge_matrix(g, lam, outgoing)
-    return acc
+    return Mat2(*_product(g, path, lam.values, math.sqrt))
 
 
 def abs_trace(m: Mat2) -> float:
@@ -151,27 +170,6 @@ def hyp_length_from_gap(gap: float, atol: float = 1e-12) -> float:
     return 2.0 * math.log1p(u + math.sqrt(u * (2.0 + u)))
 
 
-def _holonomy_mp(g: Fatgraph, lam: LambdaAssignment, path: EdgePath):
-    r_mat = mpmath.matrix([[1, 1], [-1, 0]])
-    l_mat = mpmath.matrix([[0, -1], [1, 1]])
-    ident = mpmath.matrix([[1, 0], [0, 1]])
-    acc = ident
-    n = len(path.steps)
-    for k in range(n):
-        incoming = g.pairing(path.steps[k - 1])
-        outgoing = path.steps[k]
-        if outgoing == incoming:
-            turn = ident
-        else:
-            turn = r_mat if turn_direction(g, incoming, outgoing) == RIGHT else l_mat
-        a, b, c, d = quad_slots(g, outgoing)
-        s = mpmath.sqrt(mpmath.mpf(lam[a]) * mpmath.mpf(lam[c])
-                        / (mpmath.mpf(lam[b]) * mpmath.mpf(lam[d])))
-        x = mpmath.matrix([[0, s], [-1 / s, 0]])
-        acc = acc * turn * x
-    return acc
-
-
 def _needs_refinement(m: Mat2, lam: LambdaAssignment, n_steps: int,
                       refine_gap: float) -> bool:
     # the double product loses roughly eps times the largest entry per
@@ -184,17 +182,23 @@ def _needs_refinement(m: Mat2, lam: LambdaAssignment, n_steps: int,
     return gap < refine_gap or roundoff > 1e-3 * max(gap, 1e-300)
 
 
+def _abs_trace_minus(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
+                     allow_backtrack: bool, refine_gap: float, offset: int) -> float:
+    """|trace| - offset, with the subtraction at extended precision when refined."""
+    m = holonomy(g, lam, path, allow_backtrack=allow_backtrack)
+    if not _needs_refinement(m, lam, len(path.steps), refine_gap):
+        return abs_trace(m) - offset
+    with mpmath.workdps(_MP_DPS):
+        w = [mpmath.mpf(v) for v in lam.values]
+        a11, _, _, a22 = _product(g, path, w, mpmath.sqrt)
+        return float(abs(a11 + a22) - offset)
+
+
 def abs_trace_of_path(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
                       allow_backtrack: bool = False,
                       refine_gap: float = REFINE_GAP) -> float:
     """|trace| of the path holonomy, re-evaluated at high precision near 2."""
-    m = holonomy(g, lam, path, allow_backtrack=allow_backtrack)
-    tr = abs_trace(m)
-    if _needs_refinement(m, lam, len(path.steps), refine_gap):
-        with mpmath.workdps(_MP_DPS):
-            mm = _holonomy_mp(g, lam, path)
-            tr = float(abs(mm[0, 0] + mm[1, 1]))
-    return tr
+    return _abs_trace_minus(g, lam, path, allow_backtrack, refine_gap, 0)
 
 
 def trace_gap_of_path(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
@@ -205,12 +209,7 @@ def trace_gap_of_path(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
     Gaps far below 2**-52 are representable this way even though the trace
     itself rounds to 2.0 in double precision.
     """
-    m = holonomy(g, lam, path, allow_backtrack=allow_backtrack)
-    if _needs_refinement(m, lam, len(path.steps), refine_gap):
-        with mpmath.workdps(_MP_DPS):
-            mm = _holonomy_mp(g, lam, path)
-            return float(abs(mm[0, 0] + mm[1, 1]) - 2)
-    return abs_trace(m) - 2.0
+    return _abs_trace_minus(g, lam, path, allow_backtrack, refine_gap, 2)
 
 
 # ---------------------------------------------------------------------------

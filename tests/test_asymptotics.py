@@ -26,6 +26,8 @@ def test_evaluate_family(theta):
     assert asy.evaluate_family(fam, 10.0).values == (10.0, 10.0, 1.0)
     half = scn.monomial_family([Fraction(3, 2)])
     assert asy.evaluate_family(half, 4.0).values == (8.0,)
+    with pytest.raises(DomainError, match="edge 1 overflows at t=10"):
+        asy.evaluate_family(scn.monomial_family([0, 400, 0]), 10.0)
 
 
 def test_sweep_gap_sequence(theta):

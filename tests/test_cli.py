@@ -80,6 +80,18 @@ def test_detect_and_trace(tmp_path, capsys):
     assert out.splitlines()[0] == "abs_trace=3"
 
 
+def test_trace_near_parabolic(tmp_path, capsys):
+    # the trace rounds to 2.0 in double precision; gap and length do not
+    lam = tmp_path / "l.csv"
+    lam.write_text("edge,value\ne0,1e9\ne1,1e9\ne2,1\n")
+    code, out = run(capsys, "trace", THETA, "--lambda", str(lam), "--path", "e0+,e1-")
+    assert code == 0
+    lines = dict(line.split("=") for line in out.splitlines())
+    assert lines["abs_trace"] == "2"
+    assert float(lines["abs_trace_minus_2"]) == pytest.approx(1e-18, rel=1e-9)
+    assert float(lines["hyp_length"]) == pytest.approx(2e-9, rel=1e-9)
+
+
 def test_invert_and_check_cell(tmp_path, capsys):
     coords = tmp_path / "x.csv"
     coords.write_text("edge,value\ne0,2\ne1,2\ne2,2\n")
@@ -117,10 +129,25 @@ def test_domain_error_exit_code(tmp_path, capsys):
     assert code == 1 and "error:" in err
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 2
+    p = tmp_path / "p.csv"
+    p.write_text("edge,exponent\ne0,1\ne1,1\ne2,0\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", THETA, "--exponents", str(p), "--t", "abc"])
+    assert exc.value.code == 2
+    assert "argument --t: expected comma separated numbers" in capsys.readouterr().err
+
+
+def test_sweep_overflow_is_domain_error(tmp_path, capsys):
+    p = tmp_path / "p.csv"
+    p.write_text("edge,exponent\ne0,400\ne1,400\ne2,0\n")
+    code = cli.main(["sweep", THETA, "--exponents", str(p)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.strip() == "error: weight t**400 of edge 0 overflows at t=10"
 
 
 def test_determinism(capsys):

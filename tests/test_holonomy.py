@@ -5,11 +5,14 @@ from __future__ import annotations
 import math
 import random
 
+import mpmath
 import pytest
 
+from fatscreens import asymptotics as asy
 from fatscreens import fatgraph as fgr
 from fatscreens import geometry as geo
 from fatscreens import holonomy as hol
+from fatscreens import screens as scn
 from fatscreens.errors import DomainError
 
 from conftest import essential_curve_pool, random_in_cell_lambda
@@ -174,6 +177,76 @@ def test_whitehead_trace_invariance(trivalent_corpus):
                     after = hol.abs_trace_of_path(g2, lam2, moved)
                     assert after == pytest.approx(before, rel=1e-9)
             break   # one non-loop edge per graph keeps this quick
+
+
+# -- kernel regression against full matrix products ----------------------------
+
+def reference_traces(g, lam, path):
+    """(float product, |trace|, |trace| - 2, refined) from full 2x2 products.
+
+    The float product chains Mat2 matrices; refined evaluations multiply
+    mpmath matrices at the library's working precision.
+    """
+    turns = []
+    for k, h in enumerate(path.steps):
+        incoming = g.pairing(path.steps[k - 1])
+        turns.append(None if h == incoming else hol.turn_direction(g, incoming, h))
+    r_mat, l_mat = hol.turn_matrices()
+    acc = hol.IDENTITY
+    for turn, h in zip(turns, path.steps):
+        t_mat = {None: hol.IDENTITY, hol.RIGHT: r_mat, hol.LEFT: l_mat}[turn]
+        acc = acc @ t_mat @ hol.edge_matrix(g, lam, h)
+    if not hol._needs_refinement(acc, lam, len(path.steps), hol.REFINE_GAP):
+        return acc, hol.abs_trace(acc), hol.abs_trace(acc) - 2.0, False
+    with mpmath.workdps(hol._MP_DPS):
+        mp_turns = {None: mpmath.matrix([[1, 0], [0, 1]]),
+                    hol.RIGHT: mpmath.matrix([[1, 1], [-1, 0]]),
+                    hol.LEFT: mpmath.matrix([[0, -1], [1, 1]])}
+        mm = mp_turns[None]
+        for turn, h in zip(turns, path.steps):
+            a, b, c, d = geo.quad_slots(g, h)
+            s = mpmath.sqrt(mpmath.mpf(lam[a]) * mpmath.mpf(lam[c])
+                            / (mpmath.mpf(lam[b]) * mpmath.mpf(lam[d])))
+            mm = mm * mp_turns[turn] * mpmath.matrix([[0, s], [-1 / s, 0]])
+        tr = abs(mm[0, 0] + mm[1, 1])
+        return acc, float(tr), float(tr - 2), True
+
+
+def kernel_cases(trivalent_corpus, genus2):
+    rng = random.Random(41)
+    for g in trivalent_corpus.values():
+        paths = essential_curve_pool(g)[:6] + list(fgr.boundary_cycles(g))
+        for k in range(4):
+            if k < 2:
+                lam = random_in_cell_lambda(g, rng)
+            else:
+                lam = geo.lambda_assignment([10 ** rng.uniform(-6, 6)
+                                             for _ in range(g.n_edges)])
+            for p in paths:
+                yield g, lam, p, False
+                ins = g.vertex_cycles[g.step_head(p.steps[0])][k % 3]
+                noisy = p.steps[:1] + (ins, g.pairing(ins)) + p.steps[1:]
+                yield g, lam, fgr.EdgePath(noisy), True
+    for s in scn.enumerate_screens(genus2)[::4]:
+        fam = scn.depth_family(s)
+        curves = scn.screen_boundary(s)
+        for t in asy.DETECT_T:
+            lam = asy.evaluate_family(fam, t)
+            for c in curves:
+                yield genus2, lam, c, False
+
+
+def test_kernel_matches_full_matrix_products(trivalent_corpus, genus2):
+    refined_tiny = total = 0
+    for g, lam, p, backtrack in kernel_cases(trivalent_corpus, genus2):
+        m, tr, gap, refined = reference_traces(g, lam, p)
+        assert hol.holonomy(g, lam, p, allow_backtrack=backtrack) == m
+        assert hol.abs_trace_of_path(g, lam, p, allow_backtrack=backtrack) == tr
+        assert hol.trace_gap_of_path(g, lam, p, allow_backtrack=backtrack) == gap
+        if refined and 0 <= gap < 1e-16:
+            refined_tiny += 1
+        total += 1
+    assert total > 1000 and refined_tiny > 0
 
 
 # -- lengths --------------------------------------------------------------------
