@@ -5,7 +5,8 @@ from .fatgraph import (CurveSystem, EdgePath, Fatgraph, SubFatgraph,
                        boundary_cycles, build, canonical_path, collapse_edge,
                        curve_system, is_boundary_parallel, is_isomorphic,
                        is_recurrent, maximal_recurrent_subset, parse_fatgraph,
-                       recurrent_witness_cycles, reduce_path, subgraph,
+                       recurrent_subsets, recurrent_witness_cycles,
+                       reduce_path, subgraph,
                        subset_boundary, topology, transport_path,
                        weights_admissible, weights_to_multicurve,
                        whitehead_move)

@@ -65,13 +65,7 @@ def cmd_info(args) -> int:
 def cmd_recurrent(args) -> int:
     g = _load_graph(args.graph)
     if args.enumerate:
-        found = []
-        for mask in range(1, 1 << g.n_edges):
-            sub = frozenset(e for e in range(g.n_edges) if mask >> e & 1)
-            if fgr.is_recurrent(g, sub):
-                found.append(sub)
-        found.sort(key=lambda a: (len(a), tuple(sorted(a))))
-        for sub in found:
+        for sub in sorted(fgr.recurrent_subsets(g), key=lambda a: (len(a), tuple(sorted(a)))):
             print(ser.subset_text(g, sub))
         return 0
     subset = ser.parse_subset(g, args.subset)

@@ -400,19 +400,19 @@ def path_edges(g: Fatgraph, path: EdgePath) -> EdgeSubset:
     return frozenset(g.edge_of(s) for s in path.steps)
 
 
-def is_boundary_parallel(g: Fatgraph, path: EdgePath) -> bool:
-    """True for contractible paths and (powers of) boundary cycles."""
+def is_boundary_parallel(g: Fatgraph, path: EdgePath,
+                         cycles: Sequence[EdgePath] | None = None) -> bool:
+    """True for contractible paths and, up to rotation and reversal, powers of
+    ``cycles`` (by default the boundary cycles of ``g``)."""
     reduced = reduce_path(g, path)
     if reduced is None:
         return True
     target = canonical_path(g, reduced)
     n = len(target)
-    for cyc in boundary_cycles(g):
+    for cyc in boundary_cycles(g) if cycles is None else cycles:
         m = len(cyc)
-        if n % m == 0:
-            power = EdgePath(cyc.steps * (n // m))
-            if canonical_path(g, power) == target:
-                return True
+        if n % m == 0 and canonical_path(g, EdgePath(cyc.steps * (n // m))) == target:
+            return True
     return False
 
 
@@ -508,6 +508,15 @@ def is_recurrent(g: Fatgraph, edges: Iterable[int]) -> bool:
             v = g.vertex_of(h)
             valence[v] = valence.get(v, 0) + 1
     return all(c >= 2 for c in valence.values())
+
+
+def recurrent_subsets(g: Fatgraph) -> Iterator[EdgeSubset]:
+    """Every nonempty recurrent edge subset, the full set included, in bitmask order."""
+    n = g.n_edges
+    for mask in range(1, 1 << n):
+        sub = frozenset(e for e in range(n) if mask >> e & 1)
+        if is_recurrent(g, sub):
+            yield sub
 
 
 def maximal_recurrent_subset(g: Fatgraph, edges: Iterable[int]) -> EdgeSubset:
@@ -739,17 +748,11 @@ def subset_boundary(g: Fatgraph, edges: Iterable[int]) -> CurveSystem:
     if not is_recurrent(g, subset):
         raise DomainError("subset is not recurrent")
     sub = subgraph(g, subset)
-    paths = []
-    for cyc in boundary_cycles(sub.graph):
-        parent_steps = tuple(sub.to_parent_half[s] for s in cyc.steps)
-        paths.append(EdgePath(parent_steps))
-    keep = []
-    for p in paths:
-        red = reduce_path(g, p)
-        if red is None or is_boundary_parallel(g, red):
-            continue
-        keep.append(red)
-    return curve_system(g, keep, check=False)
+    cycles = boundary_cycles(g)
+    paths = (EdgePath(tuple(sub.to_parent_half[s] for s in cyc.steps))
+             for cyc in boundary_cycles(sub.graph))
+    return curve_system(g, [p for p in paths if not is_boundary_parallel(g, p, cycles)],
+                        check=False)
 
 
 # ---------------------------------------------------------------------------

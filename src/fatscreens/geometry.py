@@ -236,6 +236,8 @@ def invert_coords(g: Fatgraph, target: SimplicialCoords, tol: float = 1e-10,
     nonnegative with no vanishing cycle.
     """
     _require_trivalent(g)
+    if not tol > 0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
     if len(target) != g.n_edges:
         raise DomainError("one target coordinate per edge required")
     if min(target.values) < 0:
@@ -497,8 +499,7 @@ class Refinement:
 
     graph: Fatgraph
     lam: LambdaAssignment
-    new_edges: tuple[int, ...]          # edge ids in the refined graph
-    edge_map: dict                      # old edge id -> new edge id
+    new_edges: tuple[int, ...]          # ids of the added edges; old edges keep theirs
 
 
 def refine_to_trivalent(g: Fatgraph, lam: LambdaAssignment) -> Refinement:
@@ -515,7 +516,7 @@ def refine_to_trivalent(g: Fatgraph, lam: LambdaAssignment) -> Refinement:
         if max(vals) >= sum(vals) - max(vals):
             raise DomainError(f"triangle inequalities fail at vertex {v}")
     if g.is_trivalent():
-        return Refinement(g, lam, (), {e: e for e in range(g.n_edges)})
+        return Refinement(g, lam, ())
     next_half = g.n_half_edges
     cycles: list[tuple[int, ...]] = []
     halves = list(g.edge_halves)
@@ -556,5 +557,4 @@ def refine_to_trivalent(g: Fatgraph, lam: LambdaAssignment) -> Refinement:
             cycles.append((diag_ids[j][2], cyc[j], diag_ids[j + 1][1]))
         cycles.append((diag_ids[k - 2][2], cyc[k - 2], cyc[k - 1]))
     refined = Fatgraph(tuple(cycles), tuple(halves), tuple(labels))
-    return Refinement(refined, LambdaAssignment(tuple(values)),
-                      tuple(new_ids), {e: e for e in range(g.n_edges)})
+    return Refinement(refined, LambdaAssignment(tuple(values)), tuple(new_ids))

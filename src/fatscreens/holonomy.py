@@ -167,7 +167,11 @@ def hyp_length_from_gap(gap: float, atol: float = 1e-12) -> float:
     if gap < -atol:
         raise DomainError(f"trace gap {gap} < 0: no geodesic length")
     u = max(0.0, gap) / 2.0
-    return 2.0 * math.log1p(u + math.sqrt(u * (2.0 + u)))
+    square = u * (2.0 + u)
+    if square == math.inf:
+        # acosh(1 + u) = log(2u) to double precision long before u * u overflows
+        return 2.0 * math.log(2.0 * u)
+    return 2.0 * math.log1p(u + math.sqrt(square))
 
 
 def _needs_refinement(m: Mat2, lam: LambdaAssignment, n_steps: int,
@@ -179,15 +183,19 @@ def _needs_refinement(m: Mat2, lam: LambdaAssignment, n_steps: int,
                max(lam.values) ** 2)
     roundoff = 2e-16 * peak * n_steps
     gap = abs(abs_trace(m) - 2.0)
-    return gap < refine_gap or roundoff > 1e-3 * max(gap, 1e-300)
+    return (gap < refine_gap or not math.isfinite(gap)
+            or roundoff > 1e-3 * max(gap, 1e-300))
 
 
 def _abs_trace_minus(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
                      allow_backtrack: bool, refine_gap: float, offset: int) -> float:
     """|trace| - offset, with the subtraction at extended precision when refined."""
-    m = holonomy(g, lam, path, allow_backtrack=allow_backtrack)
-    if not _needs_refinement(m, lam, len(path.steps), refine_gap):
-        return abs_trace(m) - offset
+    try:
+        m = holonomy(g, lam, path, allow_backtrack=allow_backtrack)
+        if not _needs_refinement(m, lam, len(path.steps), refine_gap):
+            return abs_trace(m) - offset
+    except (ZeroDivisionError, OverflowError):
+        pass    # weights beyond double range: a cross ratio underflowed, or the bound overflowed
     with mpmath.workdps(_MP_DPS):
         w = [mpmath.mpf(v) for v in lam.values]
         a11, _, _, a22 = _product(g, path, w, mpmath.sqrt)

@@ -7,26 +7,35 @@ ways a one-parameter family of edge weights can degenerate; the bridge in
 both directions is monomial: a screen yields exponents equal to member
 depths, and exponents yield a screen through the filtration by strictly
 faster growth.
+
+Parents (immediate predecessors) and depths come from one pass over the
+size-sorted family; a member's relative boundary is its subsurface boundary
+minus the curves parallel to its parent's boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
-from .fatgraph import (CurveSystem, EdgeSubset, Fatgraph, boundary_cycles,
-                       canonical_path, curve_system, EdgePath, is_recurrent,
-                       reduce_path, subgraph)
+# reduce_path and canonical_path stay bound here for perfbench's tracer, which wraps them
+from .fatgraph import (CurveSystem, EdgePath, EdgeSubset, Fatgraph, boundary_cycles,
+                       canonical_path, curve_system, is_boundary_parallel,
+                       is_recurrent, recurrent_subsets, reduce_path, subgraph)
+
+
+def _member_key(a: frozenset) -> tuple:
+    return len(a), tuple(sorted(a))
 
 
 def _family_key(fam: Iterable[frozenset]) -> tuple:
-    return tuple(sorted((len(a), tuple(sorted(a))) for a in fam))
+    return tuple(sorted(_member_key(a) for a in fam))
 
 
 def _sorted_family(fam: Iterable[frozenset]) -> tuple[frozenset, ...]:
-    return tuple(sorted(fam, key=lambda a: (len(a), tuple(sorted(a)))))
+    return tuple(sorted(fam, key=_member_key))
 
 
 @dataclass(frozen=True)
@@ -41,9 +50,6 @@ class Screen:
 
     def __len__(self) -> int:
         return len(self.family)
-
-    def members(self) -> tuple[EdgeSubset, ...]:
-        return self.family
 
 
 def screen(g: Fatgraph, family: Iterable[Iterable[int]]) -> Screen:
@@ -61,57 +67,61 @@ class ScreenCheck:
     message: str = "ok"
 
 
-def validate_screen(s: Screen) -> ScreenCheck:
-    """Check the four screen conditions; report the first violation."""
-    g = s.graph
-    top = g.all_edges()
-    fam = set(s.family)
-    if top not in fam:
-        return ScreenCheck(False, "i", (top,), "full edge set missing from family")
-    for a in s.family:
-        if not a or not is_recurrent(g, a):
-            return ScreenCheck(False, "ii", (a,),
-                               f"member {sorted(a)} is not recurrent")
-    members = list(s.family)
-    for i, a in enumerate(members):
-        for b in members[i + 1:]:
-            if a & b and not (a <= b or b <= a):
-                return ScreenCheck(False, "iii", (a, b),
-                                   f"members {sorted(a)} and {sorted(b)} overlap without nesting")
+def _nested_or_disjoint(a: EdgeSubset, b: EdgeSubset) -> bool:
+    return not (a & b) or a <= b or b <= a
+
+
+def _union_member(members: Sequence[EdgeSubset]) -> EdgeSubset | None:
+    """The first member that is the union of the members strictly inside it."""
     for a in members:
         union: set = set()
         for b in members:
             if b < a:
                 union |= b
-        if union == set(a):
-            return ScreenCheck(False, "iv", (a,),
-                               f"member {sorted(a)} is the union of its proper sub-members")
+        if union == a:
+            return a
+    return None
+
+
+def validate_screen(s: Screen) -> ScreenCheck:
+    """Check the four screen conditions; report the first violation."""
+    g = s.graph
+    top = g.all_edges()
+    if top not in s.family:
+        return ScreenCheck(False, "i", (top,), "full edge set missing from family")
+    for a in s.family:
+        if not a or not is_recurrent(g, a):
+            return ScreenCheck(False, "ii", (a,),
+                               f"member {sorted(a)} is not recurrent")
+    for i, a in enumerate(s.family):
+        for b in s.family[i + 1:]:
+            if not _nested_or_disjoint(a, b):
+                return ScreenCheck(False, "iii", (a, b),
+                                   f"members {sorted(a)} and {sorted(b)} overlap without nesting")
+    a = _union_member(s.family)
+    if a is not None:
+        return ScreenCheck(False, "iv", (a,),
+                           f"member {sorted(a)} is the union of its proper sub-members")
     return ScreenCheck(True)
 
 
 def _connected_edge_components(g: Fatgraph, edges: EdgeSubset) -> list[EdgeSubset]:
     """Edge sets of the connected components of the induced subgraph."""
-    if not edges:
-        return []
-    sub = subgraph(g, edges)
-    sg = sub.graph
-    seen: set[int] = set()
-    comps = []
-    for h0 in range(sg.n_half_edges):
-        if h0 in seen:
-            continue
-        stack = [h0]
-        comp_halves = set()
-        while stack:
-            h = stack.pop()
-            if h in comp_halves:
-                continue
-            comp_halves.add(h)
-            stack.append(sg.pairing(h))
-            stack.append(sg.sigma(h))
-        seen |= comp_halves
-        comps.append(frozenset(sub.to_parent_edge[sg.edge_of(h)] for h in comp_halves))
-    return comps
+    root = list(range(g.n_vertices))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    ends = {e: [g.vertex_of(h) for h in g.halves(e)] for e in edges}
+    for u, v in ends.values():
+        root[find(u)] = find(v)
+    comps: dict[int, set[int]] = {}
+    for e, (u, _) in ends.items():
+        comps.setdefault(find(u), set()).add(e)
+    return [frozenset(c) for c in comps.values()]
 
 
 def enumerate_screens(g: Fatgraph, max_edges: int = 12) -> list[Screen]:
@@ -127,38 +137,17 @@ def enumerate_screens(g: Fatgraph, max_edges: int = 12) -> list[Screen]:
     if n > max_edges:
         raise DomainError(f"edge count {n} exceeds enumeration bound {max_edges}")
     top = g.all_edges()
-    candidates = []
-    for mask in range(1, 1 << n):
-        sub = frozenset(i for i in range(n) if mask >> i & 1)
-        if sub == top or not is_recurrent(g, sub):
-            continue
-        if len(_connected_edge_components(g, sub)) != 1:
-            continue
-        candidates.append(sub)
-    candidates.sort(key=lambda a: (len(a), tuple(sorted(a))))
-
+    candidates = sorted((a for a in recurrent_subsets(g)
+                         if a != top and len(_connected_edge_components(g, a)) == 1),
+                        key=_member_key)
     screens: list[Screen] = []
 
-    def compatible(a: EdgeSubset, chosen: list[EdgeSubset]) -> bool:
-        return all(not (a & b) or a <= b or b <= a for b in chosen)
-
-    def union_condition(fam: list[EdgeSubset]) -> bool:
-        full = fam + [top]
-        for a in full:
-            union: set = set()
-            for b in full:
-                if b < a:
-                    union |= b
-            if union == set(a):
-                return False
-        return True
-
     def extend(start: int, chosen: list[EdgeSubset]) -> None:
-        if union_condition(chosen):
+        if _union_member(chosen + [top]) is None:
             screens.append(Screen(g, _sorted_family(set(chosen) | {top})))
         for i in range(start, len(candidates)):
             cand = candidates[i]
-            if compatible(cand, chosen):
+            if all(_nested_or_disjoint(cand, b) for b in chosen):
                 chosen.append(cand)
                 extend(i + 1, chosen)
                 chosen.pop()
@@ -172,39 +161,58 @@ def enumerate_screens(g: Fatgraph, max_edges: int = 12) -> list[Screen]:
 # Depth structure
 # ---------------------------------------------------------------------------
 
+def _depths(s: Screen) -> dict[EdgeSubset, tuple[EdgeSubset | None, int]]:
+    """Each member's parent (None for the top) and depth, in one pass.
+
+    Sorted by size, a member's first later superset is its smallest one, the
+    immediate predecessor.  Walking from the largest member down, every
+    parent's depth is known before its children's.
+    """
+    fam = sorted(s.family, key=len)
+    table: dict[EdgeSubset, tuple[EdgeSubset | None, int]] = {}
+    for i in reversed(range(len(fam))):
+        a = fam[i]
+        parent = next((b for b in fam[i + 1:] if a < b), None)
+        table[a] = (parent, 0 if parent is None else table[parent][1] + 1)
+    return table
+
+
+def _parent_and_depth(s: Screen, member: EdgeSubset) -> tuple[EdgeSubset | None, int]:
+    member = frozenset(member)
+    table = _depths(s)
+    if member not in table:
+        raise DomainError(f"{sorted(member)} is not a member of the screen")
+    return table[member]
+
+
 def immediate_predecessor(s: Screen, member: EdgeSubset) -> EdgeSubset:
     """The unique minimal member strictly containing the given one."""
-    member = frozenset(member)
-    if member not in set(s.family):
-        raise DomainError(f"{sorted(member)} is not a member of the screen")
-    if member == s.graph.all_edges():
+    parent, _ = _parent_and_depth(s, member)
+    if parent is None:
         raise DomainError("the full edge set has no predecessor")
-    supersets = [a for a in s.family if member < a]
-    return min(supersets, key=len)
+    return parent
 
 
 def depth_of_member(s: Screen, member: EdgeSubset) -> int:
-    member = frozenset(member)
-    if member not in set(s.family):
-        raise DomainError(f"{sorted(member)} is not a member of the screen")
-    depth = 0
-    cur = member
-    top = s.graph.all_edges()
-    while cur != top:
-        cur = immediate_predecessor(s, cur)
-        depth += 1
-    return depth
+    return _parent_and_depth(s, member)[1]
 
 
 def depth_of_edge(s: Screen, e: int) -> int:
     if not (0 <= e < s.graph.n_edges):
         raise DomainError(f"unknown edge id {e}")
-    return max(depth_of_member(s, a) for a in s.family if e in a)
+    return max(d for a, (_, d) in _depths(s).items() if e in a)
 
 
 # ---------------------------------------------------------------------------
 # Boundaries
 # ---------------------------------------------------------------------------
+
+def _boundary_paths(g: Fatgraph, edges: EdgeSubset) -> list[EdgePath]:
+    """Boundary cycles of the induced subsurface, read as paths in ``g``."""
+    sub = subgraph(g, edges)
+    return [EdgePath(tuple(sub.to_parent_half[h] for h in cyc.steps))
+            for cyc in boundary_cycles(sub.graph)]
+
 
 def relative_boundary(s: Screen, member: EdgeSubset) -> CurveSystem:
     """Boundary curves of a member inside its immediate predecessor.
@@ -215,47 +223,16 @@ def relative_boundary(s: Screen, member: EdgeSubset) -> CurveSystem:
     rotation and reversal) are discarded.
     """
     g = s.graph
-    member = frozenset(member)
-    pred = immediate_predecessor(s, member)
-    sub = subgraph(g, member)
-    pred_sub = subgraph(g, pred)
-    pred_cycles = []
-    for cyc in boundary_cycles(pred_sub.graph):
-        steps = tuple(pred_sub.to_parent_half[x] for x in cyc.steps)
-        pred_cycles.append(EdgePath(steps))
-    keep = []
-    for cyc in boundary_cycles(sub.graph):
-        path = EdgePath(tuple(sub.to_parent_half[x] for x in cyc.steps))
-        red = reduce_path(g, path)
-        if red is None:
-            continue
-        if _parallel_to_any(g, red, pred_cycles):
-            continue
-        keep.append(red)
-    return curve_system(g, keep, check=False)
-
-
-def _parallel_to_any(g: Fatgraph, path: EdgePath, cycles: list[EdgePath]) -> bool:
-    target = canonical_path(g, path)
-    n = len(target)
-    for cyc in cycles:
-        m = len(cyc)
-        if m and n % m == 0:
-            if canonical_path(g, EdgePath(cyc.steps * (n // m))) == target:
-                return True
-    return False
+    pred_paths = _boundary_paths(g, immediate_predecessor(s, member))
+    return curve_system(g, [p for p in _boundary_paths(g, member)
+                            if not is_boundary_parallel(g, p, pred_paths)], check=False)
 
 
 def screen_boundary(s: Screen) -> CurveSystem:
     """Union of the relative boundaries of all non-top members."""
-    g = s.graph
-    top = g.all_edges()
-    paths = []
-    for a in s.family:
-        if a == top:
-            continue
-        paths.extend(relative_boundary(s, a).curves)
-    return curve_system(g, paths, check=False)
+    top = s.graph.all_edges()
+    paths = [c for a in s.family if a != top for c in relative_boundary(s, a)]
+    return curve_system(s.graph, paths, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +257,12 @@ def monomial_family(exponents: Iterable[Fraction | int | str]) -> MonomialFamily
 
 
 def depth_family(s: Screen) -> MonomialFamily:
-    """Exponent of each edge equal to its depth in the screen."""
-    return MonomialFamily(tuple(Fraction(depth_of_edge(s, e))
-                                for e in range(s.graph.n_edges)))
+    """Exponent of each edge equal to the depth of the deepest member holding it."""
+    depth = [0] * s.graph.n_edges
+    for a, (_, d) in _depths(s).items():
+        for e in a:
+            depth[e] = max(depth[e], d)
+    return MonomialFamily(tuple(Fraction(d) for d in depth))
 
 
 def screen_of_exponents(g: Fatgraph, fam: MonomialFamily) -> Screen:

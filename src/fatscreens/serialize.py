@@ -111,6 +111,8 @@ def read_screen_json(g: Fatgraph, text: str) -> Screen:
         raise FormatError(f"bad JSON: {exc}") from None
     if not isinstance(data, dict) or "family" not in data:
         raise FormatError('expected an object with a "family" key')
+    if not isinstance(data["family"], list):
+        raise FormatError('"family" must be an array of members')
     family = []
     for member in data["family"]:
         if not isinstance(member, list):
@@ -167,8 +169,12 @@ def read_curves_json(g: Fatgraph, text: str) -> CurveSystem:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad JSON: {exc}") from None
+    if not isinstance(data, list):
+        raise FormatError("expected an array of curves")
     paths = []
     for item in data:
+        if not isinstance(item, list) or not all(isinstance(tok, str) for tok in item):
+            raise FormatError("curves must be arrays of step tokens")
         path = EdgePath(tuple(parse_step_token(g, tok) for tok in item))
         check_closed_path(g, path)
         paths.append(path)

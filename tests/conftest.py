@@ -117,10 +117,8 @@ def essential_curve_pool(g: fgr.Fatgraph) -> list[fgr.EdgePath]:
     """Essential curves found as boundaries of recurrent proper subsets."""
     pool: dict[tuple, fgr.EdgePath] = {}
     top = g.all_edges()
-    for mask in range(1, 1 << g.n_edges):
-        sub = frozenset(e for e in range(g.n_edges) if mask >> e & 1)
-        if sub == top or not fgr.is_recurrent(g, sub):
-            continue
-        for c in fgr.subset_boundary(g, sub):
-            pool[c.steps] = c
+    for sub in fgr.recurrent_subsets(g):
+        if sub != top:
+            for c in fgr.subset_boundary(g, sub):
+                pool[c.steps] = c
     return [pool[k] for k in sorted(pool)]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from fatscreens import fatgraph as fgr
 from fatscreens import geometry as geo
 from fatscreens import screens as scn
 from fatscreens import serialize as ser
+from fatscreens.errors import FormatError
 
 from conftest import DATA
 
@@ -92,6 +95,17 @@ def test_trace_near_parabolic(tmp_path, capsys):
     assert float(lines["hyp_length"]) == pytest.approx(2e-9, rel=1e-9)
 
 
+def test_trace_extreme_weights(tmp_path, capsys):
+    # the double-precision cross ratio underflows to 0; the trace is refined
+    lam = tmp_path / "l.csv"
+    lam.write_text("edge,value\ne0,1e200\ne1,1\ne2,1\n")
+    code, out = run(capsys, "trace", THETA, "--lambda", str(lam), "--path", "e0+,e1-")
+    assert code == 0
+    lines = dict(line.split("=") for line in out.splitlines())
+    assert float(lines["abs_trace"]) == pytest.approx(1e200, rel=1e-12)
+    assert float(lines["hyp_length"]) == pytest.approx(2 * math.log(1e200), rel=1e-12)
+
+
 def test_invert_and_check_cell(tmp_path, capsys):
     coords = tmp_path / "x.csv"
     coords.write_text("edge,value\ne0,2\ne1,2\ne2,2\n")
@@ -121,6 +135,11 @@ def test_screen_json_input(tmp_path, capsys):
     screen_file.write_text('{"family": [["e0", "e1"]]}')
     code, out = run(capsys, "detect", THETA, "--screen", str(screen_file))
     assert code == 0 and out.strip() == "e0+ e1-"
+    for bad in ('{"family": 5}', '{"family": null}'):
+        screen_file.write_text(bad)
+        code = cli.main(["detect", THETA, "--screen", str(screen_file)])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == 'error: "family" must be an array of members'
 
 
 def test_domain_error_exit_code(tmp_path, capsys):
@@ -172,6 +191,12 @@ def test_serialization_round_trips(theta, tmp_path):
     curves = fgr.subset_boundary(theta, {0, 1})
     text = ser.write_curves_json(theta, curves)
     assert ser.read_curves_json(theta, text).curves == curves.curves
+    for bad in ('{"family": 5}', '{"family": null}'):
+        with pytest.raises(FormatError, match='"family" must be an array'):
+            ser.read_screen_json(theta, bad)
+    for bad in ("5", '{"curves": []}', "[5]", "[[5]]"):
+        with pytest.raises(FormatError):
+            ser.read_curves_json(theta, bad)
 
     subset = frozenset({0, 2})
     text = ser.write_subset_json(theta, subset)
@@ -179,3 +204,29 @@ def test_serialization_round_trips(theta, tmp_path):
 
     g_text = fgr.fatgraph_to_text(theta)
     assert fgr.parse_fatgraph(g_text) == theta
+
+
+# sha256 of the stdout of `screens <g> --boundary` and `recurrent <g> --enumerate`;
+# a change in enumeration order, members or boundaries changes these
+GOLDEN = {
+    "theta": ("9563600ea3f811eb472831549888d431c1a1f42ae5c01a4cac11d5aec8355bdf",
+              "20afc38abbcb4f591c73786b18a59e5599ebad4c18b050af22db803c88b07e12"),
+    "mercedes": ("b259e344bb204a93ad45283c678725816fa1ec5862b6859c0911291e9a66f46e",
+                 "5e3eb865b989008c4e43eb557b1af5a3d603fdb9c1a75e6bddb10cf22a01a948"),
+    "genus2": ("f7f4cb78cc34a6318318723bd5f876764b61b8c1ee1fab5ad5ebf52b53abed36",
+               "a0eceafb82f9ba650b876c43f1aef8be6d006129760eb4c3fe7432376f2c9ac0"),
+    "barbell": ("3b4a99cc61a2b88ed31f1a0a537e07ba7cda19f39021ccd567b7dcad6967cbd4",
+                "e0ff09d7c9b57cd2a445c01fa5cebc3db1e1a007bbea8d016a32aed296ee45fa"),
+    "theta_planar": ("f35965709e5c65f813c4fdd3a1c41b81e5210eda7eda90196e2bd291c806291a",
+                     "20afc38abbcb4f591c73786b18a59e5599ebad4c18b050af22db803c88b07e12"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_screens_and_recurrent_output(name, capsys):
+    graph = str(DATA / f"{name}.fg")
+    screens_digest, recurrent_digest = GOLDEN[name]
+    code, out = run(capsys, "screens", graph, "--boundary")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == screens_digest
+    code, out = run(capsys, "recurrent", graph, "--enumerate")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == recurrent_digest

@@ -162,6 +162,9 @@ def test_invert_rejects_bad_targets(theta):
         geo.invert_coords(theta, geo.simplicial([-1, 2, 2]))
     with pytest.raises(DomainError, match="vanishing"):
         geo.invert_coords(theta, geo.simplicial([0, 0, 2]))
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError, match="tolerance"):
+            geo.invert_coords(theta, geo.simplicial([2, 2, 2]), tol=tol)
 
 
 def test_invert_boundary_target(theta):

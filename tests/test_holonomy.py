@@ -187,29 +187,39 @@ def reference_traces(g, lam, path):
     The float product chains Mat2 matrices; refined evaluations multiply
     mpmath matrices at the library's working precision.
     """
-    turns = []
-    for k, h in enumerate(path.steps):
-        incoming = g.pairing(path.steps[k - 1])
-        turns.append(None if h == incoming else hol.turn_direction(g, incoming, h))
     r_mat, l_mat = hol.turn_matrices()
     acc = hol.IDENTITY
-    for turn, h in zip(turns, path.steps):
+    for turn, h in zip(turn_codes(g, path), path.steps):
         t_mat = {None: hol.IDENTITY, hol.RIGHT: r_mat, hol.LEFT: l_mat}[turn]
         acc = acc @ t_mat @ hol.edge_matrix(g, lam, h)
     if not hol._needs_refinement(acc, lam, len(path.steps), hol.REFINE_GAP):
         return acc, hol.abs_trace(acc), hol.abs_trace(acc) - 2.0, False
     with mpmath.workdps(hol._MP_DPS):
-        mp_turns = {None: mpmath.matrix([[1, 0], [0, 1]]),
-                    hol.RIGHT: mpmath.matrix([[1, 1], [-1, 0]]),
-                    hol.LEFT: mpmath.matrix([[0, -1], [1, 1]])}
-        mm = mp_turns[None]
-        for turn, h in zip(turns, path.steps):
-            a, b, c, d = geo.quad_slots(g, h)
-            s = mpmath.sqrt(mpmath.mpf(lam[a]) * mpmath.mpf(lam[c])
-                            / (mpmath.mpf(lam[b]) * mpmath.mpf(lam[d])))
-            mm = mm * mp_turns[turn] * mpmath.matrix([[0, s], [-1 / s, 0]])
-        tr = abs(mm[0, 0] + mm[1, 1])
+        tr = mp_abs_trace(g, lam, path)
         return acc, float(tr), float(tr - 2), True
+
+
+def turn_codes(g, path):
+    """Turn into each step, None at a backtrack."""
+    turns = []
+    for k, h in enumerate(path.steps):
+        incoming = g.pairing(path.steps[k - 1])
+        turns.append(None if h == incoming else hol.turn_direction(g, incoming, h))
+    return turns
+
+
+def mp_abs_trace(g, lam, path):
+    """|trace| from mpmath matrix products at the caller's working precision."""
+    mp_turns = {None: mpmath.matrix([[1, 0], [0, 1]]),
+                hol.RIGHT: mpmath.matrix([[1, 1], [-1, 0]]),
+                hol.LEFT: mpmath.matrix([[0, -1], [1, 1]])}
+    mm = mp_turns[None]
+    for turn, h in zip(turn_codes(g, path), path.steps):
+        a, b, c, d = geo.quad_slots(g, h)
+        s = mpmath.sqrt(mpmath.mpf(lam[a]) * mpmath.mpf(lam[c])
+                        / (mpmath.mpf(lam[b]) * mpmath.mpf(lam[d])))
+        mm = mm * mp_turns[turn] * mpmath.matrix([[0, s], [-1 / s, 0]])
+    return abs(mm[0, 0] + mm[1, 1])
 
 
 def kernel_cases(trivalent_corpus, genus2):
@@ -249,6 +259,22 @@ def test_kernel_matches_full_matrix_products(trivalent_corpus, genus2):
     assert total > 1000 and refined_tiny > 0
 
 
+def test_trace_refines_when_float_leaves_range(theta):
+    # in double precision the cross ratio underflows to 0 (1e200, 1e-200),
+    # the product overflows to inf (1e-160) or the roundoff bound overflows
+    # (1e160 everywhere); the extended-precision product does none of these
+    path = fgr.EdgePath((0, 4))
+    for values in ([1e200, 1, 1], [1e160, 1, 1], [1e-160, 1, 1], [1e160] * 3, [1e-200] * 3):
+        lam = geo.lambda_assignment(values)
+        with mpmath.workdps(hol._MP_DPS):
+            tr = mp_abs_trace(theta, lam, path)
+            want, want_gap = float(tr), float(tr - 2)
+        assert hol.abs_trace_of_path(theta, lam, path) == want
+        assert hol.trace_gap_of_path(theta, lam, path) == want_gap
+    lam = geo.lambda_assignment([1e200, 1, 1])
+    assert hol.abs_trace_of_path(theta, lam, path) == pytest.approx(1e200, rel=1e-12)
+
+
 # -- lengths --------------------------------------------------------------------
 
 def test_hyp_length_values():
@@ -268,6 +294,10 @@ def test_hyp_length_from_gap_matches_and_stays_stable():
     tiny = 1e-20
     assert hol.hyp_length_from_gap(tiny) == pytest.approx(2 * math.sqrt(tiny), rel=1e-6)
     assert hol.hyp_length_from_gap(0.0) == 0.0
+    # far above 1e300 the gap form must not overflow on the way to acosh
+    for huge in (2e200, 1e300):
+        assert hol.hyp_length_from_gap(huge) == pytest.approx(
+            2 * math.acosh(1 + huge / 2), rel=1e-12)
     with pytest.raises(DomainError):
         hol.hyp_length_from_gap(-1e-3)
 

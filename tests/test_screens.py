@@ -38,11 +38,8 @@ def test_validate_condition_iii(theta):
 
 def test_validate_condition_iv(genus2):
     # two disjoint recurrent circles whose union is a third member
-    circles = []
-    for mask in range(1, 1 << genus2.n_edges):
-        sub = frozenset(e for e in range(genus2.n_edges) if mask >> e & 1)
-        if fgr.is_recurrent(genus2, sub) and len(scn._connected_edge_components(genus2, sub)) == 1:
-            circles.append(sub)
+    circles = [sub for sub in fgr.recurrent_subsets(genus2)
+               if len(scn._connected_edge_components(genus2, sub)) == 1]
     pair = None
     for a in circles:
         for b in circles:
@@ -228,3 +225,61 @@ def test_depth_families_stay_in_cell(screen_corpus):
                 lam = geo.lambda_assignment([t ** float(p) for p in fam.exponents])
                 coords = geo.simplicial_coords(g, lam)
                 assert min(coords.values) > 0.0
+
+
+# -- equivalence with the direct definitions -------------------------------------------
+
+def reference_predecessor(s, member):
+    return min((a for a in s.family if member < a), key=len)
+
+
+def reference_depth(s, member):
+    depth, top = 0, s.graph.all_edges()
+    while member != top:
+        member = reference_predecessor(s, member)
+        depth += 1
+    return depth
+
+
+def reference_relative_boundary(s, member):
+    """Member boundary cycles minus powers of the predecessor's, one by one."""
+    g = s.graph
+
+    def parent_paths(edges):
+        sub = fgr.subgraph(g, edges)
+        return [fgr.EdgePath(tuple(sub.to_parent_half[x] for x in cyc.steps))
+                for cyc in fgr.boundary_cycles(sub.graph)]
+
+    pred_cycles = parent_paths(reference_predecessor(s, member))
+    keep = []
+    for path in parent_paths(member):
+        red = fgr.reduce_path(g, path)
+        if red is None:
+            continue
+        target = fgr.canonical_path(g, red)
+        n = len(target)
+        if any(n % len(cyc) == 0 and fgr.canonical_path(
+                g, fgr.EdgePath(cyc.steps * (n // len(cyc)))) == target
+               for cyc in pred_cycles):
+            continue
+        keep.append(red)
+    return fgr.curve_system(g, keep, check=False)
+
+
+def test_laminar_pass_matches_definitions(screen_corpus):
+    for g in screen_corpus.values():
+        top = g.all_edges()
+        masks = [frozenset(e for e in range(g.n_edges) if mask >> e & 1)
+                 for mask in range(1, 1 << g.n_edges)]
+        assert list(fgr.recurrent_subsets(g)) == [a for a in masks if fgr.is_recurrent(g, a)]
+        for s in scn.enumerate_screens(g):
+            depth = {a: reference_depth(s, a) for a in s.family}
+            for a in s.family:
+                assert scn.depth_of_member(s, a) == depth[a]
+                if a == top:
+                    continue
+                assert scn.immediate_predecessor(s, a) == reference_predecessor(s, a)
+                assert scn.relative_boundary(s, a) == reference_relative_boundary(s, a)
+            want = [max(depth[a] for a in s.family if e in a) for e in range(g.n_edges)]
+            assert scn.depth_family(s).exponents == tuple(Fraction(d) for d in want)
+            assert [scn.depth_of_edge(s, e) for e in range(g.n_edges)] == want
