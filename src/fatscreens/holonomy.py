@@ -15,17 +15,19 @@ kept unnormalized; only |trace| is geometric (PSL sign ambiguity), and
 |trace| = 2 cosh(length/2) for the hyperbolic length of the geodesic
 representative.
 
-The product is one loop over four scalars, run over ``float`` and, when
-refining, over ``mpmath.mpf``: R, L and X act as closed-form column updates
-(R sends (a11, a12, a21, a22) to (a11 - a12, a11, a21 - a22, a21)) that
-round exactly like full 2x2 products, the other entries being 0 and +-1.
-Both trace functions refine by one rule: when |trace| is within 1e-6 of 2
-or rounding may swamp the gap, the loop reruns over ``mpf`` at 60 digits.
+The product is one loop over four scalars, run over ``float``, ``mpmath.mpf``
+and exact Laurent polynomials in t (:mod:`fatscreens.asymptotics`): R, L and
+X act as closed-form column updates (R sends (a11, a12, a21, a22) to
+(a11 - a12, a11, a21 - a22, a21)); the other entries being 0 and +-1, these
+round exactly like full 2x2 products.  Both trace functions refine by one
+rule: when |trace| is within 1e-6 of 2, rounding may swamp the gap or weights
+go subnormal, the loop reruns over ``mpf`` at 60 digits.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -118,9 +120,15 @@ def _walk(g: Fatgraph, path: EdgePath):
                edge_of[sigma[incoming]], edge_of[sigma[sigma[incoming]]])
 
 
-def _product(g: Fatgraph, path: EdgePath, w: Sequence, sqrt) -> tuple:
+def _product(g: Fatgraph, path: EdgePath, w: Sequence, sqrt,
+             allow_backtrack: bool = False) -> tuple:
     """Entries of T_1 X_1 T_2 X_2 ... with edge weights ``w`` and ``sqrt`` of their type."""
-    a11, a12, a21, a22 = 1, 0, 0, 1     # ints: exact in either scalar type
+    if not g.is_trivalent():
+        raise DomainError("holonomy needs a trivalent graph")
+    check_closed_path(g, path)
+    if not allow_backtrack and not is_efficient(g, path):
+        raise DomainError("path is not efficient")
+    a11, a12, a21, a22 = 1, 0, 0, 1     # ints: exact in every scalar type
     for turn, a, b, c, d in _walk(g, path):
         if turn == RIGHT:
             a11, a12, a21, a22 = a11 - a12, a11, a21 - a22, a21
@@ -140,12 +148,7 @@ def holonomy(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
     which case the turn at a backtrack contributes the identity; the group
     relations make the |trace| agree with the reduced path's.
     """
-    if not g.is_trivalent():
-        raise DomainError("holonomy needs a trivalent graph")
-    check_closed_path(g, path)
-    if not allow_backtrack and not is_efficient(g, path):
-        raise DomainError("path is not efficient")
-    return Mat2(*_product(g, path, lam.values, math.sqrt))
+    return Mat2(*_product(g, path, lam.values, math.sqrt, allow_backtrack))
 
 
 def abs_trace(m: Mat2) -> float:
@@ -174,50 +177,49 @@ def hyp_length_from_gap(gap: float, atol: float = 1e-12) -> float:
     return 2.0 * math.log1p(u + math.sqrt(square))
 
 
-def _needs_refinement(m: Mat2, lam: LambdaAssignment, n_steps: int,
-                      refine_gap: float) -> bool:
+def _needs_refinement(m: Mat2, lam: LambdaAssignment, n_steps: int) -> bool:
     # the double product loses roughly eps times the largest entry per
     # factor, which swamps a small trace gap when weights span many orders
-    # of magnitude
+    # of magnitude; below sqrt of the least normal double a weight product
+    # goes subnormal and loses digits before any sum
     peak = max(abs(m.m11), abs(m.m12), abs(m.m21), abs(m.m22),
                max(lam.values) ** 2)
     roundoff = 2e-16 * peak * n_steps
     gap = abs(abs_trace(m) - 2.0)
-    return (gap < refine_gap or not math.isfinite(gap)
-            or roundoff > 1e-3 * max(gap, 1e-300))
+    return (gap < REFINE_GAP or not math.isfinite(gap)
+            or roundoff > 1e-3 * max(gap, 1e-300)
+            or min(lam.values) ** 2 < sys.float_info.min)
 
 
 def _abs_trace_minus(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
-                     allow_backtrack: bool, refine_gap: float, offset: int) -> float:
+                     allow_backtrack: bool, offset: int) -> float:
     """|trace| - offset, with the subtraction at extended precision when refined."""
     try:
         m = holonomy(g, lam, path, allow_backtrack=allow_backtrack)
-        if not _needs_refinement(m, lam, len(path.steps), refine_gap):
+        if not _needs_refinement(m, lam, len(path.steps)):
             return abs_trace(m) - offset
     except (ZeroDivisionError, OverflowError):
         pass    # weights beyond double range: a cross ratio underflowed, or the bound overflowed
     with mpmath.workdps(_MP_DPS):
         w = [mpmath.mpf(v) for v in lam.values]
-        a11, _, _, a22 = _product(g, path, w, mpmath.sqrt)
+        a11, _, _, a22 = _product(g, path, w, mpmath.sqrt, allow_backtrack)
         return float(abs(a11 + a22) - offset)
 
 
 def abs_trace_of_path(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
-                      allow_backtrack: bool = False,
-                      refine_gap: float = REFINE_GAP) -> float:
+                      allow_backtrack: bool = False) -> float:
     """|trace| of the path holonomy, re-evaluated at high precision near 2."""
-    return _abs_trace_minus(g, lam, path, allow_backtrack, refine_gap, 0)
+    return _abs_trace_minus(g, lam, path, allow_backtrack, 0)
 
 
 def trace_gap_of_path(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
-                      allow_backtrack: bool = False,
-                      refine_gap: float = REFINE_GAP) -> float:
+                      allow_backtrack: bool = False) -> float:
     """|trace| - 2 with the subtraction done at extended precision.
 
     Gaps far below 2**-52 are representable this way even though the trace
     itself rounds to 2.0 in double precision.
     """
-    return _abs_trace_minus(g, lam, path, allow_backtrack, refine_gap, 2)
+    return _abs_trace_minus(g, lam, path, allow_backtrack, 2)
 
 
 # ---------------------------------------------------------------------------

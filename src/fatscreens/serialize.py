@@ -79,12 +79,6 @@ def read_coords_csv(g: Fatgraph, text: str) -> SimplicialCoords:
         raise FormatError(f"bad numeric value: {exc}") from None
 
 
-def write_coords_csv(g: Fatgraph, coords: SimplicialCoords) -> str:
-    lines = ["edge,value"]
-    lines += [f"{g.label(e)},{fmt(coords[e])}" for e in range(g.n_edges)]
-    return "\n".join(lines) + "\n"
-
-
 def read_exponents_csv(g: Fatgraph, text: str) -> MonomialFamily:
     raw = _values_by_edge(g, _parse_rows(text, "exponent"))
     try:

@@ -9,6 +9,7 @@ import pytest
 from fatscreens import asymptotics as asy
 from fatscreens import fatgraph as fgr
 from fatscreens import screens as scn
+from fatscreens import serialize as ser
 from fatscreens.errors import DomainError
 
 
@@ -30,7 +31,7 @@ def test_evaluate_family(theta):
         asy.evaluate_family(scn.monomial_family([0, 400, 0]), 10.0)
 
 
-def test_sweep_gap_sequence(theta):
+def test_sweep_gap_sequence(theta, genus2):
     fam = scn.monomial_family([1, 1, 0])
     curves = fgr.subset_boundary(theta, {0, 1})
     report = asy.sweep(theta, fam, curves)
@@ -38,8 +39,18 @@ def test_sweep_gap_sequence(theta):
     for gap, want in zip(gaps, (1e-2, 1e-4, 1e-6, 1e-8)):
         assert gap == pytest.approx(want, rel=1e-9)
     assert all(ok for _, ok in report.in_cell_at)
-    ((_, verdict),) = report.verdicts
+    ((curve, verdict),) = report.verdicts
     assert verdict == asy.VERDICT_SHRINKING
+    lead = asy._gap_leading(theta, fam, curve)
+    assert (lead.exponent, lead.coefficient) == (-2, 1)
+    # a screen boundary curve whose gap 11/t is still 1.1e-3 at t = 1e4
+    fam = scn.monomial_family([1] * 8 + [0])
+    curve = ser.parse_curve(genus2, "a+ p- b+ q- a- p+ q+ r+ s+ d+ c- r- b-")
+    assert curve.steps in {c.steps for c in asy.detect_short_curves(genus2, fam)}
+    ((_, verdict),) = asy.sweep(genus2, fam, [curve]).verdicts
+    assert verdict == asy.VERDICT_SHRINKING
+    lead = asy._gap_leading(genus2, fam, curve)
+    assert (lead.exponent, lead.coefficient) == (-1, 11)
 
 
 def test_sweep_constant_family_not_shrinking(theta):
@@ -54,8 +65,9 @@ def test_sweep_constant_family_not_shrinking(theta):
 def test_sweep_flags_boundary_cycles(theta):
     fam = scn.monomial_family([1, 1, 0])
     report = asy.sweep(theta, fam, fgr.boundary_cycles(theta))
-    ((_, verdict),) = report.verdicts
+    ((cycle, verdict),) = report.verdicts
     assert verdict == asy.VERDICT_PARABOLIC
+    assert asy._gap_leading(theta, fam, cycle) == asy.LeadingTerm(None, 0)
 
 
 def test_detect_theta(theta):
@@ -78,6 +90,7 @@ def test_detect_equals_screen_boundary_everywhere(screen_corpus):
             got = asy.detect_short_curves(g, fam)
             want = scn.screen_boundary(s)
             assert got.curves == want.curves
+            assert all(asy._gap_leading(g, fam, c).exponent < 0 for c in want)
 
 
 def test_negative_controls(screen_corpus):
@@ -93,6 +106,7 @@ def test_negative_controls(screen_corpus):
             report = asy.sweep(g, fam, [outside])
             final = report.rows[-1]
             assert final.gap > 0.1
+            assert asy._gap_leading(g, fam, outside).exponent >= 0
 
 
 def test_ij_check_theta(theta):

@@ -69,6 +69,11 @@ def test_sweep_csv(tmp_path, capsys):
         assert gap == pytest.approx(want, rel=1e-9)
     verdicts = json.loads(summary.read_text())
     assert verdicts == {"e0+ e1-": "shrinking"}
+    # the gap t**(-2/3) is still 0.0022 at t = 1e4, yet it tends to 0
+    p.write_text("edge,exponent\ne0,1/3\ne1,1/3\ne2,0\n")
+    code, _ = run(capsys, "sweep", THETA, "--exponents", str(p), "--summary", str(summary))
+    assert code == 0
+    assert json.loads(summary.read_text()) == {"e0+ e1-": "shrinking"}
 
 
 def test_detect_and_trace(tmp_path, capsys):
@@ -167,6 +172,9 @@ def test_sweep_overflow_is_domain_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.strip() == "error: weight t**400 of edge 0 overflows at t=10"
+    # detection evaluates no weight, so nothing overflows
+    code, out = run(capsys, "detect", THETA, "--exponents", str(p))
+    assert code == 0 and out.strip() == "e0+ e1-"
 
 
 def test_determinism(capsys):

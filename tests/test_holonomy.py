@@ -192,7 +192,7 @@ def reference_traces(g, lam, path):
     for turn, h in zip(turn_codes(g, path), path.steps):
         t_mat = {None: hol.IDENTITY, hol.RIGHT: r_mat, hol.LEFT: l_mat}[turn]
         acc = acc @ t_mat @ hol.edge_matrix(g, lam, h)
-    if not hol._needs_refinement(acc, lam, len(path.steps), hol.REFINE_GAP):
+    if not hol._needs_refinement(acc, lam, len(path.steps)):
         return acc, hol.abs_trace(acc), hol.abs_trace(acc) - 2.0, False
     with mpmath.workdps(hol._MP_DPS):
         tr = mp_abs_trace(g, lam, path)
@@ -240,7 +240,7 @@ def kernel_cases(trivalent_corpus, genus2):
     for s in scn.enumerate_screens(genus2)[::4]:
         fam = scn.depth_family(s)
         curves = scn.screen_boundary(s)
-        for t in asy.DETECT_T:
+        for t in (10.0, 100.0, 1000.0, 10000.0, 100000.0, 1000000.0):
             lam = asy.evaluate_family(fam, t)
             for c in curves:
                 yield genus2, lam, c, False
@@ -261,10 +261,12 @@ def test_kernel_matches_full_matrix_products(trivalent_corpus, genus2):
 
 def test_trace_refines_when_float_leaves_range(theta):
     # in double precision the cross ratio underflows to 0 (1e200, 1e-200),
-    # the product overflows to inf (1e-160) or the roundoff bound overflows
-    # (1e160 everywhere); the extended-precision product does none of these
+    # the product overflows to inf (1e-160), the roundoff bound overflows
+    # (1e160 everywhere) or weight products go subnormal and lose digits
+    # (1e-160, 1e-160, 1e-150); the extended-precision product does none of these
     path = fgr.EdgePath((0, 4))
-    for values in ([1e200, 1, 1], [1e160, 1, 1], [1e-160, 1, 1], [1e160] * 3, [1e-200] * 3):
+    for values in ([1e200, 1, 1], [1e160, 1, 1], [1e-160, 1, 1], [1e160] * 3, [1e-200] * 3,
+                   [1e-160, 1e-160, 1e-150]):
         lam = geo.lambda_assignment(values)
         with mpmath.workdps(hol._MP_DPS):
             tr = mp_abs_trace(theta, lam, path)
