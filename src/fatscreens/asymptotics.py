@@ -167,6 +167,8 @@ def sweep(g: Fatgraph, fam: MonomialFamily, curves: CurveSystem | Iterable[EdgeP
     """
     if not g.is_trivalent():
         raise DomainError("sweep needs a trivalent graph")
+    if len(fam) != g.n_edges:
+        raise DomainError("one exponent per edge required")
     sched = sched or SweepSchedule()
     curve_list = list(curves)
     rows = []

@@ -93,7 +93,6 @@ class Fatgraph:
         edge_of = [seen[h] for h in range(n)]
         object.__setattr__(self, "_iota", tuple(iota))
         object.__setattr__(self, "_sigma", tuple(sigma))
-        object.__setattr__(self, "_sigma_inv", tuple(_invert(sigma)))
         object.__setattr__(self, "_vertex_of", tuple(vert))
         object.__setattr__(self, "_edge_of", tuple(edge_of))
         object.__setattr__(self, "_label_index", {lab: e for e, lab in enumerate(self.edge_labels)})
@@ -119,9 +118,6 @@ class Fatgraph:
 
     def sigma(self, h: int) -> int:
         return self._sigma[h]
-
-    def sigma_inv(self, h: int) -> int:
-        return self._sigma_inv[h]
 
     def vertex_of(self, h: int) -> int:
         return self._vertex_of[h]
@@ -157,16 +153,6 @@ class Fatgraph:
 
     def step_head(self, step: DirectedStep) -> int:
         return self._vertex_of[self._iota[step]]
-
-    def step_reverse(self, step: DirectedStep) -> DirectedStep:
-        return self._iota[step]
-
-
-def _invert(perm: Sequence[int]) -> list[int]:
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return inv
 
 
 def _connected(sigma: Sequence[int], iota: Sequence[int]) -> bool:
@@ -445,8 +431,11 @@ def curve_system(g: Fatgraph, paths: Iterable[EdgePath], check: bool = True) -> 
         if check and is_boundary_parallel(g, red):
             raise DomainError("boundary-parallel curve in curve system")
         canon.add(canonical_path(g, red))
-    ordered = tuple(sorted(canon, key=lambda p: (len(p.steps), p.steps)))
-    return CurveSystem(g, ordered)
+    return _curve_set(g, canon)
+
+
+def _curve_set(g: Fatgraph, canon: Iterable[EdgePath]) -> CurveSystem:
+    return CurveSystem(g, tuple(sorted(canon, key=lambda p: (len(p.steps), p.steps))))
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +455,6 @@ class SubFatgraph:
     graph: Fatgraph
     to_parent_half: tuple[int, ...]
     to_parent_edge: tuple[int, ...]
-
-    def from_parent_half(self, h: int) -> int:
-        return self._from_half[h]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_from_half",
-                           {ph: sh for sh, ph in enumerate(self.to_parent_half)})
 
 
 def subgraph(g: Fatgraph, edges: Iterable[int]) -> SubFatgraph:
@@ -502,12 +484,12 @@ def is_recurrent(g: Fatgraph, edges: Iterable[int]) -> bool:
     subset = frozenset(edges)
     if not subset:
         raise DomainError("empty edge subset")
-    valence: dict[int, int] = {}
+    met, met_twice = set(), set()
     for e in subset:
-        for h in g.halves(e):
-            v = g.vertex_of(h)
-            valence[v] = valence.get(v, 0) + 1
-    return all(c >= 2 for c in valence.values())
+        for h in g.edge_halves[e]:
+            v = g._vertex_of[h]
+            (met_twice if v in met else met).add(v)
+    return met <= met_twice
 
 
 def recurrent_subsets(g: Fatgraph) -> Iterator[EdgeSubset]:
@@ -742,17 +724,41 @@ def weights_to_multicurve(g: Fatgraph, mu: Mapping[int, int]) -> list[EdgePath]:
 # Subset boundary
 # ---------------------------------------------------------------------------
 
+def _subset_faces(g: Fatgraph, edges: Iterable[int]) -> set[EdgePath]:
+    """Canonical faces of ``subgraph(g, edges)``, walked in ``g`` without building it.
+
+    A step arrives through its pair and turns by ``sigma`` past the halves
+    outside the subset.  A face visits each step once, so its least rotation
+    (``canonical_path``) in either orientation starts at its least step.
+    """
+    iota, sigma = g._iota, g._sigma
+    inside = {h for e in edges for h in g.edge_halves[e]}
+    seen: set[int] = set()
+    faces = set()
+    for start in inside:
+        orbit = []
+        h = start
+        while h not in seen:
+            seen.add(h)
+            orbit.append(h)
+            h = sigma[iota[h]]
+            while h not in inside:
+                h = sigma[h]
+        if orbit:
+            rev = [iota[x] for x in reversed(orbit)]
+            i, j = orbit.index(min(orbit)), rev.index(min(rev))
+            faces.add(EdgePath(min(tuple(orbit[i:] + orbit[:i]), tuple(rev[j:] + rev[:j]))))
+    return faces
+
+
 def subset_boundary(g: Fatgraph, edges: Iterable[int]) -> CurveSystem:
     """Boundary curves of the induced subsurface, minus puncture-parallel ones."""
     subset = frozenset(edges)
+    if not subset <= g.all_edges():
+        raise DomainError(f"unknown edge ids {sorted(subset - g.all_edges())}")
     if not is_recurrent(g, subset):
         raise DomainError("subset is not recurrent")
-    sub = subgraph(g, subset)
-    cycles = boundary_cycles(g)
-    paths = (EdgePath(tuple(sub.to_parent_half[s] for s in cyc.steps))
-             for cyc in boundary_cycles(sub.graph))
-    return curve_system(g, [p for p in paths if not is_boundary_parallel(g, p, cycles)],
-                        check=False)
+    return _curve_set(g, _subset_faces(g, subset) - _subset_faces(g, g.all_edges()))
 
 
 # ---------------------------------------------------------------------------

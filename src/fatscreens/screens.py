@@ -9,8 +9,9 @@ depths, and exponents yield a screen through the filtration by strictly
 faster growth.
 
 Parents (immediate predecessors) and depths come from one pass over the
-size-sorted family; a member's relative boundary is its subsurface boundary
-minus the curves parallel to its parent's boundary.
+size-sorted family.  A member's relative boundary is the set difference of
+its canonical faces and its parent's; enumeration is a clique search over
+bitmasks of the later candidates nested in or disjoint from each candidate.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
-# reduce_path and canonical_path stay bound here for perfbench's tracer, which wraps them
-from .fatgraph import (CurveSystem, EdgePath, EdgeSubset, Fatgraph, boundary_cycles,
-                       canonical_path, curve_system, is_boundary_parallel,
+# subgraph, boundary_cycles, reduce_path, canonical_path and is_recurrent stay
+# bound here for perfbench's tracer, which wraps them at this site
+from .fatgraph import (CurveSystem, EdgeSubset, Fatgraph, _curve_set, _subset_faces,
+                       boundary_cycles, canonical_path, curve_system, is_boundary_parallel,
                        is_recurrent, recurrent_subsets, reduce_path, subgraph)
 
 
@@ -115,7 +117,7 @@ def _connected_edge_components(g: Fatgraph, edges: EdgeSubset) -> list[EdgeSubse
             v = root[v]
         return v
 
-    ends = {e: [g.vertex_of(h) for h in g.halves(e)] for e in edges}
+    ends = {e: [g._vertex_of[h] for h in g.edge_halves[e]] for e in edges}
     for u, v in ends.values():
         root[find(u)] = find(v)
     comps: dict[int, set[int]] = {}
@@ -140,19 +142,23 @@ def enumerate_screens(g: Fatgraph, max_edges: int = 12) -> list[Screen]:
     candidates = sorted((a for a in recurrent_subsets(g)
                          if a != top and len(_connected_edge_components(g, a)) == 1),
                         key=_member_key)
+    # bit j of compatible[i]: a later candidate j nests with or is disjoint from i
+    compatible = [sum(1 << j for j in range(i + 1, len(candidates))
+                      if _nested_or_disjoint(a, candidates[j]))
+                  for i, a in enumerate(candidates)]
     screens: list[Screen] = []
 
-    def extend(start: int, chosen: list[EdgeSubset]) -> None:
+    def extend(allowed: int, chosen: list[EdgeSubset]) -> None:
         if _union_member(chosen + [top]) is None:
-            screens.append(Screen(g, _sorted_family(set(chosen) | {top})))
-        for i in range(start, len(candidates)):
-            cand = candidates[i]
-            if all(_nested_or_disjoint(cand, b) for b in chosen):
-                chosen.append(cand)
-                extend(i + 1, chosen)
-                chosen.pop()
+            screens.append(Screen(g, (*chosen, top)))    # already in member-key order
+        while allowed:
+            i = (allowed & -allowed).bit_length() - 1
+            allowed &= allowed - 1
+            chosen.append(candidates[i])
+            extend(allowed & compatible[i], chosen)
+            chosen.pop()
 
-    extend(0, [])
+    extend((1 << len(candidates)) - 1, [])
     screens.sort(key=lambda s: _family_key(s.family))
     return screens
 
@@ -207,32 +213,31 @@ def depth_of_edge(s: Screen, e: int) -> int:
 # Boundaries
 # ---------------------------------------------------------------------------
 
-def _boundary_paths(g: Fatgraph, edges: EdgeSubset) -> list[EdgePath]:
-    """Boundary cycles of the induced subsurface, read as paths in ``g``."""
-    sub = subgraph(g, edges)
-    return [EdgePath(tuple(sub.to_parent_half[h] for h in cyc.steps))
-            for cyc in boundary_cycles(sub.graph)]
+def _relative_faces(g: Fatgraph, member: EdgeSubset, faces: set, parent_faces: set) -> set:
+    """The member's canonical faces not parallel to a parent face: not equal to one,
+    as a recurrent member's faces are efficient simple cycles.  Off a valid screen
+    faces may backtrack; those are reduced and compared with powers."""
+    if is_recurrent(g, member):
+        return faces - parent_faces
+    return set(curve_system(g, [p for p in faces if not is_boundary_parallel(g, p, parent_faces)],
+                            check=False))
 
 
 def relative_boundary(s: Screen, member: EdgeSubset) -> CurveSystem:
-    """Boundary curves of a member inside its immediate predecessor.
-
-    Boundary cycles of the member's subsurface are read as paths in the
-    ambient graph; those that are boundary-parallel inside the predecessor's
-    subsurface (equal to one of its boundary cycles or a power, up to
-    rotation and reversal) are discarded.
-    """
+    """Faces of a member's subsurface not parallel to its immediate predecessor's."""
     g = s.graph
-    pred_paths = _boundary_paths(g, immediate_predecessor(s, member))
-    return curve_system(g, [p for p in _boundary_paths(g, member)
-                            if not is_boundary_parallel(g, p, pred_paths)], check=False)
+    parent = immediate_predecessor(s, member)
+    return _curve_set(g, _relative_faces(g, member, _subset_faces(g, member),
+                                         _subset_faces(g, parent)))
 
 
 def screen_boundary(s: Screen) -> CurveSystem:
-    """Union of the relative boundaries of all non-top members."""
-    top = s.graph.all_edges()
-    paths = [c for a in s.family if a != top for c in relative_boundary(s, a)]
-    return curve_system(s.graph, paths, check=False)
+    """Union of the relative boundaries of all non-top members, each face walked once."""
+    g = s.graph
+    faces = {a: _subset_faces(g, a) for a in s.family}
+    return _curve_set(g, set().union(*(_relative_faces(g, a, faces[a], faces[parent])
+                                       for a, (parent, _) in _depths(s).items()
+                                       if parent is not None)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +273,20 @@ def depth_family(s: Screen) -> MonomialFamily:
 def screen_of_exponents(g: Fatgraph, fam: MonomialFamily) -> Screen:
     """Screen candidate read off from growth exponents.
 
-    The filtration keeps, at each stage, the edges whose exponent strictly
-    exceeds the stage minimum; the family collects the connected components
-    of every stage.  Recurrence of the members is not checked here, so the
-    result may fail ``validate_screen`` when the exponents do not come from
-    a valid degeneration.
+    Stage p of the filtration holds the edges with exponent above p, for each
+    distinct exponent p read from the top down; the family collects the
+    connected components of every stage.  Recurrence of the members is not
+    checked here, so the result may fail ``validate_screen`` when the
+    exponents do not come from a valid degeneration.
     """
     if len(fam) != g.n_edges:
         raise DomainError("one exponent per edge required")
+    level: dict[Fraction, list[int]] = {}
+    for e, p in enumerate(fam.exponents):
+        level.setdefault(p, []).append(e)
     family: set[EdgeSubset] = {g.all_edges()}
-    stage = set(range(g.n_edges))
-    while stage:
-        lo = min(fam[e] for e in stage)
-        stage = {e for e in stage if fam[e] > lo}
-        for comp in _connected_edge_components(g, frozenset(stage)):
-            family.add(comp)
+    stage: set[int] = set()
+    for p in sorted(level, reverse=True):
+        family.update(_connected_edge_components(g, frozenset(stage)))
+        stage.update(level[p])
     return Screen(g, _sorted_family(family))

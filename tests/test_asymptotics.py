@@ -62,6 +62,13 @@ def test_sweep_constant_family_not_shrinking(theta):
     assert verdict == asy.VERDICT_NOT_SHRINKING
 
 
+def test_sweep_rejects_wrong_exponent_count(theta):
+    curve = ser.parse_curve(theta, "e0+ e1-")
+    for exponents in ([1, 1], [1, 1, 0, 2]):
+        with pytest.raises(DomainError, match="one exponent per edge required"):
+            asy.sweep(theta, scn.monomial_family(exponents), [curve])
+
+
 def test_sweep_flags_boundary_cycles(theta):
     fam = scn.monomial_family([1, 1, 0])
     report = asy.sweep(theta, fam, fgr.boundary_cycles(theta))

@@ -10,7 +10,7 @@ import pytest
 from fatscreens import fatgraph as fgr
 from fatscreens.errors import DomainError, FormatError
 
-from conftest import (all_rotations, essential_curve_pool, load,
+from conftest import (DATA, all_rotations, essential_curve_pool, load,
                       random_fatgraph)
 
 THETA_TEXT = """\
@@ -283,12 +283,27 @@ def test_subset_boundary_theta(theta):
     assert len(fgr.subset_boundary(theta, {0, 1, 2})) == 0
     with pytest.raises(DomainError):
         fgr.subset_boundary(theta, {0})
+    for bad in ({-1, 0, 1}, {0, 1, 3}):
+        with pytest.raises(DomainError, match="unknown edge ids"):
+            fgr.subset_boundary(theta, bad)
 
 
 def test_subset_boundary_puncture_parallel_circle(theta_planar):
     # every 2-edge circle in the planar theta is parallel to a puncture
     for sub in ({0, 1}, {0, 2}, {1, 2}):
         assert len(fgr.subset_boundary(theta_planar, sub)) == 0
+
+
+def test_subset_faces_match_subgraph():
+    # the ambient face walk equals the faces of the built sub-fatgraph
+    for path in sorted(DATA.glob("*.fg")):
+        g = fgr.parse_fatgraph(path.read_text())
+        for a in fgr.recurrent_subsets(g):
+            sub = fgr.subgraph(g, a)
+            want = {fgr.canonical_path(g, fgr.EdgePath(tuple(sub.to_parent_half[h]
+                                                             for h in cyc.steps)))
+                    for cyc in fgr.boundary_cycles(sub.graph)}
+            assert fgr._subset_faces(g, a) == want, (path.name, sorted(a))
 
 
 # -- whitehead moves and collapses ----------------------------------------------------

@@ -97,6 +97,30 @@ def test_enumerate_deterministic(mercedes):
     assert [s.family for s in a] == [s.family for s in b]
 
 
+def reference_enumeration(g):
+    """Screens grown candidate by candidate, each checked against every chosen one."""
+    top = g.all_edges()
+    candidates = sorted((a for a in fgr.recurrent_subsets(g)
+                         if a != top and len(scn._connected_edge_components(g, a)) == 1),
+                        key=scn._member_key)
+    families = []
+
+    def extend(start, chosen):
+        if scn._union_member(chosen + [top]) is None:
+            families.append(scn._sorted_family(set(chosen) | {top}))
+        for i in range(start, len(candidates)):
+            if all(scn._nested_or_disjoint(candidates[i], b) for b in chosen):
+                extend(i + 1, chosen + [candidates[i]])
+
+    extend(0, [])
+    return sorted(families, key=scn._family_key)
+
+
+def test_enumerate_matches_reference(screen_corpus):
+    for g in screen_corpus.values():
+        assert [s.family for s in scn.enumerate_screens(g)] == reference_enumeration(g)
+
+
 def test_enumerate_bound():
     big = fgr.build([tuple(range(26))],
                     [(2 * i, 2 * i + 1) for i in range(13)])
