@@ -32,10 +32,6 @@ def _member_key(a: frozenset) -> tuple:
     return len(a), tuple(sorted(a))
 
 
-def _family_key(fam: Iterable[frozenset]) -> tuple:
-    return tuple(sorted(_member_key(a) for a in fam))
-
-
 def _sorted_family(fam: Iterable[frozenset]) -> tuple[frozenset, ...]:
     return tuple(sorted(fam, key=_member_key))
 
@@ -46,6 +42,12 @@ class Screen:
 
     graph: Fatgraph = field(compare=False)
     family: tuple[EdgeSubset, ...] = ()
+
+    def __post_init__(self):
+        top = self.graph.all_edges()
+        for a in self.family:
+            if not a <= top:
+                raise DomainError(f"unknown edge ids {sorted(a - top)}")
 
     def __iter__(self) -> Iterator[EdgeSubset]:
         return iter(self.family)
@@ -146,21 +148,25 @@ def enumerate_screens(g: Fatgraph, max_edges: int = 12) -> list[Screen]:
     compatible = [sum(1 << j for j in range(i + 1, len(candidates))
                       if _nested_or_disjoint(a, candidates[j]))
                   for i, a in enumerate(candidates)]
-    screens: list[Screen] = []
+    # each screen with the candidate indices of its members, the top last; as
+    # the candidates are in member-key order, these sort like family keys
+    found: list[tuple[tuple[int, ...], Screen]] = []
+    last = len(candidates)
 
-    def extend(allowed: int, chosen: list[EdgeSubset]) -> None:
-        if _union_member(chosen + [top]) is None:
-            screens.append(Screen(g, (*chosen, top)))    # already in member-key order
+    def extend(allowed: int, picked: list[int]) -> None:
+        members = [candidates[i] for i in picked] + [top]    # in member-key order
+        if _union_member(members) is None:
+            found.append(((*picked, last), Screen(g, tuple(members))))
         while allowed:
             i = (allowed & -allowed).bit_length() - 1
             allowed &= allowed - 1
-            chosen.append(candidates[i])
-            extend(allowed & compatible[i], chosen)
-            chosen.pop()
+            picked.append(i)
+            extend(allowed & compatible[i], picked)
+            picked.pop()
 
-    extend((1 << len(candidates)) - 1, [])
-    screens.sort(key=lambda s: _family_key(s.family))
-    return screens
+    extend((1 << last) - 1, [])
+    found.sort(key=lambda f: f[0])
+    return [s for _, s in found]
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,24 @@ def random_fatgraph(n_edges: int, rng: random.Random,
     raise RuntimeError("no connected sample found")
 
 
+def random_trivalent(n_edges: int, rng: random.Random,
+                     max_tries: int = 2000) -> fgr.Fatgraph:
+    """Random connected trivalent fatgraph: vertex v rotates (3v, 3v+1, 3v+2),
+    and the half-edges are paired at random."""
+    n_vertices, rem = divmod(2 * n_edges, 3)
+    if rem:
+        raise ValueError("a trivalent graph needs 2 * n_edges divisible by 3")
+    cycles = [(3 * v, 3 * v + 1, 3 * v + 2) for v in range(n_vertices)]
+    for _ in range(max_tries):
+        halves = list(range(2 * n_edges))
+        rng.shuffle(halves)
+        try:
+            return fgr.build(cycles, list(zip(halves[::2], halves[1::2])))
+        except fgr.DomainError:
+            continue
+    raise RuntimeError("no connected sample found")
+
+
 def _cycles_of_permutation(perm: list[int]) -> list[tuple[int, ...]]:
     seen = [False] * len(perm)
     cycles = []

@@ -5,13 +5,14 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fatscreens import fatgraph as fgr
 from fatscreens import geometry as geo
 from fatscreens.errors import DomainError
 
-from conftest import load, random_in_cell_lambda
+from conftest import load, random_in_cell_lambda, random_trivalent
 
 
 # -- whitehead transport ---------------------------------------------------------
@@ -158,6 +159,10 @@ def test_invert_round_trip(trivalent_corpus):
 
 
 def test_invert_rejects_bad_targets(theta):
+    for initial in ([1, 1], [1, 1, 1, 1]):
+        with pytest.raises(DomainError, match="one initial weight per edge"):
+            geo.invert_coords(theta, geo.simplicial([2, 2, 2]),
+                              initial=geo.lambda_assignment(initial))
     with pytest.raises(DomainError, match="negative"):
         geo.invert_coords(theta, geo.simplicial([-1, 2, 2]))
     with pytest.raises(DomainError, match="vanishing"):
@@ -187,6 +192,121 @@ def test_invert_unique_from_restarts(theta):
     for lam in results[1:]:
         for e in range(3):
             assert lam[e] == pytest.approx(results[0][e], abs=1e-6)
+
+
+# -- Newton system ----------------------------------------------------------------
+
+def reference_coords_and_jacobian(g, lam_vals):
+    """The Newton system assembled end by end with graph method calls."""
+    n = g.n_edges
+    coords = np.zeros(n)
+    jac = np.zeros((n, n))
+    for e in range(n):
+        for h in g.halves(e):
+            ea = g.edge_of(g.sigma(h))
+            eb = g.edge_of(g.sigma(g.sigma(h)))
+            a, b, ev = lam_vals[ea], lam_vals[eb], lam_vals[e]
+            t1 = a / (b * ev)
+            t2 = b / (a * ev)
+            t3 = ev / (a * b)
+            coords[e] += t1 + t2 - t3
+            jac[e, ea] += t1 - t2 + t3
+            jac[e, eb] += -t1 + t2 + t3
+            jac[e, e] += -t1 - t2 - t3
+    return coords, jac
+
+
+@pytest.fixture(scope="module")
+def newton_graphs(trivalent_corpus):
+    rng = random.Random(37)
+    graphs = dict(trivalent_corpus)
+    for n in (30, 90):
+        graphs[f"random{n}"] = random_trivalent(n, rng)
+    return graphs
+
+
+def test_newton_system_matches_loop_reference(newton_graphs):
+    # many draws on the small graphs: only at barbell's loops does the order of
+    # the sums show, and there only for some weights
+    rng = random.Random(41)
+    for g in newton_graphs.values():
+        ends = geo._end_tables(g)
+        for _ in range(100 if g.n_edges < 30 else 3):
+            lam = np.exp([rng.uniform(-3.0, 3.0) for _ in range(g.n_edges)])
+            coords, jac = geo._coords_and_jacobian(ends, lam)
+            want_coords, want_jac = reference_coords_and_jacobian(g, lam)
+            assert (coords == want_coords).all()
+            assert (jac == want_jac).all()
+            # the coordinates are those of the scalar formula
+            scalar = geo.simplicial_coords(g, geo.lambda_assignment(lam)).values
+            assert coords == pytest.approx(scalar, rel=1e-12, abs=1e-12)
+
+
+def test_jacobian_symmetric_negative_definite(newton_graphs):
+    # X = -grad F in log weights, F the sum of the sector h-lengths (exps of
+    # linear forms), so the Jacobian is minus a positive definite Hessian
+    rng = random.Random(43)
+    for g in newton_graphs.values():
+        ends = geo._end_tables(g)
+        for _ in range(3):
+            lam = np.exp([rng.uniform(-2.0, 2.0) for _ in range(g.n_edges)])
+            _, jac = geo._coords_and_jacobian(ends, lam)
+            assert np.max(np.abs(jac - jac.T)) <= 1e-12 * np.max(np.abs(jac))
+            assert np.linalg.eigvalsh(jac).max() < 0
+
+
+def sector_sum(g, lam):
+    return sum(geo.h_length(g, lam, geo.Sector(cyc[i], cyc[(i + 1) % 3]))
+               for cyc in g.vertex_cycles for i in range(3))
+
+
+def test_coords_are_minus_log_gradient_of_sector_sum(barbell, genus2, mercedes):
+    rng = random.Random(47)
+    step = 1e-5
+    for g in (barbell, genus2, mercedes):
+        u = [rng.uniform(-1.0, 1.0) for _ in range(g.n_edges)]
+        coords = geo.simplicial_coords(g, geo.lambda_assignment(np.exp(u)))
+        for e in range(g.n_edges):
+            up, down = list(u), list(u)
+            up[e] += step
+            down[e] -= step
+            grad = (sector_sum(g, geo.lambda_assignment(np.exp(up)))
+                    - sector_sum(g, geo.lambda_assignment(np.exp(down)))) / (2 * step)
+            assert coords[e] == pytest.approx(-grad, rel=1e-7, abs=1e-7)
+
+
+def random_forest_target(g, rng):
+    """Coordinates that vanish on a random forest and are positive elsewhere."""
+    root = list(range(g.n_vertices))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    values = []
+    for e in range(g.n_edges):
+        a, b = (find(g.vertex_of(h)) for h in g.halves(e))
+        if a != b and rng.random() < 0.5:
+            root[a] = b
+            values.append(0.0)
+        else:
+            values.append(math.exp(rng.uniform(-3.0, 1.0)))
+    return geo.simplicial(values)
+
+
+def test_invert_forest_zero_targets(newton_graphs):
+    rng = random.Random(53)
+    tol = 1e-10
+    zeros = 0
+    for g in newton_graphs.values():
+        for _ in range(3):
+            target = random_forest_target(g, rng)
+            zeros += target.values.count(0.0)
+            lam = geo.invert_coords(g, target, tol=tol)
+            got = geo.simplicial_coords(g, lam)
+            assert max(abs(x - y) for x, y in zip(got.values, target.values)) <= 10 * tol
+    assert zeros > 0
 
 
 # -- telescoping ----------------------------------------------------------------------

@@ -61,6 +61,15 @@ def test_validate_condition_i(theta):
     assert (check.ok, check.condition) == (False, "i")
 
 
+def test_screen_rejects_unknown_edge_ids(theta):
+    # an id past the last edge, and a negative one that would index from the end
+    for bad in ({0, 3}, {-1, 0}):
+        with pytest.raises(DomainError, match="unknown edge ids"):
+            scn.Screen(theta, (frozenset(bad), theta.all_edges()))
+        with pytest.raises(DomainError, match="unknown edge ids"):
+            scn.screen(theta, [bad])
+
+
 # -- enumeration ---------------------------------------------------------------
 
 def test_enumerate_theta(theta):
@@ -113,7 +122,7 @@ def reference_enumeration(g):
                 extend(i + 1, chosen + [candidates[i]])
 
     extend(0, [])
-    return sorted(families, key=scn._family_key)
+    return sorted(families, key=lambda fam: tuple(sorted(scn._member_key(a) for a in fam)))
 
 
 def test_enumerate_matches_reference(screen_corpus):
