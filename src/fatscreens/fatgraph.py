@@ -96,6 +96,7 @@ class Fatgraph:
         object.__setattr__(self, "_vertex_of", tuple(vert))
         object.__setattr__(self, "_edge_of", tuple(edge_of))
         object.__setattr__(self, "_label_index", {lab: e for e, lab in enumerate(self.edge_labels)})
+        object.__setattr__(self, "_all_edges", frozenset(range(len(self.edge_halves))))
         if not self.allow_disconnected and n and not _connected(sigma, iota):
             raise DomainError("graph is disconnected")
 
@@ -144,7 +145,7 @@ class Fatgraph:
         return all(len(c) == 3 for c in self.vertex_cycles)
 
     def all_edges(self) -> EdgeSubset:
-        return frozenset(range(self.n_edges))
+        return self._all_edges
 
     # -- step helpers ---------------------------------------------------------
 
@@ -175,7 +176,7 @@ def _connected(sigma: Sequence[int], iota: Sequence[int]) -> bool:
 FORMAT_HEADER = "fatgraph v1"
 
 
-def parse_fatgraph(text: str, allow_disconnected: bool = False) -> Fatgraph:
+def parse_fatgraph(text: str) -> Fatgraph:
     """Parse the line-oriented ``fatgraph v1`` format.
 
     Grammar (``#`` starts a comment, blank lines ignored)::
@@ -260,7 +261,7 @@ def parse_fatgraph(text: str, allow_disconnected: bool = False) -> Fatgraph:
     if len(set(labels)) != len(labels):
         raise FormatError("duplicate edge labels", 1)
     try:
-        return Fatgraph(cycles, halves, labels, allow_disconnected=allow_disconnected)
+        return Fatgraph(cycles, halves, labels)
     except DomainError as exc:
         raise FormatError(str(exc), 1) from exc
 
@@ -276,14 +277,12 @@ def fatgraph_to_text(g: Fatgraph) -> str:
 
 def build(vertex_cycles: Iterable[Iterable[int]],
           edge_halves: Iterable[tuple[int, int]],
-          labels: Iterable[str] | None = None,
-          allow_disconnected: bool = False) -> Fatgraph:
+          labels: Iterable[str] | None = None) -> Fatgraph:
     """Construct a fatgraph from plain sequences, defaulting labels to e0, e1, ..."""
     halves = tuple((a, b) for a, b in edge_halves)
     if labels is None:
         labels = tuple(f"e{i}" for i in range(len(halves)))
-    return Fatgraph(tuple(tuple(c) for c in vertex_cycles), halves, tuple(labels),
-                    allow_disconnected=allow_disconnected)
+    return Fatgraph(tuple(tuple(c) for c in vertex_cycles), halves, tuple(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +355,7 @@ def reduce_path(g: Fatgraph, path: EdgePath) -> EdgePath | None:
                 changed = True
             else:
                 stack.append(s)
-        while len(stack) >= 2 and stack[-1] != stack[0] and stack[0] == g.pairing(stack[-1]):
+        while len(stack) >= 2 and stack[0] == g.pairing(stack[-1]):
             stack.pop()
             stack.pop(0)
             changed = True
@@ -457,14 +456,19 @@ class SubFatgraph:
     to_parent_edge: tuple[int, ...]
 
 
+def _edge_subset(g: Fatgraph, edges: Iterable[int]) -> EdgeSubset:
+    """The edge ids as a frozenset, refusing ids that are not edges of ``g``."""
+    subset = frozenset(edges)
+    if not subset <= g.all_edges():
+        raise DomainError(f"unknown edge ids {sorted(subset - g.all_edges())}")
+    return subset
+
+
 def subgraph(g: Fatgraph, edges: Iterable[int]) -> SubFatgraph:
     """Sub-fatgraph induced by an edge subset, cyclic orders restricted."""
-    subset = frozenset(edges)
+    subset = _edge_subset(g, edges)
     if not subset:
         raise DomainError("empty edge subset")
-    bad = [e for e in subset if not (0 <= e < g.n_edges)]
-    if bad:
-        raise DomainError(f"unknown edge ids {sorted(bad)}")
     kept_halves = [h for h in range(g.n_half_edges) if g.edge_of(h) in subset]
     new_id = {h: i for i, h in enumerate(kept_halves)}
     cycles = []
@@ -481,7 +485,7 @@ def subgraph(g: Fatgraph, edges: Iterable[int]) -> SubFatgraph:
 
 def is_recurrent(g: Fatgraph, edges: Iterable[int]) -> bool:
     """Every vertex of the induced subgraph has valence at least two."""
-    subset = frozenset(edges)
+    subset = _edge_subset(g, edges)
     if not subset:
         raise DomainError("empty edge subset")
     met, met_twice = set(), set()
@@ -503,7 +507,7 @@ def recurrent_subsets(g: Fatgraph) -> Iterator[EdgeSubset]:
 
 def maximal_recurrent_subset(g: Fatgraph, edges: Iterable[int]) -> EdgeSubset:
     """Largest recurrent subset, by pruning edges at valence <= 1 vertices."""
-    current = set(edges)
+    current = set(_edge_subset(g, edges))
     while current:
         valence: dict[int, int] = {}
         for e in current:
@@ -518,19 +522,18 @@ def maximal_recurrent_subset(g: Fatgraph, edges: Iterable[int]) -> EdgeSubset:
     return frozenset(current)
 
 
-def recurrent_witness_cycles(g: Fatgraph, edges: Iterable[int],
-                             max_states: int = 1_000_000) -> dict[int, EdgePath] | None:
+def recurrent_witness_cycles(g: Fatgraph, edges: Iterable[int]) -> dict[int, EdgePath] | None:
     """For each edge an efficient closed path through it inside the subset.
 
     Searches the directed graph of non-backtracking steps restricted to the
     subset; returns None when some edge lies on no such cycle, which happens
     exactly when the subset is not recurrent.
     """
-    subset = frozenset(edges)
+    subset = _edge_subset(g, edges)
     if not subset:
         raise DomainError("empty edge subset")
     halves = [h for h in range(g.n_half_edges) if g.edge_of(h) in subset]
-    if 2 * len(halves) > max_states:
+    if 2 * len(halves) > 1_000_000:
         raise DomainError("state bound exceeded in witness search")
     allowed = set(halves)
 
@@ -753,9 +756,7 @@ def _subset_faces(g: Fatgraph, edges: Iterable[int]) -> set[EdgePath]:
 
 def subset_boundary(g: Fatgraph, edges: Iterable[int]) -> CurveSystem:
     """Boundary curves of the induced subsurface, minus puncture-parallel ones."""
-    subset = frozenset(edges)
-    if not subset <= g.all_edges():
-        raise DomainError(f"unknown edge ids {sorted(subset - g.all_edges())}")
+    subset = _edge_subset(g, edges)
     if not is_recurrent(g, subset):
         raise DomainError("subset is not recurrent")
     return _curve_set(g, _subset_faces(g, subset) - _subset_faces(g, g.all_edges()))

@@ -203,12 +203,10 @@ def default_zero_tol(coords: SimplicialCoords) -> float:
     return 1e-9 * (1.0 + peak)
 
 
-def in_cell(g: Fatgraph, lam: LambdaAssignment, tol: float | None = None) -> bool:
+def in_cell(g: Fatgraph, lam: LambdaAssignment) -> bool:
     """Whether the weights satisfy the cell condition for this graph."""
     coords = simplicial_coords(g, lam)
-    if tol is None:
-        tol = default_zero_tol(coords)
-    return no_vanishing_cycle(g, coords, tol)
+    return no_vanishing_cycle(g, coords, default_zero_tol(coords))
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +245,7 @@ def _coords_and_jacobian(ends: tuple[np.ndarray, np.ndarray, np.ndarray],
 
 
 def invert_coords(g: Fatgraph, target: SimplicialCoords, tol: float = 1e-10,
-                  max_iter: int = 200, initial: LambdaAssignment | None = None
-                  ) -> LambdaAssignment:
+                  initial: LambdaAssignment | None = None) -> LambdaAssignment:
     """Positive weights whose simplicial coordinates match the target.
 
     Damped Newton iteration on log weights with the analytic Jacobian;
@@ -278,7 +275,7 @@ def invert_coords(g: Fatgraph, target: SimplicialCoords, tol: float = 1e-10,
     coords, jac = _coords_and_jacobian(ends, np.exp(u))
     resid = coords - x
     err = np.max(np.abs(resid))
-    for _ in range(max_iter):
+    for _ in range(200):
         if err <= tol:
             return LambdaAssignment(tuple(float(v) for v in np.exp(u)))
         try:
@@ -301,7 +298,7 @@ def invert_coords(g: Fatgraph, target: SimplicialCoords, tol: float = 1e-10,
     if err <= tol:
         return LambdaAssignment(tuple(float(v) for v in np.exp(u)))
     raise NonConvergenceError(
-        f"inversion did not reach tolerance {tol:.1e} in {max_iter} iterations "
+        f"inversion did not reach tolerance {tol:.1e} in 200 iterations "
         f"(residual {err:.3e})")
 
 
@@ -408,7 +405,7 @@ class QuadLambdas:
                            self.diag_24, self.diag_13)
 
 
-def lift_quad(q: QuadLambdas, tol: float = 1e-8) -> tuple[MinkowskiVector, ...]:
+def lift_quad(q: QuadLambdas) -> tuple[MinkowskiVector, ...]:
     """Lift all four corners; fails when the six weights are inconsistent."""
     u1, u2, u3 = (u.as_array() for u in minkowski_lift((q.s12, q.diag_13, q.s23)))
     # u4 solves three linear pairing equations; isotropy is the consistency check
@@ -420,7 +417,7 @@ def lift_quad(q: QuadLambdas, tol: float = 1e-8) -> tuple[MinkowskiVector, ...]:
         raise DomainError("degenerate configuration: collinear lift") from None
     iso = u4[0] ** 2 + u4[1] ** 2 - u4[2] ** 2
     scale = float(np.dot(u4, u4))
-    if abs(iso) > tol * (1.0 + scale):
+    if abs(iso) > 1e-8 * (1.0 + scale):
         raise DomainError("inconsistent quadrilateral weights (Ptolemy fails)")
     return (MinkowskiVector(*u1), MinkowskiVector(*u2),
             MinkowskiVector(*u3), MinkowskiVector(*u4))
@@ -450,8 +447,7 @@ class CyclicPolygon:
     central_angles: tuple[float, ...]
 
 
-def cyclic_polygon(lengths: Sequence[float], max_iter: int = 200,
-                   rel_tol: float = 1e-13) -> CyclicPolygon:
+def cyclic_polygon(lengths: Sequence[float]) -> CyclicPolygon:
     """Inscribe a polygon with the given side lengths in a circle.
 
     Bisection on the central-angle equation.  When the longest side must
@@ -499,13 +495,13 @@ def cyclic_polygon(lengths: Sequence[float], max_iter: int = 200,
             hi *= 2.0
         else:
             raise NonConvergenceError("no upper bracket for circumradius")
-        for _ in range(max_iter):
+        for _ in range(200):
             mid = 0.5 * (lo + hi)
             if sign * gap(mid) > 0.0:
                 lo = mid
             else:
                 hi = mid
-            if hi - lo <= rel_tol * hi:
+            if hi - lo <= 1e-13 * hi:
                 break
         else:
             raise NonConvergenceError("circumradius bisection did not converge")

@@ -155,19 +155,19 @@ def abs_trace(m: Mat2) -> float:
     return abs(m.trace())
 
 
-def hyp_length(abs_tr: float, atol: float = 1e-12) -> float:
+def hyp_length(abs_tr: float) -> float:
     """Hyperbolic length from |trace| = 2 cosh(length / 2)."""
-    if abs_tr < 2.0 - atol:
+    if abs_tr < 2.0 - 1e-12:
         raise DomainError(f"|trace| = {abs_tr} < 2: no geodesic length")
     return 2.0 * math.acosh(max(1.0, abs_tr / 2.0))
 
 
-def hyp_length_from_gap(gap: float, atol: float = 1e-12) -> float:
+def hyp_length_from_gap(gap: float) -> float:
     """Length from |trace| - 2, stable for gaps far below double epsilon.
 
     Uses acosh(1 + u) = log1p(u + sqrt(u * (2 + u))) with u = gap / 2.
     """
-    if gap < -atol:
+    if gap < -1e-12:
         raise DomainError(f"trace gap {gap} < 0: no geodesic length")
     u = max(0.0, gap) / 2.0
     square = u * (2.0 + u)

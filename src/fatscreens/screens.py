@@ -9,23 +9,27 @@ depths, and exponents yield a screen through the filtration by strictly
 faster growth.
 
 Parents (immediate predecessors) and depths come from one pass over the
-size-sorted family.  A member's relative boundary is the set difference of
-its canonical faces and its parent's; enumeration is a clique search over
-bitmasks of the later candidates nested in or disjoint from each candidate.
+size-sorted family; a member is the union of its sub-members exactly when
+its disjoint children's sizes sum to its own.  A member's relative boundary
+is the set difference of its canonical faces and its parent's.  Enumeration
+is a clique search over bitmasks of the later candidates nested in or
+disjoint from each candidate, carrying the maximal picked members (roots);
+it records each screen after its extensions (post-order), already sorted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import DomainError
 # subgraph, boundary_cycles, reduce_path, canonical_path and is_recurrent stay
 # bound here for perfbench's tracer, which wraps them at this site
-from .fatgraph import (CurveSystem, EdgeSubset, Fatgraph, _curve_set, _subset_faces,
-                       boundary_cycles, canonical_path, curve_system, is_boundary_parallel,
-                       is_recurrent, recurrent_subsets, reduce_path, subgraph)
+from .fatgraph import (CurveSystem, EdgeSubset, Fatgraph, _curve_set, _edge_subset,
+                       _subset_faces, boundary_cycles, canonical_path, curve_system,
+                       is_boundary_parallel, is_recurrent, recurrent_subsets, reduce_path,
+                       subgraph)
 
 
 def _member_key(a: frozenset) -> tuple:
@@ -44,10 +48,7 @@ class Screen:
     family: tuple[EdgeSubset, ...] = ()
 
     def __post_init__(self):
-        top = self.graph.all_edges()
-        for a in self.family:
-            if not a <= top:
-                raise DomainError(f"unknown edge ids {sorted(a - top)}")
+        _edge_subset(self.graph, frozenset().union(*self.family))
 
     def __iter__(self) -> Iterator[EdgeSubset]:
         return iter(self.family)
@@ -75,18 +76,6 @@ def _nested_or_disjoint(a: EdgeSubset, b: EdgeSubset) -> bool:
     return not (a & b) or a <= b or b <= a
 
 
-def _union_member(members: Sequence[EdgeSubset]) -> EdgeSubset | None:
-    """The first member that is the union of the members strictly inside it."""
-    for a in members:
-        union: set = set()
-        for b in members:
-            if b < a:
-                union |= b
-        if union == a:
-            return a
-    return None
-
-
 def validate_screen(s: Screen) -> ScreenCheck:
     """Check the four screen conditions; report the first violation."""
     g = s.graph
@@ -102,10 +91,15 @@ def validate_screen(s: Screen) -> ScreenCheck:
             if not _nested_or_disjoint(a, b):
                 return ScreenCheck(False, "iii", (a, b),
                                    f"members {sorted(a)} and {sorted(b)} overlap without nesting")
-    a = _union_member(s.family)
-    if a is not None:
-        return ScreenCheck(False, "iv", (a,),
-                           f"member {sorted(a)} is the union of its proper sub-members")
+    # laminar now: a member is the union of its disjoint children or of nothing
+    filled = dict.fromkeys(s.family, 0)
+    for a, (parent, _) in _depths(s).items():
+        if parent is not None:
+            filled[parent] += len(a)
+    for a in s.family:
+        if filled[a] == len(a):
+            return ScreenCheck(False, "iv", (a,),
+                               f"member {sorted(a)} is the union of its proper sub-members")
     return ScreenCheck(True)
 
 
@@ -148,25 +142,25 @@ def enumerate_screens(g: Fatgraph, max_edges: int = 12) -> list[Screen]:
     compatible = [sum(1 << j for j in range(i + 1, len(candidates))
                       if _nested_or_disjoint(a, candidates[j]))
                   for i, a in enumerate(candidates)]
-    # each screen with the candidate indices of its members, the top last; as
-    # the candidates are in member-key order, these sort like family keys
-    found: list[tuple[tuple[int, ...], Screen]] = []
-    last = len(candidates)
+    found: list[Screen] = []
 
-    def extend(allowed: int, picked: list[int]) -> None:
-        members = [candidates[i] for i in picked] + [top]    # in member-key order
-        if _union_member(members) is None:
-            found.append(((*picked, last), Screen(g, tuple(members))))
+    # roots are the maximal picked members, pairwise disjoint.  Candidates come
+    # in member-key order, so a new one contains every picked member it meets
+    # and no later one lies inside it: its children, and (iv) for it, are fixed.
+    def extend(allowed: int, picked: tuple[EdgeSubset, ...], roots: list[EdgeSubset]) -> None:
+        if sum(map(len, roots)) == n:
+            return    # the top is the union of the roots in every extension
         while allowed:
             i = (allowed & -allowed).bit_length() - 1
             allowed &= allowed - 1
-            picked.append(i)
-            extend(allowed & compatible[i], picked)
-            picked.pop()
+            a = candidates[i]
+            if sum(len(r) for r in roots if r <= a) == len(a):
+                continue    # a is the union of its children in every extension
+            extend(allowed & compatible[i], (*picked, a), [r for r in roots if not r <= a] + [a])
+        found.append(Screen(g, (*picked, top)))    # after its extensions: sorted order
 
-    extend((1 << last) - 1, [])
-    found.sort(key=lambda f: f[0])
-    return [s for _, s in found]
+    extend((1 << len(candidates)) - 1, (), [])
+    return found
 
 
 # ---------------------------------------------------------------------------

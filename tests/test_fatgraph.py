@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from fatscreens import fatgraph as fgr
+from fatscreens import serialize as ser
 from fatscreens.errors import DomainError, FormatError
 
 from conftest import (DATA, all_rotations, essential_curve_pool, load,
@@ -140,6 +141,10 @@ def test_recurrence_basics(theta, barbell):
     assert fgr.is_recurrent(barbell, {0})          # a loop alone is recurrent
     assert fgr.is_recurrent(barbell, {0, 1, 2})
     assert not fgr.is_recurrent(barbell, {0, 1})   # loop plus dangling bridge
+    # a negative id must not index the edge table from the end
+    for bad in ({-1, 0}, {0, 3}):
+        with pytest.raises(DomainError, match=r"unknown edge ids \[(-1|3)\]"):
+            fgr.is_recurrent(theta, bad)
 
 
 def test_maximal_recurrent_subset(theta, barbell):
@@ -148,6 +153,10 @@ def test_maximal_recurrent_subset(theta, barbell):
     assert fgr.maximal_recurrent_subset(tree, {0, 1}) == frozenset()
     assert fgr.maximal_recurrent_subset(barbell, {0, 1, 2}) == {0, 1, 2}
     assert fgr.maximal_recurrent_subset(barbell, {0, 1}) == {0}
+    assert fgr.maximal_recurrent_subset(theta, set()) == frozenset()
+    for bad in ({-1, 0}, {0, 3}):
+        with pytest.raises(DomainError, match="unknown edge ids"):
+            fgr.maximal_recurrent_subset(theta, bad)
 
 
 def test_closure_operator_properties():
@@ -175,6 +184,11 @@ def test_witness_cycles(theta, barbell):
     wb = fgr.recurrent_witness_cycles(barbell, {0, 1, 2})
     bridge = wb[1]
     assert Counter(barbell.edge_of(s) for s in bridge.steps)[1] == 2
+    for bad in ({-1, 0}, {0, 3}):
+        with pytest.raises(DomainError, match="unknown edge ids"):
+            fgr.recurrent_witness_cycles(theta, bad)
+    with pytest.raises(DomainError, match="empty edge subset"):
+        fgr.recurrent_witness_cycles(theta, set())
 
 
 def test_recurrence_oracle_equivalence_small():
@@ -241,7 +255,7 @@ def test_recurrent_iff_doubled_indicator_admissible():
 
 # -- path reduction and parallelism ------------------------------------------------
 
-def test_reduce_path(theta):
+def test_reduce_path(theta, barbell):
     assert fgr.reduce_path(theta, fgr.EdgePath((0, 3))) is None
     cyc = fgr.EdgePath((0, 4))
     assert fgr.reduce_path(theta, cyc) == cyc
@@ -250,6 +264,10 @@ def test_reduce_path(theta):
     assert not fgr.is_efficient(theta, noisy)
     red = fgr.reduce_path(theta, noisy)
     assert fgr.canonical_path(theta, red) == fgr.canonical_path(theta, cyc)
+    # backtracks across the cyclic seam, between the last step and the first
+    assert fgr.reduce_path(theta, fgr.EdgePath((5, 0, 4, 2))) == cyc
+    assert (fgr.reduce_path(barbell, ser.parse_curve(barbell, "br+ l2+ br-"))
+            == ser.parse_curve(barbell, "l2+"))
 
 
 def test_reduce_idempotent_random(trivalent_corpus):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from fatscreens import fatgraph as fgr
 from fatscreens import geometry as geo
 from fatscreens import screens as scn
 from fatscreens.errors import DomainError
+
+from conftest import _cycles_of_permutation, random_fatgraph, random_trivalent
 
 
 def family_sets(s: scn.Screen) -> set[frozenset]:
@@ -52,7 +55,13 @@ def test_validate_condition_iv(genus2):
     a, b = pair
     s = scn.screen(genus2, [a, b, a | b])
     check = scn.validate_screen(s)
-    assert (check.ok, check.condition) == (False, "iv")
+    assert check == scn.ScreenCheck(
+        False, "iv", (a | b,), f"member {sorted(a | b)} is the union of its proper sub-members")
+    # the top itself: two loops at one vertex
+    eight = fgr.build([(0, 2, 1, 3)], [(0, 1), (2, 3)])
+    check = scn.validate_screen(scn.screen(eight, [{0}, {1}]))
+    assert check == scn.ScreenCheck(
+        False, "iv", (frozenset({0, 1}),), "member [0, 1] is the union of its proper sub-members")
 
 
 def test_validate_condition_i(theta):
@@ -106,6 +115,18 @@ def test_enumerate_deterministic(mercedes):
     assert [s.family for s in a] == [s.family for s in b]
 
 
+def reference_union_member(members):
+    """The first member that is the union of the members strictly inside it."""
+    for a in members:
+        union: set = set()
+        for b in members:
+            if b < a:
+                union |= b
+        if union == a:
+            return a
+    return None
+
+
 def reference_enumeration(g):
     """Screens grown candidate by candidate, each checked against every chosen one."""
     top = g.all_edges()
@@ -115,7 +136,7 @@ def reference_enumeration(g):
     families = []
 
     def extend(start, chosen):
-        if scn._union_member(chosen + [top]) is None:
+        if reference_union_member(chosen + [top]) is None:
             families.append(scn._sorted_family(set(chosen) | {top}))
         for i in range(start, len(candidates)):
             if all(scn._nested_or_disjoint(candidates[i], b) for b in chosen):
@@ -125,9 +146,40 @@ def reference_enumeration(g):
     return sorted(families, key=lambda fam: tuple(sorted(scn._member_key(a) for a in fam)))
 
 
+def generated_graphs():
+    """Seeded graphs of up to 6 edges and trivalent ones of 9 edges."""
+    rng = random.Random(11)
+    yield from (random_fatgraph(n, rng) for n in (1, 2, 3, 4, 4, 5, 5, 6, 6, 6))
+    yield from (random_trivalent(9, rng) for _ in range(3))
+
+
 def test_enumerate_matches_reference(screen_corpus):
-    for g in screen_corpus.values():
+    for g in [*screen_corpus.values(), *generated_graphs()]:
         assert [s.family for s in scn.enumerate_screens(g)] == reference_enumeration(g)
+
+
+def test_enumerate_matches_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def fatgraphs(draw):
+        # a random rotation on the standard pairing of up to 6 edges; the
+        # reference needs seconds for a one-vertex graph of 6 edges
+        n = draw(st.integers(1, 6))
+        cycles = _cycles_of_permutation(draw(st.permutations(range(2 * n))))
+        hypothesis.assume(n < 6 or len(cycles) > 1)
+        try:
+            return fgr.build(cycles, [(2 * i, 2 * i + 1) for i in range(n)])
+        except DomainError:
+            hypothesis.reject()
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @hypothesis.given(fatgraphs())
+    def check(g):
+        assert [s.family for s in scn.enumerate_screens(g)] == reference_enumeration(g)
+
+    check()
 
 
 def test_enumerate_bound():
