@@ -23,6 +23,7 @@ the combinatorial layer under the lambda-length geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, FormatError
@@ -97,6 +98,7 @@ class Fatgraph:
         object.__setattr__(self, "_edge_of", tuple(edge_of))
         object.__setattr__(self, "_label_index", {lab: e for e, lab in enumerate(self.edge_labels)})
         object.__setattr__(self, "_all_edges", frozenset(range(len(self.edge_halves))))
+        object.__setattr__(self, "_trivalent", all(len(c) == 3 for c in self.vertex_cycles))
         if not self.allow_disconnected and n and not _connected(sigma, iota):
             raise DomainError("graph is disconnected")
 
@@ -142,10 +144,24 @@ class Fatgraph:
         return len(self.vertex_cycles[v])
 
     def is_trivalent(self) -> bool:
-        return all(len(c) == 3 for c in self.vertex_cycles)
+        return self._trivalent
 
     def all_edges(self) -> EdgeSubset:
         return self._all_edges
+
+    @cached_property
+    def _step_table(self) -> tuple[tuple[int, ...], ...]:
+        """Row h for the trace kernel: (iota(h), the right and left turns out
+        of h's arrival, the edges in h's quad slots a, b, c, d).  On a
+        trivalent graph the backtrack iota(h) and the two turns are the only
+        steps that can follow h.  Built on first use: most graphs never trace."""
+        iota, sigma, edge_of = self._iota, self._sigma, self._edge_of
+        rows = []
+        for h, back in enumerate(iota):
+            right, left = sigma[back], sigma[sigma[back]]
+            rows.append((back, right, left, edge_of[sigma[h]], edge_of[sigma[sigma[h]]],
+                         edge_of[right], edge_of[left]))
+        return tuple(rows)
 
     # -- step helpers ---------------------------------------------------------
 
@@ -325,13 +341,24 @@ def topology(g: Fatgraph) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 def check_closed_path(g: Fatgraph, path: EdgePath) -> None:
-    if not path.steps:
+    _check_steps(g, path.steps)
+    _check_joins(g, path.steps)
+
+
+def _check_steps(g: Fatgraph, steps: Sequence[int]) -> None:
+    """Refuse an empty path or a step that is no half-edge id."""
+    if not steps:
         raise DomainError("empty path")
-    for k, step in enumerate(path.steps):
-        if not (0 <= step < g.n_half_edges):
-            raise DomainError(f"invalid half-edge id {step} in path")
-        nxt = path.steps[(k + 1) % len(path.steps)]
-        if g.step_head(step) != g.step_tail(nxt):
+    n = g.n_half_edges
+    if min(steps) < 0 or max(steps) >= n:
+        bad = next(h for h in steps if not 0 <= h < n)
+        raise DomainError(f"invalid half-edge id {bad} in path")
+
+
+def _check_joins(g: Fatgraph, steps: Sequence[int]) -> None:
+    """Refuse the first step, in path order, whose successor (cyclically) starts elsewhere."""
+    for k, step in enumerate(steps):
+        if g.step_head(step) != g.step_tail(steps[(k + 1) % len(steps)]):
             raise DomainError(f"path breaks between steps {k} and {k + 1}")
 
 

@@ -19,7 +19,11 @@ The product is one loop over four scalars, run over ``float``, ``mpmath.mpf``
 and exact Laurent polynomials in t (:mod:`fatscreens.asymptotics`): R, L and
 X act as closed-form column updates (R sends (a11, a12, a21, a22) to
 (a11 - a12, a11, a21 - a22, a21)); the other entries being 0 and +-1, these
-round exactly like full 2x2 products.  Both trace functions refine by one
+round exactly like full 2x2 products.  The loop is one table-driven pass
+that also checks the path: each step's row in the graph's step table holds
+its backtrack, the two turns out of its arrival and its quad-slot edges, so
+the next step is classified as R, L or backtrack, or else the path breaks,
+by two or three comparisons.  Both trace functions refine by one
 rule: when |trace| is within 1e-6 of 2, rounding may swamp the gap or weights
 go subnormal, the loop reruns over ``mpf`` at 60 digits.
 """
@@ -34,7 +38,7 @@ from typing import Sequence
 import mpmath
 
 from .errors import DomainError
-from .fatgraph import EdgePath, Fatgraph, check_closed_path, is_efficient
+from .fatgraph import EdgePath, Fatgraph, _check_joins, _check_steps
 from .geometry import LambdaAssignment, quad_slots
 
 LEFT = "L"
@@ -109,31 +113,29 @@ def path_turns(g: Fatgraph, path: EdgePath) -> tuple[str, ...]:
     return tuple(turns)
 
 
-def _walk(g: Fatgraph, path: EdgePath):
-    """Per step: the turn into it (None at a backtrack) and its quad slots."""
-    iota, sigma, edge_of = g._iota, g._sigma, g._edge_of
-    incoming = iota[path.steps[-1]]
-    for h in path.steps:
-        turn = None if h == incoming else RIGHT if h == sigma[incoming] else LEFT
-        incoming = iota[h]
-        yield (turn, edge_of[sigma[h]], edge_of[sigma[sigma[h]]],
-               edge_of[sigma[incoming]], edge_of[sigma[sigma[incoming]]])
-
-
 def _product(g: Fatgraph, path: EdgePath, w: Sequence, sqrt,
              allow_backtrack: bool = False) -> tuple:
-    """Entries of T_1 X_1 T_2 X_2 ... with edge weights ``w`` and ``sqrt`` of their type."""
+    """Entries of T_1 X_1 T_2 X_2 ... with edge weights ``w`` and ``sqrt`` of their type.
+
+    One pass over ``g._step_table`` checks and multiplies: a step that is
+    neither turn nor the backtrack out of the previous arrival breaks the path.
+    """
     if not g.is_trivalent():
         raise DomainError("holonomy needs a trivalent graph")
-    check_closed_path(g, path)
-    if not allow_backtrack and not is_efficient(g, path):
-        raise DomainError("path is not efficient")
+    steps = path.steps
+    _check_steps(g, steps)
+    rows = g._step_table
+    back, right, left = rows[steps[-1]][:3]
     a11, a12, a21, a22 = 1, 0, 0, 1     # ints: exact in every scalar type
-    for turn, a, b, c, d in _walk(g, path):
-        if turn == RIGHT:
+    for h in steps:
+        if h == right:
             a11, a12, a21, a22 = a11 - a12, a11, a21 - a22, a21
-        elif turn == LEFT:
+        elif h == left:
             a11, a12, a21, a22 = a12, a12 - a11, a22, a22 - a21
+        elif h != back or not allow_backtrack:
+            _check_joins(g, steps)      # names the first break, if there is one
+            raise DomainError("path is not efficient")
+        back, right, left, a, b, c, d = rows[h]
         s = sqrt((w[a] * w[c]) / (w[b] * w[d]))
         inv = -1 / s
         a11, a12, a21, a22 = a12 * inv, a11 * s, a22 * inv, a21 * s

@@ -15,7 +15,7 @@ from fatscreens import holonomy as hol
 from fatscreens import screens as scn
 from fatscreens.errors import DomainError
 
-from conftest import essential_curve_pool, random_in_cell_lambda
+from conftest import essential_curve_pool, load, random_in_cell_lambda, random_trivalent
 
 ONES3 = geo.lambda_assignment([1, 1, 1])
 
@@ -146,9 +146,72 @@ def test_backtrack_insertion_invariance(trivalent_corpus):
                     assert tr == pytest.approx(base, rel=1e-9, abs=1e-9)
 
 
-def test_holonomy_rejects_backtracks_by_default(theta):
-    with pytest.raises(DomainError, match="efficient"):
-        hol.holonomy(theta, ONES3, fgr.EdgePath((0, 5, 2, 4)))
+# One fault per path on theta (v0: 0 1 2, v1: 3 4 5), or on a valid closed
+# path of a graph that is not trivalent.  (0, 4, 5) breaks after its second
+# step: 5 leaves v1 but step 4 arrives at v0; the seam turn 5 -> 0 is right.
+KERNEL_FAULTS = {
+    "not_trivalent": ("wedge.fg", None, "holonomy needs a trivalent graph"),
+    "empty": ("theta.fg", (), "empty path"),
+    "invalid_first": ("theta.fg", (6, 4), "invalid half-edge id 6 in path"),
+    "invalid_last": ("theta.fg", (0, 99), "invalid half-edge id 99 in path"),
+    "negative_last": ("theta.fg", (0, 4, -1), "invalid half-edge id -1 in path"),
+    "break_mid_path": ("theta.fg", (0, 4, 5), "path breaks between steps 1 and 2"),
+    "break_at_seam": ("theta.fg", (5, 0, 4), "path breaks between steps 2 and 3"),
+    "backtrack": ("theta.fg", (0, 5, 2, 4), "path is not efficient"),
+}
+
+# every route into the kernel: float (refined in mpf near 2) and exact Laurent
+KERNEL_ENTRIES = {
+    "holonomy": lambda g, p, bt: hol.holonomy(g, ones(g), p, allow_backtrack=bt),
+    "abs_trace_of_path": lambda g, p, bt: hol.abs_trace_of_path(g, ones(g), p, allow_backtrack=bt),
+    "trace_gap_of_path": lambda g, p, bt: hol.trace_gap_of_path(g, ones(g), p, allow_backtrack=bt),
+    "sweep": lambda g, p, bt: asy.sweep(g, asy_family(g), [p]),
+    "gap_leading": lambda g, p, bt: asy._gap_leading(g, asy_family(g), p),
+}
+
+
+def ones(g):
+    return geo.lambda_assignment([1.0] * g.n_edges)
+
+
+def asy_family(g):
+    return scn.monomial_family([e % 2 for e in range(g.n_edges)])
+
+
+def public_message(g, path):
+    """What check_closed_path, then is_efficient, say about the path."""
+    try:
+        fgr.check_closed_path(g, path)
+    except DomainError as err:
+        return str(err)
+    return None if fgr.is_efficient(g, path) else "path is not efficient"
+
+
+@pytest.mark.parametrize("entry", KERNEL_ENTRIES)
+@pytest.mark.parametrize("fault", KERNEL_FAULTS)
+def test_kernel_error_parity(fault, entry):
+    """Each single fault gets one message from every route into the kernel,
+    the one the public path checks give; a break or a bad id is refused even
+    where backtracks are allowed."""
+    name, steps, message = KERNEL_FAULTS[fault]
+    g = load(name)
+    if steps is None:
+        path = fgr.boundary_cycles(g)[0]
+        assert public_message(g, path) is None
+        if entry == "sweep":
+            message = "sweep needs a trivalent graph"
+    else:
+        path = fgr.EdgePath(steps)
+        assert public_message(g, path) == message
+    run = KERNEL_ENTRIES[entry]
+    allow = (False, True) if entry not in ("sweep", "gap_leading") else (False,)
+    for backtrack in allow:
+        if backtrack and fault == "backtrack":
+            run(g, path, backtrack)     # allowed: the turn is the identity
+            continue
+        with pytest.raises(DomainError) as err:
+            run(g, path, backtrack)
+        assert str(err.value) == message
 
 
 def test_determinant_one(trivalent_corpus):
@@ -257,6 +320,51 @@ def test_kernel_matches_full_matrix_products(trivalent_corpus, genus2):
             refined_tiny += 1
         total += 1
     assert total > 1000 and refined_tiny > 0
+
+
+def closed_walk(g, rng):
+    """A closed efficient path: a walk that turns right or left at random,
+    cut at its first repeated step, so it returns to its start by a turn."""
+    h = rng.randrange(g.n_half_edges)
+    first = {h: 0}
+    steps = [h]
+    while True:
+        arrival = g.pairing(h)
+        h = g.sigma(arrival) if rng.random() < 0.5 else g.sigma(g.sigma(arrival))
+        if h in first:
+            return fgr.EdgePath(tuple(steps[first[h]:]))
+        first[h] = len(steps)
+        steps.append(h)
+
+
+def test_kernel_matches_full_matrix_products_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @hypothesis.given(st.sampled_from((3, 6, 9, 12)), st.integers(0, 2 ** 32),
+                      st.booleans(), st.integers(0, 3))
+    def check(n_edges, seed, wide, n_backtracks):
+        rng = random.Random(seed)
+        g = random_trivalent(n_edges, rng)
+        lam = geo.lambda_assignment([10 ** rng.uniform(-6, 6) if wide else rng.uniform(0.5, 2.0)
+                                     for _ in range(n_edges)])
+        path = closed_walk(g, rng)
+        assert fgr.is_efficient(g, path)
+        cases = [(path, False)]
+        steps = path.steps
+        for _ in range(n_backtracks):
+            k = rng.randrange(len(steps))
+            ins = rng.choice(g.vertex_cycles[g.step_head(steps[k])])
+            steps = steps[:k + 1] + (ins, g.pairing(ins)) + steps[k + 1:]
+            cases.append((fgr.EdgePath(steps), True))
+        for p, backtrack in cases:
+            m, tr, gap, _ = reference_traces(g, lam, p)
+            assert hol.holonomy(g, lam, p, allow_backtrack=backtrack) == m
+            assert hol.abs_trace_of_path(g, lam, p, allow_backtrack=backtrack) == tr
+            assert hol.trace_gap_of_path(g, lam, p, allow_backtrack=backtrack) == gap
+
+    check()
 
 
 def test_trace_refines_when_float_leaves_range(theta):
