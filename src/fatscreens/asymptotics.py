@@ -5,11 +5,13 @@ read off the exponents; the screen's boundary curves are exactly the
 curves whose holonomy traces tend to 2 along the ray, and every other
 essential curve keeps its trace gap away from 0.  Along the ray every
 cross ratio is a monomial in t, so each trace and each simplicial
-coordinate is an exact Laurent polynomial in t with integer coefficients.
-This module tabulates traces on a schedule of t values, decides which
-curves shrink from the exact leading term of the trace gap |trace| - 2,
-and checks the divergence/vanishing bookkeeping between weights and
-simplicial coordinates from the coordinates' exact leading terms.
+coordinate is an exact Laurent polynomial in a root of t with integer
+coefficients.  This module tabulates traces on a schedule of t values,
+decides which curves shrink from the exact leading term of the trace gap
+|trace| - 2, and checks the divergence/vanishing bookkeeping between weights
+and simplicial coordinates from the coordinates' exact leading terms.  The
+exact trace comes from the packed-int loop in :mod:`fatscreens.holonomy`; a
+coordinate is a sum of six monomials, collected in a dict of exponents.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from typing import Iterable
 from .errors import DomainError
 from .fatgraph import CurveSystem, EdgePath, EdgeSubset, Fatgraph, \
     maximal_recurrent_subset
-from .geometry import LambdaAssignment, _end_term, in_cell, simplicial_coords
-from .holonomy import _product, hyp_length_from_gap, trace_gap_of_path
+from .geometry import LambdaAssignment, in_cell, simplicial_coords
+from .holonomy import _exact_gap_leading, hyp_length_from_gap, trace_gap_of_path
 from .screens import MonomialFamily, Screen, screen_boundary, \
     screen_of_exponents, validate_screen
 
@@ -61,51 +63,6 @@ def evaluate_family(fam: MonomialFamily, t: float) -> LambdaAssignment:
     return LambdaAssignment(tuple(weights))
 
 
-class _Laurent(dict):
-    """Exact Laurent polynomial in t: exponent -> nonzero coefficient, all ints.
-
-    Only what ``holonomy._product`` and ``geometry._end_term`` compute: sums, and
-    products, quotients and square roots with a monomial or int operand."""
-
-    def __add__(self, other, sign: int = 1) -> "_Laurent":
-        out = _Laurent(self)
-        for k, c in other.items() if isinstance(other, dict) else [(0, other)]:
-            out[k] = out.get(k, 0) + sign * c
-            if not out[k]:
-                del out[k]
-        return out
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "_Laurent":
-        return self.__add__(other, -1)
-
-    def __mul__(self, other) -> "_Laurent":
-        ((k, c),) = other.items() if isinstance(other, dict) else [(0, other)]
-        return _Laurent({j + k: c * d for j, d in self.items()} if c else {})
-
-    __rmul__ = __mul__
-
-    def _exponent(self) -> int:
-        ((k, c),) = self.items()
-        if c != 1:
-            raise ValueError("not a monomial with coefficient 1")
-        return k
-
-    def __truediv__(self, other) -> "_Laurent":
-        k = other._exponent()
-        return _Laurent({j - k: c for j, c in self.items()})
-
-    def __rtruediv__(self, other) -> "_Laurent":
-        return _Laurent({0: other}) / self
-
-    def sqrt(self) -> "_Laurent":
-        half, odd = divmod(self._exponent(), 2)
-        if odd:
-            raise ValueError("odd exponent has no exact square root")
-        return _Laurent({half: 1})
-
-
 @dataclass(frozen=True)
 class LeadingTerm:
     """Leading monomial coefficient * t**exponent of a Laurent polynomial in t."""
@@ -114,25 +71,18 @@ class LeadingTerm:
     coefficient: int
 
 
-def _monomial_weights(fam: MonomialFamily) -> tuple[int, list[_Laurent]]:
-    """Weights t**p_e as monomials in t**(1/unit), with ``unit`` twice the lcm of the
-    denominators, so that every cross-ratio square root halves an even exponent."""
+def _tau_exponents(fam: MonomialFamily) -> tuple[int, list[int]]:
+    """Exponents q_e of the weights t**p_e in tau = t**(1/unit), with ``unit`` twice the
+    lcm of the denominators, so that each cross-ratio square root halves an even q."""
     unit = 2 * math.lcm(*(p.denominator for p in fam.exponents))
-    return unit, [_Laurent({int(p * unit): 1}) for p in fam.exponents]
-
-
-def _leading(x: _Laurent, unit: int) -> LeadingTerm:
-    k = max(x, default=None)
-    return LeadingTerm(None, 0) if k is None else LeadingTerm(Fraction(k, unit), x[k])
+    return unit, [p.numerator * (unit // p.denominator) for p in fam.exponents]
 
 
 def _gap_leading(g: Fatgraph, fam: MonomialFamily, path: EdgePath) -> LeadingTerm:
     """Leading term of |trace| - 2 along the family, from the exact trace."""
-    unit, w = _monomial_weights(fam)
-    a11, _, _, a22 = _product(g, path, w, _Laurent.sqrt)
-    trace = a11 + a22
-    sign = -1 if _leading(trace, unit).coefficient < 0 else 1
-    return _leading(sign * trace - 2, unit)
+    unit, q = _tau_exponents(fam)
+    k, c = _exact_gap_leading(g, q, path)
+    return LeadingTerm(None if k is None else Fraction(k, unit), c)
 
 
 def _verdict(gap: LeadingTerm) -> str:
@@ -234,9 +184,17 @@ def ij_check(g: Fatgraph, fam: MonomialFamily) -> IJReport:
     if len(fam) != g.n_edges:
         raise DomainError("one exponent per edge required")
     divergent = frozenset(e for e in range(g.n_edges) if fam[e] > 0)
-    unit, w = _monomial_weights(fam)
-    leading = tuple((e, _leading(sum(_end_term(w, g, h) for h in g.halves(e)), unit))
-                    for e in range(g.n_edges))
+    unit, q = _tau_exponents(fam)
+    leading = []
+    for e in range(g.n_edges):
+        terms: dict[int, int] = {}      # an end term (a*a + b*b - x*x) / (a*b*x) is 3 monomials
+        for h in g.halves(e):
+            x, a, b = (q[g.edge_of(s)] for s in (h, g.sigma(h), g.sigma(g.sigma(h))))
+            for k, c in ((a - b - x, 1), (b - a - x, 1), (x - a - b, -1)):
+                terms[k] = terms.get(k, 0) + c
+        top = max((k for k, c in terms.items() if c), default=None)
+        leading.append((e, LeadingTerm(None if top is None else Fraction(top, unit),
+                                       terms.get(top, 0))))
     vanishing = frozenset(e for e, lead in leading
                           if lead.exponent is None or lead.exponent < 0)
     notes = [f"edge {g.label(e)}: leading coefficient {lead.coefficient} < 0, "
@@ -249,4 +207,4 @@ def ij_check(g: Fatgraph, fam: MonomialFamily) -> IJReport:
               for e in sorted(vanishing) if abs(coords[e]) >= 1e-6 * (1.0 + abs(coords[e]))]
     return IJReport(divergent, vanishing, divergent <= vanishing,
                     maximal_recurrent_subset(g, vanishing) == divergent,
-                    leading, tuple(notes))
+                    tuple(leading), tuple(notes))

@@ -32,7 +32,7 @@ for the matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -47,10 +47,14 @@ class LambdaAssignment:
     """Strictly positive weight per edge, indexed by edge id."""
 
     values: tuple[float, ...]
+    # (least, largest) weight, read by the refinement test of every traced curve
+    extremes: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(not (v > 0) or not math.isfinite(v) for v in self.values):
             raise DomainError("lambda lengths must be positive finite reals")
+        object.__setattr__(self, "extremes", (min(self.values, default=1.0),
+                                              max(self.values, default=1.0)))
 
     def __getitem__(self, e: int) -> float:
         return self.values[e]

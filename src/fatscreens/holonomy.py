@@ -15,17 +15,17 @@ kept unnormalized; only |trace| is geometric (PSL sign ambiguity), and
 |trace| = 2 cosh(length/2) for the hyperbolic length of the geodesic
 representative.
 
-The product is one loop over four scalars, run over ``float``, ``mpmath.mpf``
-and exact Laurent polynomials in t (:mod:`fatscreens.asymptotics`): R, L and
-X act as closed-form column updates (R sends (a11, a12, a21, a22) to
-(a11 - a12, a11, a21 - a22, a21)); the other entries being 0 and +-1, these
-round exactly like full 2x2 products.  The loop is one table-driven pass
-that also checks the path: each step's row in the graph's step table holds
-its backtrack, the two turns out of its arrival and its quad-slot edges, so
-the next step is classified as R, L or backtrack, or else the path breaks,
-by two or three comparisons.  Both trace functions refine by one
-rule: when |trace| is within 1e-6 of 2, rounding may swamp the gap or weights
-go subnormal, the loop reruns over ``mpf`` at 60 digits.
+The product is one loop over four scalars, run over ``float`` and
+``mpmath.mpf``: R, L and X act as closed-form column updates (R sends (a11,
+a12, a21, a22) to (a11 - a12, a11, a21 - a22, a21)); the other entries being
+0 and +-1, these round exactly like full 2x2 products.  The loop is one
+table-driven pass that also checks the path: each step's row in the graph's
+step table holds its backtrack, the two turns out of its arrival and its
+quad-slot edges, so the next step is classified as R, L or backtrack, or else
+the path breaks, by two or three comparisons.  Both trace functions refine by
+one rule: when |trace| is within 1e-6 of 2, rounding may swamp the gap or
+weights go subnormal, the loop reruns over ``mpf`` at 60 digits.  The exact
+trace along a monomial family has its own loop, on Kronecker-packed ints.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ RIGHT = "R"
 
 REFINE_GAP = 1e-6
 _MP_DPS = 60
+EXACT_BITS_MAX = 2 ** 24     # packed exact traces grow with the exponent denominators
 
 
 @dataclass(frozen=True)
@@ -142,6 +143,41 @@ def _product(g: Fatgraph, path: EdgePath, w: Sequence, sqrt,
     return a11, a12, a21, a22
 
 
+def _exact_gap_leading(g: Fatgraph, q: Sequence[int], path: EdgePath) -> tuple[int | None, int]:
+    """Leading (exponent, coefficient) of |trace| - 2 in tau for weights tau**q_e, q_e
+    even; (None, 0) if it is 0.  Edge matrices are scaled by tau**|k|, tau**k the cross
+    ratio, and entries packed at tau = 2**bits: after n turns their coefficients sum to
+    at most 2**n in absolute value, so bits = n + 3 keeps them apart as balanced digits."""
+    if not g.is_trivalent():
+        raise DomainError("holonomy needs a trivalent graph")
+    steps = path.steps
+    _check_steps(g, steps)
+    rows = g._step_table
+    bits = len(steps) + 3
+    shifts = [(q[a] + q[c] - q[b] - q[d]) * bits         # 2 * k * bits
+              for *_, a, b, c, d in map(rows.__getitem__, steps)]
+    total = sum(map(abs, shifts))       # 2 * bits * (the degree D the trace gains)
+    if total + bits > EXACT_BITS_MAX:
+        raise DomainError(f"exact trace gap needs {total + bits} bits, over {EXACT_BITS_MAX}")
+    _, right, left = rows[steps[-1]][:3]
+    a11, a12, a21, a22 = 1, 0, 0, 1
+    for h, (up, down) in zip(steps, [(k, 0) if k >= 0 else (0, -k) for k in shifts]):
+        if h == right:
+            a11, a12, a21, a22 = a11 - a12, a11, a21 - a22, a21
+        elif h == left:
+            a11, a12, a21, a22 = a12, a12 - a11, a22, a22 - a21
+        else:
+            _check_joins(g, steps)      # names the first break, if there is one
+            raise DomainError("path is not efficient")
+        _, right, left = rows[h][:3]
+        a11, a12, a21, a22 = -a12 << down, a11 << up, -a22 << down, a21 << up
+    gap = abs(a11 + a22) - (2 << total // 2)
+    if not gap:
+        return None, 0
+    low = abs(gap).bit_length() // bits * bits     # the top digit's place
+    return (low - total // 2) // bits, (gap + (1 << low >> 1)) >> low
+
+
 def holonomy(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
              allow_backtrack: bool = False) -> Mat2:
     """Path-ordered product T_1 X_1 T_2 X_2 ... over the closed path.
@@ -179,18 +215,17 @@ def hyp_length_from_gap(gap: float) -> float:
     return 2.0 * math.log1p(u + math.sqrt(square))
 
 
-def _needs_refinement(m: Mat2, lam: LambdaAssignment, n_steps: int) -> bool:
+def _needs_refinement(m: Mat2, abs_tr: float, lam: LambdaAssignment, n_steps: int) -> bool:
     # the double product loses roughly eps times the largest entry per
     # factor, which swamps a small trace gap when weights span many orders
     # of magnitude; below sqrt of the least normal double a weight product
     # goes subnormal and loses digits before any sum
-    peak = max(abs(m.m11), abs(m.m12), abs(m.m21), abs(m.m22),
-               max(lam.values) ** 2)
+    peak = max(abs(m.m11), abs(m.m12), abs(m.m21), abs(m.m22), lam.extremes[1] ** 2)
     roundoff = 2e-16 * peak * n_steps
-    gap = abs(abs_trace(m) - 2.0)
+    gap = abs(abs_tr - 2.0)
     return (gap < REFINE_GAP or not math.isfinite(gap)
             or roundoff > 1e-3 * max(gap, 1e-300)
-            or min(lam.values) ** 2 < sys.float_info.min)
+            or lam.extremes[0] ** 2 < sys.float_info.min)
 
 
 def _abs_trace_minus(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
@@ -198,8 +233,9 @@ def _abs_trace_minus(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
     """|trace| - offset, with the subtraction at extended precision when refined."""
     try:
         m = holonomy(g, lam, path, allow_backtrack=allow_backtrack)
-        if not _needs_refinement(m, lam, len(path.steps)):
-            return abs_trace(m) - offset
+        abs_tr = abs_trace(m)
+        if not _needs_refinement(m, abs_tr, lam, len(path.steps)):
+            return abs_tr - offset
     except (ZeroDivisionError, OverflowError):
         pass    # weights beyond double range: a cross ratio underflowed, or the bound overflowed
     with mpmath.workdps(_MP_DPS):

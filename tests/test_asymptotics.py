@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from fatscreens import asymptotics as asy
 from fatscreens import fatgraph as fgr
+from fatscreens import holonomy as hol
 from fatscreens import screens as scn
 from fatscreens import serialize as ser
 from fatscreens.errors import DomainError
+
+from conftest import essential_curve_pool, random_trivalent
 
 
 def test_schedule_validation():
@@ -144,3 +149,127 @@ def test_ij_check_all_depth_families(screen_corpus):
 def test_ij_check_notes_on_cell_exit(theta):
     report = asy.ij_check(theta, scn.monomial_family([1, 0, 0]))
     assert any("leaves the cell" in n for n in report.notes)
+
+
+# -- exact trace gaps against Laurent polynomials through the float kernel --------
+
+class Laurent(dict):
+    """Exact Laurent polynomial in tau: exponent -> nonzero coefficient, all ints.
+
+    Only what ``holonomy._product`` computes: sums, and products, quotients and
+    square roots with a monomial or int operand."""
+
+    def __add__(self, other, sign: int = 1) -> "Laurent":
+        out = Laurent(self)
+        for k, c in other.items() if isinstance(other, dict) else [(0, other)]:
+            out[k] = out.get(k, 0) + sign * c
+            if not out[k]:
+                del out[k]
+        return out
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "Laurent":
+        return self.__add__(other, -1)
+
+    def __mul__(self, other) -> "Laurent":
+        ((k, c),) = other.items() if isinstance(other, dict) else [(0, other)]
+        return Laurent({j + k: c * d for j, d in self.items()} if c else {})
+
+    __rmul__ = __mul__
+
+    def _exponent(self) -> int:
+        ((k, c),) = self.items()
+        if c != 1:
+            raise ValueError("not a monomial with coefficient 1")
+        return k
+
+    def __truediv__(self, other) -> "Laurent":
+        k = other._exponent()
+        return Laurent({j - k: c for j, c in self.items()})
+
+    def __rtruediv__(self, other) -> "Laurent":
+        return Laurent({0: other}) / self
+
+    def sqrt(self) -> "Laurent":
+        half, odd = divmod(self._exponent(), 2)
+        if odd:
+            raise ValueError("odd exponent has no exact square root")
+        return Laurent({half: 1})
+
+
+def reference_gap_leading(g, fam, path):
+    """Leading term of |trace| - 2 from the float kernel run over Laurent polynomials."""
+    unit = 2 * math.lcm(*(p.denominator for p in fam.exponents))
+    w = [Laurent({int(p * unit): 1}) for p in fam.exponents]
+    a11, _, _, a22 = hol._product(g, path, w, Laurent.sqrt)
+    trace = a11 + a22
+    sign = -1 if trace and trace[max(trace)] < 0 else 1
+    gap = sign * trace - 2
+    if not gap:
+        return asy.LeadingTerm(None, 0)
+    k = max(gap)
+    return asy.LeadingTerm(Fraction(k, unit), gap[k])
+
+
+def test_gap_leading_matches_reference(screen_corpus):
+    count = 0
+    for g in screen_corpus.values():
+        pool = essential_curve_pool(g)
+        for s in scn.enumerate_screens(g):
+            fam = scn.depth_family(s)
+            for c in [*scn.screen_boundary(s), *pool]:
+                assert asy._gap_leading(g, fam, c) == reference_gap_leading(g, fam, c)
+                count += 1
+    assert count > 5000
+
+
+def long_closed_walk(g, rng, length):
+    """A closed efficient path of at least ``length`` steps and at most 60: a walk
+    that turns right or left at random, closed when a turn leads back to its first
+    step; None when that takes more than 60 steps."""
+    steps = [rng.randrange(g.n_half_edges)]
+    while len(steps) <= 60:
+        arrival = g.pairing(steps[-1])
+        h = g.sigma(arrival) if rng.random() < 0.5 else g.sigma(g.sigma(arrival))
+        if h == steps[0] and len(steps) >= length:
+            return fgr.EdgePath(tuple(steps))
+        steps.append(h)
+    return None
+
+
+def test_gap_leading_matches_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    exponents = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6))
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @hypothesis.given(st.sampled_from((3, 6, 9, 12)), st.integers(0, 2 ** 32),
+                      st.integers(1, 60), st.data())
+    def check(n_edges, seed, length, data):
+        rng = random.Random(seed)
+        g = random_trivalent(n_edges, rng)
+        fam = scn.MonomialFamily(tuple(data.draw(exponents) for _ in range(n_edges)))
+        path = None
+        while path is None:
+            path = long_closed_walk(g, rng, length)
+        assert asy._gap_leading(g, fam, path) == reference_gap_leading(g, fam, path)
+
+    check()
+
+
+def test_exact_gap_refuses_oversized_packing(genus2):
+    # levels 1/(d+2) and 2/d give the screen of the integer depths, but the
+    # packed trace grows with the exponent denominators
+    s = scn.enumerate_screens(genus2)[0]
+    depths = scn.depth_family(s).exponents
+    assert set(depths) == {0, 1, 2}
+
+    def family(d):
+        level = {0: Fraction(0), 1: Fraction(1, d + 2), 2: Fraction(2, d)}
+        return scn.MonomialFamily(tuple(level[p] for p in depths))
+
+    assert asy.detect_short_curves(genus2, family(10 ** 3)) == scn.screen_boundary(s)
+    message = f"exact trace gap needs 10000000045 bits, over {hol.EXACT_BITS_MAX}"
+    with pytest.raises(DomainError, match=message):
+        asy.detect_short_curves(genus2, family(10 ** 9))

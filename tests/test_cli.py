@@ -177,6 +177,23 @@ def test_sweep_overflow_is_domain_error(tmp_path, capsys):
     assert code == 0 and out.strip() == "e0+ e1-"
 
 
+def test_oversized_exact_trace_is_domain_error(tmp_path, capsys):
+    # a genus-2 screen with levels 1/(d+2) and 2/d at d = 10**9: the packed
+    # exact trace would need 10**10 bits; the coordinates' leading terms do not
+    p = tmp_path / "p.csv"
+    p.write_text("edge,exponent\na,2/1000000000\nb,1/1000000002\nc,1/1000000002\n"
+                 "d,2/1000000000\np,2/1000000000\nq,1/1000000002\nr,0\n"
+                 "s,1/1000000002\nt,2/1000000000\n")
+    genus2 = str(DATA / "genus2.fg")
+    for command in ("detect", "sweep"):
+        code = cli.main([command, genus2, "--exponents", str(p)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: exact trace gap needs 10000000045 bits, over 16777216\n"
+    code, out = run(capsys, "ij-check", genus2, "--exponents", str(p))
+    assert code == 0 and out.splitlines()[2] == "I subset of J : yes"
+
+
 def test_determinism(capsys):
     _, first = run(capsys, "screens", str(DATA / "mercedes.fg"), "--boundary")
     _, second = run(capsys, "screens", str(DATA / "mercedes.fg"), "--boundary")

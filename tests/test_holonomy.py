@@ -255,7 +255,7 @@ def reference_traces(g, lam, path):
     for turn, h in zip(turn_codes(g, path), path.steps):
         t_mat = {None: hol.IDENTITY, hol.RIGHT: r_mat, hol.LEFT: l_mat}[turn]
         acc = acc @ t_mat @ hol.edge_matrix(g, lam, h)
-    if not hol._needs_refinement(acc, lam, len(path.steps)):
+    if not hol._needs_refinement(acc, hol.abs_trace(acc), lam, len(path.steps)):
         return acc, hol.abs_trace(acc), hol.abs_trace(acc) - 2.0, False
     with mpmath.workdps(hol._MP_DPS):
         tr = mp_abs_trace(g, lam, path)
