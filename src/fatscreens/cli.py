@@ -224,7 +224,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("screens", help="enumerate screens")
     p.add_argument("graph")
     p.add_argument("--boundary", action="store_true", help="also print boundaries")
-    p.add_argument("--max-edges", type=int, default=12)
+    p.add_argument("--max-edges", type=int, default=scn.MAX_ENUMERATION_EDGES)
     p.set_defaults(func=cmd_screens)
 
     p = sub.add_parser("boundary", help="boundary curves of an edge subset")

@@ -22,6 +22,7 @@ the combinatorial layer under the lambda-length geometry.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -162,6 +163,8 @@ class Fatgraph:
             rows.append((back, right, left, edge_of[sigma[h]], edge_of[sigma[sigma[h]]],
                          edge_of[right], edge_of[left]))
         return tuple(rows)
+
+    _members = cached_property(lambda self: {})     # screens' member table, filled on use
 
     # -- step helpers ---------------------------------------------------------
 
@@ -559,63 +562,40 @@ def recurrent_witness_cycles(g: Fatgraph, edges: Iterable[int]) -> dict[int, Edg
     subset = _edge_subset(g, edges)
     if not subset:
         raise DomainError("empty edge subset")
-    halves = [h for h in range(g.n_half_edges) if g.edge_of(h) in subset]
-    if 2 * len(halves) > 1_000_000:
+    if 4 * len(subset) > 1_000_000:
         raise DomainError("state bound exceeded in witness search")
-    allowed = set(halves)
 
     def successors(step: int) -> list[int]:
+        """Steps in the subset out of step's arrival vertex, backtrack excluded."""
         arrive = g.pairing(step)
-        out = []
-        h = g.sigma(arrive)
-        while True:
-            if h in allowed and h != arrive:
+        out, h = [], g.sigma(arrive)
+        while h != arrive:
+            if g.edge_of(h) in subset:
                 out.append(h)
-            if h == arrive:
-                break
             h = g.sigma(h)
-        # walk the full vertex cycle once; stop after returning to arrive
         return out
 
-    # successors() above walks until it meets `arrive`, which visits each
-    # slot exactly once since sigma is a cyclic rotation.
     witnesses: dict[int, EdgePath] = {}
     for e in sorted(subset):
-        found = None
         for start in g.halves(e):
-            # BFS from the successors of `start` back to `start`
-            prev: dict[int, int] = {}
-            queue = [s for s in successors(start)]
-            for s in queue:
-                prev.setdefault(s, -1)
-            qi = 0
-            goal = None
-            if start in prev:
-                goal = start
-            while qi < len(queue) and goal is None:
-                cur = queue[qi]
-                qi += 1
+            # breadth first from the successors of start until start is reached
+            prev = dict.fromkeys(successors(start), -1)
+            queue = list(prev)
+            for cur in queue:
+                if start in prev:
+                    break
                 for nxt in successors(cur):
                     if nxt not in prev:
                         prev[nxt] = cur
                         queue.append(nxt)
-                        if nxt == start:
-                            goal = nxt
-                            break
-            if goal is None:
-                continue
-            steps = [start]
-            cur = prev[goal]
-            chain = []
-            while cur != -1:
-                chain.append(cur)
-                cur = prev[cur]
-            steps.extend(reversed(chain))
-            found = EdgePath(tuple(steps))
-            break
-        if found is None:
+            if start in prev:
+                chain = [prev[start]]
+                while chain[-1] != -1:
+                    chain.append(prev[chain[-1]])
+                witnesses[e] = EdgePath((start, *reversed(chain[:-1])))
+                break
+        else:
             return None
-        witnesses[e] = found
     return witnesses
 
 
@@ -705,13 +685,7 @@ def weights_to_multicurve(g: Fatgraph, mu: Mapping[int, int]) -> list[EdgePath]:
     if sum(vals) == 0:
         return []
 
-    def _fresh() -> Iterator[object]:
-        n = 0
-        while True:
-            yield ("diag", n)
-            n += 1
-
-    fresh = _fresh()
+    fresh = (("diag", n) for n in itertools.count())
     arcs: list = []
     glues: list = []
     for cyc in g.vertex_cycles:

@@ -31,15 +31,23 @@ for the matrix.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 from .fatgraph import (EdgePath, Fatgraph, WhiteheadMove, check_closed_path,
                        is_efficient, whitehead_move)
+
+# numpy runs on first use, as only inversion and the Minkowski lifts need it
+np = sys.modules.get("numpy")
+if np is None:
+    _spec = importlib.util.find_spec("numpy")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(np)
 
 
 @dataclass(frozen=True)

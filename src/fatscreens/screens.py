@@ -8,28 +8,36 @@ both directions is monomial: a screen yields exponents equal to member
 depths, and exponents yield a screen through the filtration by strictly
 faster growth.
 
-Parents (immediate predecessors) and depths come from one pass over the
+Each graph keeps one member table, filled on first use, from a recurrent
+edge subset to its canonical faces and connected components.  It stores no
+other subset (valid screens' members and depth-filtration stages are all
+recurrent), so it never outgrows the graph's recurrent subsets.  A member's
+relative boundary is its faces minus its parent's.  Each screen finds its
+parents (immediate predecessors) and depths once, in one pass over the
 size-sorted family; a member is the union of its sub-members exactly when
-its disjoint children's sizes sum to its own.  A member's relative boundary
-is the set difference of its canonical faces and its parent's.  Enumeration
-is a clique search over bitmasks of the later candidates nested in or
-disjoint from each candidate, carrying the maximal picked members (roots);
-it records each screen after its extensions (post-order), already sorted.
+its disjoint children's sizes sum to its own.  Enumeration is a clique
+search over bitmasks of the later candidates nested in or disjoint from
+each candidate, carrying the maximal picked members (roots); it records
+each screen after its extensions (post-order), already sorted.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError
 # subgraph, boundary_cycles, reduce_path, canonical_path and is_recurrent stay
 # bound here for perfbench's tracer, which wraps them at this site
-from .fatgraph import (CurveSystem, EdgeSubset, Fatgraph, _curve_set, _edge_subset,
-                       _subset_faces, boundary_cycles, canonical_path, curve_system,
-                       is_boundary_parallel, is_recurrent, recurrent_subsets, reduce_path,
-                       subgraph)
+from .fatgraph import (CurveSystem, EdgePath, EdgeSubset, Fatgraph, _curve_set,
+                       _edge_subset, _subset_faces, boundary_cycles, canonical_path,
+                       curve_system, is_boundary_parallel, is_recurrent, recurrent_subsets,
+                       reduce_path, subgraph)
+
+MAX_ENUMERATION_EDGES = 12      # default of enumerate_screens and ``screens --max-edges``
 
 
 def _member_key(a: frozenset) -> tuple:
@@ -48,13 +56,27 @@ class Screen:
     family: tuple[EdgeSubset, ...] = ()
 
     def __post_init__(self):
-        _edge_subset(self.graph, frozenset().union(*self.family))
+        # the member table holds only subsets whose edge ids were checked
+        if not all(map(self.graph._members.__contains__, self.family)):
+            _edge_subset(self.graph, frozenset().union(*self.family))
 
     def __iter__(self) -> Iterator[EdgeSubset]:
         return iter(self.family)
 
     def __len__(self) -> int:
         return len(self.family)
+
+    @cached_property
+    def _depths(self) -> dict[EdgeSubset, tuple[EdgeSubset | None, int]]:
+        """Each member's parent (its first later superset in size order; None for
+        the top) and depth, filled from the largest member down."""
+        fam = sorted(self.family, key=len)
+        table: dict[EdgeSubset, tuple[EdgeSubset | None, int]] = {}
+        for i in reversed(range(len(fam))):
+            a = fam[i]
+            parent = next((b for b in fam[i + 1:] if a < b), None)
+            table[a] = (parent, 0 if parent is None else table[parent][1] + 1)
+        return table
 
 
 def screen(g: Fatgraph, family: Iterable[Iterable[int]]) -> Screen:
@@ -83,7 +105,7 @@ def validate_screen(s: Screen) -> ScreenCheck:
     if top not in s.family:
         return ScreenCheck(False, "i", (top,), "full edge set missing from family")
     for a in s.family:
-        if not a or not is_recurrent(g, a):
+        if not a or not _member(g, a).recurrent:
             return ScreenCheck(False, "ii", (a,),
                                f"member {sorted(a)} is not recurrent")
     for i, a in enumerate(s.family):
@@ -93,7 +115,7 @@ def validate_screen(s: Screen) -> ScreenCheck:
                                    f"members {sorted(a)} and {sorted(b)} overlap without nesting")
     # laminar now: a member is the union of its disjoint children or of nothing
     filled = dict.fromkeys(s.family, 0)
-    for a, (parent, _) in _depths(s).items():
+    for a, (parent, _) in s._depths.items():
         if parent is not None:
             filled[parent] += len(a)
     for a in s.family:
@@ -103,26 +125,39 @@ def validate_screen(s: Screen) -> ScreenCheck:
     return ScreenCheck(True)
 
 
-def _connected_edge_components(g: Fatgraph, edges: EdgeSubset) -> list[EdgeSubset]:
+class _Member(NamedTuple):
+    recurrent: bool
+    faces: frozenset[EdgePath]
+    components: tuple[EdgeSubset, ...]
+
+
+def _member(g: Fatgraph, edges: EdgeSubset) -> _Member:
+    """A nonempty edge subset's entry in ``g``'s member table, made on first use;
+    a subset that is not recurrent gets a fresh entry, not stored."""
+    entry = g._members.get(edges)
+    if entry is None:
+        recurrent = is_recurrent(g, edges)      # refuses unknown ids and the empty set
+        components, todo = [], set(edges)
+        while todo:     # grow a component by the unseen edges at its new edges' vertices
+            component, new = set(), {todo.pop()}
+            while new:
+                component |= new
+                new = {g._edge_of[h] for e in new for x in g.edge_halves[e]
+                       for h in g.vertex_cycles[g._vertex_of[x]]} & todo
+                todo -= new
+            components.append(frozenset(component))
+        entry = _Member(recurrent, frozenset(_subset_faces(g, edges)), tuple(components))
+        if recurrent:
+            g._members[edges] = entry
+    return entry
+
+
+def _connected_edge_components(g: Fatgraph, edges: EdgeSubset) -> tuple[EdgeSubset, ...]:
     """Edge sets of the connected components of the induced subgraph."""
-    root = list(range(g.n_vertices))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    ends = {e: [g._vertex_of[h] for h in g.edge_halves[e]] for e in edges}
-    for u, v in ends.values():
-        root[find(u)] = find(v)
-    comps: dict[int, set[int]] = {}
-    for e, (u, _) in ends.items():
-        comps.setdefault(find(u), set()).add(e)
-    return [frozenset(c) for c in comps.values()]
+    return _member(g, edges).components
 
 
-def enumerate_screens(g: Fatgraph, max_edges: int = 12) -> list[Screen]:
+def enumerate_screens(g: Fatgraph, max_edges: int = MAX_ENUMERATION_EDGES) -> list[Screen]:
     """All screens whose members induce connected subgraphs, in a fixed order.
 
     Members are required connected so that the depth-exponent round trip is
@@ -135,8 +170,8 @@ def enumerate_screens(g: Fatgraph, max_edges: int = 12) -> list[Screen]:
     if n > max_edges:
         raise DomainError(f"edge count {n} exceeds enumeration bound {max_edges}")
     top = g.all_edges()
-    candidates = sorted((a for a in recurrent_subsets(g)
-                         if a != top and len(_connected_edge_components(g, a)) == 1),
+    candidates = sorted((a for a in recurrent_subsets(g)     # the top, too, gets an entry
+                         if len(_connected_edge_components(g, a)) == 1 and a != top),
                         key=_member_key)
     # bit j of compatible[i]: a later candidate j nests with or is disjoint from i
     compatible = [sum(1 << j for j in range(i + 1, len(candidates))
@@ -167,28 +202,11 @@ def enumerate_screens(g: Fatgraph, max_edges: int = 12) -> list[Screen]:
 # Depth structure
 # ---------------------------------------------------------------------------
 
-def _depths(s: Screen) -> dict[EdgeSubset, tuple[EdgeSubset | None, int]]:
-    """Each member's parent (None for the top) and depth, in one pass.
-
-    Sorted by size, a member's first later superset is its smallest one, the
-    immediate predecessor.  Walking from the largest member down, every
-    parent's depth is known before its children's.
-    """
-    fam = sorted(s.family, key=len)
-    table: dict[EdgeSubset, tuple[EdgeSubset | None, int]] = {}
-    for i in reversed(range(len(fam))):
-        a = fam[i]
-        parent = next((b for b in fam[i + 1:] if a < b), None)
-        table[a] = (parent, 0 if parent is None else table[parent][1] + 1)
-    return table
-
-
 def _parent_and_depth(s: Screen, member: EdgeSubset) -> tuple[EdgeSubset | None, int]:
     member = frozenset(member)
-    table = _depths(s)
-    if member not in table:
+    if member not in s._depths:
         raise DomainError(f"{sorted(member)} is not a member of the screen")
-    return table[member]
+    return s._depths[member]
 
 
 def immediate_predecessor(s: Screen, member: EdgeSubset) -> EdgeSubset:
@@ -206,38 +224,37 @@ def depth_of_member(s: Screen, member: EdgeSubset) -> int:
 def depth_of_edge(s: Screen, e: int) -> int:
     if not (0 <= e < s.graph.n_edges):
         raise DomainError(f"unknown edge id {e}")
-    return max(d for a, (_, d) in _depths(s).items() if e in a)
+    return max(d for a, (_, d) in s._depths.items() if e in a)
 
 
 # ---------------------------------------------------------------------------
 # Boundaries
 # ---------------------------------------------------------------------------
 
-def _relative_faces(g: Fatgraph, member: EdgeSubset, faces: set, parent_faces: set) -> set:
+def _relative_faces(g: Fatgraph, member: EdgeSubset, parent: EdgeSubset) -> frozenset:
     """The member's canonical faces not parallel to a parent face: not equal to one,
     as a recurrent member's faces are efficient simple cycles.  Off a valid screen
     faces may backtrack; those are reduced and compared with powers."""
-    if is_recurrent(g, member):
-        return faces - parent_faces
-    return set(curve_system(g, [p for p in faces if not is_boundary_parallel(g, p, parent_faces)],
-                            check=False))
+    m, parent_faces = _member(g, member), _member(g, parent).faces
+    if m.recurrent:
+        return m.faces - parent_faces
+    return frozenset(curve_system(g, [p for p in m.faces
+                                      if not is_boundary_parallel(g, p, parent_faces)],
+                                  check=False))
 
 
 def relative_boundary(s: Screen, member: EdgeSubset) -> CurveSystem:
     """Faces of a member's subsurface not parallel to its immediate predecessor's."""
-    g = s.graph
     parent = immediate_predecessor(s, member)
-    return _curve_set(g, _relative_faces(g, member, _subset_faces(g, member),
-                                         _subset_faces(g, parent)))
+    return _curve_set(s.graph, _relative_faces(s.graph, frozenset(member), parent))
 
 
 def screen_boundary(s: Screen) -> CurveSystem:
-    """Union of the relative boundaries of all non-top members, each face walked once."""
+    """Union of the relative boundaries of all non-top members."""
     g = s.graph
-    faces = {a: _subset_faces(g, a) for a in s.family}
-    return _curve_set(g, set().union(*(_relative_faces(g, a, faces[a], faces[parent])
-                                       for a, (parent, _) in _depths(s).items()
-                                       if parent is not None)))
+    return _curve_set(g, frozenset().union(*(_relative_faces(g, a, parent)
+                                             for a, (parent, _) in s._depths.items()
+                                             if parent is not None)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +281,11 @@ def monomial_family(exponents: Iterable[Fraction | int | str]) -> MonomialFamily
 def depth_family(s: Screen) -> MonomialFamily:
     """Exponent of each edge equal to the depth of the deepest member holding it."""
     depth = [0] * s.graph.n_edges
-    for a, (_, d) in _depths(s).items():
+    for a, (_, d) in s._depths.items():
         for e in a:
             depth[e] = max(depth[e], d)
-    return MonomialFamily(tuple(Fraction(d) for d in depth))
+    exponent = [Fraction(d) for d in range(max(depth, default=0) + 1)]
+    return MonomialFamily(tuple(map(exponent.__getitem__, depth)))
 
 
 def screen_of_exponents(g: Fatgraph, fam: MonomialFamily) -> Screen:
@@ -281,12 +299,13 @@ def screen_of_exponents(g: Fatgraph, fam: MonomialFamily) -> Screen:
     """
     if len(fam) != g.n_edges:
         raise DomainError("one exponent per edge required")
-    level: dict[Fraction, list[int]] = {}
+    level: dict[tuple[int, int], list[int]] = {}     # int pairs hash faster than Fractions
     for e, p in enumerate(fam.exponents):
-        level.setdefault(p, []).append(e)
+        level.setdefault((p.numerator, p.denominator), []).append(e)
+    unit = math.lcm(*(d for _, d in level))         # compare n/d as ints in steps of 1/unit
     family: set[EdgeSubset] = {g.all_edges()}
     stage: set[int] = set()
-    for p in sorted(level, reverse=True):
+    for n, d in sorted(level, key=lambda nd: nd[0] * (unit // nd[1]), reverse=True)[:-1]:
+        stage.update(level[n, d])       # now the edges above the next exponent down
         family.update(_connected_edge_components(g, frozenset(stage)))
-        stage.update(level[p])
     return Screen(g, _sorted_family(family))

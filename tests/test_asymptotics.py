@@ -151,6 +151,35 @@ def test_ij_check_notes_on_cell_exit(theta):
     assert any("leaves the cell" in n for n in report.notes)
 
 
+def test_ij_check_notes_only_exact_verdicts(genus2):
+    # the first enumerated genus2 screen: b, c, q and s vanish like 2/t, which no
+    # float threshold at a fixed t may report as anything else
+    fam = scn.monomial_family([2, 1, 1, 2, 2, 1, 0, 1, 2])
+    report = asy.ij_check(genus2, fam)
+    assert report.notes == ()
+    by_label = {genus2.label(e): lead for e, lead in report.leading}
+    for name in "bcqs":
+        assert (by_label[name].exponent, by_label[name].coefficient) == (Fraction(-1), 2)
+
+
+def test_tau_exponents_once_per_family(genus2, monkeypatch):
+    calls = []
+    tau_exponents = asy._tau_exponents
+
+    def counted(fam):
+        calls.append(fam)
+        return tau_exponents(fam)
+
+    monkeypatch.setattr(asy, "_tau_exponents", counted)
+    s = next(s for s in scn.enumerate_screens(genus2) if len(scn.screen_boundary(s)) >= 2)
+    fam = scn.depth_family(s)
+    curves = asy.detect_short_curves(genus2, fam)
+    assert len(curves) >= 2 and calls == [fam]
+    report = asy.sweep(genus2, fam, curves, asy.SweepSchedule((10.0,)))
+    assert calls == [fam, fam]
+    assert [v for _, v in report.verdicts] == [asy.VERDICT_SHRINKING] * len(curves)
+
+
 # -- exact trace gaps against Laurent polynomials through the float kernel --------
 
 class Laurent(dict):

@@ -42,6 +42,12 @@ def test_screens_boundary(capsys):
     assert sum(1 for l in lines if "(empty)" in l) == 1
 
 
+def test_enumeration_bound_is_shared():
+    default = scn.enumerate_screens.__defaults__[0]
+    assert default == scn.MAX_ENUMERATION_EDGES
+    assert cli.make_parser().parse_args(["screens", THETA]).max_edges == default
+
+
 def test_recurrent(capsys):
     code, out = run(capsys, "recurrent", THETA, "--subset", "e0,e1")
     assert (code, out.strip()) == (0, "recurrent")

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from fatscreens import fatgraph as fgr
 from fatscreens import geometry as geo
 from fatscreens.errors import DomainError
 
-from conftest import load, random_in_cell_lambda, random_trivalent
+from conftest import DATA, load, random_in_cell_lambda, random_trivalent
 
 
 # -- whitehead transport ---------------------------------------------------------
@@ -512,3 +516,22 @@ def test_refine_rejects_triangle_violation():
     ref = geo.refine_to_trivalent(g, geo.lambda_assignment([1.0, 1.0, 1.0, 1.0]))
     assert ref.graph.is_trivalent()
     assert fgr.topology(ref.graph) == fgr.topology(g)
+
+
+def test_numpy_runs_only_when_needed():
+    # screens, traces and detection never execute numpy; inversion does
+    code = (
+        "import sys\n"
+        "from fatscreens import asymptotics as asy, fatgraph as fgr, geometry as geo\n"
+        "from fatscreens import screens as scn\n"
+        "g = fgr.parse_fatgraph(open(sys.argv[1]).read())\n"
+        "for s in scn.enumerate_screens(g):\n"
+        "    asy.detect_short_curves(g, scn.depth_family(s))\n"
+        "print('numpy.linalg' in sys.modules)\n"
+        "geo.invert_coords(g, geo.simplicial([1.0] * g.n_edges))\n"
+        "print('numpy.linalg' in sys.modules)\n")
+    src = str(Path(geo.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, str(DATA / "theta.fg")],
+                          capture_output=True, text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.split() == ["False", "True"]

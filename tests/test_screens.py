@@ -12,7 +12,7 @@ from fatscreens import geometry as geo
 from fatscreens import screens as scn
 from fatscreens.errors import DomainError
 
-from conftest import _cycles_of_permutation, random_fatgraph, random_trivalent
+from conftest import DATA, _cycles_of_permutation, random_fatgraph, random_trivalent
 
 
 def family_sets(s: scn.Screen) -> set[frozenset]:
@@ -368,3 +368,109 @@ def test_laminar_pass_matches_definitions(screen_corpus):
             want = [max(depth[a] for a in s.family if e in a) for e in range(g.n_edges)]
             assert scn.depth_family(s).exponents == tuple(Fraction(d) for d in want)
             assert [scn.depth_of_edge(s, e) for e in range(g.n_edges)] == want
+
+
+# -- the member table against fresh walks ------------------------------------------------
+
+def reference_components(g, edges):
+    """Connected components of the induced subgraph, by a local union-find."""
+    root = list(range(g.n_vertices))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for e in edges:
+        u, v = (find(g.vertex_of(h)) for h in g.halves(e))
+        root[u] = v
+    comps = {}
+    for e in edges:
+        comps.setdefault(find(g.vertex_of(g.halves(e)[0])), set()).add(e)
+    return {frozenset(c) for c in comps.values()}
+
+
+def reference_screen_of_exponents(g, fam):
+    family = {g.all_edges()}
+    for p in set(fam.exponents):
+        stage = frozenset(e for e in range(g.n_edges) if fam[e] > p)
+        family |= reference_components(g, stage)
+    return scn._sorted_family(family)
+
+
+def reference_check_ok(s):
+    g = s.graph
+    family = list(s.family)
+    return (g.all_edges() in family
+            and all(a and fgr.is_recurrent(g, a) for a in family)
+            and all(scn._nested_or_disjoint(a, b) for a in family for b in family)
+            and reference_union_member(family) is None)
+
+
+def test_member_table_matches_fresh_walk(screen_corpus):
+    rng = random.Random(5)
+    for g in screen_corpus.values():
+        top = g.all_edges()
+        for s in scn.enumerate_screens(g):
+            depth = {a: reference_depth(s, a) for a in s.family}
+            relative = {}
+            for a in s.family:
+                if a != top:
+                    faces = fgr._subset_faces(g, a) - fgr._subset_faces(g, reference_predecessor(s, a))
+                    relative[a] = fgr._curve_set(g, faces)
+                    assert scn.relative_boundary(s, a) == relative[a]
+            assert scn.screen_boundary(s) == fgr._curve_set(
+                g, set().union(*(set(c.curves) for c in relative.values())))
+            assert scn.validate_screen(s).ok and reference_check_ok(s)
+            want = [max(depth[a] for a in s.family if e in a) for e in range(g.n_edges)]
+            fam = scn.depth_family(s)
+            assert fam.exponents == tuple(Fraction(d) for d in want)
+            assert [scn.depth_of_edge(s, e) for e in range(g.n_edges)] == want
+            assert scn.screen_of_exponents(g, fam).family == reference_screen_of_exponents(g, fam)
+            assert reference_screen_of_exponents(g, fam) == s.family
+        # candidates off the screens: condition (ii) fails for many of them
+        for _ in range(100):
+            fam = scn.monomial_family([Fraction(rng.randint(0, 3), rng.randint(1, 2))
+                                       for _ in range(g.n_edges)])
+            cand = scn.screen_of_exponents(g, fam)
+            assert cand.family == reference_screen_of_exponents(g, fam)
+            assert scn.validate_screen(cand).ok == reference_check_ok(cand)
+
+
+def test_member_table_holds_recurrent_subsets_only(theta, theta_planar):
+    g = fgr.parse_fatgraph((DATA / "genus2.fg").read_text())
+    rng = random.Random(8)
+    for _ in range(500):
+        fam = scn.monomial_family([Fraction(rng.randint(-2, 3), rng.randint(1, 3))
+                                   for _ in range(g.n_edges)])
+        cand = scn.screen_of_exponents(g, fam)
+        scn.validate_screen(cand)
+        scn.screen_boundary(cand)
+    assert g._members
+    assert set(g._members) <= set(fgr.recurrent_subsets(g))
+    # the same edge ids under other rotations: each graph has its own entries
+    pair, top = frozenset({0, 1}), theta.all_edges()
+    assert top == theta_planar.all_edges()
+    found = [len(scn.relative_boundary(scn.screen(h, [pair]), pair)) for h in (theta, theta_planar)]
+    assert found == [1, 0]
+    for h in (theta, theta_planar):
+        assert h._members[top].faces == fgr._subset_faces(h, top)
+    assert theta._members[top].faces != theta_planar._members[top].faces
+
+
+def test_enumerated_screens_skip_the_id_check(theta, monkeypatch):
+    calls = []
+
+    def counted(g, edges):
+        calls.append(edges)
+        return fgr._edge_subset(g, edges)
+
+    monkeypatch.setattr(scn, "_edge_subset", counted)
+    screens = scn.enumerate_screens(theta)
+    assert len(screens) == 4 and not calls
+    assert scn.Screen(theta, screens[0].family) == screens[0] and not calls
+    # a member the table does not hold is checked as before
+    for bad in ({0, 3}, {-1, 0}):
+        with pytest.raises(DomainError, match="unknown edge ids"):
+            scn.Screen(theta, (frozenset({0, 1}), frozenset(bad), theta.all_edges()))
+    assert len(calls) == 2
