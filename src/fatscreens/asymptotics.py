@@ -39,22 +39,22 @@ VERDICT_NOT_SHRINKING = "not shrinking"
 
 @dataclass(frozen=True)
 class SweepSchedule:
-    """Strictly increasing t values, all >= 1."""
+    """Strictly increasing t values, all finite and >= 1."""
 
     t_values: tuple[float, ...] = DEFAULT_T
 
     def __post_init__(self):
         ts = self.t_values
-        if not ts or any(t < 1.0 for t in ts):
-            raise DomainError("schedule values must be >= 1")
+        if not ts or not all(1.0 <= t < math.inf for t in ts):
+            raise DomainError("schedule values must be finite and >= 1")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise DomainError("schedule must be strictly increasing")
 
 
 def evaluate_family(fam: MonomialFamily, t: float) -> LambdaAssignment:
     """Weights t**p_e at one parameter value."""
-    if t < 1.0:
-        raise DomainError("parameter must be >= 1")
+    if not 1.0 <= t < math.inf:
+        raise DomainError(f"schedule value t must be finite and >= 1, got {t}")
     weights = []
     for e, p in enumerate(fam.exponents):
         try:
@@ -191,8 +191,9 @@ def ij_check(g: Fatgraph, fam: MonomialFamily) -> IJReport:
     leading = []
     for e in range(g.n_edges):
         terms: dict[int, int] = {}      # an end term (a*a + b*b - x*x) / (a*b*x) is 3 monomials
-        for h in g.halves(e):
-            x, a, b = (q[g.edge_of(s)] for s in (h, g.sigma(h), g.sigma(g.sigma(h))))
+        x = q[e]
+        slots = [q[s] for s in g._quad(g.halves(e)[0])]
+        for a, b in (slots[:2], slots[2:]):      # the first half's end, then the second's
             for k, c in ((a - b - x, 1), (b - a - x, 1), (x - a - b, -1)):
                 terms[k] = terms.get(k, 0) + c
         top = max((k for k, c in terms.items() if c), default=None)

@@ -150,19 +150,24 @@ class Fatgraph:
     def all_edges(self) -> EdgeSubset:
         return self._all_edges
 
+    def _quad(self, h: DirectedStep) -> tuple[int, int, int, int]:
+        """Edge ids in the quad slots of step h, counter-clockwise from each end:
+        a = sigma(h), b = sigma^2(h), c = sigma(h'), d = sigma^2(h') for h' = iota(h).
+        Every slot formula reads its slots here."""
+        sigma, edge_of = self._sigma, self._edge_of
+        h2 = self._iota[h]
+        return (edge_of[sigma[h]], edge_of[sigma[sigma[h]]],
+                edge_of[sigma[h2]], edge_of[sigma[sigma[h2]]])
+
     @cached_property
     def _step_table(self) -> tuple[tuple[int, ...], ...]:
         """Row h for the trace kernel: (iota(h), the right and left turns out
         of h's arrival, the edges in h's quad slots a, b, c, d).  On a
         trivalent graph the backtrack iota(h) and the two turns are the only
         steps that can follow h.  Built on first use: most graphs never trace."""
-        iota, sigma, edge_of = self._iota, self._sigma, self._edge_of
-        rows = []
-        for h, back in enumerate(iota):
-            right, left = sigma[back], sigma[sigma[back]]
-            rows.append((back, right, left, edge_of[sigma[h]], edge_of[sigma[sigma[h]]],
-                         edge_of[right], edge_of[left]))
-        return tuple(rows)
+        sigma = self._sigma
+        return tuple((back, sigma[back], sigma[sigma[back]], *self._quad(h))
+                     for h, back in enumerate(self._iota))
 
     _members = cached_property(lambda self: {})     # screens' member table, filled on use
 

@@ -7,7 +7,8 @@ are read counter-clockwise as
     a = sigma(h), b = sigma(sigma(h)), c = sigma(h'), d = sigma(sigma(h')),
 
 with slot values taken from the underlying edges, so loops and parallel
-edges repeat values instead of breaking the formulas.  In this notation:
+edges repeat values instead of breaking the formulas.  Every formula below
+reads its slots from ``Fatgraph._quad``, their one reader.  In this notation:
 
 * Ptolemy exchange under a flip:  f = (ac + bd) / e
 * cross ratio magnitude of e:     bd / (ac)
@@ -111,13 +112,17 @@ def _require_trivalent(g: Fatgraph) -> None:
 
 def quad_slots(g: Fatgraph, step: int) -> tuple[int, int, int, int]:
     """Edge ids (a, b, c, d) around the traversed edge, tail end first."""
-    h = step
-    h2 = g.pairing(step)
-    for x in (h, h2):
+    for x in (step, g.pairing(step)):
         if g.valence(g.vertex_of(x)) != 3:
             raise DomainError("edge endpoints must be trivalent")
-    return (g.edge_of(g.sigma(h)), g.edge_of(g.sigma(g.sigma(h))),
-            g.edge_of(g.sigma(h2)), g.edge_of(g.sigma(g.sigma(h2))))
+    return g._quad(step)
+
+
+def _off_path_edge(g: Fatgraph, step: int, depart: int) -> int:
+    """Edge in the slot a path passes by when it turns (never backtracks) from
+    ``step`` into ``depart``: d when it departs right, c when it departs left."""
+    _, _, c, d = g._quad(step)
+    return d if depart == g.sigma(g.pairing(step)) else c
 
 
 # ---------------------------------------------------------------------------
@@ -156,20 +161,15 @@ def h_length(g: Fatgraph, lam: LambdaAssignment, sector: Sector) -> float:
     return lam[g.edge_of(opp)] / (lam[g.edge_of(x)] * lam[g.edge_of(y)])
 
 
-def _end_term(lam: LambdaAssignment, g: Fatgraph, h: int) -> float:
-    e = lam[g.edge_of(h)]
-    a = lam[g.edge_of(g.sigma(h))]
-    b = lam[g.edge_of(g.sigma(g.sigma(h)))]
-    return (a * a + b * b - e * e) / (a * b * e)
-
-
 def simplicial_coords(g: Fatgraph, lam: LambdaAssignment) -> SimplicialCoords:
-    """Per-edge coordinates, one term per edge end."""
+    """Per-edge coordinates: the term of the first half's end plus the second's."""
     _require_trivalent(g)
+    w = lam.values
     vals = []
-    for e in range(g.n_edges):
-        h1, h2 = g.halves(e)
-        vals.append(_end_term(lam, g, h1) + _end_term(lam, g, h2))
+    for e, (h, _) in enumerate(g.edge_halves):
+        x = w[e]
+        a, b, c, d = map(w.__getitem__, g._quad(h))
+        vals.append((a * a + b * b - x * x) / (a * b * x) + (c * c + d * d - x * x) / (c * d * x))
     return SimplicialCoords(tuple(vals))
 
 
@@ -187,7 +187,7 @@ def triangle_inequalities_hold(g: Fatgraph, lam: LambdaAssignment
 def no_vanishing_cycle(g: Fatgraph, coords: SimplicialCoords,
                        tol: float = 0.0) -> bool:
     """Nonnegative coordinates and no cycle among the (near-)zero edges."""
-    if tol < 0:
+    if not tol >= 0:        # NaN fails this too
         raise DomainError("tolerance must be nonnegative")
     if min(coords.values) < -tol:
         return False
@@ -227,12 +227,12 @@ def in_cell(g: Fatgraph, lam: LambdaAssignment) -> bool:
 
 def _end_tables(g: Fatgraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edge ids (e, a, b) per edge end in ``g.halves`` order: the end's own edge
-    and the next two slots counter-clockwise at its vertex."""
-    sigma, edge_of = g._sigma, g._edge_of
-    ends = [h for pair in g.edge_halves for h in pair]
-    return (np.array([edge_of[h] for h in ends]),
-            np.array([edge_of[sigma[h]] for h in ends]),
-            np.array([edge_of[sigma[sigma[h]]] for h in ends]))
+    and the next two slots counter-clockwise at its vertex, so quad slots (a, b)
+    of the first half, then (c, d)."""
+    quads = [g._quad(h) for h, _ in g.edge_halves]
+    return (np.arange(2 * g.n_edges) // 2,
+            np.array([quad[i] for quad in quads for i in (0, 2)]),
+            np.array([quad[i] for quad in quads for i in (1, 3)]))
 
 
 def _coords_and_jacobian(ends: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -332,13 +332,10 @@ def telescoping_sides(g: Fatgraph, lam: LambdaAssignment, path: EdgePath
     coords = simplicial_coords(g, lam)
     sum_x = sum(coords[g.edge_of(s)] for s in path.steps)
     sum_h = 0.0
-    n = len(path.steps)
-    for k in range(n):
-        arrive = g.pairing(path.steps[k])
-        depart = path.steps[(k + 1) % n]
-        third = next(h for h in g.vertex_cycles[g.vertex_of(arrive)]
-                     if h not in (arrive, depart))
-        sum_h += lam[g.edge_of(third)] / (lam[g.edge_of(arrive)] * lam[g.edge_of(depart)])
+    steps = path.steps
+    for step, depart in zip(steps, steps[1:] + steps[:1]):
+        third = _off_path_edge(g, step, depart)
+        sum_h += lam[third] / (lam[g.edge_of(step)] * lam[g.edge_of(depart)])
     return sum_x, 2.0 * sum_h
 
 

@@ -39,7 +39,7 @@ import mpmath
 
 from .errors import DomainError
 from .fatgraph import EdgePath, Fatgraph, _check_joins, _check_steps
-from .geometry import LambdaAssignment, quad_slots
+from .geometry import LambdaAssignment, _off_path_edge, quad_slots
 
 LEFT = "L"
 RIGHT = "R"
@@ -324,18 +324,9 @@ def one_left_turn_data(g: Fatgraph, lam: LambdaAssignment, path: EdgePath
     n = n1 - 1
     if n < 1:
         raise DomainError("need at least one right turn")
-
-    def third_slot(arrive: int, depart: int) -> int:
-        return next(h for h in g.vertex_cycles[g.vertex_of(arrive)]
-                    if h not in (arrive, depart))
-
     y = [lam[g.edge_of(s)] for s in steps]
     # x_k sits at the turn between step k and step k+1 (x_0 at the wrap)
-    x = []
-    for k in range(n1):
-        arrive = g.pairing(steps[k])
-        depart = steps[(k + 1) % n1]
-        x.append(lam[g.edge_of(third_slot(arrive, depart))])
+    x = [lam[_off_path_edge(g, s, depart)] for s, depart in zip(steps, steps[1:] + steps[:1])]
     x0 = x[-1]
     zetas = []
     z1_sq = (y[1] * y[n1 - 1]) / (x[0] * x0)

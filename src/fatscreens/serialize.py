@@ -57,12 +57,16 @@ def _values_by_edge(g: Fatgraph, rows: list[tuple[int, str, str]]) -> list[str]:
     return vals  # type: ignore[return-value]
 
 
-def read_lambda_csv(g: Fatgraph, text: str) -> LambdaAssignment:
+def _read_values_csv(g: Fatgraph, text: str, cls):
     raw = _values_by_edge(g, _parse_rows(text, "value"))
     try:
-        return LambdaAssignment(tuple(float(v) for v in raw))
+        return cls(tuple(float(v) for v in raw))
     except ValueError as exc:
         raise FormatError(f"bad numeric value: {exc}") from None
+
+
+def read_lambda_csv(g: Fatgraph, text: str) -> LambdaAssignment:
+    return _read_values_csv(g, text, LambdaAssignment)
 
 
 def write_lambda_csv(g: Fatgraph, lam: LambdaAssignment) -> str:
@@ -72,11 +76,7 @@ def write_lambda_csv(g: Fatgraph, lam: LambdaAssignment) -> str:
 
 
 def read_coords_csv(g: Fatgraph, text: str) -> SimplicialCoords:
-    raw = _values_by_edge(g, _parse_rows(text, "value"))
-    try:
-        return SimplicialCoords(tuple(float(v) for v in raw))
-    except ValueError as exc:
-        raise FormatError(f"bad numeric value: {exc}") from None
+    return _read_values_csv(g, text, SimplicialCoords)
 
 
 def read_exponents_csv(g: Fatgraph, text: str) -> MonomialFamily:

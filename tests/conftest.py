@@ -49,6 +49,13 @@ def trivalent_corpus(theta, theta_planar, mercedes, genus2, barbell):
 
 
 @pytest.fixture(scope="session")
+def generated_trivalent(barbell):
+    """Seeded random trivalent graphs of 3 to 30 edges, and barbell for its loops."""
+    rng = random.Random(53)
+    return [barbell] + [random_trivalent(n, rng) for n in range(3, 31, 3)]
+
+
+@pytest.fixture(scope="session")
 def screen_corpus(theta, mercedes, genus2):
     """The graphs whose screens are enumerated exhaustively."""
     return {"theta": theta, "mercedes": mercedes, "genus2": genus2}

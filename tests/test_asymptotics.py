@@ -24,6 +24,11 @@ def test_schedule_validation():
         asy.SweepSchedule((0.5, 2.0))
     with pytest.raises(DomainError):
         asy.SweepSchedule((10.0, 10.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="schedule values must be finite and >= 1"):
+            asy.SweepSchedule((10.0, bad))
+        with pytest.raises(DomainError, match="schedule value t must be finite and >= 1"):
+            asy.evaluate_family(scn.monomial_family([1, 1, 0]), bad)
 
 
 def test_evaluate_family(theta):
@@ -144,6 +149,29 @@ def test_ij_check_all_depth_families(screen_corpus):
             report = asy.ij_check(g, scn.depth_family(s))
             assert report.i_subset_j, s.family
             assert report.recurrent_core_equals_i, s.family
+
+
+def reference_coordinate_leading(g, fam):
+    """Leading term of each coordinate, its six monomials summed end by end in Fractions."""
+    leading = []
+    for e, halves in enumerate(g.edge_halves):
+        terms = {}
+        for h in halves:
+            x, a, b = (fam[g.edge_of(s)] for s in (h, g.sigma(h), g.sigma(g.sigma(h))))
+            for k, c in ((a - b - x, 1), (b - a - x, 1), (x - a - b, -1)):
+                terms[k] = terms.get(k, 0) + c
+        top = max((k for k, c in terms.items() if c), default=None)
+        leading.append((e, asy.LeadingTerm(top, terms.get(top, 0))))
+    return tuple(leading)
+
+
+def test_ij_check_leading_matches_reference(generated_trivalent):
+    rng = random.Random(59)
+    for g in generated_trivalent:
+        for _ in range(4):
+            fam = scn.MonomialFamily(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                           for _ in range(g.n_edges)))
+            assert asy.ij_check(g, fam).leading == reference_coordinate_leading(g, fam)
 
 
 def test_ij_check_notes_on_cell_exit(theta):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,23 @@ def test_sweep_overflow_is_domain_error(tmp_path, capsys):
     assert code == 0 and out.strip() == "e0+ e1-"
 
 
+def test_nan_tolerance_and_schedule_are_domain_errors(tmp_path, capsys):
+    # weights 1, 1, 3 lie outside the cell, which a NaN tolerance used to hide
+    lam = tmp_path / "lam.csv"
+    lam.write_text("edge,value\ne0,1\ne1,1\ne2,3\n")
+    code = cli.main(["check-cell", THETA, "--lambda", str(lam), "--tol", "nan"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: tolerance must be nonnegative\n"
+    p = tmp_path / "p.csv"
+    p.write_text("edge,exponent\ne0,1\ne1,1\ne2,0\n")
+    for t in ("10,nan", "10,inf"):
+        code = cli.main(["sweep", THETA, "--exponents", str(p), "--t", t])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: schedule values must be finite and >= 1\n"
+
+
 def test_oversized_exact_trace_is_domain_error(tmp_path, capsys):
     # a genus-2 screen with levels 1/(d+2) and 2/d at d = 10**9: the packed
     # exact trace would need 10**10 bits; the coordinates' leading terms do not
@@ -261,3 +279,56 @@ def test_golden_screens_and_recurrent_output(name, capsys):
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == screens_digest
     code, out = run(capsys, "recurrent", graph, "--enumerate")
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == recurrent_digest
+
+
+# sha256 of the stdout of `ij-check <g> --screen S` over every enumerated screen S, and
+# of `check-cell <g> --lambda L` over eight seeded weight files; both read quad slots
+GOLDEN_IJ_CHECK = {
+    "theta": "1ad791bffda0dd8f58b6b70ab1008be7d0a27b75032406a939a9d544b6e2114e",
+    "mercedes": "ec71f5a9eb1da361f717f5b2e3e2d0169e11bcbd48b8e1bbafa687535f5d62f2",
+    "genus2": "5f062b54599f2da73764398962e478213eae0e884845996614b06a12e346752e",
+}
+GOLDEN_CHECK_CELL = {
+    "theta": "e54f9a96e27e7b46897e1db6eb1f228a64b5c4e252e9c48735074ed8d96e3a5c",
+    "theta_planar": "e54f9a96e27e7b46897e1db6eb1f228a64b5c4e252e9c48735074ed8d96e3a5c",
+    "mercedes": "f6eb3e1a28445a8f13728cb963ed4ba0ae112e396e204e61d2ccacb40fae688f",
+    "genus2": "12adac42b9a65d1800440f3bb10c5280f04a88a1d1acb5469011cba149705b1b",
+    "barbell": "86c9136c77bb0ea3a9f311281f11048cb17dae1c6716df401c18325a49243379",
+}
+
+
+def ij_check_output(name, tmp_path, capsys):
+    graph = str(DATA / f"{name}.fg")
+    screen_file = tmp_path / "screen.json"
+    digest = hashlib.sha256()
+    for s in scn.enumerate_screens(fgr.parse_fatgraph(Path(graph).read_text())):
+        screen_file.write_text(ser.write_screen_json(s))
+        code, out = run(capsys, "ij-check", graph, "--screen", str(screen_file))
+        assert code == 0
+        digest.update(out.encode())
+    return digest.hexdigest()
+
+
+def check_cell_output(name, tmp_path, capsys):
+    graph = str(DATA / f"{name}.fg")
+    g = fgr.parse_fatgraph(Path(graph).read_text())
+    rng = random.Random(71)
+    lam_file = tmp_path / "lambda.csv"
+    digest = hashlib.sha256()
+    for k in range(8):          # weights spread over 0 to 7/8 decades: in and out of the cell
+        lam = geo.lambda_assignment([10 ** rng.uniform(-k / 8, k / 8) for _ in range(g.n_edges)])
+        lam_file.write_text(ser.write_lambda_csv(g, lam))
+        code, out = run(capsys, "check-cell", graph, "--lambda", str(lam_file))
+        assert code == 0
+        digest.update(out.encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_IJ_CHECK))
+def test_golden_ij_check_output(name, tmp_path, capsys):
+    assert ij_check_output(name, tmp_path, capsys) == GOLDEN_IJ_CHECK[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CHECK_CELL))
+def test_golden_check_cell_output(name, tmp_path, capsys):
+    assert check_cell_output(name, tmp_path, capsys) == GOLDEN_CHECK_CELL[name]

@@ -143,6 +143,48 @@ def test_no_vanishing_cycle(theta):
     assert not geo.no_vanishing_cycle(barb, geo.simplicial([0, 2, 2]))
 
 
+def test_no_vanishing_cycle_refuses_nan_tolerance(theta):
+    # weights 1, 1, 3 lie outside the cell: the third coordinate is -14/3
+    coords = geo.simplicial_coords(theta, geo.lambda_assignment([1, 1, 3]))
+    assert not geo.no_vanishing_cycle(theta, coords)
+    for tol in (math.nan, -1e-9):
+        with pytest.raises(DomainError, match="tolerance must be nonnegative"):
+            geo.no_vanishing_cycle(theta, coords, tol)
+
+
+# -- the quad-slot reader against the sigma definition ------------------------------
+
+def sigma_slots(g, h):
+    """Edges (a, b, c, d) at sigma(h), sigma^2(h), sigma(h'), sigma^2(h'), h' = iota(h)."""
+    h2 = g.pairing(h)
+    return tuple(g.edge_of(s) for s in (g.sigma(h), g.sigma(g.sigma(h)),
+                                        g.sigma(h2), g.sigma(g.sigma(h2))))
+
+
+def reference_end_term(g, lam, h):
+    e = lam[g.edge_of(h)]
+    a = lam[g.edge_of(g.sigma(h))]
+    b = lam[g.edge_of(g.sigma(g.sigma(h)))]
+    return (a * a + b * b - e * e) / (a * b * e)
+
+
+def test_quad_slots_follow_sigma(generated_trivalent):
+    for g in generated_trivalent:
+        for h in range(g.n_half_edges):
+            assert geo.quad_slots(g, h) == sigma_slots(g, h)
+            assert g._step_table[h][3:] == sigma_slots(g, h)
+
+
+def test_simplicial_coords_match_end_term_reference(generated_trivalent):
+    rng = random.Random(57)
+    for g in generated_trivalent:
+        for _ in range(5):
+            lam = geo.lambda_assignment([10 ** rng.uniform(-4, 4) for _ in range(g.n_edges)])
+            want = tuple(reference_end_term(g, lam, h1) + reference_end_term(g, lam, h2)
+                         for h1, h2 in g.edge_halves)
+            assert geo.simplicial_coords(g, lam).values == want
+
+
 # -- inversion ----------------------------------------------------------------------
 
 def test_invert_symmetric_target(theta):

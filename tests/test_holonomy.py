@@ -490,3 +490,63 @@ def test_zeta_product_telescopes(trivalent_corpus):
             data = hol.one_left_turn_data(g, lam, p)
             y = [lam[e] for e in data.traversed_edges]
             assert data.zeta_product == pytest.approx(y[-1] / y[0], rel=1e-12)
+
+
+# -- the off-path slot and Whitehead invariance on generated graphs -------------------
+
+def third_slot(g, arrive, depart):
+    """The half-edge at a turn's vertex that the path neither arrives by nor departs by."""
+    return next(h for h in g.vertex_cycles[g.vertex_of(arrive)] if h not in (arrive, depart))
+
+
+def reference_telescoping_sides(g, lam, path):
+    coords = geo.simplicial_coords(g, lam)
+    sum_x = sum(coords[g.edge_of(s)] for s in path.steps)
+    sum_h = 0.0
+    n = len(path.steps)
+    for k in range(n):
+        arrive = g.pairing(path.steps[k])
+        depart = path.steps[(k + 1) % n]
+        third = third_slot(g, arrive, depart)
+        sum_h += lam[g.edge_of(third)] / (lam[g.edge_of(arrive)] * lam[g.edge_of(depart)])
+    return sum_x, 2.0 * sum_h
+
+
+def reference_one_left_turn_data(g, lam, path):
+    start = hol.path_turns(g, path).index(hol.LEFT)
+    steps = path.steps[start:] + path.steps[:start]
+    n = len(steps) - 1
+    y = [lam[g.edge_of(s)] for s in steps]
+    x = [lam[g.edge_of(third_slot(g, g.pairing(s), t))]
+         for s, t in zip(steps, steps[1:] + steps[:1])]
+    zetas = [math.sqrt((y[1] * y[n]) / (x[0] * x[-1]))]
+    zetas += [math.sqrt((y[k] * x[k - 2]) / (x[k - 1] * y[k - 2])) for k in range(2, n + 1)]
+    zetas.append(math.sqrt((x[-1] * x[n - 1]) / (y[0] * y[n - 1])))
+    return hol.OneLeftTurnData(tuple(zetas), math.prod(zetas), tuple(g.edge_of(s) for s in steps))
+
+
+def test_off_path_slot_matches_third_slot_search(generated_trivalent):
+    rng = random.Random(61)
+    for g in generated_trivalent:
+        walks = [closed_walk(g, rng) for _ in range(6)] + list(fgr.boundary_cycles(g))
+        one_left = one_left_turn_paths(g, max_len=6)[:6]
+        for _ in range(3):
+            lam = geo.lambda_assignment([10 ** rng.uniform(-2, 2) for _ in range(g.n_edges)])
+            for p in walks + one_left:
+                assert geo.telescoping_sides(g, lam, p) == reference_telescoping_sides(g, lam, p)
+            for p in one_left:
+                assert hol.one_left_turn_data(g, lam, p) == reference_one_left_turn_data(g, lam, p)
+
+
+def test_whitehead_trace_invariance_generated(generated_trivalent):
+    rng = random.Random(67)
+    for g in generated_trivalent:
+        flips = [e for e in range(g.n_edges)
+                 if g.vertex_of(g.halves(e)[0]) != g.vertex_of(g.halves(e)[1])][:3]
+        for e in flips:
+            lam = geo.lambda_assignment([rng.uniform(0.5, 2.0) for _ in range(g.n_edges)])
+            g2, lam2, mv = geo.whitehead_transport(g, lam, e)
+            for p in [closed_walk(g, rng) for _ in range(3)]:
+                moved = fgr.transport_path(g, mv, p)
+                before = hol.abs_trace_of_path(g, lam, p)
+                assert hol.abs_trace_of_path(g2, lam2, moved) == pytest.approx(before, rel=1e-9)
