@@ -22,7 +22,6 @@ the combinatorial layer under the lambda-length geometry.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -378,26 +377,18 @@ def is_efficient(g: Fatgraph, path: EdgePath) -> bool:
 def reduce_path(g: Fatgraph, path: EdgePath) -> EdgePath | None:
     """Cyclically cancel backtracks; None when the path cancels completely."""
     check_closed_path(g, path)
-    steps = list(path.steps)
-    changed = True
-    while changed and steps:
-        changed = False
-        # linear pass with a stack, then the cyclic seam
-        stack: list[int] = []
-        for s in steps:
-            if stack and s == g.pairing(stack[-1]):
-                stack.pop()
-                changed = True
-            else:
-                stack.append(s)
-        while len(stack) >= 2 and stack[0] == g.pairing(stack[-1]):
+    iota = g._iota
+    # one linear pass with a stack, then trim backtracks across the cyclic seam
+    stack: list[int] = []
+    for s in path.steps:
+        if stack and s == iota[stack[-1]]:
             stack.pop()
-            stack.pop(0)
-            changed = True
-        steps = stack
-    if not steps:
-        return None
-    return EdgePath(tuple(steps))
+        else:
+            stack.append(s)
+    i, j = 0, len(stack)
+    while j - i >= 2 and stack[i] == iota[stack[j - 1]]:
+        i, j = i + 1, j - 1
+    return EdgePath(tuple(stack[i:j])) if i < j else None
 
 
 def canonical_path(g: Fatgraph, path: EdgePath) -> EdgePath:
@@ -627,100 +618,47 @@ def weights_admissible(g: Fatgraph, mu: Mapping[int, int]) -> bool:
     return True
 
 
-def _polygon_arcs(sides: list[tuple[object, int]], fresh: Iterator[object],
-                  arcs: list, glues: list) -> None:
-    """Non-crossing arc family in a polygon with ``sides[i][1]`` strands per side.
-
-    Endpoints are (key, j) with j counted along the counter-clockwise
-    boundary walk.  Arcs are appended to ``arcs``; identifications between
-    the two sides of internal diagonals to ``glues``.
-    """
-    counts = [c for _, c in sides]
-    total = sum(counts)
-    k = len(sides)
-    if total == 0:
-        return
-    if k == 1:
-        raise DomainError("monogon with strands cannot be realized")
-    if k == 2:
-        (ka, ca), (kb, cb) = sides
-        if ca != cb:
-            raise DomainError("bigon with unequal strand counts")
-        arcs.extend((((ka, j), (kb, ca - 1 - j))) for j in range(ca))
-        return
-    if k == 3:
-        (k0, c0), (k1, c1), (k2, c2) = sides
-        if (c0 + c1 + c2) % 2:
-            raise DomainError("odd strand total in triangle")
-        m01 = (c0 + c1 - c2) // 2
-        m12 = (c1 + c2 - c0) // 2
-        m20 = (c2 + c0 - c1) // 2
-        if min(m01, m12, m20) < 0:
-            raise DomainError("triangle inequality fails for strand counts")
-        for (ka, ca, kb, m) in ((k0, c0, k1, m01), (k1, c1, k2, m12), (k2, c2, k0, m20)):
-            for r in range(m):
-                arcs.append(((ka, ca - m + r), (kb, m - 1 - r)))
-        return
-    # split off the consecutive pair with the least strand total
-    best = min(range(k), key=lambda i: (counts[i] + counts[(i + 1) % k], i))
-    j = (best + 1) % k
-    d = counts[best] + counts[j]
-    d_tri = next(fresh)
-    d_poly = next(fresh)
-    _polygon_arcs([sides[best], sides[j], (d_tri, d)], fresh, arcs, glues)
-    rest = [(d_poly, d)]
-    i = (j + 1) % k
-    while i != best:
-        rest.append(sides[i])
-        i = (i + 1) % k
-    _polygon_arcs(rest, fresh, arcs, glues)
-    glues.extend(((d_tri, r), (d_poly, d - 1 - r)) for r in range(d))
-
-
 def weights_to_multicurve(g: Fatgraph, mu: Mapping[int, int]) -> list[EdgePath]:
     """Closed efficient paths whose per-edge traversal counts realize ``mu``.
 
-    Strands are laid out vertex by vertex as non-crossing chord diagrams in
-    the dual polygons (bigons and triangles directly, larger polygons by
-    splitting off a least consecutive pair), then glued across edge bands.
+    Strand j of half-edge h is the slot (h, j), counted counter-clockwise
+    around h's vertex.  At each vertex, while free slots remain, the last
+    free slot of a side with the most free slots is joined to the first free
+    slot of the next nonempty side.  The two slots are adjacent among the
+    free ones, so no arcs cross, and they lie on different sides, so no path
+    backtracks.  Every join keeps the free counts admissible (even total, no
+    side over half), so a side with free slots always has a neighbour.
+    Across edge e, slot (h, r) continues as (iota(h), mu_e - 1 - r).
     """
     if not weights_admissible(g, mu):
         raise DomainError("weights not admissible")
     vals = [int(mu.get(e, 0)) for e in range(g.n_edges)]
-    if sum(vals) == 0:
-        return []
-
-    fresh = (("diag", n) for n in itertools.count())
-    arcs: list = []
-    glues: list = []
+    edge_of = g._edge_of
+    joined: dict[tuple[int, int], tuple[int, int]] = {}
     for cyc in g.vertex_cycles:
-        sides = [(h, vals[g.edge_of(h)]) for h in cyc]
-        _polygon_arcs(sides, fresh, arcs, glues)
-    for e, (a, b) in enumerate(g.edge_halves):
-        glues.extend((((a, r), (b, vals[e] - 1 - r))) for r in range(vals[e]))
+        # [h, lo, hi]: the free slots (h, lo) .. (h, hi - 1), sides counter-clockwise
+        free = [[h, 0, vals[edge_of[h]]] for h in cyc if vals[edge_of[h]]]
+        while free:
+            i = max(range(len(free)), key=lambda k: free[k][2] - free[k][1])
+            x, y = free[i], free[(i + 1) % len(free)]
+            x[2] -= 1
+            joined[x[0], x[2]], joined[y[0], y[1]] = (y[0], y[1]), (x[0], x[2])
+            y[1] += 1
+            free = [side for side in free if side[1] < side[2]]
 
-    arc_of: dict = {}
-    for p, q in arcs:
-        arc_of[p], arc_of[q] = q, p
-    glue_of: dict = {}
-    for p, q in glues:
-        glue_of[p], glue_of[q] = q, p
-
-    visited = set()
+    seen: set[tuple[int, int]] = set()
     curves: list[EdgePath] = []
-    for start in sorted(glue_of, key=str):
-        if start in visited or not isinstance(start[0], int):
+    for start in sorted(joined):
+        if start in seen:
             continue
         steps: list[int] = []
-        node = start
-        while node not in visited:
-            visited.add(node)
-            if isinstance(node[0], int):
-                # crossing an edge band, departing through this half-edge slot
-                steps.append(node[0])
-            other = glue_of[node]
-            visited.add(other)
-            node = arc_of[other]
+        h, j = start
+        while (h, j) not in seen:
+            # depart through slot (h, j), arrive in the paired slot, follow its join
+            steps.append(h)
+            arrival = (g._iota[h], vals[edge_of[h]] - 1 - j)
+            seen.update(((h, j), arrival))
+            h, j = joined[arrival]
         curves.append(EdgePath(tuple(steps)))
     for p in curves:
         check_closed_path(g, p)

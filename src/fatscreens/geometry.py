@@ -165,6 +165,8 @@ def simplicial_coords(g: Fatgraph, lam: LambdaAssignment) -> SimplicialCoords:
     """Per-edge coordinates: the term of the first half's end plus the second's."""
     _require_trivalent(g)
     w = lam.values
+    if len(w) != g.n_edges:
+        raise DomainError("one weight per edge required")
     vals = []
     for e, (h, _) in enumerate(g.edge_halves):
         x = w[e]
@@ -268,8 +270,8 @@ def invert_coords(g: Fatgraph, target: SimplicialCoords, tol: float = 1e-10,
     vanishing cycle; ``initial`` weights, if given, need one per edge.
     """
     _require_trivalent(g)
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:       # NaN fails this too
+        raise DomainError(f"tolerance must be positive and finite, got {tol}")
     if len(target) != g.n_edges:
         raise DomainError("one target coordinate per edge required")
     if min(target.values) < 0:

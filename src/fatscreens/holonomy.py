@@ -123,6 +123,8 @@ def _product(g: Fatgraph, path: EdgePath, w: Sequence, sqrt,
     """
     if not g.is_trivalent():
         raise DomainError("holonomy needs a trivalent graph")
+    if len(w) != g.n_edges:
+        raise DomainError("one weight per edge required")
     steps = path.steps
     _check_steps(g, steps)
     rows = g._step_table

@@ -56,6 +56,14 @@ def generated_trivalent(barbell):
 
 
 @pytest.fixture(scope="session")
+def generated_fatgraphs():
+    """Seeded random fatgraphs of 1 to 12 edges, twice each: any valence,
+    with loops and parallel edges."""
+    rng = random.Random(59)
+    return [random_fatgraph(n, rng) for n in range(1, 13) for _ in range(2)]
+
+
+@pytest.fixture(scope="session")
 def screen_corpus(theta, mercedes, genus2):
     """The graphs whose screens are enumerated exhaustively."""
     return {"theta": theta, "mercedes": mercedes, "genus2": genus2}

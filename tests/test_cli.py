@@ -201,6 +201,27 @@ def test_nan_tolerance_and_schedule_are_domain_errors(tmp_path, capsys):
         assert captured.err == "error: schedule values must be finite and >= 1\n"
 
 
+def test_infinite_invert_tolerance_is_domain_error(tmp_path, capsys):
+    # inf used to pass the check and print the initial weights 1, 1, 1
+    coords = tmp_path / "x.csv"
+    coords.write_text("edge,value\ne0,1\ne1,2\ne2,5\n")
+    code = cli.main(["invert", THETA, "--coords", str(coords), "--tol", "inf"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: tolerance must be positive and finite, got inf\n"
+
+
+def test_reused_parser_keeps_defaults(tmp_path, capsys):
+    # main parses every call with one parser; an option given once must not stick
+    p = tmp_path / "p.csv"
+    p.write_text("edge,exponent\ne0,1\ne1,1\ne2,0\n")
+    _, fresh = run(capsys, "sweep", THETA, "--exponents", str(p))
+    _, chosen = run(capsys, "sweep", THETA, "--exponents", str(p), "--t", "10")
+    _, again = run(capsys, "sweep", THETA, "--exponents", str(p))
+    assert again == fresh != chosen
+    assert cli._parser() is cli._parser()
+
+
 def test_oversized_exact_trace_is_domain_error(tmp_path, capsys):
     # a genus-2 screen with levels 1/(d+2) and 2/d at d = 10**9: the packed
     # exact trace would need 10**10 bits; the coordinates' leading terms do not

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 
@@ -31,6 +32,11 @@ def test_parse_theta_roundtrip():
     assert g.n_vertices == 2 and g.n_edges == 3
     assert g.edge_labels == ("e0", "e1", "e2")
     assert fgr.parse_fatgraph(fgr.fatgraph_to_text(g)) == g
+
+
+def test_parse_roundtrip_generated(generated_trivalent, generated_fatgraphs):
+    for g in generated_trivalent + generated_fatgraphs:
+        assert fgr.parse_fatgraph(fgr.fatgraph_to_text(g)) == g
 
 
 def test_parse_fixed_point_rejected():
@@ -253,6 +259,53 @@ def test_recurrent_iff_doubled_indicator_admissible():
         assert fgr.is_recurrent(g, sub) == fgr.weights_admissible(g, mu)
 
 
+def _admissible_weights(g: fgr.Fatgraph, rng: random.Random) -> dict[int, int]:
+    """Traversal counts of witness cycles in random recurrent subsets.
+
+    An efficient closed path enters and leaves a vertex through two
+    different slots, so its counts are admissible, and so are their sums.
+    """
+    mu = dict.fromkeys(range(g.n_edges), 0)
+    for _ in range(3):
+        core = fgr.maximal_recurrent_subset(
+            g, [e for e in range(g.n_edges) if rng.random() < 0.8])
+        if not core:
+            continue
+        for path in fgr.recurrent_witness_cycles(g, core).values():
+            times = rng.choice((0, 0, 1, 2))
+            for h in path.steps:
+                mu[g.edge_of(h)] += times
+    return mu
+
+
+def test_multicurve_realizes_weights_generated(generated_trivalent, generated_fatgraphs):
+    rng = random.Random(11)
+    for g in generated_trivalent + generated_fatgraphs:
+        for _ in range(6):
+            mu = _admissible_weights(g, rng)
+            assert fgr.weights_admissible(g, mu)
+            curves = fgr.weights_to_multicurve(g, mu)
+            counts = Counter(g.edge_of(s) for p in curves for s in p.steps)
+            assert {e: counts.get(e, 0) for e in range(g.n_edges)} == mu
+            for p in curves:
+                fgr.check_closed_path(g, p)
+                assert fgr.is_efficient(g, p)
+
+
+def test_multicurve_digest_trivalent(generated_trivalent):
+    # a trivalent vertex has one non-crossing matching without same-side arcs,
+    # so the curves are fixed by the weights; this digest was taken from the
+    # earlier polygon-splitting construction
+    rng = random.Random(13)
+    digest = hashlib.sha256()
+    for g in generated_trivalent:
+        for _ in range(8):
+            curves = fgr.weights_to_multicurve(g, _admissible_weights(g, rng))
+            digest.update(repr(sorted(fgr.canonical_path(g, p).steps for p in curves)).encode())
+    assert digest.hexdigest() == (
+        "1b378965ebc76249ac33006eb818e72f69f779e69ddd5c0d282456e147703dbf")
+
+
 # -- path reduction and parallelism ------------------------------------------------
 
 def test_reduce_path(theta, barbell):
@@ -278,6 +331,68 @@ def test_reduce_idempotent_random(trivalent_corpus):
             assert fgr.reduce_path(g, red) == red
             canon = fgr.canonical_path(g, red)
             assert fgr.canonical_path(g, canon) == canon
+
+
+def _random_closed_path(g: fgr.Fatgraph, rng: random.Random) -> fgr.EdgePath:
+    """A random closed walk, backtracks allowed, conjugated up to three times
+    and rotated so that backtracks also meet across the cyclic seam."""
+    while True:
+        v0 = v = rng.randrange(g.n_vertices)
+        steps: list[int] = []
+        while len(steps) < 30 and (not steps or v != v0 or rng.random() < 0.5):
+            steps.append(rng.choice(g.vertex_cycles[v]))
+            v = g.step_head(steps[-1])
+        if v == v0:
+            break
+    for _ in range(rng.randint(0, 3)):
+        out = rng.choice(g.vertex_cycles[v0])
+        steps = [g.pairing(out), *steps, out]
+        v0 = g.step_head(out)
+    r = rng.randrange(len(steps))
+    return fgr.EdgePath(tuple(steps[r:] + steps[:r]))
+
+
+def _reduce_reference(g: fgr.Fatgraph, path: fgr.EdgePath) -> fgr.EdgePath | None:
+    """The earlier reduce_path loop: stack passes and seam trims until nothing changes."""
+    steps = list(path.steps)
+    changed = True
+    while changed and steps:
+        changed = False
+        stack: list[int] = []
+        for s in steps:
+            if stack and s == g.pairing(stack[-1]):
+                stack.pop()
+                changed = True
+            else:
+                stack.append(s)
+        while len(stack) >= 2 and stack[0] == g.pairing(stack[-1]):
+            stack.pop()
+            stack.pop(0)
+            changed = True
+        steps = stack
+    return fgr.EdgePath(tuple(steps)) if steps else None
+
+
+def test_reduce_and_canonical_generated(generated_trivalent, generated_fatgraphs):
+    rng = random.Random(23)
+    cancelled = 0
+    for g in generated_trivalent + generated_fatgraphs:
+        for _ in range(60):
+            path = _random_closed_path(g, rng)
+            red = fgr.reduce_path(g, path)
+            assert red == _reduce_reference(g, path)
+            if red is None:
+                cancelled += 1
+                continue
+            assert fgr.is_efficient(g, red)
+            assert fgr.reduce_path(g, red) == red
+            canon = fgr.canonical_path(g, red)
+            assert fgr.canonical_path(g, canon) == canon
+            r = rng.randrange(len(red))
+            assert fgr.canonical_path(g, fgr.EdgePath(red.steps[r:] + red.steps[:r])) == canon
+            rev = fgr.EdgePath(tuple(g.pairing(s) for s in reversed(red.steps)))
+            assert fgr.canonical_path(g, rev) == canon
+    assert cancelled      # some walks cancel completely
 
 
 def test_boundary_parallel(theta):

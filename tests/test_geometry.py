@@ -216,6 +216,9 @@ def test_invert_rejects_bad_targets(theta):
     for tol in (0.0, -1.0, math.nan):
         with pytest.raises(DomainError, match="tolerance"):
             geo.invert_coords(theta, geo.simplicial([2, 2, 2]), tol=tol)
+    # an infinite tolerance used to return the initial weights 1, 1, 1 unchanged
+    with pytest.raises(DomainError, match="tolerance must be positive and finite"):
+        geo.invert_coords(theta, geo.simplicial([1, 2, 5]), tol=math.inf)
 
 
 def test_invert_boundary_target(theta):

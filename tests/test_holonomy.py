@@ -214,6 +214,19 @@ def test_kernel_error_parity(fault, entry):
         assert str(err.value) == message
 
 
+def test_weight_count_is_checked(theta):
+    # two weights used to raise IndexError; a fourth used to be ignored
+    path = fgr.EdgePath((0, 4))
+    for values in ([1, 1], [1, 1, 1, 1]):
+        lam = geo.lambda_assignment(values)
+        for entry in (geo.simplicial_coords, geo.in_cell):
+            with pytest.raises(DomainError, match="one weight per edge"):
+                entry(theta, lam)
+        for entry in (hol.holonomy, hol.abs_trace_of_path, hol.trace_gap_of_path):
+            with pytest.raises(DomainError, match="one weight per edge"):
+                entry(theta, lam, path)
+
+
 def test_determinant_one(trivalent_corpus):
     rng = random.Random(12)
     for g in trivalent_corpus.values():
