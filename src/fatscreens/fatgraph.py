@@ -180,16 +180,14 @@ class Fatgraph:
 
 
 def _connected(sigma: Sequence[int], iota: Sequence[int]) -> bool:
-    n = len(sigma)
-    seen = {0}
-    stack = [0]
+    seen, stack = {0}, [0]
     while stack:
         h = stack.pop()
         for nb in (sigma[h], iota[h]):
             if nb not in seen:
                 seen.add(nb)
                 stack.append(nb)
-    return len(seen) == n
+    return len(seen) == len(sigma)
 
 
 # ---------------------------------------------------------------------------

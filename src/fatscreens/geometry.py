@@ -17,7 +17,7 @@ reads its slots from ``Fatgraph._quad``, their one reader.  In this notation:
 
 Nonnegative simplicial coordinates whose zero set contains no cycle cut
 out the cell of weights compatible with the graph; inverting the
-coordinate map is done by damped Newton iteration in log weights.
+coordinate map is done by damped inexact Newton iteration in log weights.
 
 In log weights u the coordinates are X = -grad F, where F is the sum of
 the h-lengths of all sectors: the term of an edge end is minus the
@@ -25,14 +25,15 @@ derivative of its vertex's three sectors in that end's slot (a central
 difference agrees to 4e-10 on barbell, genus2 and mercedes).  Each sector
 term is the exp of a linear form in u, and at each vertex these forms span
 its slots, so the Jacobian of X is symmetric negative definite and the
-Newton system is nonsingular in exact arithmetic.  The system is assembled
-from per-end index tables, one ``bincount`` for the coordinates and one
-for the matrix.
+Newton system is nonsingular in exact arithmetic.  It is solved by conjugate
+gradients on the Jacobian's 6n cell values, kept on per-end index tables, so
+no n x n array is formed; one ``bincount`` sums the coordinates.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -51,8 +52,16 @@ if np is None:
     _spec.loader.exec_module(np)
 
 
+class _PerEdge:
+    def __getitem__(self, e: int) -> float:
+        return self.values[e]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
 @dataclass(frozen=True)
-class LambdaAssignment:
+class LambdaAssignment(_PerEdge):
     """Strictly positive weight per edge, indexed by edge id."""
 
     values: tuple[float, ...]
@@ -65,15 +74,9 @@ class LambdaAssignment:
         object.__setattr__(self, "extremes", (min(self.values, default=1.0),
                                               max(self.values, default=1.0)))
 
-    def __getitem__(self, e: int) -> float:
-        return self.values[e]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True)
-class SimplicialCoords:
+class SimplicialCoords(_PerEdge):
     """Per-edge simplicial coordinate values, indexed by edge id."""
 
     values: tuple[float, ...]
@@ -81,12 +84,6 @@ class SimplicialCoords:
     def __post_init__(self):
         if any(not math.isfinite(v) for v in self.values):
             raise DomainError("simplicial coordinates must be finite")
-
-    def __getitem__(self, e: int) -> float:
-        return self.values[e]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def lambda_assignment(values: Iterable[float]) -> LambdaAssignment:
@@ -108,6 +105,11 @@ class Sector:
 def _require_trivalent(g: Fatgraph) -> None:
     if not g.is_trivalent():
         raise DomainError("operation requires a trivalent graph")
+
+
+def _one_weight_per_edge(g: Fatgraph, weights: Sequence) -> None:
+    if len(weights) != g.n_edges:
+        raise DomainError("one weight per edge required")
 
 
 def quad_slots(g: Fatgraph, step: int) -> tuple[int, int, int, int]:
@@ -132,6 +134,7 @@ def _off_path_edge(g: Fatgraph, step: int, depart: int) -> int:
 def whitehead_transport(g: Fatgraph, lam: LambdaAssignment, e: int
                         ) -> tuple[Fatgraph, LambdaAssignment, WhiteheadMove]:
     """Flip an edge and exchange its weight by the Ptolemy rule."""
+    _one_weight_per_edge(g, lam)
     move = whitehead_move(g, e)
     a, b, c, d = (g.edge_of(h) for h in move.neighbor_slots)
     new = list(lam.values)
@@ -146,12 +149,14 @@ def cross_ratio(g: Fatgraph, lam: LambdaAssignment, step: int) -> float:
     pattern seen along a curve comes from the two ends of consecutive
     edges exchanging roles.
     """
+    _one_weight_per_edge(g, lam)
     a, b, c, d = quad_slots(g, step)
     return (lam[b] * lam[d]) / (lam[a] * lam[c])
 
 
 def h_length(g: Fatgraph, lam: LambdaAssignment, sector: Sector) -> float:
     """Horocyclic length across a sector: opposite over product of adjacent."""
+    _one_weight_per_edge(g, lam)
     x, y = sector.first, sector.second
     if g.vertex_of(x) != g.vertex_of(y) or g.sigma(x) != y:
         raise DomainError("sector must be two consecutive half-edges")
@@ -164,9 +169,8 @@ def h_length(g: Fatgraph, lam: LambdaAssignment, sector: Sector) -> float:
 def simplicial_coords(g: Fatgraph, lam: LambdaAssignment) -> SimplicialCoords:
     """Per-edge coordinates: the term of the first half's end plus the second's."""
     _require_trivalent(g)
+    _one_weight_per_edge(g, lam)
     w = lam.values
-    if len(w) != g.n_edges:
-        raise DomainError("one weight per edge required")
     vals = []
     for e, (h, _) in enumerate(g.edge_halves):
         x = w[e]
@@ -179,6 +183,7 @@ def triangle_inequalities_hold(g: Fatgraph, lam: LambdaAssignment
                                ) -> tuple[bool, int | None]:
     """Strict triangle inequalities for the three slot values at each vertex."""
     _require_trivalent(g)
+    _one_weight_per_edge(g, lam)
     for v, cyc in enumerate(g.vertex_cycles):
         x, y, z = (lam[g.edge_of(h)] for h in cyc)
         if x >= y + z or y >= z + x or z >= x + y:
@@ -227,47 +232,67 @@ def in_cell(g: Fatgraph, lam: LambdaAssignment) -> bool:
 # Coordinate inversion
 # ---------------------------------------------------------------------------
 
-def _end_tables(g: Fatgraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge ids (e, a, b) per edge end in ``g.halves`` order: the end's own edge
-    and the next two slots counter-clockwise at its vertex, so quad slots (a, b)
-    of the first half, then (c, d)."""
-    quads = [g._quad(h) for h, _ in g.edge_halves]
-    return (np.arange(2 * g.n_edges) // 2,
-            np.array([quad[i] for quad in quads for i in (0, 2)]),
-            np.array([quad[i] for quad in quads for i in (1, 3)]))
+def _end_tables(g: Fatgraph) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobian cells (rows, cols): (e, a), (e, b), (e, e) per end of edge e in
+    ``g.halves`` order, with a, b the end's quad slots (a, b, then c, d)."""
+    cols = [x for e, (h, _) in enumerate(g.edge_halves)
+            for a, b, c, d in [g._quad(h)] for x in (a, b, e, c, d, e)]
+    return np.arange(6 * g.n_edges) // 6, np.array(cols)
 
 
-def _coords_and_jacobian(ends: tuple[np.ndarray, np.ndarray, np.ndarray],
-                         lam_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Simplicial coordinates and their Jacobian in log-lambda variables.
-
-    Each end adds its term to its edge's coordinate and three cells (e, a),
-    (e, b), (e, e) to its edge's row; ``bincount`` sums them in end order, so
-    every entry is summed in the same order for any graph.
-    """
-    e, a, b = ends
-    n = len(lam_vals)
-    le, la, lb = lam_vals[e], lam_vals[a], lam_vals[b]
+def _coords_and_jacobian(cells: tuple, lam_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Simplicial coordinates and the Jacobian's values on ``cells`` in
+    log-lambda variables; ``bincount`` sums each coordinate in end order, so
+    in the same order for any graph."""
+    rows, cols = cells
+    la, lb, le = (lam_vals[cols[i::3]] for i in range(3))
     t1 = la / (lb * le)
     t2 = lb / (la * le)
     t3 = le / (la * lb)
-    coords = np.bincount(e, t1 + t2 - t3, minlength=n)
-    row = e * n
-    cells = np.column_stack((row + a, row + b, row + e)).ravel()
-    terms = np.column_stack((t1 - t2 + t3, -t1 + t2 + t3, -t1 - t2 - t3)).ravel()
-    return coords, np.bincount(cells, terms, minlength=n * n).reshape(n, n)
+    coords = np.bincount(rows[::3], t1 + t2 - t3, minlength=len(lam_vals))
+    return coords, np.column_stack((t1 - t2 + t3, -t1 + t2 + t3, -t1 - t2 - t3)).ravel()
+
+
+def _jacobian_times(cells: tuple, vals: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """J p: each row sums its six cells in end order."""
+    rows, cols = cells
+    return np.bincount(rows, vals * p[cols], minlength=len(p))
+
+
+def _newton_step(cells: tuple, vals: np.ndarray, resid: np.ndarray, forcing: float) -> np.ndarray:
+    """Step s with |J s - resid| <= forcing |resid|: conjugate gradients on -J,
+    preconditioned by its diagonal.  alpha is at most 1 / lambda_min of J scaled
+    to unit diagonal; where p.Jp is not negative, or alpha passes 1 / epsilon (J
+    singular to working precision along p), the iteration stops at its current
+    iterate, or at the preconditioned residual if it has none."""
+    rows, cols = cells
+    diag = np.bincount(rows, vals * (rows == cols), minlength=len(resid))
+    step, rest, p = np.zeros_like(resid), resid, resid / diag
+    rz, stop = resid.dot(p), forcing * forcing * resid.dot(resid)
+    for _ in range(len(resid)):
+        q = _jacobian_times(cells, vals, p)
+        alpha = rz / p.dot(q)
+        if not 0 < alpha < 1 / sys.float_info.epsilon:
+            break
+        step, rest = step + alpha * p, rest - alpha * q
+        if rest.dot(rest) <= stop:
+            break
+        z = rest / diag
+        rz, rz_old = rest.dot(z), rz
+        p = z + (rz / rz_old) * p
+    return step if step.any() else resid / diag
 
 
 def invert_coords(g: Fatgraph, target: SimplicialCoords, tol: float = 1e-10,
                   initial: LambdaAssignment | None = None) -> LambdaAssignment:
     """Positive weights whose simplicial coordinates match the target.
 
-    Damped Newton iteration on log weights with the analytic Jacobian;
-    positivity is automatic in the log parametrization.  The Jacobian is
-    minus the Hessian of the sector h-length sum, so it is symmetric
-    negative definite and ``solve`` falls back to least squares only where
-    rounding makes it singular.  The target must be nonnegative with no
-    vanishing cycle; ``initial`` weights, if given, need one per edge.
+    Damped inexact Newton iteration on log weights, where positivity is
+    automatic.  ``_newton_step`` solves each Newton system from the
+    Jacobian's 6n cell values to the relative residual min(0.1, sqrt(err)),
+    err the largest coordinate residual.  The target must be nonnegative with
+    no vanishing cycle; ``initial`` weights, if given, need one per edge and
+    finite coordinates.
     """
     _require_trivalent(g)
     if not 0 < tol < math.inf:       # NaN fails this too
@@ -281,39 +306,35 @@ def invert_coords(g: Fatgraph, target: SimplicialCoords, tol: float = 1e-10,
     if initial is not None and len(initial) != g.n_edges:
         raise DomainError("one initial weight per edge required")
     x = np.asarray(target.values, dtype=float)
-    ends = _end_tables(g)
-    if initial is None:
-        u = np.zeros(g.n_edges)
-    else:
-        u = np.log(np.asarray(initial.values, dtype=float))
-    coords, jac = _coords_and_jacobian(ends, np.exp(u))
-    resid = coords - x
-    err = np.max(np.abs(resid))
-    for _ in range(200):
-        if err <= tol:
-            return LambdaAssignment(tuple(float(v) for v in np.exp(u)))
-        try:
-            step = np.linalg.solve(jac, resid)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(jac, resid, rcond=None)
-        scale = 1.0
-        for _ in range(60):
-            u_try = u - scale * step
-            coords_try, jac_try = _coords_and_jacobian(ends, np.exp(u_try))
-            err_try = np.max(np.abs(coords_try - x))
-            if err_try < err:
-                u, coords, jac, resid = u_try, coords_try, jac_try, coords_try - x
-                err = err_try
+    cells = _end_tables(g)
+    u = np.zeros(g.n_edges) if initial is None else np.log(initial.values)
+    # a trial point may overflow; the line search rejects it without a warning
+    with np.errstate(all="ignore"):
+        coords, vals = _coords_and_jacobian(cells, np.exp(u))
+        if not np.isfinite(coords).all():
+            raise DomainError("initial weights give non-finite coordinates")
+        resid = coords - x
+        err = np.max(np.abs(resid))
+        for _ in range(200):
+            if err <= tol:
                 break
-            scale *= 0.5
-        else:
-            raise NonConvergenceError(
-                f"inversion stalled at residual {err:.3e} (tol {tol:.1e})")
-    if err <= tol:
-        return LambdaAssignment(tuple(float(v) for v in np.exp(u)))
-    raise NonConvergenceError(
-        f"inversion did not reach tolerance {tol:.1e} in 200 iterations "
-        f"(residual {err:.3e})")
+            step = _newton_step(cells, vals, resid, min(0.1, math.sqrt(err)))
+            for halvings in range(60):
+                u_try = u - 0.5 ** halvings * step
+                coords_try, vals_try = _coords_and_jacobian(cells, np.exp(u_try))
+                resid_try = coords_try - x
+                err_try = np.max(np.abs(resid_try))
+                if err_try < err:
+                    u, vals, resid, err = u_try, vals_try, resid_try, err_try
+                    break
+            else:
+                raise NonConvergenceError(
+                    f"inversion stalled at residual {err:.3e} (tol {tol:.1e})")
+    if err > tol:
+        raise NonConvergenceError(
+            f"inversion did not reach tolerance {tol:.1e} in 200 iterations "
+            f"(residual {err:.3e})")
+    return LambdaAssignment(tuple(float(v) for v in np.exp(u)))
 
 
 # ---------------------------------------------------------------------------
@@ -564,13 +585,7 @@ def refine_to_trivalent(g: Fatgraph, lam: LambdaAssignment) -> Refinement:
         vals = [lam[g.edge_of(h)] for h in cyc]
         poly = cyclic_polygon(vals)
         # corner j sits between sides j-1 and j; cumulative angle from corner 0
-        cum = [0.0]
-        for ang in poly.central_angles[:-1]:
-            cum.append(cum[-1] + ang)
-
-        def diag(j: int) -> float:
-            return 2.0 * poly.circumradius * math.sin(0.5 * cum[j])
-
+        cum = list(itertools.accumulate(poly.central_angles[:-1], initial=0.0))
         diag_ids = {}
         for j in range(2, k - 1):
             ha, hb = next_half, next_half + 1
@@ -581,7 +596,7 @@ def refine_to_trivalent(g: Fatgraph, lam: LambdaAssignment) -> Refinement:
             while lab in labels:
                 lab = "_" + lab
             labels.append(lab)
-            values.append(diag(j))
+            values.append(2.0 * poly.circumradius * math.sin(0.5 * cum[j]))
             diag_ids[j] = (eid, ha, hb)
             new_ids.append(eid)
         first = diag_ids[2]

@@ -39,7 +39,7 @@ import mpmath
 
 from .errors import DomainError
 from .fatgraph import EdgePath, Fatgraph, _check_joins, _check_steps
-from .geometry import LambdaAssignment, _off_path_edge, quad_slots
+from .geometry import LambdaAssignment, _off_path_edge, _one_weight_per_edge, quad_slots
 
 LEFT = "L"
 RIGHT = "R"
@@ -106,12 +106,8 @@ def edge_matrix(g: Fatgraph, lam: LambdaAssignment, step: int) -> Mat2:
 
 def path_turns(g: Fatgraph, path: EdgePath) -> tuple[str, ...]:
     """Turn before each step (from the previous step's arrival), cyclically."""
-    n = len(path.steps)
-    turns = []
-    for k in range(n):
-        incoming = g.pairing(path.steps[k - 1])
-        turns.append(turn_direction(g, incoming, path.steps[k]))
-    return tuple(turns)
+    steps = path.steps
+    return tuple(turn_direction(g, g.pairing(steps[k - 1]), steps[k]) for k in range(len(steps)))
 
 
 def _product(g: Fatgraph, path: EdgePath, w: Sequence, sqrt,
@@ -123,8 +119,7 @@ def _product(g: Fatgraph, path: EdgePath, w: Sequence, sqrt,
     """
     if not g.is_trivalent():
         raise DomainError("holonomy needs a trivalent graph")
-    if len(w) != g.n_edges:
-        raise DomainError("one weight per edge required")
+    _one_weight_per_edge(g, w)
     steps = path.steps
     _check_steps(g, steps)
     rows = g._step_table
@@ -284,8 +279,7 @@ def one_left_turn_trace(zetas: Sequence[float]) -> float:
         raise DomainError("factors must be positive")
     n = len(zs) - 1
     prod_all = math.prod(zs)
-    acc = 0.0
-    term = 1.0
+    acc, term = 0.0, 1.0
     for k in range(1, n + 1):
         if k >= 2:
             term /= zs[k - 1] ** 2
@@ -330,13 +324,8 @@ def one_left_turn_data(g: Fatgraph, lam: LambdaAssignment, path: EdgePath
     # x_k sits at the turn between step k and step k+1 (x_0 at the wrap)
     x = [lam[_off_path_edge(g, s, depart)] for s, depart in zip(steps, steps[1:] + steps[:1])]
     x0 = x[-1]
-    zetas = []
-    z1_sq = (y[1] * y[n1 - 1]) / (x[0] * x0)
-    zetas.append(math.sqrt(z1_sq))
-    for k in range(2, n + 1):
-        zk_sq = (y[k] * x[k - 2]) / (x[k - 1] * y[k - 2])
-        zetas.append(math.sqrt(zk_sq))
-    zlast_sq = (x0 * x[n - 1]) / (y[0] * y[n - 1])
-    zetas.append(math.sqrt(zlast_sq))
+    zetas = [math.sqrt((y[1] * y[n1 - 1]) / (x[0] * x0))]
+    zetas += [math.sqrt((y[k] * x[k - 2]) / (x[k - 1] * y[k - 2])) for k in range(2, n + 1)]
+    zetas.append(math.sqrt((x0 * x[n - 1]) / (y[0] * y[n - 1])))
     return OneLeftTurnData(tuple(zetas), math.prod(zetas),
                            tuple(g.edge_of(s) for s in steps))

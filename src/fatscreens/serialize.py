@@ -98,11 +98,15 @@ def write_exponents_csv(g: Fatgraph, fam: MonomialFamily) -> str:
 
 # -- screens ----------------------------------------------------------------
 
-def read_screen_json(g: Fatgraph, text: str) -> Screen:
+def _load_json(text: str):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad JSON: {exc}") from None
+
+
+def read_screen_json(g: Fatgraph, text: str) -> Screen:
+    data = _load_json(text)
     if not isinstance(data, dict) or "family" not in data:
         raise FormatError('expected an object with a "family" key')
     if not isinstance(data["family"], list):
@@ -159,10 +163,7 @@ def write_curves_json(g: Fatgraph, curves: CurveSystem) -> str:
 
 
 def read_curves_json(g: Fatgraph, text: str) -> CurveSystem:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad JSON: {exc}") from None
+    data = _load_json(text)
     if not isinstance(data, list):
         raise FormatError("expected an array of curves")
     paths = []
@@ -187,10 +188,7 @@ def write_subset_json(g: Fatgraph, subset: Iterable[int]) -> str:
 
 
 def read_subset_json(g: Fatgraph, text: str) -> frozenset:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"bad JSON: {exc}") from None
+    data = _load_json(text)
     if not isinstance(data, list):
         raise FormatError("expected an array of edge labels")
     return frozenset(g.edge_by_label(str(lab)) for lab in data)

@@ -7,6 +7,8 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +223,31 @@ def test_invert_rejects_bad_targets(theta):
         geo.invert_coords(theta, geo.simplicial([1, 2, 5]), tol=math.inf)
 
 
+def test_invert_start_outside_double_range(theta):
+    target = geo.simplicial([1, 2, 5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # used to emit six RuntimeWarnings, then "inversion stalled at residual nan"
+        with pytest.raises(DomainError, match="initial weights give non-finite coordinates"):
+            geo.invert_coords(theta, target, initial=geo.lambda_assignment([1e-200] * 3))
+        # from here some trial points overflow; the line search rejects them silently
+        lam = geo.invert_coords(theta, target, tol=1e-12,
+                                initial=geo.lambda_assignment([1e-8, 1, 1]))
+    got = geo.simplicial_coords(theta, lam)
+    assert got.values == pytest.approx(target.values, abs=1e-11)
+
+
+def test_invert_where_jacobian_is_singular_to_working_precision(theta):
+    # at these starts J is singular to working precision (its eigenvalues span 30
+    # and more orders of magnitude), so p.Jp can fall to rounding noise
+    target = geo.simplicial([1, 2, 5])
+    for initial in ([1e-20, 1e20, 1], [1e-30, 1, 1e30]):
+        lam = geo.invert_coords(theta, target, tol=1e-12,
+                                initial=geo.lambda_assignment(initial))
+        got = geo.simplicial_coords(theta, lam)
+        assert got.values == pytest.approx(target.values, abs=1e-11)
+
+
 def test_invert_boundary_target(theta):
     # a single zero coordinate sits on the cell boundary and still inverts
     target = geo.simplicial([0.0, 2.0, 2.0])
@@ -274,15 +301,23 @@ def newton_graphs(trivalent_corpus):
     return graphs
 
 
+def dense_jacobian(cells, vals):
+    """The n x n matrix of the Jacobian's cell values, repeated cells summed in order."""
+    rows, cols = cells
+    n = int(rows[-1]) + 1
+    return np.bincount(rows * n + cols, vals, minlength=n * n).reshape(n, n)
+
+
 def test_newton_system_matches_loop_reference(newton_graphs):
     # many draws on the small graphs: only at barbell's loops does the order of
     # the sums show, and there only for some weights
     rng = random.Random(41)
     for g in newton_graphs.values():
-        ends = geo._end_tables(g)
+        cells = geo._end_tables(g)
         for _ in range(100 if g.n_edges < 30 else 3):
             lam = np.exp([rng.uniform(-3.0, 3.0) for _ in range(g.n_edges)])
-            coords, jac = geo._coords_and_jacobian(ends, lam)
+            coords, vals = geo._coords_and_jacobian(cells, lam)
+            jac = dense_jacobian(cells, vals)
             want_coords, want_jac = reference_coords_and_jacobian(g, lam)
             assert (coords == want_coords).all()
             assert (jac == want_jac).all()
@@ -296,12 +331,36 @@ def test_jacobian_symmetric_negative_definite(newton_graphs):
     # linear forms), so the Jacobian is minus a positive definite Hessian
     rng = random.Random(43)
     for g in newton_graphs.values():
-        ends = geo._end_tables(g)
+        cells = geo._end_tables(g)
         for _ in range(3):
             lam = np.exp([rng.uniform(-2.0, 2.0) for _ in range(g.n_edges)])
-            _, jac = geo._coords_and_jacobian(ends, lam)
+            jac = dense_jacobian(cells, geo._coords_and_jacobian(cells, lam)[1])
             assert np.max(np.abs(jac - jac.T)) <= 1e-12 * np.max(np.abs(jac))
             assert np.linalg.eigvalsh(jac).max() < 0
+
+
+def test_newton_step_falls_back_to_preconditioned_residual(theta):
+    # J = -ones(3, 3) is singular along z = D^-1 r = (-1, 1, 0), so p.Jp = 0 on
+    # the first CG iteration and the Jacobi step z is returned
+    cells = geo._end_tables(theta)
+    vals = np.full(6 * theta.n_edges, -0.5)
+    assert (dense_jacobian(cells, vals) == -1.0).all()
+    with np.errstate(divide="ignore"):
+        step = geo._newton_step(cells, vals, np.array([1.0, -1.0, 0.0]), 0.1)
+    assert list(step) == [-1.0, 1.0, 0.0]
+
+
+def test_cell_product_matches_dense_product(newton_graphs):
+    rng = random.Random(59)
+    for g in newton_graphs.values():
+        cells = geo._end_tables(g)
+        for _ in range(3):
+            lam = np.exp([rng.uniform(-3.0, 3.0) for _ in range(g.n_edges)])
+            p = np.array([rng.uniform(-1.0, 1.0) for _ in range(g.n_edges)])
+            vals = geo._coords_and_jacobian(cells, lam)[1]
+            want = dense_jacobian(cells, vals) @ p
+            got = geo._jacobian_times(cells, vals, p)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * np.abs(want).max())
 
 
 def sector_sum(g, lam):
@@ -356,6 +415,31 @@ def test_invert_forest_zero_targets(newton_graphs):
             got = geo.simplicial_coords(g, lam)
             assert max(abs(x - y) for x, y in zip(got.values, target.values)) <= 10 * tol
     assert zeros > 0
+
+
+def test_invert_forest_zero_targets_at_scale():
+    rng = random.Random(61)
+    tol = 1e-10
+    for n in (300, 600):
+        g = random_trivalent(n, rng)
+        target = random_forest_target(g, rng)
+        lam = geo.invert_coords(g, target, tol=tol)
+        got = geo.simplicial_coords(g, lam)
+        assert max(abs(x - y) for x, y in zip(got.values, target.values)) <= 10 * tol
+
+
+def test_invert_allocates_no_dense_matrix():
+    rng = random.Random(67)
+    g = random_trivalent(600, rng)
+    target = random_forest_target(g, rng)
+    geo.invert_coords(g, target)        # numpy's first use allocates its own tables
+    tracemalloc.start()
+    try:
+        geo.invert_coords(g, target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n_edges ** 2 * 8
 
 
 # -- telescoping ----------------------------------------------------------------------

@@ -215,16 +215,20 @@ def test_kernel_error_parity(fault, entry):
 
 
 def test_weight_count_is_checked(theta):
-    # two weights used to raise IndexError; a fourth used to be ignored
+    # two weights used to raise IndexError; a fourth used to be ignored, and
+    # whitehead_transport returned it
     path = fgr.EdgePath((0, 4))
+    sector = geo.Sector(*theta.vertex_cycles[0][:2])
     for values in ([1, 1], [1, 1, 1, 1]):
         lam = geo.lambda_assignment(values)
-        for entry in (geo.simplicial_coords, geo.in_cell):
+        for entry in (geo.simplicial_coords, geo.in_cell, geo.triangle_inequalities_hold):
             with pytest.raises(DomainError, match="one weight per edge"):
                 entry(theta, lam)
-        for entry in (hol.holonomy, hol.abs_trace_of_path, hol.trace_gap_of_path):
+        for entry, arg in ((hol.holonomy, path), (hol.abs_trace_of_path, path),
+                           (hol.trace_gap_of_path, path), (geo.cross_ratio, 0),
+                           (geo.whitehead_transport, 0), (geo.h_length, sector)):
             with pytest.raises(DomainError, match="one weight per edge"):
-                entry(theta, lam, path)
+                entry(theta, lam, arg)
 
 
 def test_determinant_one(trivalent_corpus):
