@@ -6,12 +6,10 @@ curves whose holonomy traces tend to 2 along the ray, and every other
 essential curve keeps its trace gap away from 0.  Along the ray every
 cross ratio is a monomial in t, so each trace and each simplicial
 coordinate is an exact Laurent polynomial in a root of t with integer
-coefficients.  This module tabulates traces on a schedule of t values,
-decides which curves shrink from the exact leading term of the trace gap
-|trace| - 2, and checks the divergence/vanishing bookkeeping between weights
-and simplicial coordinates from the coordinates' exact leading terms.  The
-exact trace comes from the packed-int loop in :mod:`fatscreens.holonomy`; a
-coordinate is a sum of six monomials, collected in a dict of exponents.
+coefficients.  This module tabulates each curve's gap |trace| - 2, that
+polynomial from the packed-int loop of :mod:`fatscreens.holonomy`, on a
+schedule of t; curves shrink by its leading term, and coordinates vanish by
+the leading term of their six monomials, collected in a dict of exponents.
 """
 
 from __future__ import annotations
@@ -24,9 +22,9 @@ from typing import Iterable
 from .errors import DomainError
 from .fatgraph import CurveSystem, EdgePath, EdgeSubset, Fatgraph, \
     maximal_recurrent_subset
-# simplicial_coords stays bound here for perfbench's tracer, which wraps it at this site
+# simplicial_coords and trace_gap_of_path stay bound here for perfbench's tracer to wrap
 from .geometry import LambdaAssignment, in_cell, simplicial_coords
-from .holonomy import _exact_gap_leading, hyp_length_from_gap, trace_gap_of_path
+from .holonomy import _exact_gap_poly, hyp_length_from_gap, poly_at, trace_gap_of_path
 from .screens import MonomialFamily, Screen, screen_boundary, \
     screen_of_exponents, validate_screen
 
@@ -79,18 +77,22 @@ def _tau_exponents(fam: MonomialFamily) -> tuple[int, list[int]]:
     return unit, [p.numerator * (unit // p.denominator) for p in fam.exponents]
 
 
+def _top(low: int, cs: list[int], unit: int) -> LeadingTerm:
+    """Leading term of sum_i cs[i] * t**((low + i) / unit)."""
+    return LeadingTerm(Fraction(low + len(cs) - 1, unit) if cs else None, cs[-1] if cs else 0)
+
+
 def _gap_leading(g: Fatgraph, fam: MonomialFamily, path: EdgePath) -> LeadingTerm:
     """Leading term of |trace| - 2 along the family, from the exact trace."""
     unit, q = _tau_exponents(fam)
-    k, c = _exact_gap_leading(g, q, path)
-    return LeadingTerm(None if k is None else Fraction(k, unit), c)
+    return _top(*_exact_gap_poly(g, q, path), unit)
 
 
-def _verdict(k: int | None) -> str:
-    """Verdict on a gap with leading exponent k in tau (None: the gap is 0)."""
-    if k is None:
+def _verdict(low: int, cs: list[int]) -> str:
+    """Verdict on a trace gap sum_i cs[i] * tau**(low + i), read off its top term."""
+    if not cs:
         return VERDICT_PARABOLIC
-    return VERDICT_SHRINKING if k < 0 else VERDICT_NOT_SHRINKING
+    return VERDICT_SHRINKING if low + len(cs) - 1 < 0 else VERDICT_NOT_SHRINKING
 
 
 @dataclass(frozen=True)
@@ -107,34 +109,32 @@ class SweepReport:
     rows: tuple[SweepRow, ...]
     in_cell_at: tuple[tuple[float, bool], ...]
     verdicts: tuple[tuple[EdgePath, str], ...] = ()
+    leading: tuple[tuple[EdgePath, LeadingTerm], ...] = ()    # of each curve's trace gap
 
 
 def sweep(g: Fatgraph, fam: MonomialFamily, curves: CurveSystem | Iterable[EdgePath],
           sched: SweepSchedule | None = None) -> SweepReport:
     """Trace every curve at every scheduled t and classify the decay.
 
-    The verdict reads the exact leading term c * t**k of |trace| - 2: a
-    curve is ``shrinking`` when k < 0, and puncture-parallel (parabolic)
-    when the gap is identically 0.
+    Rows evaluate each curve's exact gap |trace| - 2 to 15 digits; its leading term
+    c * t**k gives the verdict: ``shrinking`` if k < 0, parabolic if the gap is 0.
     """
     if not g.is_trivalent():
         raise DomainError("sweep needs a trivalent graph")
     if len(fam) != g.n_edges:
         raise DomainError("one exponent per edge required")
     sched = sched or SweepSchedule()
-    _, q = _tau_exponents(fam)
-    curve_list = list(curves)
-    rows = []
-    flags = []
+    unit, q = _tau_exponents(fam)
+    polys = [(c, _exact_gap_poly(g, q, c)) for c in curves]
+    rows, flags = [], []
     for t in sched.t_values:
-        lam = evaluate_family(fam, t)
-        flags.append((t, in_cell(g, lam)))
-        for c in curve_list:
-            gap = trace_gap_of_path(g, lam, c)
-            length = hyp_length_from_gap(gap) if gap >= 0.0 else 0.0
-            rows.append(SweepRow(t, c, 2.0 + gap, gap, length))
-    verdicts = tuple((c, _verdict(_exact_gap_leading(g, q, c)[0])) for c in curve_list)
-    return SweepReport(tuple(rows), tuple(flags), verdicts)
+        flags.append((t, in_cell(g, evaluate_family(fam, t))))
+        for c, poly in polys:
+            gap = poly_at(*poly, unit, t)
+            rows.append(SweepRow(t, c, 2.0 + gap, gap, hyp_length_from_gap(gap)))
+    verdicts = tuple((c, _verdict(*poly)) for c, poly in polys)
+    leading = tuple((c, _top(*poly, unit)) for c, poly in polys)
+    return SweepReport(tuple(rows), tuple(flags), verdicts, leading)
 
 
 def detect_short_curves(g: Fatgraph, fam: MonomialFamily) -> CurveSystem:
@@ -153,7 +153,7 @@ def detect_short_curves(g: Fatgraph, fam: MonomialFamily) -> CurveSystem:
             f"candidate screen invalid, condition ({check.condition}): {check.message}")
     curves = screen_boundary(candidate)
     _, q = _tau_exponents(fam)
-    bad = [c for c in curves if _verdict(_exact_gap_leading(g, q, c)[0]) != VERDICT_SHRINKING]
+    bad = [c for c in curves if _verdict(*_exact_gap_poly(g, q, c)) != VERDICT_SHRINKING]
     if bad:
         raise DomainError(f"exact trace gap of {len(bad)} boundary curve(s) does not decay")
     return curves

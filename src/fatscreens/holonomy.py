@@ -24,8 +24,8 @@ step table holds its backtrack, the two turns out of its arrival and its
 quad-slot edges, so the next step is classified as R, L or backtrack, or else
 the path breaks, by two or three comparisons.  Both trace functions refine by
 one rule: when |trace| is within 1e-6 of 2, rounding may swamp the gap or
-weights go subnormal, the loop reruns over ``mpf`` at 60 digits.  The exact
-trace along a monomial family has its own loop, on Kronecker-packed ints.
+weights go subnormal, the loop reruns over ``mpf`` at 60 digits.  Along a
+monomial family a loop on packed ints gives the exact gap; ``poly_at`` sums it.
 """
 
 from __future__ import annotations
@@ -140,11 +140,11 @@ def _product(g: Fatgraph, path: EdgePath, w: Sequence, sqrt,
     return a11, a12, a21, a22
 
 
-def _exact_gap_leading(g: Fatgraph, q: Sequence[int], path: EdgePath) -> tuple[int | None, int]:
-    """Leading (exponent, coefficient) of |trace| - 2 in tau for weights tau**q_e, q_e
-    even; (None, 0) if it is 0.  Edge matrices are scaled by tau**|k|, tau**k the cross
-    ratio, and entries packed at tau = 2**bits: after n turns their coefficients sum to
-    at most 2**n in absolute value, so bits = n + 3 keeps them apart as balanced digits."""
+def _exact_gap_poly(g: Fatgraph, q: Sequence[int], path: EdgePath) -> tuple[int, list[int]]:
+    """|trace| - 2 in tau for weights tau**q_e, q_e even: (-D, [c_-D, ..., c_top]), c_top
+    != 0 or the list empty.  Edge matrices are scaled by tau**|k|, tau**k the cross ratio,
+    and entries packed at tau = 2**bits: after n turns their coefficients sum to at most
+    2**n in absolute value, so bits = n + 3 keeps them apart as balanced digits."""
     if not g.is_trivalent():
         raise DomainError("holonomy needs a trivalent graph")
     steps = path.steps
@@ -169,10 +169,34 @@ def _exact_gap_leading(g: Fatgraph, q: Sequence[int], path: EdgePath) -> tuple[i
         _, right, left = rows[h][:3]
         a11, a12, a21, a22 = -a12 << down, a11 << up, -a22 << down, a21 << up
     gap = abs(a11 + a22) - (2 << total // 2)
-    if not gap:
-        return None, 0
-    low = abs(gap).bit_length() // bits * bits     # the top digit's place
-    return (low - total // 2) // bits, (gap + (1 << low >> 1)) >> low
+    half, coeffs = 1 << bits - 1, []
+    while gap:
+        gap, c = divmod(gap + half, 2 * half)
+        coeffs.append(c - half)
+    return -(total // 2 // bits), coeffs
+
+
+def poly_at(low: int, coeffs: Sequence[int], unit: int, t: float) -> float:
+    """sum_i coeffs[i] * t**((low + i) / unit) to 15 significant digits: a ``math.fsum``
+    of float terms under an a-priori bound (2.5 ulp per term, |k / unit| ln t times the
+    rounding of k / unit, 2**-1074 per subnormal term), else a sum over ``mpf`` with the
+    digits raised by the cancellation sum(|terms|) / |sum| until the bound holds."""
+    ks = [(low + i, c) for i, c in enumerate(coeffs) if c]
+    reach = max((abs(k) for k, _ in ks), default=0) / unit * abs(math.log(t))
+    try:
+        terms = [c * t ** (k / unit) for k, c in ks]
+        total, mass = math.fsum(terms), math.fsum(map(abs, terms))
+        err = mass * (5 + (unit & unit - 1 and reach)) * 2 ** -53 + len(ks) * 2 ** -1074
+    except (OverflowError, ValueError):     # a term beyond double range: no float sum
+        total, mass, err = 0.0, 1.0, 1.0
+    digits = 0
+    while not err <= 1e-15 * abs(total):
+        digits = max(digits + 15, 20 + int(math.log10(mass / max(abs(total), err))))
+        with mpmath.workdps(digits):
+            terms = [c * mpmath.mpf(t) ** (mpmath.mpf(k) / unit) for k, c in ks]
+            total, mass = mpmath.fsum(terms), mpmath.fsum(terms, absolute=True)
+            err = mass * (2 + reach) * mpmath.mpf(10) ** -digits
+    return float(total)
 
 
 def holonomy(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,

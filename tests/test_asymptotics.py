@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from fatscreens import asymptotics as asy
@@ -53,6 +54,7 @@ def test_sweep_gap_sequence(theta, genus2):
     assert verdict == asy.VERDICT_SHRINKING
     lead = asy._gap_leading(theta, fam, curve)
     assert (lead.exponent, lead.coefficient) == (-2, 1)
+    assert report.leading == ((curve, lead),)
     # a screen boundary curve whose gap 11/t is still 1.1e-3 at t = 1e4
     fam = scn.monomial_family([1] * 8 + [0])
     curve = ser.parse_curve(genus2, "a+ p- b+ q- a- p+ q+ r+ s+ d+ c- r- b-")
@@ -85,6 +87,86 @@ def test_sweep_flags_boundary_cycles(theta):
     ((cycle, verdict),) = report.verdicts
     assert verdict == asy.VERDICT_PARABOLIC
     assert asy._gap_leading(theta, fam, cycle) == asy.LeadingTerm(None, 0)
+    assert report.leading == ((cycle, asy.LeadingTerm(None, 0)),)
+    assert all((r.gap, r.abs_trace, r.hyp_length) == (0.0, 2.0, 0.0) for r in report.rows)
+
+
+def reference_gap(g, fam, path, t):
+    """|trace| - 2 at t from the mpf product at 80 digits on weights tau**q_e."""
+    unit, q = asy._tau_exponents(fam)
+    with mpmath.workdps(80):
+        tau = mpmath.mpf(t) ** (mpmath.mpf(1) / unit)
+        a11, _, _, a22 = hol._product(g, path, [tau ** k for k in q], mpmath.sqrt)
+        return abs(a11 + a22) - 2
+
+
+def assert_rows_match_reference(g, fam, report):
+    for row in report.rows:
+        want = reference_gap(g, fam, row.curve, row.t)
+        with mpmath.workdps(80):
+            length = 2 * mpmath.acosh(1 + want / 2)
+        for got, exact in ((row.gap, want), (row.abs_trace, 2 + want), (row.hyp_length, length)):
+            assert abs(got - exact) <= 1e-15 * exact, (row, exact)
+
+
+def test_sweep_rows_match_reference(genus2, mercedes):
+    for g in (genus2, mercedes):
+        pool = essential_curve_pool(g)
+        for s in scn.enumerate_screens(g):
+            boundary = scn.screen_boundary(s)
+            steps = {c.steps for c in boundary}
+            outside = [p for p in pool if p.steps not in steps][:1]
+            fam = scn.depth_family(s)
+            assert_rows_match_reference(g, fam, asy.sweep(g, fam, [*boundary, *outside]))
+
+
+def test_sweep_row_is_exact_where_float_traces_were_not(genus2):
+    # weight t on a, c, d, p, s, t and 1 on b, q, r: the gap of a+ p- is exactly t**-2,
+    # which a float trace refined only below a gap of 1e-6 gave as 1.00000000013978e-06
+    fam = scn.monomial_family([int(genus2.label(e) in "acdpst") for e in range(genus2.n_edges)])
+    curve = ser.parse_curve(genus2, "a+ p-")
+    report = asy.sweep(genus2, fam, [curve])
+    assert [ser.fmt(r.gap) for r in report.rows] == ["0.01", "0.0001", "1e-06", "1e-08"]
+    assert_rows_match_reference(genus2, fam, report)
+
+
+@pytest.mark.parametrize("exponents, curve, gap", [
+    # tau = t**(1/12), so k / 12 rounds in binary, and the gap cancels 3.2-fold at t = 10
+    ((Fraction(5, 6), Fraction(1, 3), Fraction(1, 3)), "e0+ e1-",
+     lambda t: math.sqrt(t) - 2 + 2 / math.sqrt(t)),
+    # one term, yet the float power t**(-28 / 12) is off by 1.3e-15 at t = 1e4
+    ((Fraction(3, 2), Fraction(1, 3), Fraction(3, 2)), "e0+ e2-", lambda t: t ** (-7 / 3)),
+])
+def test_sweep_refines_rational_exponents_in_mpf(theta, monkeypatch, exponents, curve, gap):
+    fam = scn.MonomialFamily(exponents)
+    curve = ser.parse_curve(theta, curve)
+    entries = []
+    workdps = mpmath.workdps
+    monkeypatch.setattr(hol.mpmath, "workdps", lambda dps: entries.append(dps) or workdps(dps))
+    report = asy.sweep(theta, fam, [curve])
+    monkeypatch.undo()
+    assert len(entries) >= 1 and min(entries) > 15
+    assert_rows_match_reference(theta, fam, report)
+    for row in report.rows:
+        assert row.gap == pytest.approx(gap(row.t), rel=1e-14)
+
+
+def test_sweep_runs_the_exact_kernel_once_per_curve(genus2, monkeypatch):
+    calls = []
+    exact = asy._exact_gap_poly
+
+    def counted(g, q, path):
+        calls.append(path)
+        return exact(g, q, path)
+
+    monkeypatch.setattr(asy, "_exact_gap_poly", counted)
+    fam = scn.monomial_family([1] * 8 + [0])
+    curves = list(asy.detect_short_curves(genus2, fam))
+    calls.clear()
+    report = asy.sweep(genus2, fam, curves)
+    assert calls == curves
+    assert report.leading == tuple((c, asy._gap_leading(genus2, fam, c)) for c in curves)
+    assert report.verdicts == tuple((c, asy.VERDICT_SHRINKING) for c in curves)
 
 
 def test_detect_theta(theta):

@@ -83,6 +83,15 @@ def test_sweep_csv(tmp_path, capsys):
     assert json.loads(summary.read_text()) == {"e0+ e1-": "shrinking"}
 
 
+def test_sweep_prints_exact_gaps(tmp_path, capsys):
+    # the gap of a+ p- is exactly t**-2; float traces printed 1.00000000013978e-06
+    p = tmp_path / "p.csv"
+    p.write_text("edge,exponent\na,1\nb,0\nc,1\nd,1\np,1\nq,0\nr,0\ns,1\nt,1\n")
+    code, out = run(capsys, "sweep", str(DATA / "genus2.fg"), "--exponents", str(p))
+    assert code == 0
+    assert "1000,a+.p-,2.000001,1e-06,0.00199999991666668" in out.splitlines()
+
+
 def test_detect_and_trace(tmp_path, capsys):
     p = tmp_path / "p.csv"
     p.write_text("edge,exponent\ne0,1\ne1,1\ne2,0\n")

@@ -437,6 +437,19 @@ def test_trace_gap_below_double_epsilon(theta):
     assert 2.0 + gap == 2.0   # the trace itself is unrepresentable
 
 
+def test_poly_at_outside_double_range():
+    assert hol.poly_at(0, [], 2, 1e4) == 0.0
+    # t**80 overflows a double and t**-80.5 is subnormal: both are summed over mpf,
+    # where the float product 3 * t**-80.5 would give 2.96e-322
+    assert hol.poly_at(160, [1], 2, 1e4) == math.inf
+    assert hol.poly_at(-161, [3], 2, 1e4) == 3e-322
+    # (t - 1)**2 / t at t = 1 + 2**-30 cancels 2**61-fold
+    t = 1 + 2 ** -30
+    with mpmath.workdps(40):
+        want = float((mpmath.mpf(t) - 1) ** 2 / t)
+    assert hol.poly_at(-2, [1, 0, -2, 0, 1], 2, t) == pytest.approx(want, rel=1e-15)
+
+
 # -- one-left-turn closed form -----------------------------------------------------
 
 def test_one_left_turn_trace_simple():
