@@ -8,23 +8,24 @@ cross ratio is a monomial in t, so each trace and each simplicial
 coordinate is an exact Laurent polynomial in a root of t with integer
 coefficients.  This module tabulates each curve's gap |trace| - 2, that
 polynomial from the packed-int loop of :mod:`fatscreens.holonomy`, on a
-schedule of t; curves shrink by its leading term, and coordinates vanish by
-the leading term of their six monomials, collected in a dict of exponents.
+schedule of t; curves shrink by its leading term.  Coordinates, kept as sorted
+monomials, vanish by their leading term and decide cell membership exactly.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import DomainError
 from .fatgraph import CurveSystem, EdgePath, EdgeSubset, Fatgraph, \
     maximal_recurrent_subset
-# simplicial_coords and trace_gap_of_path stay bound here for perfbench's tracer to wrap
+# in_cell, simplicial_coords and trace_gap_of_path stay bound here for perfbench's tracer
 from .geometry import LambdaAssignment, in_cell, simplicial_coords
-from .holonomy import _exact_gap_poly, hyp_length_from_gap, poly_at, trace_gap_of_path
+from .holonomy import _exact_gap_poly, hyp_length_from_gap, terms_at, trace_gap_of_path
 from .screens import MonomialFamily, Screen, screen_boundary, \
     screen_of_exponents, validate_screen
 
@@ -77,22 +78,31 @@ def _tau_exponents(fam: MonomialFamily) -> tuple[int, list[int]]:
     return unit, [p.numerator * (unit // p.denominator) for p in fam.exponents]
 
 
-def _top(low: int, cs: list[int], unit: int) -> LeadingTerm:
-    """Leading term of sum_i cs[i] * t**((low + i) / unit)."""
-    return LeadingTerm(Fraction(low + len(cs) - 1, unit) if cs else None, cs[-1] if cs else 0)
+def _top(poly: list[tuple[int, int]], unit: int) -> LeadingTerm:
+    """Leading term of the sum of c * t**(k / unit) over the monomials (k, c), sorted by k."""
+    return LeadingTerm(Fraction(poly[-1][0], unit), poly[-1][1]) if poly else LeadingTerm(None, 0)
 
 
 def _gap_leading(g: Fatgraph, fam: MonomialFamily, path: EdgePath) -> LeadingTerm:
     """Leading term of |trace| - 2 along the family, from the exact trace."""
     unit, q = _tau_exponents(fam)
-    return _top(*_exact_gap_poly(g, q, path), unit)
+    return _top(_exact_gap_poly(g, q, path), unit)
 
 
-def _verdict(low: int, cs: list[int]) -> str:
-    """Verdict on a trace gap sum_i cs[i] * tau**(low + i), read off its top term."""
-    if not cs:
+def _coordinate_polys(g: Fatgraph, q: list[int]) -> Iterator[list[tuple[int, int]]]:
+    """Each edge's ``simplicial_coords`` at weights tau**q_e, as sorted monomials (k, c)."""
+    for e, (h, _) in enumerate(g.edge_halves):
+        x, (a, b, c, d) = q[e], [q[s] for s in g._quad(h)]
+        terms = Counter((a - b - x, b - a - x, c - d - x, d - c - x))
+        terms.subtract((x - a - b, x - c - d))
+        yield sorted((k, n) for k, n in terms.items() if n)
+
+
+def _verdict(poly: list[tuple[int, int]]) -> str:
+    """Verdict on a trace gap, its monomials (k, c) of c * tau**k, read off its top term."""
+    if not poly:
         return VERDICT_PARABOLIC
-    return VERDICT_SHRINKING if low + len(cs) - 1 < 0 else VERDICT_NOT_SHRINKING
+    return VERDICT_SHRINKING if poly[-1][0] < 0 else VERDICT_NOT_SHRINKING
 
 
 @dataclass(frozen=True)
@@ -118,6 +128,8 @@ def sweep(g: Fatgraph, fam: MonomialFamily, curves: CurveSystem | Iterable[EdgeP
 
     Rows evaluate each curve's exact gap |trace| - 2 to 15 digits; its leading term
     c * t**k gives the verdict: ``shrinking`` if k < 0, parabolic if the gap is 0.
+    ``in_cell_at`` holds when every coordinate is > 0 at t; none is identically 0 (each is
+    2 at t = 1), so the cell's forest test on 0 coordinates is empty; one 0 at t is refused.
     """
     if not g.is_trivalent():
         raise DomainError("sweep needs a trivalent graph")
@@ -126,14 +138,20 @@ def sweep(g: Fatgraph, fam: MonomialFamily, curves: CurveSystem | Iterable[EdgeP
     sched = sched or SweepSchedule()
     unit, q = _tau_exponents(fam)
     polys = [(c, _exact_gap_poly(g, q, c)) for c in curves]
+    # Abel summation: coefficient sums > 0 from the top down keep a coordinate > 0 for t >= 1
+    unsure = [m for m in _coordinate_polys(g, q)
+              if not all(sum(c for _, c in m[i:]) > 0 for i in range(len(m)))]
     rows, flags = [], []
     for t in sched.t_values:
-        flags.append((t, in_cell(g, evaluate_family(fam, t))))
+        evaluate_family(fam, t)     # refuses weights beyond double range
+        flags.append((t, all(terms_at(m, unit, t) > 0 for m in unsure)))
         for c, poly in polys:
-            gap = poly_at(*poly, unit, t)
+            gap = terms_at(poly, unit, t)
+            if poly and gap in (0.0, math.inf):
+                raise DomainError(f"a nonzero trace gap rounds to {gap:g} at t={t:g}")
             rows.append(SweepRow(t, c, 2.0 + gap, gap, hyp_length_from_gap(gap)))
-    verdicts = tuple((c, _verdict(*poly)) for c, poly in polys)
-    leading = tuple((c, _top(*poly, unit)) for c, poly in polys)
+    verdicts = tuple((c, _verdict(poly)) for c, poly in polys)
+    leading = tuple((c, _top(poly, unit)) for c, poly in polys)
     return SweepReport(tuple(rows), tuple(flags), verdicts, leading)
 
 
@@ -153,7 +171,7 @@ def detect_short_curves(g: Fatgraph, fam: MonomialFamily) -> CurveSystem:
             f"candidate screen invalid, condition ({check.condition}): {check.message}")
     curves = screen_boundary(candidate)
     _, q = _tau_exponents(fam)
-    bad = [c for c in curves if _verdict(*_exact_gap_poly(g, q, c)) != VERDICT_SHRINKING]
+    bad = [c for c in curves if _verdict(_exact_gap_poly(g, q, c)) != VERDICT_SHRINKING]
     if bad:
         raise DomainError(f"exact trace gap of {len(bad)} boundary curve(s) does not decay")
     return curves
@@ -188,19 +206,8 @@ def ij_check(g: Fatgraph, fam: MonomialFamily) -> IJReport:
         raise DomainError("one exponent per edge required")
     divergent = frozenset(e for e in range(g.n_edges) if fam[e] > 0)
     unit, q = _tau_exponents(fam)
-    leading = []
-    for e in range(g.n_edges):
-        terms: dict[int, int] = {}      # an end term (a*a + b*b - x*x) / (a*b*x) is 3 monomials
-        x = q[e]
-        slots = [q[s] for s in g._quad(g.halves(e)[0])]
-        for a, b in (slots[:2], slots[2:]):      # the first half's end, then the second's
-            for k, c in ((a - b - x, 1), (b - a - x, 1), (x - a - b, -1)):
-                terms[k] = terms.get(k, 0) + c
-        top = max((k for k, c in terms.items() if c), default=None)
-        leading.append((e, LeadingTerm(None if top is None else Fraction(top, unit),
-                                       terms.get(top, 0))))
-    vanishing = frozenset(e for e, lead in leading
-                          if lead.exponent is None or lead.exponent < 0)
+    leading = [(e, _top(m, unit)) for e, m in enumerate(_coordinate_polys(g, q))]
+    vanishing = frozenset(e for e, lead in leading if lead.exponent < 0)   # none is identically 0
     notes = [f"edge {g.label(e)}: leading coefficient {lead.coefficient} < 0, "
              f"the family leaves the cell for large t"
              for e, lead in leading if lead.coefficient < 0]

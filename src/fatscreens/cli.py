@@ -185,11 +185,7 @@ def cmd_ij_check(args) -> int:
     print(f"I subset of J : {'yes' if report.i_subset_j else 'no'}")
     print(f"R(G_J) = G_I : {'yes' if report.recurrent_core_equals_i else 'no'}")
     for e, lead in report.leading:
-        if lead.exponent is None:
-            desc = "identically 0"
-        else:
-            desc = f"leading {lead.coefficient} * t^({lead.exponent})"
-        print(f"X[{g.label(e)}] : {desc}")
+        print(f"X[{g.label(e)}] : leading {lead.coefficient} * t^({lead.exponent})")
     for note in report.notes:
         print(f"# {note}")
     return 0

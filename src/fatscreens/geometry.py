@@ -175,6 +175,8 @@ def simplicial_coords(g: Fatgraph, lam: LambdaAssignment) -> SimplicialCoords:
     for e, (h, _) in enumerate(g.edge_halves):
         x = w[e]
         a, b, c, d = map(w.__getitem__, g._quad(h))
+        if not (a * b * x and c * d * x):      # weights are positive: 0 is an underflow
+            raise DomainError(f"weight products at edge {g.label(e)} underflow to 0")
         vals.append((a * a + b * b - x * x) / (a * b * x) + (c * c + d * d - x * x) / (c * d * x))
     return SimplicialCoords(tuple(vals))
 

@@ -25,7 +25,7 @@ quad-slot edges, so the next step is classified as R, L or backtrack, or else
 the path breaks, by two or three comparisons.  Both trace functions refine by
 one rule: when |trace| is within 1e-6 of 2, rounding may swamp the gap or
 weights go subnormal, the loop reruns over ``mpf`` at 60 digits.  Along a
-monomial family a loop on packed ints gives the exact gap; ``poly_at`` sums it.
+monomial family a loop on packed ints gives the exact gap; ``terms_at`` sums it.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import mpmath
@@ -140,9 +141,9 @@ def _product(g: Fatgraph, path: EdgePath, w: Sequence, sqrt,
     return a11, a12, a21, a22
 
 
-def _exact_gap_poly(g: Fatgraph, q: Sequence[int], path: EdgePath) -> tuple[int, list[int]]:
-    """|trace| - 2 in tau for weights tau**q_e, q_e even: (-D, [c_-D, ..., c_top]), c_top
-    != 0 or the list empty.  Edge matrices are scaled by tau**|k|, tau**k the cross ratio,
+def _exact_gap_poly(g: Fatgraph, q: Sequence[int], path: EdgePath) -> list[tuple[int, int]]:
+    """|trace| - 2 in tau for weights tau**q_e, q_e even, as its monomials (k, c) of c * tau**k,
+    c != 0, sorted by k >= -D.  Edge matrices are scaled by tau**|k|, tau**k the cross ratio,
     and entries packed at tau = 2**bits: after n turns their coefficients sum to at most
     2**n in absolute value, so bits = n + 3 keeps them apart as balanced digits."""
     if not g.is_trivalent():
@@ -173,30 +174,36 @@ def _exact_gap_poly(g: Fatgraph, q: Sequence[int], path: EdgePath) -> tuple[int,
     while gap:
         gap, c = divmod(gap + half, 2 * half)
         coeffs.append(c - half)
-    return -(total // 2 // bits), coeffs
+    return [(i - total // 2 // bits, c) for i, c in enumerate(coeffs) if c]
 
 
-def poly_at(low: int, coeffs: Sequence[int], unit: int, t: float) -> float:
-    """sum_i coeffs[i] * t**((low + i) / unit) to 15 significant digits: a ``math.fsum``
-    of float terms under an a-priori bound (2.5 ulp per term, |k / unit| ln t times the
-    rounding of k / unit, 2**-1074 per subnormal term), else a sum over ``mpf`` with the
-    digits raised by the cancellation sum(|terms|) / |sum| until the bound holds."""
-    ks = [(low + i, c) for i, c in enumerate(coeffs) if c]
-    reach = max((abs(k) for k, _ in ks), default=0) / unit * abs(math.log(t))
+def terms_at(ks: Sequence[tuple[int, int]], unit: int, t: float) -> float:
+    """Sum of c * t**(k / unit) over (k, c) in ``ks`` to 15 digits: a fsum of float terms under
+    an a-priori bound (per term 2.5 ulp, 2**-1074, |ln t| times the rounding of k / unit), else
+    ``mpf`` with digits raised by the cancellation until it holds; refused past 1000 digits."""
+    log_t = abs(math.log(t))
     try:
         terms = [c * t ** (k / unit) for k, c in ks]
         total, mass = math.fsum(terms), math.fsum(map(abs, terms))
-        err = mass * (5 + (unit & unit - 1 and reach)) * 2 ** -53 + len(ks) * 2 ** -1074
+        err = mass * 5 * 2 ** -53 + len(ks) * 2 ** -1074 + (unit & unit - 1 and log_t * math.fsum(
+            abs(x * (Fraction(k / unit) - Fraction(k, unit))) for x, (k, _) in zip(terms, ks)))
     except (OverflowError, ValueError):     # a term beyond double range: no float sum
         total, mass, err = 0.0, 1.0, 1.0
     digits = 0
     while not err <= 1e-15 * abs(total):
-        digits = max(digits + 15, 20 + int(math.log10(mass / max(abs(total), err))))
+        digits = max(digits + 15, 20 + int(mpmath.log10(max(mass / max(abs(total), err), 1))))
+        if digits > 1000:
+            raise DomainError(f"a sum of {len(ks)} powers of t={t:g} cancels past 1000 digits")
         with mpmath.workdps(digits):
             terms = [c * mpmath.mpf(t) ** (mpmath.mpf(k) / unit) for k, c in ks]
             total, mass = mpmath.fsum(terms), mpmath.fsum(terms, absolute=True)
-            err = mass * (2 + reach) * mpmath.mpf(10) ** -digits
+            err = mass * (2 + max(abs(k) for k, _ in ks) / unit * log_t) * mpmath.mpf(10) ** -digits
     return float(total)
+
+
+def poly_at(low: int, coeffs: Sequence[int], unit: int, t: float) -> float:
+    """``terms_at`` of sum_i coeffs[i] * t**((low + i) / unit), coefficients listed densely."""
+    return terms_at([(low + i, c) for i, c in enumerate(coeffs) if c], unit, t)
 
 
 def holonomy(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,

@@ -11,6 +11,7 @@ import pytest
 
 from fatscreens import asymptotics as asy
 from fatscreens import fatgraph as fgr
+from fatscreens import geometry as geo
 from fatscreens import holonomy as hol
 from fatscreens import screens as scn
 from fatscreens import serialize as ser
@@ -270,6 +271,79 @@ def test_ij_check_notes_only_exact_verdicts(genus2):
     by_label = {genus2.label(e): lead for e, lead in report.leading}
     for name in "bcqs":
         assert (by_label[name].exponent, by_label[name].coefficient) == (Fraction(-1), 2)
+
+
+def test_depth_families_stay_in_the_cell(genus2, mercedes):
+    # a float check at each t under a tolerance warned on 295 genus2 and 18 mercedes families
+    for g in (genus2, mercedes):
+        for s in scn.enumerate_screens(g):
+            report = asy.sweep(g, scn.depth_family(s), [])
+            assert all(ok for _, ok in report.in_cell_at), s.family
+
+
+def reference_coordinate_signs(g, fam, t):
+    """Signs of the coordinates at weights t**p_e, from mpf weights at 60 digits; 0 where
+    a coordinate cancels below 1e-54 of its terms, which exponents in [-1, 3] never reach
+    at t <= 1e4 unless it is identically 0."""
+    signs = []
+    with mpmath.workdps(60):
+        w = [mpmath.mpf(t) ** (mpmath.mpf(p.numerator) / p.denominator) for p in fam.exponents]
+        for e, (h, _) in enumerate(g.edge_halves):
+            x, (a, b, c, d) = w[e], [w[s] for s in g._quad(h)]
+            terms = [a / (b * x), b / (a * x), -x / (a * b), c / (d * x), d / (c * x), -x / (c * d)]
+            value, scale = mpmath.fsum(terms), mpmath.fsum(terms, absolute=True)
+            signs.append(0 if abs(value) <= 1e-54 * scale else 1 if value > 0 else -1)
+    return signs
+
+
+def test_cell_flags_match_mpmath_signs(theta, mercedes, genus2, monkeypatch):
+    rng = random.Random(67)
+    choices = [0, 0, 1, 2, 3, -1, Fraction(1, 2), Fraction(5, 3), Fraction(1, 3)]
+    evaluations = []
+    terms_at = hol.terms_at
+    monkeypatch.setattr(asy, "terms_at", lambda *a: evaluations.append(a) or terms_at(*a))
+    families = evaluated = checks = 0
+    for g in (theta, mercedes, genus2):
+        for _ in range(50):
+            fam = scn.MonomialFamily(tuple(Fraction(rng.choice(choices))
+                                           for _ in range(g.n_edges)))
+            unit, q = asy._tau_exponents(fam)
+            coords = list(asy._coordinate_polys(g, q))
+            # each coordinate is 2 at t = 1, so none is identically 0 and the cell's
+            # forest condition on the 0 coordinates never has an edge to test
+            assert all(sum(c for _, c in m) == 2 for m in coords)
+            evaluations.clear()
+            report = asy.sweep(g, fam, [])
+            families += 1
+            evaluated += bool(evaluations)
+            for t, flag in report.in_cell_at:
+                signs = reference_coordinate_signs(g, fam, t)
+                for m, sign in zip(coords, signs):
+                    got = terms_at(m, unit, t)
+                    assert (got > 0) - (got < 0) == sign, (fam, t, m)
+                    checks += 1
+                want = min(signs) >= 0 and geo.no_vanishing_cycle(g, geo.simplicial(signs))
+                assert flag == want, (fam, t)
+    assert checks == 4 * 50 * (3 + 6 + 9)
+    # most families have a coordinate that Abel summation leaves to the evaluation at t
+    assert evaluated > families // 2
+
+
+def test_sweep_refuses_a_coordinate_that_is_0_at_t(theta):
+    # the coordinate of e2 is 2 t**(-1/2) - t**(1/2): exactly 0 at t = 2, negative after
+    fam = scn.MonomialFamily((Fraction(0), Fraction(0), Fraction(1, 2)))
+    with pytest.raises(DomainError, match="^a sum of 2 powers of t=2 cancels past 1000 digits$"):
+        asy.sweep(theta, fam, [], asy.SweepSchedule((2.0,)))
+    assert asy.sweep(theta, fam, [], asy.SweepSchedule((3.0,))).in_cell_at == ((3.0, False),)
+
+
+@pytest.mark.parametrize("exponent", [170, 200])
+def test_sweep_refuses_gaps_below_double_range(theta, exponent):
+    # weights 10**170 are finite, but the gap 10**-340 of e0+ e1- rounds to 0
+    fam = scn.monomial_family([exponent, exponent, 0])
+    curve = ser.parse_curve(theta, "e0+ e1-")
+    with pytest.raises(DomainError, match="^a nonzero trace gap rounds to 0 at t=10$"):
+        asy.sweep(theta, fam, [curve], asy.SweepSchedule((10.0,)))
 
 
 def test_tau_exponents_once_per_family(genus2, monkeypatch):

@@ -193,6 +193,52 @@ def test_sweep_overflow_is_domain_error(tmp_path, capsys):
     assert code == 0 and out.strip() == "e0+ e1-"
 
 
+def write_exponents(path, labels, exponents):
+    path.write_text("edge,exponent\n" + "".join(f"{a},{p}\n" for a, p in zip(labels, exponents)))
+    return str(path)
+
+
+def test_sweep_warns_only_when_the_weights_leave_the_cell(tmp_path, capsys):
+    genus2 = str(DATA / "genus2.fg")
+    # a depth family: coordinates of b, c, q and s vanish like 2/t, but stay positive
+    p = write_exponents(tmp_path / "p.csv", "abcdpqrst", [2, 1, 1, 2, 2, 1, 0, 1, 2])
+    code, out = run(capsys, "sweep", genus2, "--exponents", p)
+    assert code == 0 and "leave the cell" not in out
+    # weights 10**-225 meet in one float product here, which used to divide by 0
+    p = write_exponents(tmp_path / "p.csv", "abcdpqrst", [-75, 75, 0, 0, 75, -75, 0, 0, 0])
+    code, out = run(capsys, "sweep", genus2, "--exponents", p, "--t", "1000")
+    assert code == 0
+    assert "1000,c+.d-.t+.c-.s+.d+.t-.s-,9,7,4.36928758321022" in out.splitlines()
+    assert out.splitlines()[-1] == "# warning: weights leave the cell at t=1000"
+
+
+def test_sweep_refusals_are_one_line(tmp_path, capsys):
+    # the coordinate of e2 is 2 t**(-1/2) - t**(1/2): exactly 0 at t = 2, negative at 3
+    p = write_exponents(tmp_path / "p.csv", ["e0", "e1", "e2"], [0, 0, "1/2"])
+    code = cli.main(["sweep", THETA, "--exponents", p, "--t", "2"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: a sum of 2 powers of t=2 cancels past 1000 digits\n"
+    code, out = run(capsys, "sweep", THETA, "--exponents", p, "--t", "3")
+    assert code == 0 and out.splitlines()[-1] == "# warning: weights leave the cell at t=3"
+    # finite weights 10**170, but the gap 10**-340 of e0+ e1- is below double range
+    for exponent in (170, 200):
+        p = write_exponents(tmp_path / "p.csv", ["e0", "e1", "e2"], [exponent, exponent, 0])
+        code = cli.main(["sweep", THETA, "--exponents", p])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: a nonzero trace gap rounds to 0 at t=10\n"
+
+
+def test_check_cell_underflow_is_domain_error(tmp_path, capsys):
+    lam = tmp_path / "lam.csv"
+    lam.write_text("edge,value\ne0,1e-110\ne1,1e-110\ne2,1e-110\n")
+    code = cli.main(["check-cell", THETA, "--lambda", str(lam)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: weight products at edge e0 underflow to 0\n"
+
+
 def test_nan_tolerance_and_schedule_are_domain_errors(tmp_path, capsys):
     # weights 1, 1, 3 lie outside the cell, which a NaN tolerance used to hide
     lam = tmp_path / "lam.csv"

@@ -448,6 +448,28 @@ def test_poly_at_outside_double_range():
     with mpmath.workdps(40):
         want = float((mpmath.mpf(t) - 1) ** 2 / t)
     assert hol.poly_at(-2, [1, 0, -2, 0, 1], 2, t) == pytest.approx(want, rel=1e-15)
+    # every float term underflows: the mpf sum 1e-400 rounds to 0.0, as overflow gives inf
+    assert hol.poly_at(-400, [1], 1, 10.0) == 0.0
+
+
+def test_poly_at_refuses_a_sum_that_is_0_at_t():
+    # 2 / t**0.5 - t**0.5 is exactly 0 at t = 2: no number of digits certifies its sign
+    with pytest.raises(DomainError, match="^a sum of 2 powers of t=4 cancels past 1000 digits$"):
+        hol.poly_at(0, [2, -1], 2, 4.0)
+
+
+def test_poly_at_bounds_each_exponent_by_its_own_rounding(monkeypatch):
+    # -11 / 12 rounds by 3.7e-17, so t**(-11 / 12) is good to 15 digits in floats at t = 1e4;
+    # its worst case |k / unit| ln t * 2**-53 gave 1.5e-15 and a rerun over mpf
+    entries = []
+    workdps = mpmath.workdps
+    monkeypatch.setattr(hol.mpmath, "workdps", lambda dps: entries.append(dps) or workdps(dps))
+    got = hol.poly_at(-11, [1], 12, 1e4)
+    monkeypatch.undo()
+    assert entries == []
+    with mpmath.workdps(40):
+        want = mpmath.mpf(10) ** (mpmath.mpf(-44) / 12)
+    assert abs(got - want) <= 1e-15 * want
 
 
 # -- one-left-turn closed form -----------------------------------------------------
