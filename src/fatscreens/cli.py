@@ -102,15 +102,10 @@ def cmd_trace(args) -> int:
     g = _load_graph(args.graph)
     lam = ser.read_lambda_csv(g, _read(args.lam))
     path = ser.parse_curve(g, args.path)
-    tr = hol.abs_trace_of_path(g, lam, path)
-    # the gap is taken at extended precision near 2, where tr - 2.0 is 0
-    gap = hol.trace_gap_of_path(g, lam, path)
-    print(f"abs_trace={ser.fmt(tr)}")
+    gap = hol.trace_gap_of_path(g, lam, path)     # one certified value for all three lines
+    print(f"abs_trace={ser.fmt(2.0 + gap)}")
     print(f"abs_trace_minus_2={ser.fmt(gap)}")
-    if gap >= 0.0:
-        print(f"hyp_length={ser.fmt(hol.hyp_length_from_gap(gap))}")
-    else:
-        print("hyp_length=undefined (elliptic)")
+    print(f"hyp_length={ser.fmt(hol.hyp_length_from_gap(gap))}")
     return 0
 
 

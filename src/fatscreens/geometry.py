@@ -65,7 +65,7 @@ class LambdaAssignment(_PerEdge):
     """Strictly positive weight per edge, indexed by edge id."""
 
     values: tuple[float, ...]
-    # (least, largest) weight, read by the refinement test of every traced curve
+    # (least, largest) weight, read by the trace's range test for its float pass
     extremes: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -18,14 +18,22 @@ representative.
 The product is one loop over four scalars, run over ``float`` and
 ``mpmath.mpf``: R, L and X act as closed-form column updates (R sends (a11,
 a12, a21, a22) to (a11 - a12, a11, a21 - a22, a21)); the other entries being
-0 and +-1, these round exactly like full 2x2 products.  The loop is one
-table-driven pass that also checks the path: each step's row in the graph's
-step table holds its backtrack, the two turns out of its arrival and its
-quad-slot edges, so the next step is classified as R, L or backtrack, or else
-the path breaks, by two or three comparisons.  Both trace functions refine by
-one rule: when |trace| is within 1e-6 of 2, rounding may swamp the gap or
-weights go subnormal, the loop reruns over ``mpf`` at 60 digits.  Along a
-monomial family a loop on packed ints gives the exact gap; ``terms_at`` sums it.
+0 and +-1, these round exactly like full 2x2 products.  The loop is one pass
+over the graph's step table, whose row for each step (its backtrack, the two
+turns out of its arrival, its quad-slot edges) also checks the path.
+
+On an efficient path the product never cancels: with J = diag(1, -1),
+J R X J = -[[1/s, s], [0, s]] and J L X J = [[1/s, 0], [1/s, s]], so each
+``a11 - a12`` adds two magnitudes, a11 and a22 share a sign and |trace| >= 2.
+While all values are normal, a step rounds each monomial of an entry at most
+6 times (2 for the weight quotient under the root, 1 each for the root, -1/s,
+the entry product and the turn's sum; Higham 2002, ch. 3), so the float
+|trace| - 2 of n steps is within (6n + 2) eps |trace| of the exact gap (eps is
+twice the unit roundoff, which covers a11 + a22, the subtraction and higher
+orders).  The trace functions keep it when that is within ``TRACE_RTOL``, give
+a boundary-parallel path (parabolic for all weights, Penner 1987) the gap 0,
+and else rerun over ``mpf`` with digits raised by the measured cancellation,
+as ``terms_at`` does.  Along a monomial family packed ints give the exact gap.
 """
 
 from __future__ import annotations
@@ -39,14 +47,14 @@ from typing import Sequence
 import mpmath
 
 from .errors import DomainError
-from .fatgraph import EdgePath, Fatgraph, _check_joins, _check_steps
+from .fatgraph import (EdgePath, Fatgraph, _check_joins, _check_steps, is_boundary_parallel,
+                       reduce_path)
 from .geometry import LambdaAssignment, _off_path_edge, _one_weight_per_edge, quad_slots
 
 LEFT = "L"
 RIGHT = "R"
 
-REFINE_GAP = 1e-6
-_MP_DPS = 60
+TRACE_RTOL = 1e-13           # relative error certified for every returned |trace| and gap
 EXACT_BITS_MAX = 2 ** 24     # packed exact traces grow with the exponent denominators
 
 
@@ -111,6 +119,12 @@ def path_turns(g: Fatgraph, path: EdgePath) -> tuple[str, ...]:
     return tuple(turn_direction(g, g.pairing(steps[k - 1]), steps[k]) for k in range(len(steps)))
 
 
+def _check_kernel(g: Fatgraph, w: Sequence) -> None:
+    if not g.is_trivalent():
+        raise DomainError("holonomy needs a trivalent graph")
+    _one_weight_per_edge(g, w)
+
+
 def _product(g: Fatgraph, path: EdgePath, w: Sequence, sqrt,
              allow_backtrack: bool = False) -> tuple:
     """Entries of T_1 X_1 T_2 X_2 ... with edge weights ``w`` and ``sqrt`` of their type.
@@ -118,9 +132,7 @@ def _product(g: Fatgraph, path: EdgePath, w: Sequence, sqrt,
     One pass over ``g._step_table`` checks and multiplies: a step that is
     neither turn nor the backtrack out of the previous arrival breaks the path.
     """
-    if not g.is_trivalent():
-        raise DomainError("holonomy needs a trivalent graph")
-    _one_weight_per_edge(g, w)
+    _check_kernel(g, w)
     steps = path.steps
     _check_steps(g, steps)
     rows = g._step_table
@@ -146,8 +158,7 @@ def _exact_gap_poly(g: Fatgraph, q: Sequence[int], path: EdgePath) -> list[tuple
     c != 0, sorted by k >= -D.  Edge matrices are scaled by tau**|k|, tau**k the cross ratio,
     and entries packed at tau = 2**bits: after n turns their coefficients sum to at most
     2**n in absolute value, so bits = n + 3 keeps them apart as balanced digits."""
-    if not g.is_trivalent():
-        raise DomainError("holonomy needs a trivalent graph")
+    _check_kernel(g, q)
     steps = path.steps
     _check_steps(g, steps)
     rows = g._step_table
@@ -208,12 +219,8 @@ def poly_at(low: int, coeffs: Sequence[int], unit: int, t: float) -> float:
 
 def holonomy(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
              allow_backtrack: bool = False) -> Mat2:
-    """Path-ordered product T_1 X_1 T_2 X_2 ... over the closed path.
-
-    Backtracking paths are rejected unless ``allow_backtrack`` is set, in
-    which case the turn at a backtrack contributes the identity; the group
-    relations make the |trace| agree with the reduced path's.
-    """
+    """Path-ordered product T_1 X_1 T_2 X_2 ... over the closed path; a backtrack, refused
+    unless ``allow_backtrack`` is set, turns by the identity, which keeps |trace|."""
     return Mat2(*_product(g, path, lam.values, math.sqrt, allow_backtrack))
 
 
@@ -229,10 +236,8 @@ def hyp_length(abs_tr: float) -> float:
 
 
 def hyp_length_from_gap(gap: float) -> float:
-    """Length from |trace| - 2, stable for gaps far below double epsilon.
-
-    Uses acosh(1 + u) = log1p(u + sqrt(u * (2 + u))) with u = gap / 2.
-    """
+    """Length from |trace| - 2 as 2 acosh(1 + u) = 2 log1p(u + sqrt(u * (2 + u))), u = gap / 2,
+    stable for gaps far below double epsilon."""
     if gap < -1e-12:
         raise DomainError(f"trace gap {gap} < 0: no geodesic length")
     u = max(0.0, gap) / 2.0
@@ -243,48 +248,48 @@ def hyp_length_from_gap(gap: float) -> float:
     return 2.0 * math.log1p(u + math.sqrt(square))
 
 
-def _needs_refinement(m: Mat2, abs_tr: float, lam: LambdaAssignment, n_steps: int) -> bool:
-    # the double product loses roughly eps times the largest entry per
-    # factor, which swamps a small trace gap when weights span many orders
-    # of magnitude; below sqrt of the least normal double a weight product
-    # goes subnormal and loses digits before any sum
-    peak = max(abs(m.m11), abs(m.m12), abs(m.m21), abs(m.m22), lam.extremes[1] ** 2)
-    roundoff = 2e-16 * peak * n_steps
-    gap = abs(abs_tr - 2.0)
-    return (gap < REFINE_GAP or not math.isfinite(gap)
-            or roundoff > 1e-3 * max(gap, 1e-300)
-            or lam.extremes[0] ** 2 < sys.float_info.min)
-
-
 def _abs_trace_minus(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
                      allow_backtrack: bool, offset: int) -> float:
-    """|trace| - offset, with the subtraction at extended precision when refined."""
-    try:
-        m = holonomy(g, lam, path, allow_backtrack=allow_backtrack)
-        abs_tr = abs_trace(m)
-        if not _needs_refinement(m, abs_tr, lam, len(path.steps)):
-            return abs_tr - offset
-    except (ZeroDivisionError, OverflowError):
-        pass    # weights beyond double range: a cross ratio underflowed, or the bound overflowed
-    with mpmath.workdps(_MP_DPS):
-        w = [mpmath.mpf(v) for v in lam.values]
-        a11, _, _, a22 = _product(g, path, w, mpmath.sqrt, allow_backtrack)
-        return float(abs(a11 + a22) - offset)
+    """|trace| - offset within ``TRACE_RTOL`` as the module docstring derives, or refused."""
+    _check_kernel(g, lam.values)
+    # |trace| is a conjugacy invariant, and 2 on a contractible path
+    if allow_backtrack and (path := reduce_path(g, path)) is None:
+        return 2.0 - offset
+    n, (lo, hi) = len(path.steps), lam.extremes
+    tr, gap, err, digits = 1.0, 0.0, 1.0, 0
+    # weight products lie in [lo**2, hi**2], their quotients and nonzero entries within
+    # (2 hi / lo)**+-(n + 1): the float pass runs only where all of these are normal
+    if (lo * lo >= sys.float_info.min and hi * hi < math.inf
+            and (n + 1) * math.log2(2 * hi / lo) < 1000):
+        a11, _, _, a22 = _product(g, path, lam.values, math.sqrt)
+        tr = abs(a11 + a22)
+        gap, err = tr - offset, (6 * n + 2) * sys.float_info.epsilon * tr
+        if err <= TRACE_RTOL * abs(gap):
+            return gap
+    if is_boundary_parallel(g, path):
+        return 2.0 - offset
+    while not err <= TRACE_RTOL * abs(gap):
+        digits = max(digits + 15, 20 + int(mpmath.log10(max(tr / max(abs(gap), err), 1))))
+        if digits > 1000:
+            raise DomainError(f"|trace| - {offset} of a {n}-step path cancels past 1000 digits")
+        with mpmath.workdps(digits):
+            a11, _, _, a22 = _product(g, path, [mpmath.mpf(v) for v in lam.values], mpmath.sqrt)
+            tr = abs(a11 + a22)
+            gap, err = tr - offset, (6 * n + 2) * mpmath.eps * tr
+    if not sys.float_info.min <= abs(gap) <= sys.float_info.max:
+        raise DomainError(f"|trace| - {offset} = {mpmath.nstr(gap, 3)} is beyond double range")
+    return float(gap)
 
 
 def abs_trace_of_path(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
                       allow_backtrack: bool = False) -> float:
-    """|trace| of the path holonomy, re-evaluated at high precision near 2."""
+    """|trace| of the path holonomy within ``TRACE_RTOL``."""
     return _abs_trace_minus(g, lam, path, allow_backtrack, 0)
 
 
 def trace_gap_of_path(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
                       allow_backtrack: bool = False) -> float:
-    """|trace| - 2 with the subtraction done at extended precision.
-
-    Gaps far below 2**-52 are representable this way even though the trace
-    itself rounds to 2.0 in double precision.
-    """
+    """|trace| - 2 within ``TRACE_RTOL``, also far below 2**-52 where the trace rounds to 2.0."""
     return _abs_trace_minus(g, lam, path, allow_backtrack, 2)
 
 

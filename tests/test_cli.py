@@ -116,8 +116,26 @@ def test_trace_near_parabolic(tmp_path, capsys):
     assert float(lines["hyp_length"]) == pytest.approx(2e-9, rel=1e-9)
 
 
+# lambda 1000 on a, c, d, p, s, t and 1 on b, q, r; the float product printed the
+# gap of a+ p- (exactly 1e-6) as 1.00000000013978e-06, and the parabolic boundary
+# cycle as -3.11150763893057e-61 with "hyp_length=undefined (elliptic)"
+GENUS2_CERTIFIED = {
+    "a+,p-": "abs_trace=2.000001\nabs_trace_minus_2=1e-06\nhyp_length=0.00199999991666668\n",
+    "a+ q+ b- p+ a- b+ r+ c+ d- t+ c- s+ d+ t- s- r- q- p-":
+        "abs_trace=2\nabs_trace_minus_2=0\nhyp_length=0\n",
+}
+
+
+@pytest.mark.parametrize("path", GENUS2_CERTIFIED)
+def test_trace_prints_certified_gaps(tmp_path, capsys, path):
+    lam = tmp_path / "l.csv"
+    lam.write_text("edge,value\na,1000\nb,1\nc,1000\nd,1000\np,1000\nq,1\nr,1\ns,1000\nt,1000\n")
+    code, out = run(capsys, "trace", str(DATA / "genus2.fg"), "--lambda", str(lam), "--path", path)
+    assert code == 0 and out == GENUS2_CERTIFIED[path]
+
+
 def test_trace_extreme_weights(tmp_path, capsys):
-    # the double-precision cross ratio underflows to 0; the trace is refined
+    # the double-precision cross ratio would underflow to 0; the trace runs in mpf
     lam = tmp_path / "l.csv"
     lam.write_text("edge,value\ne0,1e200\ne1,1\ne2,1\n")
     code, out = run(capsys, "trace", THETA, "--lambda", str(lam), "--path", "e0+,e1-")

@@ -13,6 +13,7 @@ from fatscreens import fatgraph as fgr
 from fatscreens import geometry as geo
 from fatscreens import holonomy as hol
 from fatscreens import screens as scn
+from fatscreens import serialize as ser
 from fatscreens.errors import DomainError
 
 from conftest import essential_curve_pool, load, random_in_cell_lambda, random_trivalent
@@ -160,7 +161,7 @@ KERNEL_FAULTS = {
     "backtrack": ("theta.fg", (0, 5, 2, 4), "path is not efficient"),
 }
 
-# every route into the kernel: float (refined in mpf near 2) and exact Laurent
+# every route into the kernel: float (rerun in mpf where its bound fails) and exact Laurent
 KERNEL_ENTRIES = {
     "holonomy": lambda g, p, bt: hol.holonomy(g, ones(g), p, allow_backtrack=bt),
     "abs_trace_of_path": lambda g, p, bt: hol.abs_trace_of_path(g, ones(g), p, allow_backtrack=bt),
@@ -262,21 +263,32 @@ def test_whitehead_trace_invariance(trivalent_corpus):
 # -- kernel regression against full matrix products ----------------------------
 
 def reference_traces(g, lam, path):
-    """(float product, |trace|, |trace| - 2, refined) from full 2x2 products.
-
-    The float product chains Mat2 matrices; refined evaluations multiply
-    mpmath matrices at the library's working precision.
-    """
+    """(float product, |trace|, |trace| - 2): the float product chains Mat2
+    matrices, the reference values multiply mpmath matrices at 100 digits."""
     r_mat, l_mat = hol.turn_matrices()
     acc = hol.IDENTITY
     for turn, h in zip(turn_codes(g, path), path.steps):
         t_mat = {None: hol.IDENTITY, hol.RIGHT: r_mat, hol.LEFT: l_mat}[turn]
         acc = acc @ t_mat @ hol.edge_matrix(g, lam, h)
-    if not hol._needs_refinement(acc, hol.abs_trace(acc), lam, len(path.steps)):
-        return acc, hol.abs_trace(acc), hol.abs_trace(acc) - 2.0, False
-    with mpmath.workdps(hol._MP_DPS):
+    with mpmath.workdps(100):
         tr = mp_abs_trace(g, lam, path)
-        return acc, float(tr), float(tr - 2), True
+        return acc, tr, tr - 2
+
+
+def check_certified(g, lam, path, backtrack):
+    """Both trace functions within TRACE_RTOL of the 100-digit reference, and
+    the bit-exact float product; True for a boundary-parallel path, whose gap
+    must be exactly 0."""
+    m, tr, gap = reference_traces(g, lam, path)
+    assert hol.holonomy(g, lam, path, allow_backtrack=backtrack) == m
+    got_tr = hol.abs_trace_of_path(g, lam, path, allow_backtrack=backtrack)
+    got_gap = hol.trace_gap_of_path(g, lam, path, allow_backtrack=backtrack)
+    assert abs(got_tr - tr) <= hol.TRACE_RTOL * tr
+    if fgr.is_boundary_parallel(g, path):
+        assert got_gap == 0.0 and abs(gap) < 1e-80 * tr
+        return True
+    assert abs(got_gap - gap) <= hol.TRACE_RTOL * abs(gap)
+    return False
 
 
 def turn_codes(g, path):
@@ -327,16 +339,11 @@ def kernel_cases(trivalent_corpus, genus2):
 
 
 def test_kernel_matches_full_matrix_products(trivalent_corpus, genus2):
-    refined_tiny = total = 0
+    parabolic = total = 0
     for g, lam, p, backtrack in kernel_cases(trivalent_corpus, genus2):
-        m, tr, gap, refined = reference_traces(g, lam, p)
-        assert hol.holonomy(g, lam, p, allow_backtrack=backtrack) == m
-        assert hol.abs_trace_of_path(g, lam, p, allow_backtrack=backtrack) == tr
-        assert hol.trace_gap_of_path(g, lam, p, allow_backtrack=backtrack) == gap
-        if refined and 0 <= gap < 1e-16:
-            refined_tiny += 1
+        parabolic += check_certified(g, lam, p, backtrack)
         total += 1
-    assert total > 1000 and refined_tiny > 0
+    assert total > 2000 and parabolic > 90
 
 
 def closed_walk(g, rng):
@@ -376,12 +383,88 @@ def test_kernel_matches_full_matrix_products_property():
             steps = steps[:k + 1] + (ins, g.pairing(ins)) + steps[k + 1:]
             cases.append((fgr.EdgePath(steps), True))
         for p, backtrack in cases:
-            m, tr, gap, _ = reference_traces(g, lam, p)
-            assert hol.holonomy(g, lam, p, allow_backtrack=backtrack) == m
-            assert hol.abs_trace_of_path(g, lam, p, allow_backtrack=backtrack) == tr
-            assert hol.trace_gap_of_path(g, lam, p, allow_backtrack=backtrack) == gap
+            check_certified(g, lam, p, backtrack)
 
     check()
+
+
+class Signed(float):
+    """A float whose differences must add magnitudes (or involve a 0)."""
+
+    def __sub__(self, other):
+        assert not (self > 0 < other or self < 0 > other), (float(self), float(other))
+        return Signed(float(self) - other)
+
+    def __mul__(self, other):
+        return Signed(float(self) * other)
+
+    __rmul__ = __mul__
+
+    def __rtruediv__(self, other):
+        return Signed(other / float(self))
+
+
+def test_kernel_adds_magnitudes_property():
+    """On an efficient path every column update of the kernel combines entries
+    of opposite sign, and a11 and a22 end with the same sign: the no-cancellation
+    property that certifies float traces."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @hypothesis.given(st.sampled_from((3, 6, 9, 12)), st.integers(0, 2 ** 32))
+    def check(n_edges, seed):
+        rng = random.Random(seed)
+        g = random_trivalent(n_edges, rng)
+        w = [10 ** rng.uniform(-6, 6) for _ in range(n_edges)]
+        path = closed_walk(g, rng)
+        a11, a12, a21, a22 = hol._product(g, path, w, lambda x: Signed(math.sqrt(x)))
+        assert all(type(x) is Signed for x in (a11, a12, a21, a22))
+        assert a11 != 0 != a22 and (a11 > 0) == (a22 > 0)
+
+    check()
+
+
+def test_in_cell_traces_stay_in_float(trivalent_corpus, monkeypatch):
+    # in-cell weights certify every pool curve's |trace| from the float product,
+    # as the lengths benchmark requires: no extended-precision rerun
+    entries = []
+    workdps = mpmath.workdps
+    monkeypatch.setattr(hol.mpmath, "workdps", lambda dps: entries.append(dps) or workdps(dps))
+    rng = random.Random(29)
+    for g in trivalent_corpus.values():
+        for _ in range(5):
+            lam = random_in_cell_lambda(g, rng)
+            for p in essential_curve_pool(g):
+                assert hol.abs_trace_of_path(g, lam, p) > 2.0
+    monkeypatch.undo()
+    assert entries == []
+
+
+def test_contractible_and_parabolic_traces_are_exact(theta, genus2):
+    lam = geo.lambda_assignment([1e-6, 1.0, 1e6])
+    there_and_back = fgr.EdgePath((0, theta.pairing(0)))
+    assert hol.abs_trace_of_path(theta, lam, there_and_back, allow_backtrack=True) == 2.0
+    assert hol.trace_gap_of_path(theta, lam, there_and_back, allow_backtrack=True) == 0.0
+    lam = geo.lambda_assignment([10.0 ** k for k in range(-8, 10, 2)])
+    for cyc in fgr.boundary_cycles(genus2):
+        twice = fgr.EdgePath(cyc.steps * 2)
+        assert hol.trace_gap_of_path(genus2, lam, twice) == 0.0
+
+
+def test_trace_refuses_gaps_beyond_double_range(genus2):
+    # the gap of a+ p- is exactly r**-4 for weights r on a, c, d, p, s, t and 1 / r on b, q, r
+    path = ser.parse_curve(genus2, "a+,p-")
+
+    def gap(r):
+        lam = geo.lambda_assignment([r if x in "acdpst" else 1 / r for x in "abcdpqrst"])
+        return hol.trace_gap_of_path(genus2, lam, path)
+
+    assert abs(gap(1e10) - 1e-40) <= hol.TRACE_RTOL * 1e-40
+    with pytest.raises(DomainError, match=r"^\|trace\| - 2 = 1\.0e-400 is beyond double range$"):
+        gap(1e100)
+    with pytest.raises(DomainError, match="of a 2-step path cancels past 1000 digits$"):
+        gap(1e300)
 
 
 def test_trace_refines_when_float_leaves_range(theta):
@@ -393,7 +476,7 @@ def test_trace_refines_when_float_leaves_range(theta):
     for values in ([1e200, 1, 1], [1e160, 1, 1], [1e-160, 1, 1], [1e160] * 3, [1e-200] * 3,
                    [1e-160, 1e-160, 1e-150]):
         lam = geo.lambda_assignment(values)
-        with mpmath.workdps(hol._MP_DPS):
+        with mpmath.workdps(60):
             tr = mp_abs_trace(theta, lam, path)
             want, want_gap = float(tr), float(tr - 2)
         assert hol.abs_trace_of_path(theta, lam, path) == want
