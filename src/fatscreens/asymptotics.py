@@ -15,6 +15,7 @@ monomials, vanish by their leading term and decide cell membership exactly.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,8 +127,9 @@ def sweep(g: Fatgraph, fam: MonomialFamily, curves: CurveSystem | Iterable[EdgeP
           sched: SweepSchedule | None = None) -> SweepReport:
     """Trace every curve at every scheduled t and classify the decay.
 
-    Rows evaluate each curve's exact gap |trace| - 2 to 15 digits; its leading term
-    c * t**k gives the verdict: ``shrinking`` if k < 0, parabolic if the gap is 0.
+    Rows evaluate each curve's exact gap |trace| - 2 to 15 digits, or refuse a nonzero gap
+    outside the normal double range; its leading term c * t**k gives the verdict:
+    ``shrinking`` if k < 0, parabolic if the gap is 0.
     ``in_cell_at`` holds when every coordinate is > 0 at t; none is identically 0 (each is
     2 at t = 1), so the cell's forest test on 0 coordinates is empty; one 0 at t is refused.
     """
@@ -147,7 +149,7 @@ def sweep(g: Fatgraph, fam: MonomialFamily, curves: CurveSystem | Iterable[EdgeP
         flags.append((t, all(terms_at(m, unit, t) > 0 for m in unsure)))
         for c, poly in polys:
             gap = terms_at(poly, unit, t)
-            if poly and gap in (0.0, math.inf):
+            if poly and not sys.float_info.min <= abs(gap) <= sys.float_info.max:
                 raise DomainError(f"a nonzero trace gap rounds to {gap:g} at t={t:g}")
             rows.append(SweepRow(t, c, 2.0 + gap, gap, hyp_length_from_gap(gap)))
     verdicts = tuple((c, _verdict(poly)) for c, poly in polys)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, FormatError
 
@@ -310,25 +310,31 @@ def build(vertex_cycles: Iterable[Iterable[int]],
 # Boundary cycles and topology
 # ---------------------------------------------------------------------------
 
+def _faces(g: Fatgraph, inside: Collection[int]) -> Iterator[tuple[int, ...]]:
+    """Each face of the subgraph on the half-edges ``inside``, from its first step in
+    the order of ``inside``: a step arrives through its pair, then turns by ``sigma``
+    past the half-edges outside ``inside``."""
+    iota, sigma = g._iota, g._sigma
+    seen: set[int] = set()
+    for start in inside:
+        face, h = [], start
+        while h not in seen:
+            seen.add(h)
+            face.append(h)
+            h = sigma[iota[h]]
+            while h not in inside:
+                h = sigma[h]
+        if face:
+            yield tuple(face)
+
+
 def boundary_cycles(g: Fatgraph) -> tuple[EdgePath, ...]:
-    """All boundary cycles, as step sequences; orbits of sigma o iota.
+    """All boundary cycles, as step sequences; orbits of sigma o iota, each from its least step.
 
     Every directed step appears in exactly one cycle.  On a trivalent graph
     each cycle makes the same turn at every vertex.
     """
-    seen = [False] * g.n_half_edges
-    out = []
-    for h0 in range(g.n_half_edges):
-        if seen[h0]:
-            continue
-        orbit = []
-        h = h0
-        while not seen[h]:
-            seen[h] = True
-            orbit.append(h)
-            h = g.sigma(g.pairing(h))
-        out.append(EdgePath(tuple(orbit)))
-    return tuple(out)
+    return tuple(map(EdgePath, _faces(g, range(g.n_half_edges))))
 
 
 def topology(g: Fatgraph) -> tuple[int, int]:
@@ -390,19 +396,15 @@ def reduce_path(g: Fatgraph, path: EdgePath) -> EdgePath | None:
 
 
 def canonical_path(g: Fatgraph, path: EdgePath) -> EdgePath:
-    """Lexicographically least rotation over both orientations.
+    """Lexicographically least rotation over both orientations; it starts at a least step.
 
     Curves are unoriented: a cycle and its reversal canonicalize equally.
     """
     fwd = path.steps
     rev = tuple(g.pairing(s) for s in reversed(fwd))
-    best = None
-    for seq in (fwd, rev):
-        for r in range(len(seq)):
-            cand = seq[r:] + seq[:r]
-            if best is None or cand < best:
-                best = cand
-    return EdgePath(best)
+    least = min(fwd + rev)
+    return EdgePath(min(seq[r:] + seq[:r] for seq in (fwd, rev)
+                        for r, s in enumerate(seq) if s == least))
 
 
 def path_edges(g: Fatgraph, path: EdgePath) -> EdgeSubset:
@@ -410,19 +412,19 @@ def path_edges(g: Fatgraph, path: EdgePath) -> EdgeSubset:
 
 
 def is_boundary_parallel(g: Fatgraph, path: EdgePath,
-                         cycles: Sequence[EdgePath] | None = None) -> bool:
-    """True for contractible paths and, up to rotation and reversal, powers of
-    ``cycles`` (by default the boundary cycles of ``g``)."""
+                         cycles: Iterable[EdgePath] | None = None) -> bool:
+    """True for contractible paths and, up to rotation and reversal, powers of the faces
+    ``cycles`` (by default the boundary cycles of ``g``).  A face visits each step once, so
+    it is primitive: the path is parallel when its primitive root, the prefix of its least
+    period, canonicalizes to one of them."""
     reduced = reduce_path(g, path)
     if reduced is None:
         return True
-    target = canonical_path(g, reduced)
-    n = len(target)
-    for cyc in boundary_cycles(g) if cycles is None else cycles:
-        m = len(cyc)
-        if n % m == 0 and canonical_path(g, EdgePath(cyc.steps * (n // m))) == target:
-            return True
-    return False
+    steps, n = reduced.steps, len(reduced)
+    m = next(p for p in range(1, n + 1) if n % p == 0 and steps[p:] + steps[:p] == steps)
+    faces = (_subset_faces(g, g.all_edges()) if cycles is None
+             else {canonical_path(g, c) for c in cycles})
+    return canonical_path(g, EdgePath(steps[:m])) in faces
 
 
 # ---------------------------------------------------------------------------
@@ -670,30 +672,9 @@ def weights_to_multicurve(g: Fatgraph, mu: Mapping[int, int]) -> list[EdgePath]:
 # ---------------------------------------------------------------------------
 
 def _subset_faces(g: Fatgraph, edges: Iterable[int]) -> set[EdgePath]:
-    """Canonical faces of ``subgraph(g, edges)``, walked in ``g`` without building it.
-
-    A step arrives through its pair and turns by ``sigma`` past the halves
-    outside the subset.  A face visits each step once, so its least rotation
-    (``canonical_path``) in either orientation starts at its least step.
-    """
-    iota, sigma = g._iota, g._sigma
+    """Canonical faces of ``subgraph(g, edges)``, walked in ``g`` without building it."""
     inside = {h for e in edges for h in g.edge_halves[e]}
-    seen: set[int] = set()
-    faces = set()
-    for start in inside:
-        orbit = []
-        h = start
-        while h not in seen:
-            seen.add(h)
-            orbit.append(h)
-            h = sigma[iota[h]]
-            while h not in inside:
-                h = sigma[h]
-        if orbit:
-            rev = [iota[x] for x in reversed(orbit)]
-            i, j = orbit.index(min(orbit)), rev.index(min(rev))
-            faces.add(EdgePath(min(tuple(orbit[i:] + orbit[:i]), tuple(rev[j:] + rev[:j]))))
-    return faces
+    return {canonical_path(g, EdgePath(face)) for face in _faces(g, inside)}
 
 
 def subset_boundary(g: Fatgraph, edges: Iterable[int]) -> CurveSystem:

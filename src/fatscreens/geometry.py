@@ -37,6 +37,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError, NonConvergenceError
@@ -187,8 +188,8 @@ def triangle_inequalities_hold(g: Fatgraph, lam: LambdaAssignment
     _require_trivalent(g)
     _one_weight_per_edge(g, lam)
     for v, cyc in enumerate(g.vertex_cycles):
-        x, y, z = (lam[g.edge_of(h)] for h in cyc)
-        if x >= y + z or y >= z + x or z >= x + y:
+        *rest, top = sorted(lam[g.edge_of(h)] for h in cyc)
+        if sum(map(Fraction, rest)) <= top:     # exact: 1 + 1e16 > 1e16 although it rounds
             return False, v
     return True, None
 
@@ -568,8 +569,8 @@ def refine_to_trivalent(g: Fatgraph, lam: LambdaAssignment) -> Refinement:
     if any(g.valence(v) < 3 for v in range(g.n_vertices)):
         raise DomainError("refinement needs all valences >= 3")
     for v, cyc in enumerate(g.vertex_cycles):
-        vals = [lam[g.edge_of(h)] for h in cyc]
-        if max(vals) >= sum(vals) - max(vals):
+        *rest, top = sorted(lam[g.edge_of(h)] for h in cyc)
+        if sum(map(Fraction, rest)) <= top:
             raise DomainError(f"triangle inequalities fail at vertex {v}")
     if g.is_trivalent():
         return Refinement(g, lam, ())

@@ -212,11 +212,6 @@ def terms_at(ks: Sequence[tuple[int, int]], unit: int, t: float) -> float:
     return float(total)
 
 
-def poly_at(low: int, coeffs: Sequence[int], unit: int, t: float) -> float:
-    """``terms_at`` of sum_i coeffs[i] * t**((low + i) / unit), coefficients listed densely."""
-    return terms_at([(low + i, c) for i, c in enumerate(coeffs) if c], unit, t)
-
-
 def holonomy(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
              allow_backtrack: bool = False) -> Mat2:
     """Path-ordered product T_1 X_1 T_2 X_2 ... over the closed path; a backtrack, refused

@@ -248,6 +248,15 @@ def test_sweep_refusals_are_one_line(tmp_path, capsys):
         assert captured.err == "error: a nonzero trace gap rounds to 0 at t=10\n"
 
 
+def test_sweep_refuses_subnormal_gaps(tmp_path, capsys):
+    # the gap of e0+ e1- is exactly 1e-310 at t = 1e155: a subnormal keeps too few digits
+    p = write_exponents(tmp_path / "p.csv", ["e0", "e1", "e2"], [1, 1, 0])
+    code = cli.main(["sweep", THETA, "--exponents", p, "--t", "1e155,3e155"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: a nonzero trace gap rounds to 1e-310 at t=1e+155\n"
+
+
 def test_check_cell_underflow_is_domain_error(tmp_path, capsys):
     lam = tmp_path / "lam.csv"
     lam.write_text("edge,value\ne0,1e-110\ne1,1e-110\ne2,1e-110\n")

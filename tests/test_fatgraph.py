@@ -407,6 +407,53 @@ def test_boundary_parallel(theta):
     assert fgr.is_boundary_parallel(theta, rev)
 
 
+def _canonical_reference(g: fgr.Fatgraph, path: fgr.EdgePath) -> fgr.EdgePath:
+    """The least of all rotations of both orientations."""
+    rev = tuple(g.pairing(s) for s in reversed(path.steps))
+    return fgr.EdgePath(min(seq[r:] + seq[:r] for seq in (path.steps, rev)
+                            for r in range(len(seq))))
+
+
+def _parallel_reference(g: fgr.Fatgraph, path: fgr.EdgePath, cycles=None) -> bool:
+    """The earlier is_boundary_parallel loop: canonicalize the fitting power of each cycle."""
+    reduced = fgr.reduce_path(g, path)
+    if reduced is None:
+        return True
+    target = _canonical_reference(g, reduced)
+    n = len(target)
+    for cyc in fgr.boundary_cycles(g) if cycles is None else cycles:
+        m = len(cyc)
+        if n % m == 0 and _canonical_reference(g, fgr.EdgePath(cyc.steps * (n // m))) == target:
+            return True
+    return False
+
+
+def test_canonical_and_parallel_match_references():
+    # random closed walks with backtracks, and faces of the graph and of a recurrent
+    # subset with a backtrack inserted, each as itself and as its 2nd and 3rd power
+    rng = random.Random(71)
+    verdicts = Counter()
+    for path in sorted(DATA.glob("*.fg")):
+        g = fgr.parse_fatgraph(path.read_text())
+        subsets = list(fgr.recurrent_subsets(g)) or [g.all_edges()]   # none on path, pendant
+        for _ in range(40):
+            faces = [fgr.EdgePath(f) for f in fgr._faces(
+                g, {h for e in rng.choice(subsets) for h in g.edge_halves[e]})]
+            face = rng.choice(faces + list(fgr.boundary_cycles(g))).steps
+            k = rng.randrange(len(face))
+            h = rng.choice(g.vertex_cycles[g.step_tail(face[k])])
+            walks = (_random_closed_path(g, rng),
+                     fgr.EdgePath(face[:k] + (h, g.pairing(h)) + face[k:]))
+            for walk in walks:
+                for p in (fgr.EdgePath(walk.steps * power) for power in (1, 2, 3)):
+                    assert fgr.canonical_path(g, p) == _canonical_reference(g, p)
+                    for cycles in (None, faces):
+                        got = fgr.is_boundary_parallel(g, p, cycles)
+                        assert got == _parallel_reference(g, p, cycles), (path.name, p.steps)
+                        verdicts[got] += 1
+    assert verdicts[True] > 100 and verdicts[False] > 100, verdicts
+
+
 # -- subset boundary -----------------------------------------------------------------
 
 def test_subset_boundary_theta(theta):

@@ -125,6 +125,22 @@ def test_triangle_inequalities(theta):
     assert not ok and vertex == 0
 
 
+def test_triangle_inequalities_are_exact(theta):
+    # 1e16 < 1e16 + 1 holds although the float sum rounds to 1e16
+    lam = geo.lambda_assignment([1, 1e16, 1e16])
+    assert geo.triangle_inequalities_hold(theta, lam) == (True, None)
+    assert geo.refine_to_trivalent(theta, lam).new_edges == ()
+    assert geo.triangle_inequalities_hold(theta, geo.lambda_assignment([1, 1e16, 1e16 + 2])) \
+        == (False, 0)
+    # a sum beyond double range, and one in the subnormal range, compare exactly too
+    assert geo.triangle_inequalities_hold(theta, geo.lambda_assignment([1.7e308] * 3))[0]
+    assert not geo.triangle_inequalities_hold(theta, geo.lambda_assignment([1e-320, 1e-320,
+                                                                            2e-320]))[0]
+    g = fgr.build([(0, 1, 2, 3), (4, 5, 6, 7)], [(0, 4), (1, 5), (2, 6), (3, 7)])
+    with pytest.raises(DomainError, match="triangle inequalities fail at vertex 0"):
+        geo.refine_to_trivalent(g, geo.lambda_assignment([1, 1, 1e16, 1e16 + 2]))
+
+
 def test_in_cell_implies_triangle_inequalities(trivalent_corpus):
     rng = random.Random(13)
     for g in trivalent_corpus.values():

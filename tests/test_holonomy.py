@@ -520,34 +520,34 @@ def test_trace_gap_below_double_epsilon(theta):
     assert 2.0 + gap == 2.0   # the trace itself is unrepresentable
 
 
-def test_poly_at_outside_double_range():
-    assert hol.poly_at(0, [], 2, 1e4) == 0.0
+def test_terms_at_outside_double_range():
+    assert hol.terms_at([], 2, 1e4) == 0.0
     # t**80 overflows a double and t**-80.5 is subnormal: both are summed over mpf,
     # where the float product 3 * t**-80.5 would give 2.96e-322
-    assert hol.poly_at(160, [1], 2, 1e4) == math.inf
-    assert hol.poly_at(-161, [3], 2, 1e4) == 3e-322
+    assert hol.terms_at([(160, 1)], 2, 1e4) == math.inf
+    assert hol.terms_at([(-161, 3)], 2, 1e4) == 3e-322
     # (t - 1)**2 / t at t = 1 + 2**-30 cancels 2**61-fold
     t = 1 + 2 ** -30
     with mpmath.workdps(40):
         want = float((mpmath.mpf(t) - 1) ** 2 / t)
-    assert hol.poly_at(-2, [1, 0, -2, 0, 1], 2, t) == pytest.approx(want, rel=1e-15)
+    assert hol.terms_at([(-2, 1), (0, -2), (2, 1)], 2, t) == pytest.approx(want, rel=1e-15)
     # every float term underflows: the mpf sum 1e-400 rounds to 0.0, as overflow gives inf
-    assert hol.poly_at(-400, [1], 1, 10.0) == 0.0
+    assert hol.terms_at([(-400, 1)], 1, 10.0) == 0.0
 
 
-def test_poly_at_refuses_a_sum_that_is_0_at_t():
-    # 2 / t**0.5 - t**0.5 is exactly 0 at t = 2: no number of digits certifies its sign
+def test_terms_at_refuses_a_sum_that_is_0_at_t():
+    # 2 - t**0.5 is exactly 0 at t = 4: no number of digits certifies its sign
     with pytest.raises(DomainError, match="^a sum of 2 powers of t=4 cancels past 1000 digits$"):
-        hol.poly_at(0, [2, -1], 2, 4.0)
+        hol.terms_at([(0, 2), (1, -1)], 2, 4.0)
 
 
-def test_poly_at_bounds_each_exponent_by_its_own_rounding(monkeypatch):
+def test_terms_at_bounds_each_exponent_by_its_own_rounding(monkeypatch):
     # -11 / 12 rounds by 3.7e-17, so t**(-11 / 12) is good to 15 digits in floats at t = 1e4;
     # its worst case |k / unit| ln t * 2**-53 gave 1.5e-15 and a rerun over mpf
     entries = []
     workdps = mpmath.workdps
     monkeypatch.setattr(hol.mpmath, "workdps", lambda dps: entries.append(dps) or workdps(dps))
-    got = hol.poly_at(-11, [1], 12, 1e4)
+    got = hol.terms_at([(-11, 1)], 12, 1e4)
     monkeypatch.undo()
     assert entries == []
     with mpmath.workdps(40):
