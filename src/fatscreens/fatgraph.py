@@ -445,18 +445,10 @@ class CurveSystem:
         return iter(self.curves)
 
 
-def curve_system(g: Fatgraph, paths: Iterable[EdgePath], check: bool = True) -> CurveSystem:
-    canon = set()
-    for p in paths:
-        red = reduce_path(g, p)
-        if check and red is None:
-            raise DomainError("contractible curve in curve system")
-        if red is None:
-            continue
-        if check and is_boundary_parallel(g, red):
-            raise DomainError("boundary-parallel curve in curve system")
-        canon.add(canonical_path(g, red))
-    return _curve_set(g, canon)
+def curve_system(g: Fatgraph, paths: Iterable[EdgePath]) -> CurveSystem:
+    """The canonical forms of ``paths``, each reduced first; contractible paths are dropped."""
+    reduced = (reduce_path(g, p) for p in paths)
+    return _curve_set(g, {canonical_path(g, r) for r in reduced if r is not None})
 
 
 def _curve_set(g: Fatgraph, canon: Iterable[EdgePath]) -> CurveSystem:

@@ -33,7 +33,6 @@ no n x n array is formed; one ``bincount`` sums the coordinates.
 from __future__ import annotations
 
 import importlib.util
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -485,69 +484,38 @@ class CyclicPolygon:
 def cyclic_polygon(lengths: Sequence[float]) -> CyclicPolygon:
     """Inscribe a polygon with the given side lengths in a circle.
 
-    Bisection on the central-angle equation.  When the longest side must
-    subtend a reflex-centered chord its angle switches branch to
-    ``2*pi - 2*asin(l/2R)``; ties at the branch point resolve to the
-    non-reflex branch.
+    Bisection on y = lmax/(2R) over (0, 1], where side l has the half-angle
+    asin(y*l/lmax).  The centre is inside when the other sides' half-angles
+    reach pi/2 at y = 1, and then all half-angles sum to pi; otherwise the
+    others sum to the longest side's half-angle, and its central angle is
+    reflex.  The polygon exists and is unique (Robbins 1994), so each
+    equation has one sign change in (0, 1], and the bisection runs until lo
+    and hi are adjacent doubles.
     """
     ls = [float(v) for v in lengths]
-    if len(ls) < 3 or min(ls) <= 0:
-        raise DomainError("need at least three positive lengths")
-    total = sum(ls)
-    if max(ls) >= total - max(ls):
+    if len(ls) < 3 or not all(0.0 < l < math.inf for l in ls):
+        raise DomainError("need at least three positive finite lengths")
+    *rest, lmax = sorted(ls)
+    if sum(map(Fraction, rest)) <= lmax:
         raise DomainError("generalized strict triangle inequality fails")
-    imax = ls.index(max(ls))
-    lmax = ls[imax]
-    rmin = lmax / 2.0
+    imax = ls.index(lmax)
+    ratios = [l / lmax for l in ls]
 
-    def others(r: float) -> float:
-        return sum(2.0 * math.asin(min(1.0, l / (2.0 * r)))
-                   for i, l in enumerate(ls) if i != imax)
+    def others(y: float) -> float:
+        return sum(math.asin(y * r) for i, r in enumerate(ratios) if i != imax)
 
-    reflex = others(rmin) < math.pi
-
-    def gap(r: float) -> float:
-        # angle sum minus 2*pi on the active branch
-        big = 2.0 * math.asin(min(1.0, lmax / (2.0 * r)))
-        if reflex:
-            big = 2.0 * math.pi - big
-        return others(r) + big - 2.0 * math.pi
-
-    # On the non-reflex branch the gap decreases in R from gap(rmin) >= 0;
-    # on the reflex branch it increases from gap(rmin) < 0 towards 0+.
-    sign = -1.0 if reflex else 1.0
-    lo = rmin
-    f_lo = sign * gap(lo)
-    if abs(f_lo) <= 1e-15:
-        radius = lo
-    else:
-        if f_lo < 0.0:
-            raise DomainError("no inscribing circle brackets these lengths")
-        hi = rmin * 2.0
-        for _ in range(200):
-            if sign * gap(hi) < 0.0:
-                break
-            hi *= 2.0
+    inside = others(1.0) >= math.pi / 2
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        rest_sum, big = others(mid), math.asin(mid)
+        if (rest_sum + big < math.pi) if inside else (rest_sum > big):
+            lo = mid
         else:
-            raise NonConvergenceError("no upper bracket for circumradius")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if sign * gap(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-13 * hi:
-                break
-        else:
-            raise NonConvergenceError("circumradius bisection did not converge")
-        radius = 0.5 * (lo + hi)
-    angles = []
-    for i, l in enumerate(ls):
-        ang = 2.0 * math.asin(min(1.0, l / (2.0 * radius)))
-        if reflex and i == imax:
-            ang = 2.0 * math.pi - ang
-        angles.append(ang)
-    return CyclicPolygon(tuple(ls), radius, tuple(angles))
+            hi = mid
+    angles = [2.0 * math.asin(hi * r) for r in ratios]
+    if not inside:
+        angles[imax] = 2.0 * math.pi - angles[imax]
+    return CyclicPolygon(tuple(ls), lmax / (2.0 * hi), tuple(angles))
 
 
 @dataclass(frozen=True)
@@ -587,8 +555,7 @@ def refine_to_trivalent(g: Fatgraph, lam: LambdaAssignment) -> Refinement:
             continue
         vals = [lam[g.edge_of(h)] for h in cyc]
         poly = cyclic_polygon(vals)
-        # corner j sits between sides j-1 and j; cumulative angle from corner 0
-        cum = list(itertools.accumulate(poly.central_angles[:-1], initial=0.0))
+        angles = poly.central_angles
         diag_ids = {}
         for j in range(2, k - 1):
             ha, hb = next_half, next_half + 1
@@ -599,7 +566,10 @@ def refine_to_trivalent(g: Fatgraph, lam: LambdaAssignment) -> Refinement:
             while lab in labels:
                 lab = "_" + lab
             labels.append(lab)
-            values.append(2.0 * poly.circumradius * math.sin(0.5 * cum[j]))
+            # corner j sits between sides j-1 and j; the chord from corner 0
+            # subtends the shorter arc, so its half-angle is at most pi/2
+            arc = min(sum(angles[:j]), sum(angles[j:]))
+            values.append(2.0 * poly.circumradius * math.sin(0.5 * arc))
             diag_ids[j] = (eid, ha, hb)
             new_ids.append(eid)
         first = diag_ids[2]

@@ -239,8 +239,7 @@ def _relative_faces(g: Fatgraph, member: EdgeSubset, parent: EdgeSubset) -> froz
     if m.recurrent:
         return m.faces - parent_faces
     return frozenset(curve_system(g, [p for p in m.faces
-                                      if not is_boundary_parallel(g, p, parent_faces)],
-                                  check=False))
+                                      if not is_boundary_parallel(g, p, parent_faces)]))
 
 
 def relative_boundary(s: Screen, member: EdgeSubset) -> CurveSystem:

@@ -173,7 +173,7 @@ def read_curves_json(g: Fatgraph, text: str) -> CurveSystem:
         path = EdgePath(tuple(parse_step_token(g, tok) for tok in item))
         check_closed_path(g, path)
         paths.append(path)
-    return curve_system(g, paths, check=False)
+    return curve_system(g, paths)
 
 
 def parse_subset(g: Fatgraph, text: str) -> frozenset:

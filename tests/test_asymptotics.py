@@ -17,7 +17,7 @@ from fatscreens import screens as scn
 from fatscreens import serialize as ser
 from fatscreens.errors import DomainError
 
-from conftest import essential_curve_pool, random_trivalent
+from conftest import essential_curve_pool, load, random_trivalent
 
 
 def test_schedule_validation():
@@ -78,8 +78,19 @@ def test_sweep_constant_family_not_shrinking(theta):
 def test_sweep_rejects_wrong_exponent_count(theta):
     curve = ser.parse_curve(theta, "e0+ e1-")
     for exponents in ([1, 1], [1, 1, 0, 2]):
-        with pytest.raises(DomainError, match="one exponent per edge required"):
-            asy.sweep(theta, scn.monomial_family(exponents), [curve])
+        fam = scn.monomial_family(exponents)
+        for call in (lambda: asy.sweep(theta, fam, [curve]), lambda: asy.ij_check(theta, fam),
+                     lambda: scn.screen_of_exponents(theta, fam)):
+            with pytest.raises(DomainError, match="one exponent per edge required"):
+                call()
+
+
+def test_exact_analysis_rejects_non_trivalent_graphs():
+    wedge, fam = load("wedge.fg"), scn.monomial_family([1, 0])
+    with pytest.raises(DomainError, match="detection needs a trivalent graph"):
+        asy.detect_short_curves(wedge, fam)
+    with pytest.raises(DomainError, match="coordinate analysis needs a trivalent graph"):
+        asy.ij_check(wedge, fam)
 
 
 def test_sweep_flags_boundary_cycles(theta):

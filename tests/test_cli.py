@@ -181,6 +181,25 @@ def test_screen_json_input(tmp_path, capsys):
         assert capsys.readouterr().err.strip() == 'error: "family" must be an array of members'
 
 
+@pytest.mark.parametrize("argv, data, code, last_line", [
+    (["recurrent", THETA, "--subset", "e0"], None, 0, "maximal recurrent subset : {}"),
+    (["boundary", THETA, "--subset", "e0,e1,e2"], None, 0, "(empty)"),
+    (["detect", THETA, "--exponents"], "edge,exponent\ne0,0\ne1,0\ne2,0\n", 0,
+     "(no short curves)"),
+    (["detect", THETA, "--screen"], '{"family": [["e0"]]}', 1,
+     "error: invalid screen, condition (ii): member [0] is not recurrent"),
+    (["ij-check", THETA, "--exponents"], "edge,exponent\ne0,1\ne1,-1\ne2,0\n", 0,
+     "# edge e0: leading coefficient -2 < 0, the family leaves the cell for large t"),
+])
+def test_rare_output_branches(tmp_path, capsys, argv, data, code, last_line):
+    if data is not None:
+        (tmp_path / "input").write_text(data)
+        argv = [*argv, str(tmp_path / "input")]
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out or captured.err).splitlines()[-1] == last_line
+
+
 def test_domain_error_exit_code(tmp_path, capsys):
     code = cli.main(["boundary", THETA, "--subset", "e0"])
     err = capsys.readouterr().err

@@ -11,6 +11,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -609,6 +610,17 @@ def test_cyclic_polygon_rotation_invariance():
     assert rolled.central_angles[0] == pytest.approx(base.central_angles[2], rel=1e-10)
 
 
+@pytest.mark.parametrize("sides, radius", [
+    ((1e-320,) * 3, 1e-320 / math.sqrt(3)),
+    ((3e307, 4e307, 5e307), 2.5e307),
+    ((1.0, 1.0, 1e16, 1e16), 5e15),     # 1 + 1 + 1e16 > 1e16 holds exactly
+])
+def test_cyclic_polygon_extreme_sides(sides, radius):
+    poly = geo.cyclic_polygon(sides)
+    assert poly.circumradius == pytest.approx(radius, rel=1e-15)
+    assert sum(poly.central_angles) == pytest.approx(2 * math.pi, abs=1e-12)
+
+
 def test_cyclic_polygon_rejects_degenerate():
     with pytest.raises(DomainError):
         geo.cyclic_polygon((1, 1, 3))
@@ -624,6 +636,19 @@ def test_refine_square_vertex():
     assert ref.graph.is_trivalent()
     assert len(ref.new_edges) == 1
     assert ref.lam[ref.new_edges[0]] == pytest.approx(math.sqrt(2), rel=1e-12)
+
+
+@pytest.mark.parametrize("t", [1e2, 1e4, 1e6, 1e8, 1e12])
+def test_refine_fan_diagonal_is_the_cyclic_chord(t):
+    # sides a, b, c, d of a cyclic quadrilateral: the diagonal parting a, b from c, d
+    # is sqrt((ac + bd)(ad + bc)/(ab + cd)); as t grows both sides t**2 near a diameter
+    g = fgr.build([(0, 1, 2, 3), (4, 5, 6, 7)], [(0, 4), (1, 5), (2, 6), (3, 7)])
+    sides = (t * t, t * t, t, 1.0)
+    ref = geo.refine_to_trivalent(g, geo.lambda_assignment(sides))
+    with mpmath.workdps(50):
+        a, b, c, d = map(mpmath.mpf, sides)
+        exact = mpmath.sqrt((a * c + b * d) * (a * d + b * c) / (a * b + c * d))
+        assert all(abs(ref.lam[e] - exact) <= 1e-15 * exact for e in ref.new_edges)
 
 
 def test_refine_identity_on_trivalent(theta):

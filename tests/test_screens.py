@@ -348,7 +348,7 @@ def reference_relative_boundary(s, member):
                for cyc in pred_cycles):
             continue
         keep.append(red)
-    return fgr.curve_system(g, keep, check=False)
+    return fgr.curve_system(g, keep)
 
 
 def test_laminar_pass_matches_definitions(screen_corpus):
