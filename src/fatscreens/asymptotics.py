@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -92,10 +91,12 @@ def _gap_leading(g: Fatgraph, fam: MonomialFamily, path: EdgePath) -> LeadingTer
 
 def _coordinate_polys(g: Fatgraph, q: list[int]) -> Iterator[list[tuple[int, int]]]:
     """Each edge's ``simplicial_coords`` at weights tau**q_e, as sorted monomials (k, c)."""
-    for e, (h, _) in enumerate(g.edge_halves):
-        x, (a, b, c, d) = q[e], [q[s] for s in g._quad(h)]
-        terms = Counter((a - b - x, b - a - x, c - d - x, d - c - x))
-        terms.subtract((x - a - b, x - c - d))
+    for x, quad in zip(q, g._edge_quads):
+        a, b, c, d = [q[s] for s in quad]
+        terms: dict[int, int] = {}
+        for k, n in ((a - b - x, 1), (b - a - x, 1), (c - d - x, 1), (d - c - x, 1),
+                     (x - a - b, -1), (x - c - d, -1)):
+            terms[k] = terms.get(k, 0) + n
         yield sorted((k, n) for k, n in terms.items() if n)
 
 
@@ -143,9 +144,16 @@ def sweep(g: Fatgraph, fam: MonomialFamily, curves: CurveSystem | Iterable[EdgeP
     # Abel summation: coefficient sums > 0 from the top down keep a coordinate > 0 for t >= 1
     unsure = [m for m in _coordinate_polys(g, q)
               if not all(sum(c for _, c in m[i:]) > 0 for i in range(len(m)))]
+    ps = [float(p) for p in fam.exponents]
+    p_lo, p_hi = min(ps, default=0.0), max(ps, default=0.0)
     rows, flags = [], []
     for t in sched.t_values:
-        evaluate_family(fam, t)     # refuses weights beyond double range
+        try:    # t >= 1: the least and largest exponents give the least and largest weights
+            in_range = float(t) ** p_lo > 0 and float(t) ** p_hi < math.inf
+        except OverflowError:
+            in_range = False
+        if not in_range:
+            evaluate_family(fam, t)     # names the first weight beyond double range
         flags.append((t, all(terms_at(m, unit, t) > 0 for m in unsure)))
         for c, poly in polys:
             gap = terms_at(poly, unit, t)

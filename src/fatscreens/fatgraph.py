@@ -96,8 +96,6 @@ class Fatgraph:
         object.__setattr__(self, "_sigma", tuple(sigma))
         object.__setattr__(self, "_vertex_of", tuple(vert))
         object.__setattr__(self, "_edge_of", tuple(edge_of))
-        object.__setattr__(self, "_label_index", {lab: e for e, lab in enumerate(self.edge_labels)})
-        object.__setattr__(self, "_all_edges", frozenset(range(len(self.edge_halves))))
         object.__setattr__(self, "_trivalent", all(len(c) == 3 for c in self.vertex_cycles))
         if not self.allow_disconnected and n and not _connected(sigma, iota):
             raise DomainError("graph is disconnected")
@@ -168,7 +166,17 @@ class Fatgraph:
         return tuple((back, sigma[back], sigma[sigma[back]], *self._quad(h))
                      for h, back in enumerate(self._iota))
 
+    @cached_property
+    def _edge_quads(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Row e: ``_quad`` of edge e's first half, for the per-edge coordinate
+        formulas.  Four ints per edge, against ``_step_table``'s seven per
+        half-edge, keep graphs that are only inverted small."""
+        return tuple(self._quad(h) for h, _ in self.edge_halves)
+
     _members = cached_property(lambda self: {})     # screens' member table, filled on use
+    # built on first use: inverting coordinates, for one, never asks for them
+    _label_index = cached_property(lambda self: {lab: e for e, lab in enumerate(self.edge_labels)})
+    _all_edges = cached_property(lambda self: frozenset(range(len(self.edge_halves))))
 
     # -- step helpers ---------------------------------------------------------
 

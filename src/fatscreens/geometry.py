@@ -8,7 +8,8 @@ are read counter-clockwise as
 
 with slot values taken from the underlying edges, so loops and parallel
 edges repeat values instead of breaking the formulas.  Every formula below
-reads its slots from ``Fatgraph._quad``, their one reader.  In this notation:
+reads its slots from ``Fatgraph._quad``, their one reader, or from the
+tables it fills.  In this notation:
 
 * Ptolemy exchange under a flip:  f = (ac + bd) / e
 * cross ratio magnitude of e:     bd / (ac)
@@ -67,12 +68,15 @@ class LambdaAssignment(_PerEdge):
     values: tuple[float, ...]
     # (least, largest) weight, read by the trace's range test for its float pass
     extremes: tuple[float, float] = field(init=False, repr=False, compare=False)
+    # (graph, its float step rows): the trace kernel's table for the last graph traced
+    _trace_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(not (v > 0) or not math.isfinite(v) for v in self.values):
             raise DomainError("lambda lengths must be positive finite reals")
         object.__setattr__(self, "extremes", (min(self.values, default=1.0),
                                               max(self.values, default=1.0)))
+        object.__setattr__(self, "_trace_rows", (None, None))
 
 
 @dataclass(frozen=True)
@@ -172,9 +176,9 @@ def simplicial_coords(g: Fatgraph, lam: LambdaAssignment) -> SimplicialCoords:
     _one_weight_per_edge(g, lam)
     w = lam.values
     vals = []
-    for e, (h, _) in enumerate(g.edge_halves):
+    for e, quad in enumerate(g._edge_quads):
         x = w[e]
-        a, b, c, d = map(w.__getitem__, g._quad(h))
+        a, b, c, d = map(w.__getitem__, quad)
         if not (a * b * x and c * d * x):      # weights are positive: 0 is an underflow
             raise DomainError(f"weight products at edge {g.label(e)} underflow to 0")
         vals.append((a * a + b * b - x * x) / (a * b * x) + (c * c + d * d - x * x) / (c * d * x))
@@ -237,8 +241,7 @@ def in_cell(g: Fatgraph, lam: LambdaAssignment) -> bool:
 def _end_tables(g: Fatgraph) -> tuple[np.ndarray, np.ndarray]:
     """Jacobian cells (rows, cols): (e, a), (e, b), (e, e) per end of edge e in
     ``g.halves`` order, with a, b the end's quad slots (a, b, then c, d)."""
-    cols = [x for e, (h, _) in enumerate(g.edge_halves)
-            for a, b, c, d in [g._quad(h)] for x in (a, b, e, c, d, e)]
+    cols = [x for e, (a, b, c, d) in enumerate(g._edge_quads) for x in (a, b, e, c, d, e)]
     return np.arange(6 * g.n_edges) // 6, np.array(cols)
 
 
@@ -292,7 +295,10 @@ def invert_coords(g: Fatgraph, target: SimplicialCoords, tol: float = 1e-10,
     Damped inexact Newton iteration on log weights, where positivity is
     automatic.  ``_newton_step`` solves each Newton system from the
     Jacobian's 6n cell values to the relative residual min(0.1, sqrt(err)),
-    err the largest coordinate residual.  The target must be nonnegative with
+    err the largest coordinate residual, but never below 0.5 tol / |resid|_2:
+    a linear residual under tol / 2 is all a step near the solution needs, so
+    it does not oversolve (Eisenstat and Walker 1996; Kelley 1995, ch. 6).
+    The target must be nonnegative with
     no vanishing cycle; ``initial`` weights, if given, need one per edge and
     finite coordinates.
     """
@@ -320,7 +326,9 @@ def invert_coords(g: Fatgraph, target: SimplicialCoords, tol: float = 1e-10,
         for _ in range(200):
             if err <= tol:
                 break
-            step = _newton_step(cells, vals, resid, min(0.1, math.sqrt(err)))
+            # no oversolving: a linear residual of tol / 2 is all the last step needs
+            forcing = max(min(0.1, math.sqrt(err)), 0.5 * tol / np.linalg.norm(resid))
+            step = _newton_step(cells, vals, resid, forcing)
             for halvings in range(60):
                 u_try = u - 0.5 ** halvings * step
                 coords_try, vals_try = _coords_and_jacobian(cells, np.exp(u_try))

@@ -19,8 +19,10 @@ The product is one loop over four scalars, run over ``float`` and
 ``mpmath.mpf``: R, L and X act as closed-form column updates (R sends (a11,
 a12, a21, a22) to (a11 - a12, a11, a21 - a22, a21)); the other entries being
 0 and +-1, these round exactly like full 2x2 products.  The loop is one pass
-over the graph's step table, whose row for each step (its backtrack, the two
-turns out of its arrival, its quad-slot edges) also checks the path.
+over a per-weights step table, whose row for each step (its backtrack, the two
+turns out of its arrival, its s and -1/s) also checks the path.  Each s is
+computed once per table, not once per visit; the float table is kept on the
+weights for the last graph they traced, the ``mpf`` one holds the path's steps.
 
 On an efficient path the product never cancels: with J = diag(1, -1),
 J R X J = -[[1/s, s], [0, s]] and J L X J = [[1/s, 0], [1/s, s]], so each
@@ -42,7 +44,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import mpmath
 
@@ -125,17 +127,35 @@ def _check_kernel(g: Fatgraph, w: Sequence) -> None:
     _one_weight_per_edge(g, w)
 
 
-def _product(g: Fatgraph, path: EdgePath, w: Sequence, sqrt,
-             allow_backtrack: bool = False) -> tuple:
-    """Entries of T_1 X_1 T_2 X_2 ... with edge weights ``w`` and ``sqrt`` of their type.
-
-    One pass over ``g._step_table`` checks and multiplies: a step that is
-    neither turn nor the backtrack out of the previous arrival breaks the path.
-    """
+def _step_rows(g: Fatgraph, w: Sequence, sqrt, halves: Iterable[int]) -> dict[int, tuple]:
+    """Row h of the product for each half-edge h in ``halves``: (iota(h), the right and left
+    turns out of its arrival, s, -1/s) with s = sqrt(ac/bd) in the scalar type of ``w``."""
     _check_kernel(g, w)
+    table, rows = g._step_table, {}
+    for h in halves:
+        back, right, left, a, b, c, d = table[h]
+        s = sqrt((w[a] * w[c]) / (w[b] * w[d]))
+        rows[h] = back, right, left, s, -1 / s
+    return rows
+
+
+def _float_rows(g: Fatgraph, lam: LambdaAssignment) -> dict[int, tuple]:
+    """Float rows of every half-edge, kept on ``lam`` for the last graph it traced."""
+    graph, rows = lam._trace_rows
+    if graph is not g:
+        rows = _step_rows(g, lam.values, math.sqrt, range(g.n_half_edges))
+        object.__setattr__(lam, "_trace_rows", (g, rows))
+    return rows
+
+
+def _product(g: Fatgraph, path: EdgePath, rows, allow_backtrack: bool = False) -> tuple:
+    """Entries of T_1 X_1 T_2 X_2 ... from the ``_step_rows`` of the path's steps.
+
+    One pass over the rows checks and multiplies: a step that is neither turn
+    nor the backtrack out of the previous arrival breaks the path.
+    """
     steps = path.steps
     _check_steps(g, steps)
-    rows = g._step_table
     back, right, left = rows[steps[-1]][:3]
     a11, a12, a21, a22 = 1, 0, 0, 1     # ints: exact in every scalar type
     for h in steps:
@@ -146,9 +166,7 @@ def _product(g: Fatgraph, path: EdgePath, w: Sequence, sqrt,
         elif h != back or not allow_backtrack:
             _check_joins(g, steps)      # names the first break, if there is one
             raise DomainError("path is not efficient")
-        back, right, left, a, b, c, d = rows[h]
-        s = sqrt((w[a] * w[c]) / (w[b] * w[d]))
-        inv = -1 / s
+        back, right, left, s, inv = rows[h]
         a11, a12, a21, a22 = a12 * inv, a11 * s, a22 * inv, a21 * s
     return a11, a12, a21, a22
 
@@ -216,7 +234,7 @@ def holonomy(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
              allow_backtrack: bool = False) -> Mat2:
     """Path-ordered product T_1 X_1 T_2 X_2 ... over the closed path; a backtrack, refused
     unless ``allow_backtrack`` is set, turns by the identity, which keeps |trace|."""
-    return Mat2(*_product(g, path, lam.values, math.sqrt, allow_backtrack))
+    return Mat2(*_product(g, path, _float_rows(g, lam), allow_backtrack))
 
 
 def abs_trace(m: Mat2) -> float:
@@ -246,7 +264,8 @@ def hyp_length_from_gap(gap: float) -> float:
 def _abs_trace_minus(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
                      allow_backtrack: bool, offset: int) -> float:
     """|trace| - offset within ``TRACE_RTOL`` as the module docstring derives, or refused."""
-    _check_kernel(g, lam.values)
+    if lam._trace_rows[0] is not g:     # else the kernel was checked when the rows were built
+        _check_kernel(g, lam.values)
     # |trace| is a conjugacy invariant, and 2 on a contractible path
     if allow_backtrack and (path := reduce_path(g, path)) is None:
         return 2.0 - offset
@@ -256,7 +275,7 @@ def _abs_trace_minus(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
     # (2 hi / lo)**+-(n + 1): the float pass runs only where all of these are normal
     if (lo * lo >= sys.float_info.min and hi * hi < math.inf
             and (n + 1) * math.log2(2 * hi / lo) < 1000):
-        a11, _, _, a22 = _product(g, path, lam.values, math.sqrt)
+        a11, _, _, a22 = _product(g, path, _float_rows(g, lam))
         tr = abs(a11 + a22)
         gap, err = tr - offset, (6 * n + 2) * sys.float_info.epsilon * tr
         if err <= TRACE_RTOL * abs(gap):
@@ -268,7 +287,8 @@ def _abs_trace_minus(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
         if digits > 1000:
             raise DomainError(f"|trace| - {offset} of a {n}-step path cancels past 1000 digits")
         with mpmath.workdps(digits):
-            a11, _, _, a22 = _product(g, path, [mpmath.mpf(v) for v in lam.values], mpmath.sqrt)
+            w = [mpmath.mpf(v) for v in lam.values]
+            a11, _, _, a22 = _product(g, path, _step_rows(g, w, mpmath.sqrt, set(path.steps)))
             tr = abs(a11 + a22)
             gap, err = tr - offset, (6 * n + 2) * mpmath.eps * tr
     if not sys.float_info.min <= abs(gap) <= sys.float_info.max:

@@ -43,6 +43,23 @@ def test_evaluate_family(theta):
         asy.evaluate_family(scn.monomial_family([0, 400, 0]), 10.0)
 
 
+def test_sweep_evaluates_weights_only_to_refuse_them(theta, monkeypatch):
+    """In range, sweep builds no weights; out of range, ``evaluate_family`` names the first
+    edge at the first t, on both sides of the double range (10**308 is finite, 10**-323
+    subnormal but > 0)."""
+    calls = []
+    evaluate = asy.evaluate_family
+    monkeypatch.setattr(asy, "evaluate_family", lambda fam, t: calls.append(t) or evaluate(fam, t))
+    for exponents in ([1, 1, 0], [0, 308, 0], [0, -323, 0], [Fraction(616, 2), 0, -300]):
+        asy.sweep(theta, scn.monomial_family(exponents), [], asy.SweepSchedule((1.0, 10.0)))
+    assert calls == []
+    for exponents, message in (([0, 309, 400], "weight t\\*\\*309 of edge 1 overflows at t=10"),
+                               ([0, -324, 0], "lambda lengths must be positive finite reals")):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            asy.sweep(theta, scn.monomial_family(exponents), [], asy.SweepSchedule((1.0, 10.0)))
+        assert calls.pop() == 10.0 and not calls
+
+
 def test_sweep_gap_sequence(theta, genus2):
     fam = scn.monomial_family([1, 1, 0])
     curves = fgr.subset_boundary(theta, {0, 1})
@@ -108,7 +125,8 @@ def reference_gap(g, fam, path, t):
     unit, q = asy._tau_exponents(fam)
     with mpmath.workdps(80):
         tau = mpmath.mpf(t) ** (mpmath.mpf(1) / unit)
-        a11, _, _, a22 = hol._product(g, path, [tau ** k for k in q], mpmath.sqrt)
+        rows = hol._step_rows(g, [tau ** k for k in q], mpmath.sqrt, path.steps)
+        a11, _, _, a22 = hol._product(g, path, rows)
         return abs(a11 + a22) - 2
 
 
@@ -380,7 +398,7 @@ def test_tau_exponents_once_per_family(genus2, monkeypatch):
 class Laurent(dict):
     """Exact Laurent polynomial in tau: exponent -> nonzero coefficient, all ints.
 
-    Only what ``holonomy._product`` computes: sums, and products, quotients and
+    Only what ``holonomy._step_rows`` and ``_product`` compute: sums, and products, quotients and
     square roots with a monomial or int operand."""
 
     def __add__(self, other, sign: int = 1) -> "Laurent":
@@ -426,7 +444,7 @@ def reference_gap_leading(g, fam, path):
     """Leading term of |trace| - 2 from the float kernel run over Laurent polynomials."""
     unit = 2 * math.lcm(*(p.denominator for p in fam.exponents))
     w = [Laurent({int(p * unit): 1}) for p in fam.exponents]
-    a11, _, _, a22 = hol._product(g, path, w, Laurent.sqrt)
+    a11, _, _, a22 = hol._product(g, path, hol._step_rows(g, w, Laurent.sqrt, path.steps))
     trace = a11 + a22
     sign = -1 if trace and trace[max(trace)] < 0 else 1
     gap = sign * trace - 2

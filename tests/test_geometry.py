@@ -192,6 +192,7 @@ def test_quad_slots_follow_sigma(generated_trivalent):
         for h in range(g.n_half_edges):
             assert geo.quad_slots(g, h) == sigma_slots(g, h)
             assert g._step_table[h][3:] == sigma_slots(g, h)
+        assert g._edge_quads == tuple(sigma_slots(g, h) for h, _ in g.edge_halves)
 
 
 def test_simplicial_coords_match_end_term_reference(generated_trivalent):

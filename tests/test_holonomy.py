@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import astuple
 
 import mpmath
 import pytest
@@ -418,7 +419,8 @@ def test_kernel_adds_magnitudes_property():
         g = random_trivalent(n_edges, rng)
         w = [10 ** rng.uniform(-6, 6) for _ in range(n_edges)]
         path = closed_walk(g, rng)
-        a11, a12, a21, a22 = hol._product(g, path, w, lambda x: Signed(math.sqrt(x)))
+        rows = hol._step_rows(g, w, lambda x: Signed(math.sqrt(x)), path.steps)
+        a11, a12, a21, a22 = hol._product(g, path, rows)
         assert all(type(x) is Signed for x in (a11, a12, a21, a22))
         assert a11 != 0 != a22 and (a11 > 0) == (a22 > 0)
 
@@ -439,6 +441,104 @@ def test_in_cell_traces_stay_in_float(trivalent_corpus, monkeypatch):
                 assert hol.abs_trace_of_path(g, lam, p) > 2.0
     monkeypatch.undo()
     assert entries == []
+
+
+# -- per-weights step rows -----------------------------------------------------
+
+def per_step_product(g, path, w, sqrt, allow_backtrack=False):
+    """The kernel with s and -1/s recomputed at every step from the quad slots."""
+    table = g._step_table
+    back, right, left = table[path.steps[-1]][:3]
+    a11, a12, a21, a22 = 1, 0, 0, 1
+    for h in path.steps:
+        if h == right:
+            a11, a12, a21, a22 = a11 - a12, a11, a21 - a22, a21
+        elif h == left:
+            a11, a12, a21, a22 = a12, a12 - a11, a22, a22 - a21
+        else:
+            assert allow_backtrack and h == back
+        back, right, left, a, b, c, d = table[h]
+        s = sqrt((w[a] * w[c]) / (w[b] * w[d]))
+        inv = -1 / s
+        a11, a12, a21, a22 = a12 * inv, a11 * s, a22 * inv, a21 * s
+    return a11, a12, a21, a22
+
+
+def bits(entries):
+    return tuple(float(x).hex() for x in entries)
+
+
+def test_step_rows_match_per_step_formula(trivalent_corpus, generated_trivalent):
+    """The row-table product equals the per-step formula bit for bit, in float on the
+    corpus and on generated graphs, with and without backtracks, and in mpf."""
+    rng = random.Random(71)
+    count = 0
+    graphs = [(g, essential_curve_pool(g)[:12]) for g in trivalent_corpus.values()]
+    graphs += [(g, []) for g in generated_trivalent]
+    for g, pool in graphs:
+        for wide in (False, True):
+            lam = (geo.lambda_assignment([10 ** rng.uniform(-6, 6) for _ in range(g.n_edges)])
+                   if wide else random_in_cell_lambda(g, rng))
+            for p in pool + [closed_walk(g, rng) for _ in range(8)]:
+                want = per_step_product(g, p, lam.values, math.sqrt)
+                assert bits(hol._product(g, p, hol._float_rows(g, lam))) == bits(want)
+                assert bits(astuple(hol.holonomy(g, lam, p))) == bits(want)
+                if not wide:    # certified in float: the trace is the float product's
+                    assert hol.abs_trace_of_path(g, lam, p) == abs(want[0] + want[3])
+                ins = rng.choice(g.vertex_cycles[g.step_head(p.steps[0])])
+                noisy = fgr.EdgePath(p.steps[:1] + (ins, g.pairing(ins)) + p.steps[1:])
+                want = per_step_product(g, noisy, lam.values, math.sqrt, True)
+                got = hol.holonomy(g, lam, noisy, allow_backtrack=True)
+                assert bits(astuple(got)) == bits(want)
+                count += 1
+            with mpmath.workdps(40):
+                w = [mpmath.mpf(v) for v in lam.values]
+                rows = hol._step_rows(g, w, mpmath.sqrt, set(p.steps))
+                assert hol._product(g, p, rows) == per_step_product(g, p, w, mpmath.sqrt)
+    assert count > 250
+
+
+def test_trace_rows_follow_the_graph(genus2, monkeypatch):
+    """One weight object traced alternately on genus2 and on a flip of it, with the same
+    edge count but other quads, gives the traces of fresh weights; the rows are built
+    once per switch of graph."""
+    flipped = fgr.whitehead_move(genus2, genus2.edge_by_label("a")).graph
+    assert flipped.n_edges == genus2.n_edges and flipped._step_table != genus2._step_table
+    pools = [(g, essential_curve_pool(g)[:10]) for g in (genus2, flipped)]
+    lam = random_in_cell_lambda(genus2, random.Random(73))
+    built = []
+    step_rows = hol._step_rows
+    monkeypatch.setattr(hol, "_step_rows", lambda g, *a: built.append(g) or step_rows(g, *a))
+    for _ in range(3):
+        for g, pool in pools:
+            for p in pool:
+                got = (hol.abs_trace_of_path(g, lam, p), hol.trace_gap_of_path(g, lam, p),
+                       hol.holonomy(g, lam, p))
+                fresh = geo.lambda_assignment(lam.values)
+                assert got == (hol.abs_trace_of_path(g, fresh, p),
+                               hol.trace_gap_of_path(g, fresh, p), hol.holonomy(g, fresh, p))
+            assert lam._trace_rows[0] is g
+    assert built.count(genus2) == 3 * (1 + 10) and built.count(flipped) == 3 * (1 + 10)
+
+
+@pytest.mark.parametrize("fault", KERNEL_FAULTS)
+def test_kernel_faults_are_refused_after_a_trace(fault, theta):
+    """Weights whose rows are kept from a successful trace still refuse every fault with
+    its message (wedge.fg has two edges, so no trivalent graph traces its weights first)."""
+    name, steps, message = KERNEL_FAULTS[fault]
+    g = load(name)
+    lam = ones(g)
+    if g.is_trivalent():
+        assert hol.abs_trace_of_path(g, lam, fgr.EdgePath((0, 4))) == 3.0
+        assert lam._trace_rows[0] is g
+    path = fgr.boundary_cycles(g)[0] if steps is None else fgr.EdgePath(steps)
+    for entry in (hol.holonomy, hol.abs_trace_of_path, hol.trace_gap_of_path):
+        for backtrack in (False, True):
+            if backtrack and fault == "backtrack":
+                continue
+            with pytest.raises(DomainError) as err:
+                entry(g, lam, path, allow_backtrack=backtrack)
+            assert str(err.value) == message
 
 
 def test_contractible_and_parabolic_traces_are_exact(theta, genus2):
