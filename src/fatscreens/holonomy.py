@@ -35,7 +35,9 @@ twice the unit roundoff, which covers a11 + a22, the subtraction and higher
 orders).  The trace functions keep it when that is within ``TRACE_RTOL``, give
 a boundary-parallel path (parabolic for all weights, Penner 1987) the gap 0,
 and else rerun over ``mpf`` with digits raised by the measured cancellation,
-as ``terms_at`` does.  Along a monomial family packed ints give the exact gap.
+as ``terms_at`` does.  Along a monomial family the loop runs over ints packed
+at u = tau**2: by the lemma, |trace| is a Laurent polynomial with coefficients
+>= 0 (positivity, Fock and Goncharov 2006) read as ``_exact_gap_poly``'s digits.
 """
 
 from __future__ import annotations
@@ -173,37 +175,30 @@ def _product(g: Fatgraph, path: EdgePath, rows, allow_backtrack: bool = False) -
 
 def _exact_gap_poly(g: Fatgraph, q: Sequence[int], path: EdgePath) -> list[tuple[int, int]]:
     """|trace| - 2 in tau for weights tau**q_e, q_e even, as its monomials (k, c) of c * tau**k,
-    c != 0, sorted by k >= -D.  Edge matrices are scaled by tau**|k|, tau**k the cross ratio,
-    and entries packed at tau = 2**bits: after n turns their coefficients sum to at most
-    2**n in absolute value, so bits = n + 3 keeps them apart as balanced digits."""
+    c != 0, sorted by k >= -D.  With s = tau**k, X scaled by tau**|k| is [[0, u**k], [-1, 0]] or
+    [[0, 1], [-u**-k, 0]] in u = tau**2, so ``_product`` over ints packed at u = 2**(n + 1) gives
+    tau**D |trace|, D the sum of the |k|: coefficients >= 0 that sum to the trace at tau = 1 of n
+    factors [[1, 1], [0, 1]] or [[1, 0], [1, 1]].  Of column sums 1 and 2, each takes the entry
+    sum S of the product after it to at most 2S - 1, from 2: the sum stays below 2**(n + 1)."""
     _check_kernel(g, q)
-    steps = path.steps
-    _check_steps(g, steps)
-    rows = g._step_table
-    bits = len(steps) + 3
-    shifts = [(q[a] + q[c] - q[b] - q[d]) * bits         # 2 * k * bits
-              for *_, a, b, c, d in map(rows.__getitem__, steps)]
-    total = sum(map(abs, shifts))       # 2 * bits * (the degree D the trace gains)
-    if total + bits > EXACT_BITS_MAX:
-        raise DomainError(f"exact trace gap needs {total + bits} bits, over {EXACT_BITS_MAX}")
-    _, right, left = rows[steps[-1]][:3]
-    a11, a12, a21, a22 = 1, 0, 0, 1
-    for h, (up, down) in zip(steps, [(k, 0) if k >= 0 else (0, -k) for k in shifts]):
-        if h == right:
-            a11, a12, a21, a22 = a11 - a12, a11, a21 - a22, a21
-        elif h == left:
-            a11, a12, a21, a22 = a12, a12 - a11, a22, a22 - a21
-        else:
-            _check_joins(g, steps)      # names the first break, if there is one
-            raise DomainError("path is not efficient")
-        _, right, left = rows[h][:3]
-        a11, a12, a21, a22 = -a12 << down, a11 << up, -a22 << down, a21 << up
-    gap = abs(a11 + a22) - (2 << total // 2)
-    half, coeffs = 1 << bits - 1, []
-    while gap:
-        gap, c = divmod(gap + half, 2 * half)
-        coeffs.append(c - half)
-    return [(i - total // 2 // bits, c) for i, c in enumerate(coeffs) if c]
+    _check_steps(g, steps := path.steps)
+    bits, rows, degree = len(steps) + 1, {}, 0
+    for h in steps:
+        back, right, left, a, b, c, d = g._step_table[h]
+        k = (q[a] + q[c] - q[b] - q[d]) // 2
+        degree += abs(k)
+        rows[h] = ((back, right, left, 1 << k * bits, -1) if k >= 0
+                   else (back, right, left, 1, -1 << -k * bits))
+    if (size := bits * (degree + 1)) > EXACT_BITS_MAX:
+        raise DomainError(f"exact trace gap needs {size} bits, over {EXACT_BITS_MAX}")
+    a11, _, _, a22 = _product(g, path, rows)
+    trace, k, poly = abs(a11 + a22), -degree, {0: -2}
+    while trace:    # skip each run of zero digits at the lowest set bit
+        zeros = ((trace & -trace).bit_length() - 1) // bits
+        k, trace = k + 2 * zeros, trace >> zeros * bits
+        poly[k] = poly.get(k, 0) + (trace & (1 << bits) - 1)
+        k, trace = k + 2, trace >> bits
+    return sorted((k, c) for k, c in poly.items() if c)
 
 
 def terms_at(ks: Sequence[tuple[int, int]], unit: int, t: float) -> float:
@@ -234,7 +229,11 @@ def holonomy(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
              allow_backtrack: bool = False) -> Mat2:
     """Path-ordered product T_1 X_1 T_2 X_2 ... over the closed path; a backtrack, refused
     unless ``allow_backtrack`` is set, turns by the identity, which keeps |trace|."""
-    return Mat2(*_product(g, path, _float_rows(g, lam), allow_backtrack))
+    try:
+        rows = _float_rows(g, lam)
+    except ZeroDivisionError:       # a weight product or a cross ratio underflows to 0
+        raise DomainError("a cross ratio of these weights is beyond double range") from None
+    return Mat2(*_product(g, path, rows, allow_backtrack))
 
 
 def abs_trace(m: Mat2) -> float:

@@ -440,18 +440,31 @@ class Laurent(dict):
         return Laurent({half: 1})
 
 
-def reference_gap_leading(g, fam, path):
-    """Leading term of |trace| - 2 from the float kernel run over Laurent polynomials."""
+def reference_gap_poly(g, fam, path):
+    """|trace| - 2 as its sorted monomials (k, c) of c * tau**k, from the float kernel run
+    over Laurent polynomials."""
     unit = 2 * math.lcm(*(p.denominator for p in fam.exponents))
     w = [Laurent({int(p * unit): 1}) for p in fam.exponents]
     a11, _, _, a22 = hol._product(g, path, hol._step_rows(g, w, Laurent.sqrt, path.steps))
     trace = a11 + a22
     sign = -1 if trace and trace[max(trace)] < 0 else 1
-    gap = sign * trace - 2
+    return sorted((sign * trace - 2).items())
+
+
+def reference_gap_leading(fam, gap):
+    """Leading term in t of a ``reference_gap_poly``: its top monomial."""
     if not gap:
         return asy.LeadingTerm(None, 0)
-    k = max(gap)
-    return asy.LeadingTerm(Fraction(k, unit), gap[k])
+    unit = 2 * math.lcm(*(p.denominator for p in fam.exponents))
+    return asy.LeadingTerm(Fraction(gap[-1][0], unit), gap[-1][1])
+
+
+def assert_gap_matches_reference(g, fam, path):
+    """The whole exact gap, whose lower terms ``sweep`` rows read, and the leading term of
+    the verdicts both match the reference."""
+    gap = reference_gap_poly(g, fam, path)
+    assert hol._exact_gap_poly(g, asy._tau_exponents(fam)[1], path) == gap
+    assert asy._gap_leading(g, fam, path) == reference_gap_leading(fam, gap)
 
 
 def test_gap_leading_matches_reference(screen_corpus):
@@ -461,9 +474,22 @@ def test_gap_leading_matches_reference(screen_corpus):
         for s in scn.enumerate_screens(g):
             fam = scn.depth_family(s)
             for c in [*scn.screen_boundary(s), *pool]:
-                assert asy._gap_leading(g, fam, c) == reference_gap_leading(g, fam, c)
+                assert_gap_matches_reference(g, fam, c)
                 count += 1
     assert count > 5000
+
+
+@pytest.mark.parametrize("scale, every", [(Fraction(1001, 1000), 1), (Fraction(10001, 10000), 8)])
+def test_gap_poly_matches_reference_on_scaled_families(screen_corpus, scale, every):
+    # denominators near 10**3 and 10**4 pack the traces into up to millions of bits with a few
+    # nonzero digits; products that long keep the run short only on every 8th screen at 10**4,
+    # and the pool curves join on every 32nd screen taken
+    for g in screen_corpus.values():
+        pool = essential_curve_pool(g)
+        for i, s in enumerate(scn.enumerate_screens(g)[::every]):
+            fam = scn.MonomialFamily(tuple(p * scale for p in scn.depth_family(s).exponents))
+            for c in [*scn.screen_boundary(s), *(pool if i % 32 == 0 else ())]:
+                assert_gap_matches_reference(g, fam, c)
 
 
 def long_closed_walk(g, rng, length):
@@ -495,7 +521,7 @@ def test_gap_leading_matches_reference_property():
         path = None
         while path is None:
             path = long_closed_walk(g, rng, length)
-        assert asy._gap_leading(g, fam, path) == reference_gap_leading(g, fam, path)
+        assert_gap_matches_reference(g, fam, path)
 
     check()
 
@@ -511,7 +537,8 @@ def test_exact_gap_refuses_oversized_packing(genus2):
         level = {0: Fraction(0), 1: Fraction(1, d + 2), 2: Fraction(2, d)}
         return scn.MonomialFamily(tuple(level[p] for p in depths))
 
-    assert asy.detect_short_curves(genus2, family(10 ** 3)) == scn.screen_boundary(s)
-    message = f"exact trace gap needs 10000000045 bits, over {hol.EXACT_BITS_MAX}"
+    for d in (10 ** 3, 3 * 10 ** 5):
+        assert asy.detect_short_curves(genus2, family(d)) == scn.screen_boundary(s)
+    message = f"exact trace gap needs 3000000015 bits, over {hol.EXACT_BITS_MAX}"
     with pytest.raises(DomainError, match=message):
         asy.detect_short_curves(genus2, family(10 ** 9))

@@ -325,7 +325,7 @@ def test_reused_parser_keeps_defaults(tmp_path, capsys):
 
 def test_oversized_exact_trace_is_domain_error(tmp_path, capsys):
     # a genus-2 screen with levels 1/(d+2) and 2/d at d = 10**9: the packed
-    # exact trace would need 10**10 bits; the coordinates' leading terms do not
+    # exact trace would need 3 * 10**9 bits; the coordinates' leading terms do not
     p = tmp_path / "p.csv"
     p.write_text("edge,exponent\na,2/1000000000\nb,1/1000000002\nc,1/1000000002\n"
                  "d,2/1000000000\np,2/1000000000\nq,1/1000000002\nr,0\n"
@@ -335,9 +335,21 @@ def test_oversized_exact_trace_is_domain_error(tmp_path, capsys):
         code = cli.main([command, genus2, "--exponents", str(p)])
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
-        assert captured.err == "error: exact trace gap needs 10000000045 bits, over 16777216\n"
+        assert captured.err == "error: exact trace gap needs 3000000015 bits, over 16777216\n"
     code, out = run(capsys, "ij-check", genus2, "--exponents", str(p))
     assert code == 0 and out.splitlines()[2] == "I subset of J : yes"
+
+
+def test_detect_large_exponent_denominators(tmp_path, capsys):
+    # the depth family of genus2's screen 5 scaled by 10001/10000: packed exact traces of
+    # millions of bits whose gaps have a few nonzero digits
+    p = write_exponents(tmp_path / "p.csv", "abcdpqrst",
+                        ["10001/5000", 0, "10001/5000", "30003/10000", "10001/5000",
+                         "10001/10000", "10001/10000", "10001/5000", "30003/10000"])
+    code, out = run(capsys, "detect", str(DATA / "genus2.fg"), "--exponents", p)
+    assert code == 0
+    assert out.splitlines() == ["a+ p-", "d+ t-", "c+ d- t+ c- s+ d+ t- s-",
+                                "a+ q+ r+ c+ d- t+ c- s+ d+ t- s- r- q- p-"]
 
 
 def test_determinism(capsys):

@@ -585,6 +585,15 @@ def test_trace_refines_when_float_leaves_range(theta):
     assert hol.abs_trace_of_path(theta, lam, path) == pytest.approx(1e200, rel=1e-12)
 
 
+def test_holonomy_refuses_cross_ratios_that_underflow(theta):
+    # the float rows of these weights divide by a weight product or a cross ratio that
+    # underflows to 0; the certified traces never build them (see the test above)
+    for values in ([1e-170, 1e170, 1], [1e200, 1, 1]):
+        with pytest.raises(DomainError) as err:
+            hol.holonomy(theta, geo.lambda_assignment(values), fgr.EdgePath((0, 4)))
+        assert str(err.value) == "a cross ratio of these weights is beyond double range"
+
+
 # -- lengths --------------------------------------------------------------------
 
 def test_hyp_length_values():
