@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .errors import DomainError
@@ -143,9 +144,8 @@ def sweep(g: Fatgraph, fam: MonomialFamily, curves: CurveSystem | Iterable[EdgeP
     polys = [(c, _exact_gap_poly(g, q, c)) for c in curves]
     # Abel summation: coefficient sums > 0 from the top down keep a coordinate > 0 for t >= 1
     unsure = [m for m in _coordinate_polys(g, q)
-              if not all(sum(c for _, c in m[i:]) > 0 for i in range(len(m)))]
-    ps = [float(p) for p in fam.exponents]
-    p_lo, p_hi = min(ps, default=0.0), max(ps, default=0.0)
+              if not all(s > 0 for s in accumulate(c for _, c in reversed(m)))]
+    p_lo, p_hi = min(q, default=0) / unit, max(q, default=0) / unit
     rows, flags = [], []
     for t in sched.t_values:
         try:    # t >= 1: the least and largest exponents give the least and largest weights

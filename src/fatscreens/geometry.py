@@ -44,13 +44,19 @@ from .errors import DomainError, NonConvergenceError
 from .fatgraph import (EdgePath, Fatgraph, WhiteheadMove, check_closed_path,
                        is_efficient, whitehead_move)
 
-# numpy runs on first use, as only inversion and the Minkowski lifts need it
-np = sys.modules.get("numpy")
-if np is None:
-    _spec = importlib.util.find_spec("numpy")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    np = sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
-    _spec.loader.exec_module(np)
+
+def _lazy_import(name: str):
+    """Module ``name``, run on its first attribute use unless it was imported already."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_import("numpy")      # only inversion and the Minkowski lifts need it
 
 
 class _PerEdge:
@@ -66,16 +72,18 @@ class LambdaAssignment(_PerEdge):
     """Strictly positive weight per edge, indexed by edge id."""
 
     values: tuple[float, ...]
-    # (least, largest) weight, read by the trace's range test for its float pass
-    extremes: tuple[float, float] = field(init=False, repr=False, compare=False)
+    # log2(2 hi / lo) of the least and largest weights lo, hi where lo**2 and hi**2 are normal,
+    # else inf: the trace's range test for its float pass reads it once per path
+    log2_spread: float = field(init=False, repr=False, compare=False)
     # (graph, its float step rows): the trace kernel's table for the last graph traced
     _trace_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(not (v > 0) or not math.isfinite(v) for v in self.values):
             raise DomainError("lambda lengths must be positive finite reals")
-        object.__setattr__(self, "extremes", (min(self.values, default=1.0),
-                                              max(self.values, default=1.0)))
+        lo, hi = min(self.values, default=1.0), max(self.values, default=1.0)
+        object.__setattr__(self, "log2_spread", math.log2(2 * hi / lo) if (
+            lo * lo >= sys.float_info.min and hi * hi < math.inf) else math.inf)
         object.__setattr__(self, "_trace_rows", (None, None))
 
 

@@ -15,14 +15,16 @@ kept unnormalized; only |trace| is geometric (PSL sign ambiguity), and
 |trace| = 2 cosh(length/2) for the hyperbolic length of the geodesic
 representative.
 
-The product is one loop over four scalars, run over ``float`` and
-``mpmath.mpf``: R, L and X act as closed-form column updates (R sends (a11,
-a12, a21, a22) to (a11 - a12, a11, a21 - a22, a21)); the other entries being
-0 and +-1, these round exactly like full 2x2 products.  The loop is one pass
-over a per-weights step table, whose row for each step (its backtrack, the two
-turns out of its arrival, its s and -1/s) also checks the path.  Each s is
-computed once per table, not once per visit; the float table is kept on the
-weights for the last graph they traced, the ``mpf`` one holds the path's steps.
+The product is one loop over four scalars, run over ``float``, ``mpmath.mpf``
+and packed ints.  Each step applies its turn and X in one closed-form update
+(R then X sends (a11, a12, a21, a22) to (-a11/s, (a11 - a12) s, -a21/s,
+(a21 - a22) s)); the other entries being 0 and +-1, these round exactly like
+full 2x2 products.  The loop runs over a per-weights step table whose row for
+each step holds its backtrack, the two turns out of its arrival, its s and
+-1/s.  A step that is none of the turns (nor an allowed backtrack) breaks the
+path, and only such a path is checked, to name its fault.  Each s is computed
+once per table, not once per visit; the float table is kept on the weights for
+the last graph they traced, the ``mpf`` one holds the path's steps.
 
 On an efficient path the product never cancels: with J = diag(1, -1),
 J R X J = -[[1/s, s], [0, s]] and J L X J = [[1/s, 0], [1/s, s]], so each
@@ -45,15 +47,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
-
-import mpmath
 
 from .errors import DomainError
 from .fatgraph import (EdgePath, Fatgraph, _check_joins, _check_steps, is_boundary_parallel,
                        reduce_path)
-from .geometry import LambdaAssignment, _off_path_edge, _one_weight_per_edge, quad_slots
+from .geometry import (LambdaAssignment, _lazy_import, _off_path_edge, _one_weight_per_edge,
+                       quad_slots)
+
+mpmath = _lazy_import("mpmath")     # only the sums and traces that leave float need it
 
 LEFT = "L"
 RIGHT = "R"
@@ -145,7 +147,13 @@ def _float_rows(g: Fatgraph, lam: LambdaAssignment) -> dict[int, tuple]:
     """Float rows of every half-edge, kept on ``lam`` for the last graph it traced."""
     graph, rows = lam._trace_rows
     if graph is not g:
-        rows = _step_rows(g, lam.values, math.sqrt, range(g.n_half_edges))
+        try:
+            rows = _step_rows(g, lam.values, math.sqrt, range(g.n_half_edges))
+        except ZeroDivisionError:   # a weight product or a cross ratio underflows to 0
+            rows = None
+        # or one overflows: s = inf, or inf / inf = nan
+        if rows is None or not all(row[3] < math.inf for row in rows.values()):
+            raise DomainError("a cross ratio of these weights is beyond double range")
         object.__setattr__(lam, "_trace_rows", (g, rows))
     return rows
 
@@ -153,24 +161,34 @@ def _float_rows(g: Fatgraph, lam: LambdaAssignment) -> dict[int, tuple]:
 def _product(g: Fatgraph, path: EdgePath, rows, allow_backtrack: bool = False) -> tuple:
     """Entries of T_1 X_1 T_2 X_2 ... from the ``_step_rows`` of the path's steps.
 
-    One pass over the rows checks and multiplies: a step that is neither turn
-    nor the backtrack out of the previous arrival breaks the path.
+    Each step applies its turn and X in one update, the same operations in the same order
+    as the turn's column update followed by X's, so it rounds like that pair in every scalar
+    type.  The loop is the path check: a step is taken only as a turn or the allowed backtrack
+    out of the previous arrival, and only a path that fails it is checked, to name its fault.
     """
     steps = path.steps
-    _check_steps(g, steps)
-    back, right, left = rows[steps[-1]][:3]
-    a11, a12, a21, a22 = 1, 0, 0, 1     # ints: exact in every scalar type
-    for h in steps:
-        if h == right:
-            a11, a12, a21, a22 = a11 - a12, a11, a21 - a22, a21
-        elif h == left:
-            a11, a12, a21, a22 = a12, a12 - a11, a22, a22 - a21
-        elif h != back or not allow_backtrack:
-            _check_joins(g, steps)      # names the first break, if there is one
-            raise DomainError("path is not efficient")
-        back, right, left, s, inv = rows[h]
-        a11, a12, a21, a22 = a12 * inv, a11 * s, a22 * inv, a21 * s
-    return a11, a12, a21, a22
+    try:
+        back, right, left = rows[steps[-1]][:3]
+        a11, a12, a21, a22 = 1, 0, 0, 1     # ints: exact in every scalar type
+        for h in steps:
+            if h == right:
+                back, right, left, s, inv = rows[h]
+                a11, a12, a21, a22 = a11 * inv, (a11 - a12) * s, a21 * inv, (a21 - a22) * s
+            elif h == left:
+                back, right, left, s, inv = rows[h]
+                a11, a12, a21, a22 = (a12 - a11) * inv, a12 * s, (a22 - a21) * inv, a22 * s
+            elif h == back and allow_backtrack:
+                back, right, left, s, inv = rows[h]
+                a11, a12, a21, a22 = a12 * inv, a11 * s, a22 * inv, a21 * s
+            else:
+                raise KeyError(h)           # the path breaks or backtracks here
+    except (IndexError, KeyError):          # or it has no steps, or its last is no id
+        pass
+    else:
+        return a11, a12, a21, a22
+    _check_steps(g, steps)                  # names the first bad id, else the first break
+    _check_joins(g, steps)
+    raise DomainError("path is not efficient")
 
 
 def _exact_gap_poly(g: Fatgraph, q: Sequence[int], path: EdgePath) -> list[tuple[int, int]]:
@@ -203,14 +221,26 @@ def _exact_gap_poly(g: Fatgraph, q: Sequence[int], path: EdgePath) -> list[tuple
 
 def terms_at(ks: Sequence[tuple[int, int]], unit: int, t: float) -> float:
     """Sum of c * t**(k / unit) over (k, c) in ``ks`` to 15 digits: a fsum of float terms under
-    an a-priori bound (per term 2.5 ulp, 2**-1074, |ln t| times the rounding of k / unit), else
-    ``mpf`` with digits raised by the cancellation until it holds; refused past 1000 digits."""
+    an a-priori bound, else ``mpf`` with digits raised by the cancellation until it holds;
+    refused past 1000 digits.  Where ``unit`` is a power of 2, k / unit is exact and a term
+    rounds by 2.5 ulp with its share of the sum.  Elsewhere the term is t**m * t**(r / unit), m =
+    k / unit truncated toward 0: both factors lie between 1 and t**(k / unit), and only r / unit,
+    in (-1, 1), rounds.  Its term rounds by 4 ulp, or 2.5 where m or r is 0 and a factor is 1,
+    plus |ln t| times the rounding of r / unit.  Every term adds 2**-1074 below the normal range."""
     log_t = abs(math.log(t))
     try:
-        terms = [c * t ** (k / unit) for k, c in ks]
-        total, mass = math.fsum(terms), math.fsum(map(abs, terms))
-        err = mass * 5 * 2 ** -53 + len(ks) * 2 ** -1074 + (unit & unit - 1 and log_t * math.fsum(
-            abs(x * (Fraction(k / unit) - Fraction(k, unit))) for x, (k, _) in zip(terms, ks)))
+        if not unit & unit - 1:
+            terms = [c * t ** (k / unit) for k, c in ks]
+            total, mass = math.fsum(terms), math.fsum(map(abs, terms))
+            err = mass * 5 * 2 ** -53
+        else:
+            ms = [-(-k // unit) if k < 0 else k // unit for k, _ in ks]
+            rs = [k - m * unit for (k, _), m in zip(ks, ms)]
+            terms = [c * t ** m * t ** (r / unit) for (_, c), m, r in zip(ks, ms, rs)]
+            total, mass = math.fsum(terms), math.fsum(map(abs, terms))
+            err = math.fsum(abs(x) * ((8 if m and r else 5) * 2 ** -53 + (
+                r and log_t * abs(_quotient_error(r, unit)))) for x, m, r in zip(terms, ms, rs))
+        err += len(ks) * 2 ** -1074
     except (OverflowError, ValueError):     # a term beyond double range: no float sum
         total, mass, err = 0.0, 1.0, 1.0
     digits = 0
@@ -225,15 +255,17 @@ def terms_at(ks: Sequence[tuple[int, int]], unit: int, t: float) -> float:
     return float(total)
 
 
+def _quotient_error(k: int, unit: int) -> float:
+    """k / unit - fl(k / unit), from the float's exact ratio p / q."""
+    p, q = (k / unit).as_integer_ratio()
+    return (k * q - p * unit) / (q * unit)
+
+
 def holonomy(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
              allow_backtrack: bool = False) -> Mat2:
     """Path-ordered product T_1 X_1 T_2 X_2 ... over the closed path; a backtrack, refused
     unless ``allow_backtrack`` is set, turns by the identity, which keeps |trace|."""
-    try:
-        rows = _float_rows(g, lam)
-    except ZeroDivisionError:       # a weight product or a cross ratio underflows to 0
-        raise DomainError("a cross ratio of these weights is beyond double range") from None
-    return Mat2(*_product(g, path, rows, allow_backtrack))
+    return Mat2(*_product(g, path, _float_rows(g, lam), allow_backtrack))
 
 
 def abs_trace(m: Mat2) -> float:
@@ -268,12 +300,11 @@ def _abs_trace_minus(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
     # |trace| is a conjugacy invariant, and 2 on a contractible path
     if allow_backtrack and (path := reduce_path(g, path)) is None:
         return 2.0 - offset
-    n, (lo, hi) = len(path.steps), lam.extremes
+    n = len(path.steps)
     tr, gap, err, digits = 1.0, 0.0, 1.0, 0
     # weight products lie in [lo**2, hi**2], their quotients and nonzero entries within
     # (2 hi / lo)**+-(n + 1): the float pass runs only where all of these are normal
-    if (lo * lo >= sys.float_info.min and hi * hi < math.inf
-            and (n + 1) * math.log2(2 * hi / lo) < 1000):
+    if (n + 1) * lam.log2_spread < 1000:
         a11, _, _, a22 = _product(g, path, _float_rows(g, lam))
         tr = abs(a11 + a22)
         gap, err = tr - offset, (6 * n + 2) * sys.float_info.epsilon * tr

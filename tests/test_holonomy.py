@@ -162,11 +162,14 @@ KERNEL_FAULTS = {
     "backtrack": ("theta.fg", (0, 5, 2, 4), "path is not efficient"),
 }
 
-# every route into the kernel: float (rerun in mpf where its bound fails) and exact Laurent
+# every route into the kernel: float (rerun in mpf where its bound fails), mpf alone for
+# weights beyond the float pass's range, and exact Laurent
 KERNEL_ENTRIES = {
     "holonomy": lambda g, p, bt: hol.holonomy(g, ones(g), p, allow_backtrack=bt),
     "abs_trace_of_path": lambda g, p, bt: hol.abs_trace_of_path(g, ones(g), p, allow_backtrack=bt),
     "trace_gap_of_path": lambda g, p, bt: hol.trace_gap_of_path(g, ones(g), p, allow_backtrack=bt),
+    "trace_gap_of_path_mpf": lambda g, p, bt: hol.trace_gap_of_path(g, beyond_float(g), p,
+                                                                    allow_backtrack=bt),
     "sweep": lambda g, p, bt: asy.sweep(g, asy_family(g), [p]),
     "gap_leading": lambda g, p, bt: asy._gap_leading(g, asy_family(g), p),
 }
@@ -174,6 +177,12 @@ KERNEL_ENTRIES = {
 
 def ones(g):
     return geo.lambda_assignment([1.0] * g.n_edges)
+
+
+def beyond_float(g):
+    lam = geo.lambda_assignment([1e-200] + [1.0] * (g.n_edges - 1))
+    assert lam.log2_spread == math.inf      # (1e-200)**2 is below the normal range
+    return lam
 
 
 def asy_family(g):
@@ -445,10 +454,9 @@ def test_in_cell_traces_stay_in_float(trivalent_corpus, monkeypatch):
 
 # -- per-weights step rows -----------------------------------------------------
 
-def per_step_product(g, path, w, sqrt, allow_backtrack=False):
-    """The kernel with s and -1/s recomputed at every step from the quad slots."""
-    table = g._step_table
-    back, right, left = table[path.steps[-1]][:3]
+def two_update_product(path, rows, allow_backtrack=False):
+    """The kernel as two updates per step: the turn's column update, then X's."""
+    back, right, left = rows[path.steps[-1]][:3]
     a11, a12, a21, a22 = 1, 0, 0, 1
     for h in path.steps:
         if h == right:
@@ -457,11 +465,30 @@ def per_step_product(g, path, w, sqrt, allow_backtrack=False):
             a11, a12, a21, a22 = a12, a12 - a11, a22, a22 - a21
         else:
             assert allow_backtrack and h == back
-        back, right, left, a, b, c, d = table[h]
-        s = sqrt((w[a] * w[c]) / (w[b] * w[d]))
-        inv = -1 / s
+        back, right, left, s, inv = rows[h]
         a11, a12, a21, a22 = a12 * inv, a11 * s, a22 * inv, a21 * s
     return a11, a12, a21, a22
+
+
+def per_step_product(g, path, w, sqrt, allow_backtrack=False):
+    """The two-update kernel with s and -1/s computed at every step from the quad slots."""
+    rows = {}
+    for h in path.steps:
+        back, right, left, a, b, c, d = g._step_table[h]
+        s = sqrt((w[a] * w[c]) / (w[b] * w[d]))
+        rows[h] = back, right, left, s, -1 / s
+    return two_update_product(path, rows, allow_backtrack)
+
+
+def packed_rows(g, q, path):
+    """``_exact_gap_poly``'s int rows of the path's steps for even exponents q."""
+    bits, rows = len(path.steps) + 1, {}
+    for h in path.steps:
+        back, right, left, a, b, c, d = g._step_table[h]
+        k = (q[a] + q[c] - q[b] - q[d]) // 2
+        rows[h] = ((back, right, left, 1 << k * bits, -1) if k >= 0
+                   else (back, right, left, 1, -1 << -k * bits))
+    return rows
 
 
 def bits(entries):
@@ -469,9 +496,10 @@ def bits(entries):
 
 
 def test_step_rows_match_per_step_formula(trivalent_corpus, generated_trivalent):
-    """The row-table product equals the per-step formula bit for bit, in float on the
-    corpus and on generated graphs, with and without backtracks, and in mpf."""
-    rng = random.Random(71)
+    """The row-table product, one update per step, equals the per-step formula of two updates
+    bit for bit: in float on the corpus and on generated graphs, with and without backtracks,
+    in mpf and over packed ints."""
+    rng, exponents = random.Random(71), random.Random(72)
     count = 0
     graphs = [(g, essential_curve_pool(g)[:12]) for g in trivalent_corpus.values()]
     graphs += [(g, []) for g in generated_trivalent]
@@ -479,7 +507,10 @@ def test_step_rows_match_per_step_formula(trivalent_corpus, generated_trivalent)
         for wide in (False, True):
             lam = (geo.lambda_assignment([10 ** rng.uniform(-6, 6) for _ in range(g.n_edges)])
                    if wide else random_in_cell_lambda(g, rng))
+            q = [2 * exponents.randint(-3, 3) for _ in range(g.n_edges)]
             for p in pool + [closed_walk(g, rng) for _ in range(8)]:
+                rows = packed_rows(g, q, p)
+                assert hol._product(g, p, rows) == two_update_product(p, rows)
                 want = per_step_product(g, p, lam.values, math.sqrt)
                 assert bits(hol._product(g, p, hol._float_rows(g, lam))) == bits(want)
                 assert bits(astuple(hol.holonomy(g, lam, p))) == bits(want)
@@ -587,8 +618,9 @@ def test_trace_refines_when_float_leaves_range(theta):
 
 def test_holonomy_refuses_cross_ratios_that_underflow(theta):
     # the float rows of these weights divide by a weight product or a cross ratio that
-    # underflows to 0; the certified traces never build them (see the test above)
-    for values in ([1e-170, 1e170, 1], [1e200, 1, 1]):
+    # underflows to 0, or take a cross ratio of products that overflow to inf (inf / inf is
+    # nan); the certified traces never build them (see the test above)
+    for values in ([1e-170, 1e170, 1], [1e200, 1, 1], [1e-160, 1, 1], [1e160] * 3, [1e200] * 3):
         with pytest.raises(DomainError) as err:
             hol.holonomy(theta, geo.lambda_assignment(values), fgr.EdgePath((0, 4)))
         assert str(err.value) == "a cross ratio of these weights is beyond double range"
