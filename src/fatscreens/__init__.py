@@ -20,8 +20,8 @@ from .geometry import (CyclicPolygon, LambdaAssignment, MinkowskiVector,
                        whitehead_transport)
 # the path-ordered product itself stays at fatscreens.holonomy.holonomy so
 # the submodule attribute is not shadowed by the function
-from .holonomy import (Mat2, abs_trace, abs_trace_of_path, edge_matrix,
-                       hyp_length, hyp_length_from_gap, one_left_turn_data,
+from .holonomy import (Mat2, abs_trace_of_path, edge_matrix, hyp_length,
+                       hyp_length_from_gap, one_left_turn_data,
                        one_left_turn_trace, path_turns, trace_gap_of_path,
                        turn_direction, turn_matrices)
 from .screens import (MonomialFamily, Screen, depth_family, depth_of_edge,

@@ -158,18 +158,18 @@ class Fatgraph:
 
     @cached_property
     def _step_table(self) -> tuple[tuple[int, ...], ...]:
-        """Row h for the trace kernel: (iota(h), the right and left turns out
-        of h's arrival, the edges in h's quad slots a, b, c, d).  On a
-        trivalent graph the backtrack iota(h) and the two turns are the only
-        steps that can follow h.  Built on first use: most graphs never trace."""
+        """Row h for the trace kernel: (the right and left turns out of h's
+        arrival, the edges in h's quad slots a, b, c, d).  On a trivalent graph
+        the two turns are the only steps of an efficient path that can follow
+        h.  Built on first use: most graphs never trace."""
         sigma = self._sigma
-        return tuple((back, sigma[back], sigma[sigma[back]], *self._quad(h))
+        return tuple((sigma[back], sigma[sigma[back]], *self._quad(h))
                      for h, back in enumerate(self._iota))
 
     @cached_property
     def _edge_quads(self) -> tuple[tuple[int, int, int, int], ...]:
         """Row e: ``_quad`` of edge e's first half, for the per-edge coordinate
-        formulas.  Four ints per edge, against ``_step_table``'s seven per
+        formulas.  Four ints per edge, against ``_step_table``'s six per
         half-edge, keep graphs that are only inverted small."""
         return tuple(self._quad(h) for h, _ in self.edge_halves)
 
@@ -287,8 +287,6 @@ def parse_fatgraph(text: str) -> Fatgraph:
     cycles = tuple(vlines[vid][1] for vid in sorted(vlines))
     halves = tuple((a, b) for _, _, a, b in elines)
     labels = tuple(lab for _, lab, _, _ in elines)
-    if len(set(labels)) != len(labels):
-        raise FormatError("duplicate edge labels", 1)
     try:
         return Fatgraph(cycles, halves, labels)
     except DomainError as exc:
@@ -413,10 +411,6 @@ def canonical_path(g: Fatgraph, path: EdgePath) -> EdgePath:
     least = min(fwd + rev)
     return EdgePath(min(seq[r:] + seq[:r] for seq in (fwd, rev)
                         for r, s in enumerate(seq) if s == least))
-
-
-def path_edges(g: Fatgraph, path: EdgePath) -> EdgeSubset:
-    return frozenset(g.edge_of(s) for s in path.steps)
 
 
 def is_boundary_parallel(g: Fatgraph, path: EdgePath,

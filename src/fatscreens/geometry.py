@@ -500,13 +500,16 @@ class CyclicPolygon:
 def cyclic_polygon(lengths: Sequence[float]) -> CyclicPolygon:
     """Inscribe a polygon with the given side lengths in a circle.
 
-    Bisection on y = lmax/(2R) over (0, 1], where side l has the half-angle
-    asin(y*l/lmax).  The centre is inside when the other sides' half-angles
-    reach pi/2 at y = 1, and then all half-angles sum to pi; otherwise the
-    others sum to the longest side's half-angle, and its central angle is
-    reflex.  The polygon exists and is unique (Robbins 1994), so each
-    equation has one sign change in (0, 1], and the bisection runs until lo
-    and hi are adjacent doubles.
+    Bisection on the longest side's half-angle deficit phi in [0, pi/2], with
+    lmax/(2R) = cos(phi): side l = r lmax has the half-angle whose sine is r
+    cos(phi) and whose cosine comes from 1 - r cos(phi) = (1 - r) + 2 r
+    sin(phi/2)**2, so an angle near pi is measured by its deficit from pi.
+    The centre is inside when the other sides' half-angles reach pi/2 at phi
+    = 0, and then all half-angles sum to pi; otherwise the others sum to the
+    longest side's half-angle, and its central angle is pi + 2 phi.  The
+    polygon exists and is unique (Robbins 1994), so each equation has one
+    sign change.  Half-angles are 1-Lipschitz in phi, so the bisection stops
+    at a bracket of 2**-64 (at most 65 steps) or at adjacent doubles.
     """
     ls = [float(v) for v in lengths]
     if len(ls) < 3 or not all(0.0 < l < math.inf for l in ls):
@@ -517,21 +520,26 @@ def cyclic_polygon(lengths: Sequence[float]) -> CyclicPolygon:
     imax = ls.index(lmax)
     ratios = [l / lmax for l in ls]
 
-    def others(y: float) -> float:
-        return sum(math.asin(y * r) for i, r in enumerate(ratios) if i != imax)
+    def half_angles(phi: float) -> list[float]:
+        c, h = math.cos(phi), 2.0 * math.sin(0.5 * phi) ** 2
+        return [math.atan2(r * c, math.sqrt(((1.0 - r) + r * h) * (1.0 + r * c))) for r in ratios]
 
-    inside = others(1.0) >= math.pi / 2
-    lo, hi = 0.0, 1.0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        rest_sum, big = others(mid), math.asin(mid)
-        if (rest_sum + big < math.pi) if inside else (rest_sum > big):
+    def others(phi: float) -> tuple[float, float]:
+        theta = half_angles(phi)
+        return sum(t for i, t in enumerate(theta) if i != imax), theta[imax]
+
+    inside = others(0.0)[0] >= math.pi / 2
+    lo, hi = 0.0, math.pi / 2
+    while hi - lo > 2.0 ** -64 and lo < (mid := 0.5 * (lo + hi)) < hi:
+        rest_sum, big = others(mid)
+        if (rest_sum + big > math.pi) if inside else (rest_sum < big):
             lo = mid
         else:
             hi = mid
-    angles = [2.0 * math.asin(hi * r) for r in ratios]
+    angles = [2.0 * t for t in half_angles(lo)]
     if not inside:
-        angles[imax] = 2.0 * math.pi - angles[imax]
-    return CyclicPolygon(tuple(ls), lmax / (2.0 * hi), tuple(angles))
+        angles[imax] = math.pi + 2.0 * lo
+    return CyclicPolygon(tuple(ls), lmax / (2.0 * math.cos(lo)), tuple(angles))
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ and packed ints.  Each step applies its turn and X in one closed-form update
 (R then X sends (a11, a12, a21, a22) to (-a11/s, (a11 - a12) s, -a21/s,
 (a21 - a22) s)); the other entries being 0 and +-1, these round exactly like
 full 2x2 products.  The loop runs over a per-weights step table whose row for
-each step holds its backtrack, the two turns out of its arrival, its s and
--1/s.  A step that is none of the turns (nor an allowed backtrack) breaks the
-path, and only such a path is checked, to name its fault.  Each s is computed
+each step holds the two turns out of its arrival, its s and -1/s.  A step that
+is neither turn breaks the path or backtracks, and only such a path is checked,
+to name its fault; a backtrack is refused as not efficient.  Each s is computed
 once per table, not once per visit; the float table is kept on the weights for
 the last graph they traced, the ``mpf`` one holds the path's steps.
 
@@ -50,8 +50,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .fatgraph import (EdgePath, Fatgraph, _check_joins, _check_steps, is_boundary_parallel,
-                       reduce_path)
+from .fatgraph import EdgePath, Fatgraph, _check_joins, _check_steps, is_boundary_parallel
 from .geometry import (LambdaAssignment, _lazy_import, _off_path_edge, _one_weight_per_edge,
                        quad_slots)
 
@@ -132,14 +131,14 @@ def _check_kernel(g: Fatgraph, w: Sequence) -> None:
 
 
 def _step_rows(g: Fatgraph, w: Sequence, sqrt, halves: Iterable[int]) -> dict[int, tuple]:
-    """Row h of the product for each half-edge h in ``halves``: (iota(h), the right and left
-    turns out of its arrival, s, -1/s) with s = sqrt(ac/bd) in the scalar type of ``w``."""
+    """Row h of the product for each half-edge h in ``halves``: (the right and left turns out
+    of its arrival, s, -1/s) with s = sqrt(ac/bd) in the scalar type of ``w``."""
     _check_kernel(g, w)
     table, rows = g._step_table, {}
     for h in halves:
-        back, right, left, a, b, c, d = table[h]
+        right, left, a, b, c, d = table[h]
         s = sqrt((w[a] * w[c]) / (w[b] * w[d]))
-        rows[h] = back, right, left, s, -1 / s
+        rows[h] = right, left, s, -1 / s
     return rows
 
 
@@ -152,34 +151,31 @@ def _float_rows(g: Fatgraph, lam: LambdaAssignment) -> dict[int, tuple]:
         except ZeroDivisionError:   # a weight product or a cross ratio underflows to 0
             rows = None
         # or one overflows: s = inf, or inf / inf = nan
-        if rows is None or not all(row[3] < math.inf for row in rows.values()):
+        if rows is None or not all(row[2] < math.inf for row in rows.values()):
             raise DomainError("a cross ratio of these weights is beyond double range")
         object.__setattr__(lam, "_trace_rows", (g, rows))
     return rows
 
 
-def _product(g: Fatgraph, path: EdgePath, rows, allow_backtrack: bool = False) -> tuple:
+def _product(g: Fatgraph, path: EdgePath, rows) -> tuple:
     """Entries of T_1 X_1 T_2 X_2 ... from the ``_step_rows`` of the path's steps.
 
     Each step applies its turn and X in one update, the same operations in the same order
     as the turn's column update followed by X's, so it rounds like that pair in every scalar
-    type.  The loop is the path check: a step is taken only as a turn or the allowed backtrack
-    out of the previous arrival, and only a path that fails it is checked, to name its fault.
+    type.  The loop is the path check: a step is taken only as a right or left turn out of the
+    previous arrival, and only a path that fails it is checked, to name its fault.
     """
     steps = path.steps
     try:
-        back, right, left = rows[steps[-1]][:3]
+        right, left = rows[steps[-1]][:2]
         a11, a12, a21, a22 = 1, 0, 0, 1     # ints: exact in every scalar type
         for h in steps:
             if h == right:
-                back, right, left, s, inv = rows[h]
+                right, left, s, inv = rows[h]
                 a11, a12, a21, a22 = a11 * inv, (a11 - a12) * s, a21 * inv, (a21 - a22) * s
             elif h == left:
-                back, right, left, s, inv = rows[h]
+                right, left, s, inv = rows[h]
                 a11, a12, a21, a22 = (a12 - a11) * inv, a12 * s, (a22 - a21) * inv, a22 * s
-            elif h == back and allow_backtrack:
-                back, right, left, s, inv = rows[h]
-                a11, a12, a21, a22 = a12 * inv, a11 * s, a22 * inv, a21 * s
             else:
                 raise KeyError(h)           # the path breaks or backtracks here
     except (IndexError, KeyError):          # or it has no steps, or its last is no id
@@ -202,11 +198,10 @@ def _exact_gap_poly(g: Fatgraph, q: Sequence[int], path: EdgePath) -> list[tuple
     _check_steps(g, steps := path.steps)
     bits, rows, degree = len(steps) + 1, {}, 0
     for h in steps:
-        back, right, left, a, b, c, d = g._step_table[h]
+        right, left, a, b, c, d = g._step_table[h]
         k = (q[a] + q[c] - q[b] - q[d]) // 2
         degree += abs(k)
-        rows[h] = ((back, right, left, 1 << k * bits, -1) if k >= 0
-                   else (back, right, left, 1, -1 << -k * bits))
+        rows[h] = (right, left, 1 << k * bits, -1) if k >= 0 else (right, left, 1, -1 << -k * bits)
     if (size := bits * (degree + 1)) > EXACT_BITS_MAX:
         raise DomainError(f"exact trace gap needs {size} bits, over {EXACT_BITS_MAX}")
     a11, _, _, a22 = _product(g, path, rows)
@@ -261,15 +256,13 @@ def _quotient_error(k: int, unit: int) -> float:
     return (k * q - p * unit) / (q * unit)
 
 
-def holonomy(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
-             allow_backtrack: bool = False) -> Mat2:
-    """Path-ordered product T_1 X_1 T_2 X_2 ... over the closed path; a backtrack, refused
-    unless ``allow_backtrack`` is set, turns by the identity, which keeps |trace|."""
-    return Mat2(*_product(g, path, _float_rows(g, lam), allow_backtrack))
-
-
-def abs_trace(m: Mat2) -> float:
-    return abs(m.trace())
+def holonomy(g: Fatgraph, lam: LambdaAssignment, path: EdgePath) -> Mat2:
+    """Float path-ordered product T_1 X_1 T_2 X_2 ... over the closed efficient path, each T a
+    right or left turn; refused where an entry leaves double range."""
+    m = _product(g, path, _float_rows(g, lam))
+    if not all(map(math.isfinite, m)):
+        raise DomainError("the holonomy of this path is beyond double range")
+    return Mat2(*m)
 
 
 def hyp_length(abs_tr: float) -> float:
@@ -292,14 +285,10 @@ def hyp_length_from_gap(gap: float) -> float:
     return 2.0 * math.log1p(u + math.sqrt(square))
 
 
-def _abs_trace_minus(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
-                     allow_backtrack: bool, offset: int) -> float:
+def _abs_trace_minus(g: Fatgraph, lam: LambdaAssignment, path: EdgePath, offset: int) -> float:
     """|trace| - offset within ``TRACE_RTOL`` as the module docstring derives, or refused."""
     if lam._trace_rows[0] is not g:     # else the kernel was checked when the rows were built
         _check_kernel(g, lam.values)
-    # |trace| is a conjugacy invariant, and 2 on a contractible path
-    if allow_backtrack and (path := reduce_path(g, path)) is None:
-        return 2.0 - offset
     n = len(path.steps)
     tr, gap, err, digits = 1.0, 0.0, 1.0, 0
     # weight products lie in [lo**2, hi**2], their quotients and nonzero entries within
@@ -326,16 +315,14 @@ def _abs_trace_minus(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
     return float(gap)
 
 
-def abs_trace_of_path(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
-                      allow_backtrack: bool = False) -> float:
+def abs_trace_of_path(g: Fatgraph, lam: LambdaAssignment, path: EdgePath) -> float:
     """|trace| of the path holonomy within ``TRACE_RTOL``."""
-    return _abs_trace_minus(g, lam, path, allow_backtrack, 0)
+    return _abs_trace_minus(g, lam, path, 0)
 
 
-def trace_gap_of_path(g: Fatgraph, lam: LambdaAssignment, path: EdgePath,
-                      allow_backtrack: bool = False) -> float:
+def trace_gap_of_path(g: Fatgraph, lam: LambdaAssignment, path: EdgePath) -> float:
     """|trace| - 2 within ``TRACE_RTOL``, also far below 2**-52 where the trace rounds to 2.0."""
-    return _abs_trace_minus(g, lam, path, allow_backtrack, 2)
+    return _abs_trace_minus(g, lam, path, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -152,11 +152,6 @@ def _member(g: Fatgraph, edges: EdgeSubset) -> _Member:
     return entry
 
 
-def _connected_edge_components(g: Fatgraph, edges: EdgeSubset) -> tuple[EdgeSubset, ...]:
-    """Edge sets of the connected components of the induced subgraph."""
-    return _member(g, edges).components
-
-
 def enumerate_screens(g: Fatgraph, max_edges: int = MAX_ENUMERATION_EDGES) -> list[Screen]:
     """All screens whose members induce connected subgraphs, in a fixed order.
 
@@ -171,7 +166,7 @@ def enumerate_screens(g: Fatgraph, max_edges: int = MAX_ENUMERATION_EDGES) -> li
         raise DomainError(f"edge count {n} exceeds enumeration bound {max_edges}")
     top = g.all_edges()
     candidates = sorted((a for a in recurrent_subsets(g)     # the top, too, gets an entry
-                         if len(_connected_edge_components(g, a)) == 1 and a != top),
+                         if len(_member(g, a).components) == 1 and a != top),
                         key=_member_key)
     # bit j of compatible[i]: a later candidate j nests with or is disjoint from i
     compatible = [sum(1 << j for j in range(i + 1, len(candidates))
@@ -306,5 +301,5 @@ def screen_of_exponents(g: Fatgraph, fam: MonomialFamily) -> Screen:
     stage: set[int] = set()
     for n, d in sorted(level, key=lambda nd: nd[0] * (unit // nd[1]), reverse=True)[:-1]:
         stage.update(level[n, d])       # now the edges above the next exponent down
-        family.update(_connected_edge_components(g, frozenset(stage)))
+        family.update(_member(g, frozenset(stage)).components)
     return Screen(g, _sorted_family(family))

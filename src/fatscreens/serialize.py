@@ -13,8 +13,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError, FormatError
-from .fatgraph import CurveSystem, EdgePath, Fatgraph, check_closed_path, \
-    curve_system
+from .fatgraph import EdgePath, Fatgraph, check_closed_path
 from .geometry import LambdaAssignment, SimplicialCoords
 from .screens import MonomialFamily, Screen, screen
 
@@ -87,26 +86,13 @@ def read_exponents_csv(g: Fatgraph, text: str) -> MonomialFamily:
         raise FormatError(f"bad exponent: {exc}") from None
 
 
-def write_exponents_csv(g: Fatgraph, fam: MonomialFamily) -> str:
-    lines = ["edge,exponent"]
-    for e in range(g.n_edges):
-        p = fam[e]
-        text = str(p.numerator) if p.denominator == 1 else f"{p.numerator}/{p.denominator}"
-        lines.append(f"{g.label(e)},{text}")
-    return "\n".join(lines) + "\n"
-
-
 # -- screens ----------------------------------------------------------------
 
-def _load_json(text: str):
+def read_screen_json(g: Fatgraph, text: str) -> Screen:
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad JSON: {exc}") from None
-
-
-def read_screen_json(g: Fatgraph, text: str) -> Screen:
-    data = _load_json(text)
     if not isinstance(data, dict) or "family" not in data:
         raise FormatError('expected an object with a "family" key')
     if not isinstance(data["family"], list):
@@ -117,13 +103,6 @@ def read_screen_json(g: Fatgraph, text: str) -> Screen:
             raise FormatError("family members must be arrays of edge labels")
         family.append({g.edge_by_label(str(lab)) for lab in member})
     return screen(g, family)
-
-
-def write_screen_json(s: Screen) -> str:
-    g = s.graph
-    top = g.all_edges()
-    fam = [sorted(g.label(e) for e in a) for a in s.family if a != top]
-    return json.dumps({"family": fam}) + "\n"
 
 
 # -- curves -----------------------------------------------------------------
@@ -157,41 +136,11 @@ def parse_curve(g: Fatgraph, text: str) -> EdgePath:
     return path
 
 
-def write_curves_json(g: Fatgraph, curves: CurveSystem) -> str:
-    data = [[step_token(g, s) for s in c.steps] for c in curves]
-    return json.dumps(data) + "\n"
-
-
-def read_curves_json(g: Fatgraph, text: str) -> CurveSystem:
-    data = _load_json(text)
-    if not isinstance(data, list):
-        raise FormatError("expected an array of curves")
-    paths = []
-    for item in data:
-        if not isinstance(item, list) or not all(isinstance(tok, str) for tok in item):
-            raise FormatError("curves must be arrays of step tokens")
-        path = EdgePath(tuple(parse_step_token(g, tok) for tok in item))
-        check_closed_path(g, path)
-        paths.append(path)
-    return curve_system(g, paths)
-
-
 def parse_subset(g: Fatgraph, text: str) -> frozenset:
     labels = [p for p in text.replace(",", " ").split() if p]
     if not labels:
         raise DomainError("empty edge subset")
     return frozenset(g.edge_by_label(lab) for lab in labels)
-
-
-def write_subset_json(g: Fatgraph, subset: Iterable[int]) -> str:
-    return json.dumps(sorted(g.label(e) for e in subset)) + "\n"
-
-
-def read_subset_json(g: Fatgraph, text: str) -> frozenset:
-    data = _load_json(text)
-    if not isinstance(data, list):
-        raise FormatError("expected an array of edge labels")
-    return frozenset(g.edge_by_label(str(lab)) for lab in data)
 
 
 def subset_text(g: Fatgraph, subset: Iterable[int]) -> str:

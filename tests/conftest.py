@@ -155,3 +155,32 @@ def essential_curve_pool(g: fgr.Fatgraph) -> list[fgr.EdgePath]:
             for c in fgr.subset_boundary(g, sub):
                 pool[c.steps] = c
     return [pool[k] for k in sorted(pool)]
+
+
+def two_update_product(path: fgr.EdgePath, rows, allow_backtrack: bool = False) -> tuple:
+    """The trace kernel as two updates per step: the turn's column update, then X's.  With
+    ``allow_backtrack`` a step that is neither turn, on a closed path the backtrack, turns by
+    the identity, which keeps |trace|."""
+    right, left = rows[path.steps[-1]][:2]
+    a11, a12, a21, a22 = 1, 0, 0, 1
+    for h in path.steps:
+        if h == right:
+            a11, a12, a21, a22 = a11 - a12, a11, a21 - a22, a21
+        elif h == left:
+            a11, a12, a21, a22 = a12, a12 - a11, a22, a22 - a21
+        else:
+            assert allow_backtrack
+        right, left, s, inv = rows[h]
+        a11, a12, a21, a22 = a12 * inv, a11 * s, a22 * inv, a21 * s
+    return a11, a12, a21, a22
+
+
+def per_step_product(g: fgr.Fatgraph, path: fgr.EdgePath, w, sqrt,
+                     allow_backtrack: bool = False) -> tuple:
+    """The two-update kernel with s and -1/s computed at every step from the quad slots."""
+    rows = {}
+    for h in path.steps:
+        right, left, a, b, c, d = g._step_table[h]
+        s = sqrt((w[a] * w[c]) / (w[b] * w[d]))
+        rows[h] = right, left, s, -1 / s
+    return two_update_product(path, rows, allow_backtrack)

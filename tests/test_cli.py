@@ -363,27 +363,16 @@ def test_serialization_round_trips(theta, tmp_path):
     text = ser.write_lambda_csv(theta, lam)
     assert ser.read_lambda_csv(theta, text).values == lam.values
 
-    fam = scn.monomial_family(["3/2", 2, 0])
-    text = ser.write_exponents_csv(theta, fam)
-    assert ser.read_exponents_csv(theta, text).exponents == fam.exponents
+    fam = ser.read_exponents_csv(theta, "edge,exponent\ne0,3/2\ne1,2\ne2,0\n")
+    assert fam.exponents == scn.monomial_family(["3/2", 2, 0]).exponents
+    with pytest.raises(FormatError, match="bad exponent"):
+        ser.read_exponents_csv(theta, "edge,exponent\ne0,1/0\ne1,2\ne2,0\n")
 
     s = scn.screen(theta, [{0, 1}])
-    text = ser.write_screen_json(s)
-    assert ser.read_screen_json(theta, text).family == s.family
-
-    curves = fgr.subset_boundary(theta, {0, 1})
-    text = ser.write_curves_json(theta, curves)
-    assert ser.read_curves_json(theta, text).curves == curves.curves
+    assert ser.read_screen_json(theta, json.dumps({"family": [["e0", "e1"]]})).family == s.family
     for bad in ('{"family": 5}', '{"family": null}'):
         with pytest.raises(FormatError, match='"family" must be an array'):
             ser.read_screen_json(theta, bad)
-    for bad in ("5", '{"curves": []}', "[5]", "[[5]]"):
-        with pytest.raises(FormatError):
-            ser.read_curves_json(theta, bad)
-
-    subset = frozenset({0, 2})
-    text = ser.write_subset_json(theta, subset)
-    assert ser.read_subset_json(theta, text) == subset
 
     g_text = fgr.fatgraph_to_text(theta)
     assert fgr.parse_fatgraph(g_text) == theta
@@ -436,7 +425,9 @@ def ij_check_output(name, tmp_path, capsys):
     screen_file = tmp_path / "screen.json"
     digest = hashlib.sha256()
     for s in scn.enumerate_screens(fgr.parse_fatgraph(Path(graph).read_text())):
-        screen_file.write_text(ser.write_screen_json(s))
+        top = s.graph.all_edges()
+        family = [sorted(s.graph.label(e) for e in a) for a in s.family if a != top]
+        screen_file.write_text(json.dumps({"family": family}) + "\n")
         code, out = run(capsys, "ij-check", graph, "--screen", str(screen_file))
         assert code == 0
         digest.update(out.encode())

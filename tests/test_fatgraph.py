@@ -59,6 +59,12 @@ def test_parse_duplicate_half_edge_rejected():
         fgr.parse_fatgraph(bad)
 
 
+def test_parse_duplicate_labels_rejected():
+    bad = "fatgraph v1\nv 0 : 0 1 2 3\ne e0 : 0 1\ne e0 : 2 3\n"
+    with pytest.raises(FormatError, match="^line 1: duplicate edge labels$"):
+        fgr.parse_fatgraph(bad)
+
+
 def test_parse_error_carries_line_number():
     bad = "fatgraph v1\nv 0 : 0 1\nnonsense here\ne e0 : 0 1\n"
     with pytest.raises(FormatError, match="line 3"):
@@ -184,8 +190,8 @@ def test_witness_cycles(theta, barbell):
     for e, path in w.items():
         assert fgr.is_efficient(theta, path)
         fgr.check_closed_path(theta, path)
-        assert e in fgr.path_edges(theta, path)
-        assert fgr.path_edges(theta, path) <= {0, 1}
+        edges = {theta.edge_of(s) for s in path.steps}
+        assert e in edges and edges <= {0, 1}
     assert fgr.recurrent_witness_cycles(theta, {0}) is None
     wb = fgr.recurrent_witness_cycles(barbell, {0, 1, 2})
     bridge = wb[1]

@@ -191,7 +191,7 @@ def test_quad_slots_follow_sigma(generated_trivalent):
     for g in generated_trivalent:
         for h in range(g.n_half_edges):
             assert geo.quad_slots(g, h) == sigma_slots(g, h)
-            assert g._step_table[h][3:] == sigma_slots(g, h)
+            assert g._step_table[h][2:] == sigma_slots(g, h)
         assert g._edge_quads == tuple(sigma_slots(g, h) for h, _ in g.edge_halves)
 
 
@@ -620,6 +620,27 @@ def test_cyclic_polygon_extreme_sides(sides, radius):
     poly = geo.cyclic_polygon(sides)
     assert poly.circumradius == pytest.approx(radius, rel=1e-15)
     assert sum(poly.central_angles) == pytest.approx(2 * math.pi, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [1e2, 1e4, 1e8])
+def test_cyclic_polygon_near_diameter_angles(t):
+    # both sides t**2 are within about 1/t of a diameter: taken from their sine, their angles
+    # were off by up to sqrt(2 eps), and all four summed to 2 pi + 2e-8 at t = 1e8
+    sides = (t * t, t * t, t, 1.0)
+    poly = geo.cyclic_polygon(sides)
+    with mpmath.workdps(60):
+        # the half-angles asin(y l / lmax) sum to pi: bisect y = lmax / (2R) over (0, 1]
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        for _ in range(210):
+            mid = (lo + hi) / 2
+            if sum(mpmath.asin(mid * l / sides[0]) for l in sides) < mpmath.pi:
+                lo = mid
+            else:
+                hi = mid
+        want = [2 * mpmath.asin(lo * l / sides[0]) for l in sides]
+        assert all(abs(got - w) <= 2 * math.ulp(math.pi)
+                   for got, w in zip(poly.central_angles, want))
+    assert abs(sum(poly.central_angles) - 2 * math.pi) <= 8 * math.ulp(2 * math.pi)
 
 
 def test_cyclic_polygon_rejects_degenerate():

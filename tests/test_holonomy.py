@@ -17,7 +17,8 @@ from fatscreens import screens as scn
 from fatscreens import serialize as ser
 from fatscreens.errors import DomainError
 
-from conftest import essential_curve_pool, load, random_in_cell_lambda, random_trivalent
+from conftest import (essential_curve_pool, load, per_step_product, random_in_cell_lambda,
+                      random_trivalent, two_update_product)
 
 ONES3 = geo.lambda_assignment([1, 1, 1])
 
@@ -97,7 +98,7 @@ def test_reciprocal_cross_ratios_along_cycle(theta):
 
 def test_theta_trace_all_ones(theta):
     m = hol.holonomy(theta, ONES3, fgr.EdgePath((0, 4)))
-    assert hol.abs_trace(m) == pytest.approx(3.0, abs=1e-14)
+    assert abs(m.trace()) == pytest.approx(3.0, abs=1e-14)
     assert m.det() == pytest.approx(1.0, rel=1e-12)
 
 
@@ -132,6 +133,8 @@ def test_trace_invariance_rotation_reversal(trivalent_corpus):
 
 
 def test_backtrack_insertion_invariance(trivalent_corpus):
+    # the library refuses backtracks: the reference product with identity turns at the
+    # inserted backtrack keeps the trace of the path, which is the trace of the reduction
     rng = random.Random(8)
     for g in trivalent_corpus.values():
         pool = essential_curve_pool(g)[:3]
@@ -144,8 +147,9 @@ def test_backtrack_insertion_invariance(trivalent_corpus):
                     noisy = p.steps[:k + 1] + (ins, g.pairing(ins)) + p.steps[k + 1:]
                     path = fgr.EdgePath(noisy)
                     fgr.check_closed_path(g, path)
-                    tr = hol.abs_trace_of_path(g, lam, path, allow_backtrack=True)
-                    assert tr == pytest.approx(base, rel=1e-9, abs=1e-9)
+                    a11, _, _, a22 = per_step_product(g, path, lam.values, math.sqrt, True)
+                    assert abs(a11 + a22) == pytest.approx(base, rel=1e-9, abs=1e-9)
+                    assert hol.abs_trace_of_path(g, lam, fgr.reduce_path(g, path)) == base
 
 
 # One fault per path on theta (v0: 0 1 2, v1: 3 4 5), or on a valid closed
@@ -165,13 +169,12 @@ KERNEL_FAULTS = {
 # every route into the kernel: float (rerun in mpf where its bound fails), mpf alone for
 # weights beyond the float pass's range, and exact Laurent
 KERNEL_ENTRIES = {
-    "holonomy": lambda g, p, bt: hol.holonomy(g, ones(g), p, allow_backtrack=bt),
-    "abs_trace_of_path": lambda g, p, bt: hol.abs_trace_of_path(g, ones(g), p, allow_backtrack=bt),
-    "trace_gap_of_path": lambda g, p, bt: hol.trace_gap_of_path(g, ones(g), p, allow_backtrack=bt),
-    "trace_gap_of_path_mpf": lambda g, p, bt: hol.trace_gap_of_path(g, beyond_float(g), p,
-                                                                    allow_backtrack=bt),
-    "sweep": lambda g, p, bt: asy.sweep(g, asy_family(g), [p]),
-    "gap_leading": lambda g, p, bt: asy._gap_leading(g, asy_family(g), p),
+    "holonomy": lambda g, p: hol.holonomy(g, ones(g), p),
+    "abs_trace_of_path": lambda g, p: hol.abs_trace_of_path(g, ones(g), p),
+    "trace_gap_of_path": lambda g, p: hol.trace_gap_of_path(g, ones(g), p),
+    "trace_gap_of_path_mpf": lambda g, p: hol.trace_gap_of_path(g, beyond_float(g), p),
+    "sweep": lambda g, p: asy.sweep(g, asy_family(g), [p]),
+    "gap_leading": lambda g, p: asy._gap_leading(g, asy_family(g), p),
 }
 
 
@@ -202,8 +205,7 @@ def public_message(g, path):
 @pytest.mark.parametrize("fault", KERNEL_FAULTS)
 def test_kernel_error_parity(fault, entry):
     """Each single fault gets one message from every route into the kernel,
-    the one the public path checks give; a break or a bad id is refused even
-    where backtracks are allowed."""
+    the one the public path checks give."""
     name, steps, message = KERNEL_FAULTS[fault]
     g = load(name)
     if steps is None:
@@ -214,15 +216,9 @@ def test_kernel_error_parity(fault, entry):
     else:
         path = fgr.EdgePath(steps)
         assert public_message(g, path) == message
-    run = KERNEL_ENTRIES[entry]
-    allow = (False, True) if entry not in ("sweep", "gap_leading") else (False,)
-    for backtrack in allow:
-        if backtrack and fault == "backtrack":
-            run(g, path, backtrack)     # allowed: the turn is the identity
-            continue
-        with pytest.raises(DomainError) as err:
-            run(g, path, backtrack)
-        assert str(err.value) == message
+    with pytest.raises(DomainError) as err:
+        KERNEL_ENTRIES[entry](g, path)
+    assert str(err.value) == message
 
 
 def test_weight_count_is_checked(theta):
@@ -285,14 +281,18 @@ def reference_traces(g, lam, path):
         return acc, tr, tr - 2
 
 
-def check_certified(g, lam, path, backtrack):
+def check_certified(g, lam, path):
     """Both trace functions within TRACE_RTOL of the 100-digit reference, and
-    the bit-exact float product; True for a boundary-parallel path, whose gap
+    the bit-exact float product; a path with backtracks, refused by the library,
+    is traced as its reduction.  True for a boundary-parallel path, whose gap
     must be exactly 0."""
     m, tr, gap = reference_traces(g, lam, path)
-    assert hol.holonomy(g, lam, path, allow_backtrack=backtrack) == m
-    got_tr = hol.abs_trace_of_path(g, lam, path, allow_backtrack=backtrack)
-    got_gap = hol.trace_gap_of_path(g, lam, path, allow_backtrack=backtrack)
+    if fgr.is_efficient(g, path):
+        assert hol.holonomy(g, lam, path) == m
+    else:
+        path = fgr.reduce_path(g, path)
+    got_tr = hol.abs_trace_of_path(g, lam, path)
+    got_gap = hol.trace_gap_of_path(g, lam, path)
     assert abs(got_tr - tr) <= hol.TRACE_RTOL * tr
     if fgr.is_boundary_parallel(g, path):
         assert got_gap == 0.0 and abs(gap) < 1e-80 * tr
@@ -335,23 +335,22 @@ def kernel_cases(trivalent_corpus, genus2):
                 lam = geo.lambda_assignment([10 ** rng.uniform(-6, 6)
                                              for _ in range(g.n_edges)])
             for p in paths:
-                yield g, lam, p, False
+                yield g, lam, p
                 ins = g.vertex_cycles[g.step_head(p.steps[0])][k % 3]
-                noisy = p.steps[:1] + (ins, g.pairing(ins)) + p.steps[1:]
-                yield g, lam, fgr.EdgePath(noisy), True
+                yield g, lam, fgr.EdgePath(p.steps[:1] + (ins, g.pairing(ins)) + p.steps[1:])
     for s in scn.enumerate_screens(genus2)[::4]:
         fam = scn.depth_family(s)
         curves = scn.screen_boundary(s)
         for t in (10.0, 100.0, 1000.0, 10000.0, 100000.0, 1000000.0):
             lam = asy.evaluate_family(fam, t)
             for c in curves:
-                yield genus2, lam, c, False
+                yield genus2, lam, c
 
 
 def test_kernel_matches_full_matrix_products(trivalent_corpus, genus2):
     parabolic = total = 0
-    for g, lam, p, backtrack in kernel_cases(trivalent_corpus, genus2):
-        parabolic += check_certified(g, lam, p, backtrack)
+    for g, lam, p in kernel_cases(trivalent_corpus, genus2):
+        parabolic += check_certified(g, lam, p)
         total += 1
     assert total > 2000 and parabolic > 90
 
@@ -385,15 +384,15 @@ def test_kernel_matches_full_matrix_products_property():
                                      for _ in range(n_edges)])
         path = closed_walk(g, rng)
         assert fgr.is_efficient(g, path)
-        cases = [(path, False)]
+        cases = [path]
         steps = path.steps
         for _ in range(n_backtracks):
             k = rng.randrange(len(steps))
             ins = rng.choice(g.vertex_cycles[g.step_head(steps[k])])
             steps = steps[:k + 1] + (ins, g.pairing(ins)) + steps[k + 1:]
-            cases.append((fgr.EdgePath(steps), True))
-        for p, backtrack in cases:
-            check_certified(g, lam, p, backtrack)
+            cases.append(fgr.EdgePath(steps))
+        for p in cases:
+            check_certified(g, lam, p)
 
     check()
 
@@ -454,40 +453,13 @@ def test_in_cell_traces_stay_in_float(trivalent_corpus, monkeypatch):
 
 # -- per-weights step rows -----------------------------------------------------
 
-def two_update_product(path, rows, allow_backtrack=False):
-    """The kernel as two updates per step: the turn's column update, then X's."""
-    back, right, left = rows[path.steps[-1]][:3]
-    a11, a12, a21, a22 = 1, 0, 0, 1
-    for h in path.steps:
-        if h == right:
-            a11, a12, a21, a22 = a11 - a12, a11, a21 - a22, a21
-        elif h == left:
-            a11, a12, a21, a22 = a12, a12 - a11, a22, a22 - a21
-        else:
-            assert allow_backtrack and h == back
-        back, right, left, s, inv = rows[h]
-        a11, a12, a21, a22 = a12 * inv, a11 * s, a22 * inv, a21 * s
-    return a11, a12, a21, a22
-
-
-def per_step_product(g, path, w, sqrt, allow_backtrack=False):
-    """The two-update kernel with s and -1/s computed at every step from the quad slots."""
-    rows = {}
-    for h in path.steps:
-        back, right, left, a, b, c, d = g._step_table[h]
-        s = sqrt((w[a] * w[c]) / (w[b] * w[d]))
-        rows[h] = back, right, left, s, -1 / s
-    return two_update_product(path, rows, allow_backtrack)
-
-
 def packed_rows(g, q, path):
     """``_exact_gap_poly``'s int rows of the path's steps for even exponents q."""
     bits, rows = len(path.steps) + 1, {}
     for h in path.steps:
-        back, right, left, a, b, c, d = g._step_table[h]
+        right, left, a, b, c, d = g._step_table[h]
         k = (q[a] + q[c] - q[b] - q[d]) // 2
-        rows[h] = ((back, right, left, 1 << k * bits, -1) if k >= 0
-                   else (back, right, left, 1, -1 << -k * bits))
+        rows[h] = (right, left, 1 << k * bits, -1) if k >= 0 else (right, left, 1, -1 << -k * bits)
     return rows
 
 
@@ -497,8 +469,8 @@ def bits(entries):
 
 def test_step_rows_match_per_step_formula(trivalent_corpus, generated_trivalent):
     """The row-table product, one update per step, equals the per-step formula of two updates
-    bit for bit: in float on the corpus and on generated graphs, with and without backtracks,
-    in mpf and over packed ints."""
+    bit for bit: in float on the corpus and on generated graphs, in mpf and over packed ints;
+    with a backtrack inserted, the per-step formula keeps the trace of the reduced path."""
     rng, exponents = random.Random(71), random.Random(72)
     count = 0
     graphs = [(g, essential_curve_pool(g)[:12]) for g in trivalent_corpus.values()]
@@ -518,9 +490,11 @@ def test_step_rows_match_per_step_formula(trivalent_corpus, generated_trivalent)
                     assert hol.abs_trace_of_path(g, lam, p) == abs(want[0] + want[3])
                 ins = rng.choice(g.vertex_cycles[g.step_head(p.steps[0])])
                 noisy = fgr.EdgePath(p.steps[:1] + (ins, g.pairing(ins)) + p.steps[1:])
-                want = per_step_product(g, noisy, lam.values, math.sqrt, True)
-                got = hol.holonomy(g, lam, noisy, allow_backtrack=True)
-                assert bits(astuple(got)) == bits(want)
+                tr = hol.abs_trace_of_path(g, lam, fgr.reduce_path(g, noisy))
+                with mpmath.workdps(40):    # a backtrack's identity turn may cancel
+                    w = [mpmath.mpf(v) for v in lam.values]
+                    a11, _, _, a22 = per_step_product(g, noisy, w, mpmath.sqrt, True)
+                    assert abs(abs(a11 + a22) - tr) <= hol.TRACE_RTOL * tr
                 count += 1
             with mpmath.workdps(40):
                 w = [mpmath.mpf(v) for v in lam.values]
@@ -564,19 +538,12 @@ def test_kernel_faults_are_refused_after_a_trace(fault, theta):
         assert lam._trace_rows[0] is g
     path = fgr.boundary_cycles(g)[0] if steps is None else fgr.EdgePath(steps)
     for entry in (hol.holonomy, hol.abs_trace_of_path, hol.trace_gap_of_path):
-        for backtrack in (False, True):
-            if backtrack and fault == "backtrack":
-                continue
-            with pytest.raises(DomainError) as err:
-                entry(g, lam, path, allow_backtrack=backtrack)
-            assert str(err.value) == message
+        with pytest.raises(DomainError) as err:
+            entry(g, lam, path)
+        assert str(err.value) == message
 
 
-def test_contractible_and_parabolic_traces_are_exact(theta, genus2):
-    lam = geo.lambda_assignment([1e-6, 1.0, 1e6])
-    there_and_back = fgr.EdgePath((0, theta.pairing(0)))
-    assert hol.abs_trace_of_path(theta, lam, there_and_back, allow_backtrack=True) == 2.0
-    assert hol.trace_gap_of_path(theta, lam, there_and_back, allow_backtrack=True) == 0.0
+def test_parabolic_traces_are_exact(genus2):
     lam = geo.lambda_assignment([10.0 ** k for k in range(-8, 10, 2)])
     for cyc in fgr.boundary_cycles(genus2):
         twice = fgr.EdgePath(cyc.steps * 2)
@@ -624,6 +591,14 @@ def test_holonomy_refuses_cross_ratios_that_underflow(theta):
         with pytest.raises(DomainError) as err:
             hol.holonomy(theta, geo.lambda_assignment(values), fgr.EdgePath((0, 4)))
         assert str(err.value) == "a cross ratio of these weights is beyond double range"
+    # or the cross ratios are in range and the product leaves it: (0, 4) four times
+    # multiplies entries by about 1e100 per turn, and the trace functions refuse it too
+    lam, path = geo.lambda_assignment([1e100, 1, 1]), fgr.EdgePath((0, 4) * 4)
+    with pytest.raises(DomainError) as err:
+        hol.holonomy(theta, lam, path)
+    assert str(err.value) == "the holonomy of this path is beyond double range"
+    with pytest.raises(DomainError, match="beyond double range$"):
+        hol.abs_trace_of_path(theta, lam, path)
 
 
 # -- lengths --------------------------------------------------------------------

@@ -42,7 +42,7 @@ def test_validate_condition_iii(theta):
 def test_validate_condition_iv(genus2):
     # two disjoint recurrent circles whose union is a third member
     circles = [sub for sub in fgr.recurrent_subsets(genus2)
-               if len(scn._connected_edge_components(genus2, sub)) == 1]
+               if len(scn._member(genus2, sub).components) == 1]
     pair = None
     for a in circles:
         for b in circles:
@@ -131,7 +131,7 @@ def reference_enumeration(g):
     """Screens grown candidate by candidate, each checked against every chosen one."""
     top = g.all_edges()
     candidates = sorted((a for a in fgr.recurrent_subsets(g)
-                         if a != top and len(scn._connected_edge_components(g, a)) == 1),
+                         if a != top and len(scn._member(g, a).components) == 1),
                         key=scn._member_key)
     families = []
 

@@ -1,10 +1,12 @@
 """The sources parse as the oldest Python that ``pyproject.toml`` promises, which the
-test machines need not have."""
+test machines need not have, and the library still has every binding that the benchmark's
+tracer replaces."""
 
 from __future__ import annotations
 
 import ast
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -23,3 +25,31 @@ def test_oldest_python_refuses_newer_syntax():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_source_parses_as_oldest_python(path):
     ast.parse(path.read_text(), str(path), feature_version=OLDEST)
+
+
+def test_tracer_bindings_resolve_and_restore():
+    """Each function in ``perfbench/tracer.py``'s ``WRAPPED`` is one object at its home module
+    and at every site that binds it, and ``install`` then ``uninstall`` restores every binding
+    the tracer replaces.  The tracer is executed from its source, which is left as it is."""
+    path = ROOT / "perfbench" / "tracer.py"
+    tracer = types.ModuleType("tracer")
+    exec(compile(path.read_text(), str(path), "exec"), tracer.__dict__)
+    bindings = [(site, name.split(".", 1)[1]) for name, sites in tracer.WRAPPED.items()
+                for site in sites]
+    bindings += [("holonomy", "mpmath"), ("geometry", "np")]
+
+    def bound():
+        return [getattr(tracer._module(site), attr) for site, attr in bindings]
+
+    before = bound()
+    for name, sites in tracer.WRAPPED.items():
+        home, attr = name.split(".", 1)
+        fn = getattr(tracer._module(home), attr)
+        assert callable(fn) and all(getattr(tracer._module(s), attr) is fn for s in sites)
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        assert all(now is not old for now, old in zip(bound(), before))
+    finally:
+        spans.uninstall()
+    assert all(now is old for now, old in zip(bound(), before))
