@@ -18,7 +18,7 @@ from . import geometry as geo
 from . import holonomy as hol
 from . import screens as scn
 from . import serialize as ser
-from .errors import DomainError
+from .errors import DomainError, FormatError
 
 FATGRAPH_GRAMMAR = """\
 fatgraph v1 file format ('#' starts a comment):
@@ -27,18 +27,23 @@ fatgraph v1 file format ('#' starts a comment):
   e <edge-label> : <half-edge-id> <half-edge-id>
 Vertex lines list half-edges in counter-clockwise cyclic order.  Half-edge
 ids are the integers 0..2E-1, each appearing in exactly one 'v' line and
-exactly one 'e' line.  Paths are comma or space separated step tokens
+exactly one 'e' line.  Edge labels hold no whitespace or ',' and do not
+end in '+' or '-'.  Paths are comma or space separated step tokens
 '<label>+' or '<label>-'; '+' departs through the first half-edge on the
 edge's definition line.
 """
 
 
 def _load_graph(path: str) -> fgr.Fatgraph:
-    return fgr.parse_fatgraph(Path(path).read_text())
+    return fgr.parse_fatgraph(_read(path))
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    """The UTF-8 text of an input file; other bytes are refused as a ``FormatError``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
 def _print_screen(g: fgr.Fatgraph, s: scn.Screen, index: int, show_boundary: bool) -> None:

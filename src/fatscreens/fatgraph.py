@@ -215,10 +215,11 @@ def parse_fatgraph(text: str) -> Fatgraph:
         e <edge-label> : <half-edge-id> <half-edge-id>
 
     Half-edge ids must be exactly 0..2E-1, each in one ``v`` line and one
-    ``e`` line.
+    ``e`` line.  Labels are nonempty, hold no whitespace or ',' and end in no '+' or '-'.
     """
     vlines: dict[int, tuple[int, tuple[int, ...]]] = {}
-    elines: list[tuple[int, str, int, int]] = []
+    elines: list[tuple[int, tuple[int, int]]] = []
+    labels: list[str] = []
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -256,7 +257,11 @@ def parse_fatgraph(text: str) -> Fatgraph:
                 raise FormatError("edge line needs integer half-edge ids", lineno) from None
             if a == b:
                 raise FormatError(f"fixed point: edge {head!r} pairs {a} with itself", lineno)
-            elines.append((lineno, head, a, b))
+            if head.split() != [head] or "," in head or head[-1] in "+-":
+                raise FormatError(f"edge label {head!r} must be nonempty, hold no whitespace "
+                                  "or ',' and end in no '+' or '-'", lineno)
+            elines.append((lineno, (a, b)))
+            labels.append(head)
         else:
             raise FormatError(f"unknown line kind {kind!r}", lineno)
     if not header_seen:
@@ -264,31 +269,21 @@ def parse_fatgraph(text: str) -> Fatgraph:
     if not elines:
         raise FormatError("no edges", 1)
     n = 2 * len(elines)
-    used_e: dict[int, int] = {}
-    for lineno, lab, a, b in elines:
-        for h in (a, b):
-            if h in used_e:
-                raise FormatError(f"duplicate half-edge id {h} in edge lines", lineno)
-            used_e[h] = lineno
-            if not (0 <= h < n):
-                raise FormatError(f"half-edge id {h} outside 0..{n - 1}", lineno)
-    used_v: dict[int, int] = {}
-    for vid in vlines:
-        lineno, halves = vlines[vid]
-        for h in halves:
-            if h in used_v:
-                raise FormatError(f"duplicate half-edge id {h} in vertex lines", lineno)
-            used_v[h] = lineno
-            if h not in used_e:
-                raise FormatError(f"half-edge {h} not on any edge line", lineno)
-    if len(used_v) != n:
-        missing = sorted(set(range(n)) - set(used_v))
-        raise FormatError(f"half-edges {missing} missing from vertex lines", 1)
+    # the edge lines hold 2E distinct ids in 0..n-1, so an id in range is on an edge line
+    for what, lines in (("edge", elines), ("vertex", vlines.values())):
+        used: set[int] = set()
+        for lineno, halves in lines:
+            for h in halves:
+                if h in used:
+                    raise FormatError(f"duplicate half-edge id {h} in {what} lines", lineno)
+                if not 0 <= h < n:
+                    raise FormatError(f"half-edge id {h} outside 0..{n - 1}", lineno)
+                used.add(h)
+    if len(used) != n:
+        raise FormatError(f"half-edges {sorted(set(range(n)) - used)} missing from vertex lines", 1)
     cycles = tuple(vlines[vid][1] for vid in sorted(vlines))
-    halves = tuple((a, b) for _, _, a, b in elines)
-    labels = tuple(lab for _, lab, _, _ in elines)
     try:
-        return Fatgraph(cycles, halves, labels)
+        return Fatgraph(cycles, tuple(ab for _, ab in elines), tuple(labels))
     except DomainError as exc:
         raise FormatError(str(exc), 1) from exc
 

@@ -196,14 +196,15 @@ def _exact_gap_poly(g: Fatgraph, q: Sequence[int], path: EdgePath) -> list[tuple
     sum S of the product after it to at most 2S - 1, from 2: the sum stays below 2**(n + 1)."""
     _check_kernel(g, q)
     _check_steps(g, steps := path.steps)
-    bits, rows, degree = len(steps) + 1, {}, 0
+    bits, rows, degree, table = len(steps) + 1, {}, 0, g._step_table
     for h in steps:
-        right, left, a, b, c, d = g._step_table[h]
-        k = (q[a] + q[c] - q[b] - q[d]) // 2
-        degree += abs(k)
-        rows[h] = (right, left, 1 << k * bits, -1) if k >= 0 else (right, left, 1, -1 << -k * bits)
+        right, left, a, b, c, d = table[h]
+        degree += abs(k := (q[a] + q[c] - q[b] - q[d]) // 2)
+        rows[h] = right, left, k
     if (size := bits * (degree + 1)) > EXACT_BITS_MAX:
         raise DomainError(f"exact trace gap needs {size} bits, over {EXACT_BITS_MAX}")
+    for h, (right, left, k) in rows.items():    # shifted once the size is allowed
+        rows[h] = (right, left, 1 << k * bits, -1) if k >= 0 else (right, left, 1, -1 << -k * bits)
     a11, _, _, a22 = _product(g, path, rows)
     trace, k, poly = abs(a11 + a22), -degree, {0: -2}
     while trace:    # skip each run of zero digits at the lowest set bit
@@ -217,25 +218,22 @@ def _exact_gap_poly(g: Fatgraph, q: Sequence[int], path: EdgePath) -> list[tuple
 def terms_at(ks: Sequence[tuple[int, int]], unit: int, t: float) -> float:
     """Sum of c * t**(k / unit) over (k, c) in ``ks`` to 15 digits: a fsum of float terms under
     an a-priori bound, else ``mpf`` with digits raised by the cancellation until it holds;
-    refused past 1000 digits.  Where ``unit`` is a power of 2, k / unit is exact and a term
-    rounds by 2.5 ulp with its share of the sum.  Elsewhere the term is t**m * t**(r / unit), m =
-    k / unit truncated toward 0: both factors lie between 1 and t**(k / unit), and only r / unit,
-    in (-1, 1), rounds.  Its term rounds by 4 ulp, or 2.5 where m or r is 0 and a factor is 1,
-    plus |ln t| times the rounding of r / unit.  Every term adds 2**-1074 below the normal range."""
-    log_t = abs(math.log(t))
+    refused past 1000 digits.  A term is x = c * t**fl(k / unit) plus f = x * y, y = d ln t, the
+    first-order correction for the rounding d = k / unit - fl(k / unit) (Higham 2002, ch. 3),
+    skipped where d = 0, as for every power-of-2 ``unit``.  The terms and the fsum round by
+    5 * 2**-53 of the terms' mass; each f adds 2 |f| |y| for the dropped e**y - 1 - y <= y**2
+    (|y| < 1e-13, as a nonzero double t**fl(k / unit) has |fl(k / unit) ln t| < 745) and
+    2**-49 |f| for its roundings (x, d, ln t and two products: about 5 ulp).  Below the normal
+    range each term adds 2**-1074 and each f, with its bound, 2 * 2**-1074."""
+    ln_t = math.log(t)
     try:
-        if not unit & unit - 1:
-            terms = [c * t ** (k / unit) for k, c in ks]
-            total, mass = math.fsum(terms), math.fsum(map(abs, terms))
-            err = mass * 5 * 2 ** -53
-        else:
-            ms = [-(-k // unit) if k < 0 else k // unit for k, _ in ks]
-            rs = [k - m * unit for (k, _), m in zip(ks, ms)]
-            terms = [c * t ** m * t ** (r / unit) for (_, c), m, r in zip(ks, ms, rs)]
-            total, mass = math.fsum(terms), math.fsum(map(abs, terms))
-            err = math.fsum(abs(x) * ((8 if m and r else 5) * 2 ** -53 + (
-                r and log_t * abs(_quotient_error(r, unit)))) for x, m, r in zip(terms, ms, rs))
-        err += len(ks) * 2 ** -1074
+        terms, fixes, err = [c * t ** (k / unit) for k, c in ks], [], len(ks) * 2 ** -1074
+        for (k, _), x in zip(ks, terms) if unit & unit - 1 else ():
+            if y := _quotient_error(k, unit) * ln_t:    # x * 0 is nan where x overflows
+                fixes.append(f := x * y)
+                err += abs(f) * (2 * abs(y) + 2 ** -49) + 2 * 2 ** -1074
+        total, mass = math.fsum(terms + fixes), math.fsum(map(abs, terms))
+        err += mass * 5 * 2 ** -53
     except (OverflowError, ValueError):     # a term beyond double range: no float sum
         total, mass, err = 0.0, 1.0, 1.0
     digits = 0
@@ -246,7 +244,8 @@ def terms_at(ks: Sequence[tuple[int, int]], unit: int, t: float) -> float:
         with mpmath.workdps(digits):
             terms = [c * mpmath.mpf(t) ** (mpmath.mpf(k) / unit) for k, c in ks]
             total, mass = mpmath.fsum(terms), mpmath.fsum(terms, absolute=True)
-            err = mass * (2 + max(abs(k) for k, _ in ks) / unit * log_t) * mpmath.mpf(10) ** -digits
+            err = mass * (2 + max(abs(k) for k, _ in ks) / unit * abs(ln_t))
+            err *= mpmath.mpf(10) ** -digits
     return float(total)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -160,25 +161,38 @@ def test_sweep_row_is_exact_where_float_traces_were_not(genus2):
     assert_rows_match_reference(genus2, fam, report)
 
 
+def sweep_counting_mpf(g, exponents, curve, monkeypatch):
+    """The sweep of one curve and the digits of each ``workdps`` it opens."""
+    entries = []
+    workdps = mpmath.workdps
+    monkeypatch.setattr(hol.mpmath, "workdps", lambda dps: entries.append(dps) or workdps(dps))
+    report = asy.sweep(g, scn.MonomialFamily(exponents), [ser.parse_curve(g, curve)])
+    monkeypatch.undo()
+    return report, entries
+
+
 @pytest.mark.parametrize("exponents, curve, gap", [
     # tau = t**(1/12), so k / 12 rounds in binary, and the gap cancels 3.2-fold at t = 10
     ((Fraction(5, 6), Fraction(1, 3), Fraction(1, 3)), "e0+ e1-",
      lambda t: math.sqrt(t) - 2 + 2 / math.sqrt(t)),
-    # one term, yet the float power t**(-28 / 12) is off by 1.3e-15 at t = 1e4
-    ((Fraction(3, 2), Fraction(1, 3), Fraction(3, 2)), "e0+ e2-", lambda t: t ** (-7 / 3)),
 ])
 def test_sweep_refines_rational_exponents_in_mpf(theta, monkeypatch, exponents, curve, gap):
-    fam = scn.MonomialFamily(exponents)
-    curve = ser.parse_curve(theta, curve)
-    entries = []
-    workdps = mpmath.workdps
-    monkeypatch.setattr(hol.mpmath, "workdps", lambda dps: entries.append(dps) or workdps(dps))
-    report = asy.sweep(theta, fam, [curve])
-    monkeypatch.undo()
+    report, entries = sweep_counting_mpf(theta, exponents, curve, monkeypatch)
     assert len(entries) >= 1 and min(entries) > 15
-    assert_rows_match_reference(theta, fam, report)
+    assert_rows_match_reference(theta, scn.MonomialFamily(exponents), report)
     for row in report.rows:
         assert row.gap == pytest.approx(gap(row.t), rel=1e-14)
+
+
+def test_sweep_corrects_a_rounded_exponent_in_float(theta, monkeypatch):
+    # one term, yet the float power t**fl(-28 / 12) is off by 1.3e-15 at t = 1e4: its
+    # first-order correction keeps the row in floats
+    exponents = (Fraction(3, 2), Fraction(1, 3), Fraction(3, 2))
+    report, entries = sweep_counting_mpf(theta, exponents, "e0+ e2-", monkeypatch)
+    assert entries == []
+    assert_rows_match_reference(theta, scn.MonomialFamily(exponents), report)
+    for row in report.rows:
+        assert row.gap == pytest.approx(row.t ** (-7 / 3), rel=1e-14)
 
 
 def test_sweep_runs_the_exact_kernel_once_per_curve(genus2, monkeypatch):
@@ -524,6 +538,20 @@ def test_gap_leading_matches_reference_property():
         assert_gap_matches_reference(g, fam, path)
 
     check()
+
+
+def test_exact_gap_refuses_before_it_shifts(theta):
+    # exponents (10**8, 0, 0) on e0+ e1- would pack rows of 3e8 bits (40 MB): the size is
+    # refused first
+    path = ser.parse_curve(theta, "e0+ e1-")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="^exact trace gap needs 300000003 bits, over "):
+            hol._exact_gap_poly(theta, (10 ** 8, 0, 0), path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_exact_gap_refuses_oversized_packing(genus2):

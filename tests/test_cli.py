@@ -200,6 +200,20 @@ def test_rare_output_branches(tmp_path, capsys, argv, data, code, last_line):
     assert (captured.out or captured.err).splitlines()[-1] == last_line
 
 
+@pytest.mark.parametrize("argv, data, at", [
+    # an executable's header, a CSV with a UTF-16 byte order mark, Latin-1 JSON
+    (["info"], b"\x7fELF\x02\x01\x01\x00" + bytes(8) + b"\x03\x00>\x00\x01\x00\x00\x00\xa0", 24),
+    (["trace", THETA, "--path", "e0+ e1-", "--lambda"], b"\xff\xfeedge,value\n", 0),
+    (["detect", THETA, "--screen"], b'{"family": [["e0", "\xe9"]]}', 20),
+], ids=["graph", "csv", "json"])
+def test_input_that_is_not_utf8_is_refused_in_one_line(tmp_path, capsys, argv, data, at):
+    bad = tmp_path / "input"
+    bad.write_bytes(data)
+    assert cli.main([*argv, str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {bad}: not UTF-8 text (byte {at})\n")
+
+
 def test_domain_error_exit_code(tmp_path, capsys):
     code = cli.main(["boundary", THETA, "--subset", "e0"])
     err = capsys.readouterr().err

@@ -65,6 +65,20 @@ def test_parse_duplicate_labels_rejected():
         fgr.parse_fatgraph(bad)
 
 
+@pytest.mark.parametrize("label", ["x-", "x+", "a,b", "a b", "a\tb", ""])
+def test_parse_refuses_labels_that_paths_and_csv_cannot_name(label):
+    # beside an edge x, the path 'x- y+' would read x- as x backwards; no CSV row names 'a,b'
+    bad = f"fatgraph v1\nv 0 : 0 1 2\nv 1 : 3 4 5\ne x : 0 3\ne {label} : 1 4\ne y : 2 5\n"
+    with pytest.raises(FormatError, match="^line 5: edge label .* must be nonempty, "):
+        fgr.parse_fatgraph(bad)
+
+
+def test_parse_vertex_id_outside_the_edge_ids():
+    bad = "fatgraph v1\nv 0 : 0 1 6\nv 1 : 3 4 5\ne e0 : 0 3\ne e1 : 1 4\ne e2 : 2 5\n"
+    with pytest.raises(FormatError, match="^line 2: half-edge id 6 outside 0..5$"):
+        fgr.parse_fatgraph(bad)
+
+
 def test_parse_error_carries_line_number():
     bad = "fatgraph v1\nv 0 : 0 1\nnonsense here\ne e0 : 0 1\n"
     with pytest.raises(FormatError, match="line 3"):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import astuple
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -669,6 +670,67 @@ def test_terms_at_bounds_each_exponent_by_its_own_rounding(monkeypatch):
     with mpmath.workdps(40):
         want = mpmath.mpf(10) ** (mpmath.mpf(-44) / 12)
     assert abs(got - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_terms_at_coefficient_beyond_double_range(k):
+    # 10**200 * t**(k / 12) overflows as a float product, not in the power: the sum is inf as
+    # in mpf, whether or not k / 12 rounds and its correction is taken
+    assert hol.terms_at([(k, 10 ** 200)], 12, 1e300) == math.inf
+
+
+def terms_and_reruns(monkeypatch, evaluations):
+    """``terms_at`` of each (monomials, unit, t), and whether it opened ``workdps``."""
+    entries, results = [], []
+    workdps = mpmath.workdps
+    monkeypatch.setattr(hol.mpmath, "workdps", lambda dps: entries.append(dps) or workdps(dps))
+    for poly, unit, t in evaluations:
+        opened = len(entries)
+        results.append((hol.terms_at(poly, unit, t), len(entries) > opened))
+    monkeypatch.undo()
+    return results
+
+
+def gap_evaluations(g, families, curves):
+    """(gap monomials, unit, t) of each curve along each family at the default schedule."""
+    for fam in families:
+        unit, q = asy._tau_exponents(fam)
+        for c in curves:
+            poly = hol._exact_gap_poly(g, q, c)
+            yield from ((poly, unit, t) for t in asy.SweepSchedule().t_values)
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_terms_at_keeps_rational_exponents_in_floats(genus2, monkeypatch, seed):
+    # exponents from {1/3, 5/6, 3/2}: unit 12, where most k / unit round in binary; few of
+    # these sums cancel, so all but a few are certified in floats
+    rng = random.Random(seed)
+    families = [scn.MonomialFamily(tuple(rng.choice([Fraction(1, 3), Fraction(5, 6),
+                                                     Fraction(3, 2)]) for _ in genus2.edge_labels))
+                for _ in range(40)]
+    evaluations = list(gap_evaluations(genus2, families, essential_curve_pool(genus2)[:10]))
+    results = terms_and_reruns(monkeypatch, evaluations)
+    assert len(results) == 1600 and sum(reran for _, reran in results) <= 20
+    with mpmath.workdps(60):
+        for (got, _), (poly, unit, t) in zip(results, evaluations):
+            want = mpmath.fsum(c * mpmath.mpf(t) ** (mpmath.mpf(k) / unit) for k, c in poly)
+            assert abs(got - want) <= 1e-15 * abs(want), (poly, unit, t)
+
+
+def test_terms_at_is_the_plain_fsum_where_unit_is_a_power_of_2(genus2, monkeypatch):
+    # k / unit is exact, so no term is corrected: a value certified in floats is the fsum of
+    # the float powers, bit for bit, for integer, half-integer and quarter exponents
+    rng = random.Random(24)
+    families = [scn.depth_family(s) for s in scn.enumerate_screens(genus2)[::8]]
+    families += [scn.MonomialFamily(tuple(Fraction(rng.randrange(-4, 9), d)
+                                          for _ in genus2.edge_labels))
+                 for d in (2, 4) for _ in range(10)]
+    evaluations = list(gap_evaluations(genus2, families, essential_curve_pool(genus2)[:10]))
+    results = terms_and_reruns(monkeypatch, evaluations)
+    for (got, reran), (poly, unit, t) in zip(results, evaluations):
+        assert not unit & unit - 1
+        assert reran or got == math.fsum(c * t ** (k / unit) for k, c in poly), (poly, unit, t)
+    assert sum(not reran for _, reran in results) > len(results) // 2
 
 
 # -- one-left-turn closed form -----------------------------------------------------
