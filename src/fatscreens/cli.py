@@ -27,8 +27,8 @@ fatgraph v1 file format ('#' starts a comment):
   e <edge-label> : <half-edge-id> <half-edge-id>
 Vertex lines list half-edges in counter-clockwise cyclic order.  Half-edge
 ids are the integers 0..2E-1, each appearing in exactly one 'v' line and
-exactly one 'e' line.  Edge labels hold no whitespace or ',' and do not
-end in '+' or '-'.  Paths are comma or space separated step tokens
+exactly one 'e' line.  Edge labels hold no whitespace, ',' or '.' and do
+not end in '+' or '-'.  Paths are comma or space separated step tokens
 '<label>+' or '<label>-'; '+' departs through the first half-edge on the
 edge's definition line.
 """
@@ -39,9 +39,11 @@ def _load_graph(path: str) -> fgr.Fatgraph:
 
 
 def _read(path: str) -> str:
-    """The UTF-8 text of an input file; other bytes are refused as a ``FormatError``."""
+    """The UTF-8 text of an input file, as ``utf-8-sig`` reads it: without the byte
+    order mark that spreadsheet programs write.  Other bytes are refused as a
+    ``FormatError`` that counts them from the start of the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 

@@ -215,7 +215,8 @@ def parse_fatgraph(text: str) -> Fatgraph:
         e <edge-label> : <half-edge-id> <half-edge-id>
 
     Half-edge ids must be exactly 0..2E-1, each in one ``v`` line and one
-    ``e`` line.  Labels are nonempty, hold no whitespace or ',' and end in no '+' or '-'.
+    ``e`` line.  Labels are nonempty, hold no whitespace, ',' or '.' and end in no
+    '+' or '-', so that paths, CSV rows and the sweep's dotted curves can name them.
     """
     vlines: dict[int, tuple[int, tuple[int, ...]]] = {}
     elines: list[tuple[int, tuple[int, int]]] = []
@@ -257,9 +258,9 @@ def parse_fatgraph(text: str) -> Fatgraph:
                 raise FormatError("edge line needs integer half-edge ids", lineno) from None
             if a == b:
                 raise FormatError(f"fixed point: edge {head!r} pairs {a} with itself", lineno)
-            if head.split() != [head] or "," in head or head[-1] in "+-":
-                raise FormatError(f"edge label {head!r} must be nonempty, hold no whitespace "
-                                  "or ',' and end in no '+' or '-'", lineno)
+            if head.split() != [head] or "," in head or "." in head or head[-1] in "+-":
+                raise FormatError(f"edge label {head!r} must be nonempty, hold no whitespace, "
+                                  "',' or '.' and end in no '+' or '-'", lineno)
             elines.append((lineno, (a, b)))
             labels.append(head)
         else:

@@ -26,9 +26,12 @@ derivative of its vertex's three sectors in that end's slot (a central
 difference agrees to 4e-10 on barbell, genus2 and mercedes).  Each sector
 term is the exp of a linear form in u, and at each vertex these forms span
 its slots, so the Jacobian of X is symmetric negative definite and the
-Newton system is nonsingular in exact arithmetic.  It is solved by conjugate
-gradients on the Jacobian's 6n cell values, kept on per-end index tables, so
-no n x n array is formed; one ``bincount`` sums the coordinates.
+Newton system is nonsingular in exact arithmetic.  It is kept as the
+Jacobian's 6n cell values on per-end index tables, so no n x n array is
+formed.  Each system J s = resid is scaled once to unit diagonal, D = |diag
+J|**-1/2, and solved by conjugate gradients on -DJD, whose matrix-vector
+product is p plus the four off-diagonal cells of each row; this is Jacobi-
+preconditioned CG on -J, stopped on the scaled residual |D(J s - resid)|.
 """
 
 from __future__ import annotations
@@ -187,9 +190,10 @@ def simplicial_coords(g: Fatgraph, lam: LambdaAssignment) -> SimplicialCoords:
     for e, quad in enumerate(g._edge_quads):
         x = w[e]
         a, b, c, d = map(w.__getitem__, quad)
-        if not (a * b * x and c * d * x):      # weights are positive: 0 is an underflow
+        abx, cdx = a * b * x, c * d * x
+        if not (abx and cdx):      # weights are positive: 0 is an underflow
             raise DomainError(f"weight products at edge {g.label(e)} underflow to 0")
-        vals.append((a * a + b * b - x * x) / (a * b * x) + (c * c + d * d - x * x) / (c * d * x))
+        vals.append((a * a + b * b - x * x) / abx + (c * c + d * d - x * x) / cdx)
     return SimplicialCoords(tuple(vals))
 
 
@@ -210,10 +214,11 @@ def no_vanishing_cycle(g: Fatgraph, coords: SimplicialCoords,
     """Nonnegative coordinates and no cycle among the (near-)zero edges."""
     if not tol >= 0:        # NaN fails this too
         raise DomainError("tolerance must be nonnegative")
+    if len(coords) != g.n_edges:
+        raise DomainError("one coordinate per edge required")
     if min(coords.values) < -tol:
         return False
-    zero = [e for e in range(g.n_edges) if abs(coords[e]) <= tol]
-    # forest test by union-find; loops and parallel edges close cycles
+    # forest test by union-find on the zero edges; loops and parallel edges close cycles
     parent = list(range(g.n_vertices))
 
     def find(x: int) -> int:
@@ -222,12 +227,13 @@ def no_vanishing_cycle(g: Fatgraph, coords: SimplicialCoords,
             x = parent[x]
         return x
 
-    for e in zero:
-        a, b = (g.vertex_of(h) for h in g.halves(e))
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
+    vertex_of = g._vertex_of
+    for x, (h1, h2) in zip(coords.values, g.edge_halves):
+        if abs(x) <= tol:
+            ra, rb = find(vertex_of[h1]), find(vertex_of[h2])
+            if ra == rb:
+                return False
+            parent[ra] = rb
     return True
 
 
@@ -246,54 +252,86 @@ def in_cell(g: Fatgraph, lam: LambdaAssignment) -> bool:
 # Coordinate inversion
 # ---------------------------------------------------------------------------
 
-def _end_tables(g: Fatgraph) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobian cells (rows, cols): (e, a), (e, b), (e, e) per end of edge e in
-    ``g.halves`` order, with a, b the end's quad slots (a, b, then c, d)."""
-    cols = [x for e, (a, b, c, d) in enumerate(g._edge_quads) for x in (a, b, e, c, d, e)]
-    return np.arange(6 * g.n_edges) // 6, np.array(cols)
+def _end_tables(g: Fatgraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables of the Newton system.  End 2e of edge e is its first half in
+    ``g.halves`` order, with quad slots a, b; end 2e + 1 is its second, with c, d.
+    Returns each end's first and second slot edge (a or c, b or d), each row's
+    off-diagonal columns (its quad a, b, c, d), and 1.0 for each of those cells
+    but 0.0 where a loop puts it on the diagonal."""
+    quads = np.array(g._edge_quads, dtype=np.intp).reshape(-1, 4)
+    first, second = quads.reshape(-1, 2).T.copy()
+    return first, second, quads, (quads != np.arange(len(quads))[:, None]).astype(float)
 
 
-def _coords_and_jacobian(cells: tuple, lam_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Simplicial coordinates and the Jacobian's values on ``cells`` in
-    log-lambda variables; ``bincount`` sums each coordinate in end order, so
-    in the same order for any graph."""
-    rows, cols = cells
-    la, lb, le = (lam_vals[cols[i::3]] for i in range(3))
+def _coords_and_jacobian(tables: tuple, lam_vals: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Simplicial coordinates and the Jacobian's cells in log-lambda variables: per
+    end its cells in the columns of its first slot, its second slot and its edge.
+    Each coordinate sums its two end terms, first end first, for any graph."""
+    first, second = tables[:2]
+    la, lb, le = lam_vals[first], lam_vals[second], lam_vals.repeat(2)
     t1 = la / (lb * le)
     t2 = lb / (la * le)
     t3 = le / (la * lb)
-    coords = np.bincount(rows[::3], t1 + t2 - t3, minlength=len(lam_vals))
-    return coords, np.column_stack((t1 - t2 + t3, -t1 + t2 + t3, -t1 - t2 - t3)).ravel()
+    ends = t1 + t2 - t3
+    return ends[0::2] + ends[1::2], (t1 - t2 + t3, -t1 + t2 + t3, -t1 - t2 - t3)
 
 
-def _jacobian_times(cells: tuple, vals: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """J p: each row sums its six cells in end order."""
-    rows, cols = cells
-    return np.bincount(rows, vals * p[cols], minlength=len(p))
+def _unit_system(tables: tuple, vals: tuple) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """(diag J, d = |diag J|**-1/2, the system of -DJD for ``_unit_times``): the
+    cells of -DJD off its diagonal, on the quad columns, with each loop's cell
+    moved into diag J; -DJD has 1 on its diagonal."""
+    _, _, quads, off_diagonal = tables
+    ja, jb, je = vals
+    cells = np.empty(quads.shape)       # J on the quad columns: per end its two slots
+    ends = cells.reshape(-1, 2)
+    ends[:, 0], ends[:, 1] = ja, jb
+    off = cells * off_diagonal
+    ones = np.ones(4)
+    diag = je[0::2] + je[1::2] + (cells - off).dot(ones)
+    d = np.abs(diag) ** -0.5
+    off *= d[quads]
+    off *= -d[:, None]
+    return diag, d, (quads, off, ones)
 
 
-def _newton_step(cells: tuple, vals: np.ndarray, resid: np.ndarray, forcing: float) -> np.ndarray:
-    """Step s with |J s - resid| <= forcing |resid|: conjugate gradients on -J,
-    preconditioned by its diagonal.  alpha is at most 1 / lambda_min of J scaled
-    to unit diagonal; where p.Jp is not negative, or alpha passes 1 / epsilon (J
-    singular to working precision along p), the iteration stops at its current
-    iterate, or at the preconditioned residual if it has none."""
-    rows, cols = cells
-    diag = np.bincount(rows, vals * (rows == cols), minlength=len(resid))
-    step, rest, p = np.zeros_like(resid), resid, resid / diag
-    rz, stop = resid.dot(p), forcing * forcing * resid.dot(resid)
+def _unit_times(system: tuple, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """-DJD p: p plus each row's off-diagonal cells times p in their columns."""
+    quads, cells, ones = system
+    return np.add((cells * p[quads]).dot(ones), p, out=out)
+
+
+def _newton_step(tables: tuple, vals: tuple, resid: np.ndarray, forcing: float) -> np.ndarray:
+    """Step s with |D(J s - resid)| <= forcing |D resid|, D = |diag J|**-1/2, or
+    the step after n iterations.
+
+    Conjugate gradients on -DJD y = -D resid from y = 0, and s = D y: this is CG
+    on -J preconditioned by its diagonal (Saad 2003, sec. 9.2) with the scaling
+    paid once per step, and its residual r = D(J s - resid) is the one it stops
+    on.  alpha is at most 1 / lambda_min of -DJD; where p.(-DJD)p is not
+    positive and finite, or alpha passes 1 / epsilon (J singular to working
+    precision along p), the iteration stops at its current iterate, or at the
+    Jacobi step resid / diag J if it has none."""
+    diag, d, system = _unit_system(tables, vals)
+    # y beside -r = D(J s - resid), p beside q = -DJD p: one update moves both
+    y_nr, p_q = np.zeros((2, len(resid))), np.empty((2, len(resid)))
+    (y, nr), (p, q) = y_nr, p_q
+    np.multiply(d, resid, out=nr)
+    np.negative(nr, out=p)
+    rr = float(nr.dot(nr))
+    stop = forcing * forcing * rr
     for _ in range(len(resid)):
-        q = _jacobian_times(cells, vals, p)
-        alpha = rz / p.dot(q)
+        _unit_times(system, p, q)
+        pq = float(p.dot(q))
+        alpha = rr / pq if pq > 0 else 0.0
         if not 0 < alpha < 1 / sys.float_info.epsilon:
             break
-        step, rest = step + alpha * p, rest - alpha * q
-        if rest.dot(rest) <= stop:
+        y_nr += alpha * p_q                 # y += alpha p, r -= alpha q
+        rr, rr_old = float(nr.dot(nr)), rr
+        if rr <= stop:
             break
-        z = rest / diag
-        rz, rz_old = rest.dot(z), rz
-        p = z + (rz / rz_old) * p
-    return step if step.any() else resid / diag
+        p *= rr / rr_old
+        p -= nr                             # p = r + beta p
+    return d * y if y.any() else resid / diag
 
 
 def invert_coords(g: Fatgraph, target: SimplicialCoords, tol: float = 1e-10,
@@ -302,11 +340,12 @@ def invert_coords(g: Fatgraph, target: SimplicialCoords, tol: float = 1e-10,
 
     Damped inexact Newton iteration on log weights, where positivity is
     automatic.  ``_newton_step`` solves each Newton system from the
-    Jacobian's 6n cell values to the relative residual min(0.1, sqrt(err)),
-    err the largest coordinate residual, but never below 0.5 tol / |resid|_2:
-    a linear residual under tol / 2 is all a step near the solution needs, so
-    it does not oversolve (Eisenstat and Walker 1996; Kelley 1995, ch. 6).
-    The target must be nonnegative with
+    Jacobian's 6n cell values, scaled to unit diagonal by D = |diag J|**-1/2,
+    to the relative residual |D(J s - resid)| / |D resid| = min(0.1,
+    sqrt(err)), err the largest coordinate residual, but never below 0.5 tol
+    / |resid|_2: a linear residual under tol / 2 is all a step near the
+    solution needs, so it does not oversolve (Eisenstat and Walker 1996;
+    Kelley 1995, ch. 6).  The target must be nonnegative with
     no vanishing cycle; ``initial`` weights, if given, need one per edge and
     finite coordinates.
     """
@@ -322,11 +361,11 @@ def invert_coords(g: Fatgraph, target: SimplicialCoords, tol: float = 1e-10,
     if initial is not None and len(initial) != g.n_edges:
         raise DomainError("one initial weight per edge required")
     x = np.asarray(target.values, dtype=float)
-    cells = _end_tables(g)
+    tables = _end_tables(g)
     u = np.zeros(g.n_edges) if initial is None else np.log(initial.values)
     # a trial point may overflow; the line search rejects it without a warning
     with np.errstate(all="ignore"):
-        coords, vals = _coords_and_jacobian(cells, np.exp(u))
+        coords, vals = _coords_and_jacobian(tables, np.exp(u))
         if not np.isfinite(coords).all():
             raise DomainError("initial weights give non-finite coordinates")
         resid = coords - x
@@ -336,10 +375,10 @@ def invert_coords(g: Fatgraph, target: SimplicialCoords, tol: float = 1e-10,
                 break
             # no oversolving: a linear residual of tol / 2 is all the last step needs
             forcing = max(min(0.1, math.sqrt(err)), 0.5 * tol / np.linalg.norm(resid))
-            step = _newton_step(cells, vals, resid, forcing)
+            step = _newton_step(tables, vals, resid, forcing)
             for halvings in range(60):
                 u_try = u - 0.5 ** halvings * step
-                coords_try, vals_try = _coords_and_jacobian(cells, np.exp(u_try))
+                coords_try, vals_try = _coords_and_jacobian(tables, np.exp(u_try))
                 resid_try = coords_try - x
                 err_try = np.max(np.abs(resid_try))
                 if err_try < err:
@@ -352,7 +391,7 @@ def invert_coords(g: Fatgraph, target: SimplicialCoords, tol: float = 1e-10,
         raise NonConvergenceError(
             f"inversion did not reach tolerance {tol:.1e} in 200 iterations "
             f"(residual {err:.3e})")
-    return LambdaAssignment(tuple(float(v) for v in np.exp(u)))
+    return LambdaAssignment(tuple(np.exp(u).tolist()))
 
 
 # ---------------------------------------------------------------------------

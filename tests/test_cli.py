@@ -104,6 +104,16 @@ def test_detect_and_trace(tmp_path, capsys):
     assert out.splitlines()[0] == "abs_trace=3"
 
 
+def test_inputs_with_a_byte_order_mark(tmp_path, capsys):
+    # spreadsheet programs save CSV with one; it used to make the header 'unknown edge label'
+    for name, text in (("l.csv", "edge,value\ne0,1\ne1,1\ne2,1\n"),
+                       ("g.fg", Path(THETA).read_text())):
+        (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + text.encode())
+    code, out = run(capsys, "trace", str(tmp_path / "g.fg"), "--lambda", str(tmp_path / "l.csv"),
+                    "--path", "e0+ e1-")
+    assert code == 0 and out.splitlines()[0] == "abs_trace=3"
+
+
 def test_trace_near_parabolic(tmp_path, capsys):
     # the trace rounds to 2.0 in double precision; gap and length do not
     lam = tmp_path / "l.csv"
@@ -205,7 +215,9 @@ def test_rare_output_branches(tmp_path, capsys, argv, data, code, last_line):
     (["info"], b"\x7fELF\x02\x01\x01\x00" + bytes(8) + b"\x03\x00>\x00\x01\x00\x00\x00\xa0", 24),
     (["trace", THETA, "--path", "e0+ e1-", "--lambda"], b"\xff\xfeedge,value\n", 0),
     (["detect", THETA, "--screen"], b'{"family": [["e0", "\xe9"]]}', 20),
-], ids=["graph", "csv", "json"])
+    # after a UTF-8 byte order mark the count still starts at the file's first byte
+    (["trace", THETA, "--path", "e0+ e1-", "--lambda"], b"\xef\xbb\xbfedge,v\xe0lue\n", 9),
+], ids=["graph", "csv", "json", "csv_after_bom"])
 def test_input_that_is_not_utf8_is_refused_in_one_line(tmp_path, capsys, argv, data, at):
     bad = tmp_path / "input"
     bad.write_bytes(data)

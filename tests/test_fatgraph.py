@@ -65,11 +65,19 @@ def test_parse_duplicate_labels_rejected():
         fgr.parse_fatgraph(bad)
 
 
-@pytest.mark.parametrize("label", ["x-", "x+", "a,b", "a b", "a\tb", ""])
+@pytest.mark.parametrize("label", ["x-", "x+", "a,b", "a b", "a\tb", "", "a.b"])
 def test_parse_refuses_labels_that_paths_and_csv_cannot_name(label):
     # beside an edge x, the path 'x- y+' would read x- as x backwards; no CSV row names 'a,b'
     bad = f"fatgraph v1\nv 0 : 0 1 2\nv 1 : 3 4 5\ne x : 0 3\ne {label} : 1 4\ne y : 2 5\n"
     with pytest.raises(FormatError, match="^line 5: edge label .* must be nonempty, "):
+        fgr.parse_fatgraph(bad)
+
+
+def test_parse_refuses_dotted_labels():
+    # sweep joins a curve's steps with '.': 'a.b+.e1-' could not be split back into steps
+    bad = "fatgraph v1\nv 0 : 0 1 2\nv 1 : 3 4 5\ne a.b : 0 3\ne e1 : 1 4\ne e2 : 2 5\n"
+    with pytest.raises(FormatError, match="^line 4: edge label 'a.b' must be nonempty, hold no "
+                                          "whitespace, ',' or '.' and end in no '\\+' or '-'$"):
         fgr.parse_fatgraph(bad)
 
 

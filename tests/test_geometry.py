@@ -160,6 +160,9 @@ def test_no_vanishing_cycle(theta):
     barb = load("barbell.fg")
     # a zero loop closes a cycle on its own
     assert not geo.no_vanishing_cycle(barb, geo.simplicial([0, 2, 2]))
+    for values in ([2, 2], [2, 2, 2, 0]):
+        with pytest.raises(DomainError, match="one coordinate per edge required"):
+            geo.no_vanishing_cycle(theta, geo.simplicial(values))
 
 
 def test_no_vanishing_cycle_refuses_nan_tolerance(theta):
@@ -169,6 +172,43 @@ def test_no_vanishing_cycle_refuses_nan_tolerance(theta):
     for tol in (math.nan, -1e-9):
         with pytest.raises(DomainError, match="tolerance must be nonnegative"):
             geo.no_vanishing_cycle(theta, coords, tol)
+
+
+def reference_no_vanishing_cycle(g, coords, tol=0.0):
+    """The forest test read edge by edge through the graph's methods."""
+    if min(coords.values) < -tol:
+        return False
+    parent = list(range(g.n_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for e in range(g.n_edges):
+        if abs(coords[e]) <= tol:
+            a, b = (find(g.vertex_of(h)) for h in g.halves(e))
+            if a == b:
+                return False
+            parent[a] = b
+    return True
+
+
+def test_no_vanishing_cycle_matches_reference(trivalent_corpus, generated_trivalent):
+    # random zero sets, with near-zero values of both signs for a positive tolerance;
+    # barbell's loops and theta's parallel edges close cycles on their own
+    rng = random.Random(73)
+    verdicts = set()
+    for g in [*trivalent_corpus.values(), *generated_trivalent]:
+        for _ in range(40):
+            share = rng.choice((0.2, 0.5, 0.8))
+            coords = geo.simplicial([rng.choice((0.0, 1e-12, -1e-12)) if rng.random() < share
+                                     else rng.uniform(0.1, 3.0) for _ in range(g.n_edges)])
+            for tol in (0.0, 1e-9):
+                want = reference_no_vanishing_cycle(g, coords, tol)
+                assert geo.no_vanishing_cycle(g, coords, tol) == want
+                verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 # -- the quad-slot reader against the sigma definition ------------------------------
@@ -266,6 +306,15 @@ def test_invert_where_jacobian_is_singular_to_working_precision(theta):
         assert got.values == pytest.approx(target.values, abs=1e-11)
 
 
+def test_invert_from_a_far_start(theta):
+    # with the diagonal scaling applied in every CG iteration this start stalled at
+    # residual 2.2; (1e80, 1, 1) still ends after 200 iterations at residual 2.9
+    target = geo.simplicial([1, 2, 5])
+    lam = geo.invert_coords(theta, target, tol=1e-12, initial=geo.lambda_assignment([1e60, 1, 1]))
+    got = geo.simplicial_coords(theta, lam)
+    assert got.values == pytest.approx(target.values, abs=1e-11)
+
+
 def test_invert_boundary_target(theta):
     # a single zero coordinate sits on the cell boundary and still inverts
     target = geo.simplicial([0.0, 2.0, 2.0])
@@ -319,11 +368,15 @@ def newton_graphs(trivalent_corpus):
     return graphs
 
 
-def dense_jacobian(cells, vals):
-    """The n x n matrix of the Jacobian's cell values, repeated cells summed in order."""
-    rows, cols = cells
-    n = int(rows[-1]) + 1
-    return np.bincount(rows * n + cols, vals, minlength=n * n).reshape(n, n)
+def dense_jacobian(tables, vals):
+    """The n x n matrix of the Jacobian's cell values: each end's cells in the columns of
+    its first slot, its second slot and its edge, repeated cells summed in end order."""
+    first, second = tables[:2]
+    rows = np.arange(len(first)) // 2
+    n = len(first) // 2
+    cols = np.stack((first, second, rows), axis=1).ravel()
+    return np.bincount(rows.repeat(3) * n + cols, np.stack(vals, axis=1).ravel(),
+                       minlength=n * n).reshape(n, n)
 
 
 def test_newton_system_matches_loop_reference(newton_graphs):
@@ -331,11 +384,11 @@ def test_newton_system_matches_loop_reference(newton_graphs):
     # the sums show, and there only for some weights
     rng = random.Random(41)
     for g in newton_graphs.values():
-        cells = geo._end_tables(g)
+        tables = geo._end_tables(g)
         for _ in range(100 if g.n_edges < 30 else 3):
             lam = np.exp([rng.uniform(-3.0, 3.0) for _ in range(g.n_edges)])
-            coords, vals = geo._coords_and_jacobian(cells, lam)
-            jac = dense_jacobian(cells, vals)
+            coords, vals = geo._coords_and_jacobian(tables, lam)
+            jac = dense_jacobian(tables, vals)
             want_coords, want_jac = reference_coords_and_jacobian(g, lam)
             assert (coords == want_coords).all()
             assert (jac == want_jac).all()
@@ -349,36 +402,67 @@ def test_jacobian_symmetric_negative_definite(newton_graphs):
     # linear forms), so the Jacobian is minus a positive definite Hessian
     rng = random.Random(43)
     for g in newton_graphs.values():
-        cells = geo._end_tables(g)
+        tables = geo._end_tables(g)
         for _ in range(3):
             lam = np.exp([rng.uniform(-2.0, 2.0) for _ in range(g.n_edges)])
-            jac = dense_jacobian(cells, geo._coords_and_jacobian(cells, lam)[1])
+            jac = dense_jacobian(tables, geo._coords_and_jacobian(tables, lam)[1])
             assert np.max(np.abs(jac - jac.T)) <= 1e-12 * np.max(np.abs(jac))
             assert np.linalg.eigvalsh(jac).max() < 0
 
 
 def test_newton_step_falls_back_to_preconditioned_residual(theta):
-    # J = -ones(3, 3) is singular along z = D^-1 r = (-1, 1, 0), so p.Jp = 0 on
-    # the first CG iteration and the Jacobi step z is returned
-    cells = geo._end_tables(theta)
-    vals = np.full(6 * theta.n_edges, -0.5)
-    assert (dense_jacobian(cells, vals) == -1.0).all()
-    with np.errstate(divide="ignore"):
-        step = geo._newton_step(cells, vals, np.array([1.0, -1.0, 0.0]), 0.1)
+    # J = -ones(3, 3) is singular along z = D^-1 r = (-1, 1, 0), so p.(-DJD)p = 0 on
+    # the first CG iteration and the Jacobi step z is returned, with no division by 0
+    tables = geo._end_tables(theta)
+    vals = (np.full(2 * theta.n_edges, -0.5),) * 3
+    assert (dense_jacobian(tables, vals) == -1.0).all()
+    step = geo._newton_step(tables, vals, np.array([1.0, -1.0, 0.0]), 0.1)
     assert list(step) == [-1.0, 1.0, 0.0]
+
+
+def unit_system(jac):
+    """d = |diag J|**-1/2 and -DJD of a dense Jacobian."""
+    d = np.abs(np.diag(jac)) ** -0.5
+    return d, -d[:, None] * jac * d
 
 
 def test_cell_product_matches_dense_product(newton_graphs):
     rng = random.Random(59)
     for g in newton_graphs.values():
-        cells = geo._end_tables(g)
+        tables = geo._end_tables(g)
         for _ in range(3):
             lam = np.exp([rng.uniform(-3.0, 3.0) for _ in range(g.n_edges)])
             p = np.array([rng.uniform(-1.0, 1.0) for _ in range(g.n_edges)])
-            vals = geo._coords_and_jacobian(cells, lam)[1]
-            want = dense_jacobian(cells, vals) @ p
-            got = geo._jacobian_times(cells, vals, p)
+            vals = geo._coords_and_jacobian(tables, lam)[1]
+            want = unit_system(dense_jacobian(tables, vals))[1] @ p
+            got = geo._unit_times(geo._unit_system(tables, vals)[2], p)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * np.abs(want).max())
+
+
+def test_newton_step_meets_its_scaled_bound(newton_graphs, monkeypatch):
+    # the step's CG stops on the residual of the unit-diagonal system, |D(J s - r)| <=
+    # f |D r|, unless it runs out of its n iterations (here only at f = 1e-6)
+    products = []
+    unit_times = geo._unit_times
+    monkeypatch.setattr(geo, "_unit_times", lambda *args: products.append(1) or unit_times(*args))
+    rng = random.Random(71)
+    met = 0
+    for g in newton_graphs.values():
+        tables = geo._end_tables(g)
+        for forcing in (0.1, 1e-3, 1e-6):
+            lam = np.exp([rng.uniform(-2.0, 2.0) for _ in range(g.n_edges)])
+            resid = np.array([rng.uniform(-1.0, 1.0) for _ in range(g.n_edges)])
+            vals = geo._coords_and_jacobian(tables, lam)[1]
+            jac = dense_jacobian(tables, vals)
+            d = unit_system(jac)[0]
+            products.clear()
+            step = geo._newton_step(tables, vals, resid, forcing)
+            got = np.linalg.norm(d * (jac @ step - resid))
+            if got <= 1.001 * forcing * np.linalg.norm(d * resid):
+                met += 1
+            else:
+                assert forcing == 1e-6 and len(products) == g.n_edges
+    assert met >= 3 * len(newton_graphs) - 2
 
 
 def sector_sum(g, lam):
