@@ -34,10 +34,6 @@ edge's definition line.
 """
 
 
-def _load_graph(path: str) -> fgr.Fatgraph:
-    return fgr.parse_fatgraph(_read(path))
-
-
 def _read(path: str) -> str:
     """The UTF-8 text of an input file, as ``utf-8-sig`` reads it: without the byte
     order mark that spreadsheet programs write.  Other bytes are refused as a
@@ -48,19 +44,15 @@ def _read(path: str) -> str:
         raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
-def _print_screen(g: fgr.Fatgraph, s: scn.Screen, index: int, show_boundary: bool) -> None:
-    members = " ".join(ser.subset_text(g, a) for a in s.family)
-    print(f"screen {index} : {members}")
-    if show_boundary:
-        boundary = scn.screen_boundary(s)
-        if len(boundary) == 0:
-            print("  boundary : (empty)")
-        for c in boundary:
-            print(f"  boundary : {ser.curve_tokens(g, c)}")
+def _print_curves(g: fgr.Fatgraph, curves, empty: str, prefix: str = "") -> None:
+    """One line per curve, its step tokens after ``prefix``; ``empty`` if there are none."""
+    for c in curves:
+        print(prefix + ser.curve_tokens(g, c))
+    if len(curves) == 0:
+        print(prefix + empty)
 
 
-def cmd_info(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_info(g: fgr.Fatgraph, args) -> int:
     genus, punctures = fgr.topology(g)
     cycles = fgr.boundary_cycles(g)
     print(f"genus={genus} punctures={punctures} boundary_cycles={len(cycles)}")
@@ -70,10 +62,9 @@ def cmd_info(args) -> int:
     return 0
 
 
-def cmd_recurrent(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_recurrent(g: fgr.Fatgraph, args) -> int:
     if args.enumerate:
-        for sub in sorted(fgr.recurrent_subsets(g), key=lambda a: (len(a), tuple(sorted(a)))):
+        for sub in sorted(fgr.recurrent_subsets(g), key=scn._member_key):
             print(ser.subset_text(g, sub))
         return 0
     subset = ser.parse_subset(g, args.subset)
@@ -85,28 +76,23 @@ def cmd_recurrent(args) -> int:
     return 0
 
 
-def cmd_screens(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_screens(g: fgr.Fatgraph, args) -> int:
     all_screens = scn.enumerate_screens(g, max_edges=args.max_edges)
     print(f"screens={len(all_screens)}")
     for i, s in enumerate(all_screens):
-        _print_screen(g, s, i, args.boundary)
+        print(f"screen {i} : {' '.join(ser.subset_text(g, a) for a in s.family)}")
+        if args.boundary:
+            _print_curves(g, scn.screen_boundary(s), "(empty)", "  boundary : ")
     return 0
 
 
-def cmd_boundary(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_boundary(g: fgr.Fatgraph, args) -> int:
     subset = ser.parse_subset(g, args.subset)
-    curves = fgr.subset_boundary(g, subset)
-    if len(curves) == 0:
-        print("(empty)")
-    for c in curves:
-        print(ser.curve_tokens(g, c))
+    _print_curves(g, fgr.subset_boundary(g, subset), "(empty)")
     return 0
 
 
-def cmd_trace(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_trace(g: fgr.Fatgraph, args) -> int:
     lam = ser.read_lambda_csv(g, _read(args.lam))
     path = ser.parse_curve(g, args.path)
     gap = hol.trace_gap_of_path(g, lam, path)     # one certified value for all three lines
@@ -126,8 +112,7 @@ def _family_from_args(g: fgr.Fatgraph, args) -> scn.MonomialFamily:
     return scn.depth_family(s)
 
 
-def cmd_sweep(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_sweep(g: fgr.Fatgraph, args) -> int:
     fam = _family_from_args(g, args)
     sched = asy.SweepSchedule(args.t) if args.t else asy.SweepSchedule()
     candidate = scn.screen_of_exponents(g, fam)
@@ -147,27 +132,19 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_detect(args) -> int:
-    g = _load_graph(args.graph)
-    fam = _family_from_args(g, args)
-    curves = asy.detect_short_curves(g, fam)
-    if len(curves) == 0:
-        print("(no short curves)")
-    for c in curves:
-        print(ser.curve_tokens(g, c))
+def cmd_detect(g: fgr.Fatgraph, args) -> int:
+    _print_curves(g, asy.detect_short_curves(g, _family_from_args(g, args)), "(no short curves)")
     return 0
 
 
-def cmd_invert(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_invert(g: fgr.Fatgraph, args) -> int:
     coords = ser.read_coords_csv(g, _read(args.coords))
     lam = geo.invert_coords(g, coords, tol=args.tol)
     sys.stdout.write(ser.write_lambda_csv(g, lam))
     return 0
 
 
-def cmd_check_cell(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_check_cell(g: fgr.Fatgraph, args) -> int:
     lam = ser.read_lambda_csv(g, _read(args.lam))
     coords = geo.simplicial_coords(g, lam)
     tol = args.tol if args.tol is not None else geo.default_zero_tol(coords)
@@ -178,8 +155,7 @@ def cmd_check_cell(args) -> int:
     return 0
 
 
-def cmd_ij_check(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_ij_check(g: fgr.Fatgraph, args) -> int:
     fam = _family_from_args(g, args)
     report = asy.ij_check(g, fam)
     print(f"I = {ser.subset_text(g, report.divergent)}")
@@ -209,68 +185,53 @@ def make_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("info", help="genus, punctures and boundary cycles")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_info)
-
-    p = sub.add_parser("recurrent", help="test a subset or list all recurrent subsets")
-    p.add_argument("graph")
-    grp = p.add_mutually_exclusive_group(required=True)
-    grp.add_argument("--subset", help="comma separated edge labels")
-    grp.add_argument("--enumerate", action="store_true")
-    p.set_defaults(func=cmd_recurrent)
-
-    p = sub.add_parser("screens", help="enumerate screens")
-    p.add_argument("graph")
-    p.add_argument("--boundary", action="store_true", help="also print boundaries")
-    p.add_argument("--max-edges", type=int, default=scn.MAX_ENUMERATION_EDGES)
-    p.set_defaults(func=cmd_screens)
-
-    p = sub.add_parser("boundary", help="boundary curves of an edge subset")
-    p.add_argument("graph")
-    p.add_argument("--subset", required=True)
-    p.set_defaults(func=cmd_boundary)
-
-    p = sub.add_parser("trace", help="holonomy trace of a closed path")
-    p.add_argument("graph")
-    p.add_argument("--lambda", dest="lam", required=True, metavar="CSV")
-    p.add_argument("--path", required=True, help="step tokens, e.g. 'e0+,e1-'")
-    p.set_defaults(func=cmd_trace)
+    def command(name, func, help):
+        """A subcommand whose ``func(g, args)`` gets the graph ``main`` reads from ``graph``."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("graph")
+        p.set_defaults(func=func)
+        return p
 
     def add_family_args(p):
         grp = p.add_mutually_exclusive_group(required=True)
         grp.add_argument("--exponents", metavar="CSV")
         grp.add_argument("--screen", metavar="JSON")
 
-    p = sub.add_parser("sweep", help="trace table along a monomial family")
-    p.add_argument("graph")
+    command("info", cmd_info, "genus, punctures and boundary cycles")
+
+    p = command("recurrent", cmd_recurrent, "test a subset or list all recurrent subsets")
+    grp = p.add_mutually_exclusive_group(required=True)
+    grp.add_argument("--subset", help="comma separated edge labels")
+    grp.add_argument("--enumerate", action="store_true")
+
+    p = command("screens", cmd_screens, "enumerate screens")
+    p.add_argument("--boundary", action="store_true", help="also print boundaries")
+    p.add_argument("--max-edges", type=int, default=scn.MAX_ENUMERATION_EDGES)
+
+    p = command("boundary", cmd_boundary, "boundary curves of an edge subset")
+    p.add_argument("--subset", required=True)
+
+    p = command("trace", cmd_trace, "holonomy trace of a closed path")
+    p.add_argument("--lambda", dest="lam", required=True, metavar="CSV")
+    p.add_argument("--path", required=True, help="step tokens, e.g. 'e0+,e1-'")
+
+    p = command("sweep", cmd_sweep, "trace table along a monomial family")
     add_family_args(p)
     p.add_argument("--t", type=_t_values,
                    help="comma separated t values (default 10,100,1000,10000)")
     p.add_argument("--summary", metavar="JSON", help="write curve verdicts here")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("detect", help="curves that get short along a family")
-    p.add_argument("graph")
-    add_family_args(p)
-    p.set_defaults(func=cmd_detect)
+    add_family_args(command("detect", cmd_detect, "curves that get short along a family"))
 
-    p = sub.add_parser("invert", help="weights realizing target coordinates")
-    p.add_argument("graph")
+    p = command("invert", cmd_invert, "weights realizing target coordinates")
     p.add_argument("--coords", required=True, metavar="CSV")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("check-cell", help="cell membership of weights")
-    p.add_argument("graph")
+    p = command("check-cell", cmd_check_cell, "cell membership of weights")
     p.add_argument("--lambda", dest="lam", required=True, metavar="CSV")
     p.add_argument("--tol", type=float, default=None)
-    p.set_defaults(func=cmd_check_cell)
 
-    p = sub.add_parser("ij-check", help="divergent weights vs vanishing coordinates")
-    p.add_argument("graph")
-    add_family_args(p)
-    p.set_defaults(func=cmd_ij_check)
+    add_family_args(command("ij-check", cmd_ij_check, "divergent weights vs vanishing coordinates"))
 
     return parser
 
@@ -284,7 +245,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(fgr.parse_fatgraph(_read(args.graph)), args)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -597,6 +597,7 @@ def refine_to_trivalent(g: Fatgraph, lam: LambdaAssignment) -> Refinement:
     polygon and the new fan edges receive the Euclidean diagonal lengths
     from its first corner.  Collapsing the new edges recovers the input.
     """
+    _one_weight_per_edge(g, lam)
     if any(g.valence(v) < 3 for v in range(g.n_vertices)):
         raise DomainError("refinement needs all valences >= 3")
     for v, cyc in enumerate(g.vertex_cycles):

@@ -113,6 +113,7 @@ def turn_direction(g: Fatgraph, incoming: int, outgoing: int) -> str:
 
 def edge_matrix(g: Fatgraph, lam: LambdaAssignment, step: int) -> Mat2:
     """Cross-ratio matrix of the traversed edge; squares to -1."""
+    _one_weight_per_edge(g, lam)
     a, b, c, d = quad_slots(g, step)
     s = math.sqrt((lam[a] * lam[c]) / (lam[b] * lam[d]))
     return Mat2(0.0, s, -1.0 / s, 0.0)
@@ -377,6 +378,7 @@ def one_left_turn_data(g: Fatgraph, lam: LambdaAssignment, path: EdgePath
 
     and zeta_k^{-2} is the cross ratio of y_k.
     """
+    _one_weight_per_edge(g, lam)
     turns = path_turns(g, path)
     lefts = [i for i, t in enumerate(turns) if t == LEFT]
     if len(lefts) != 1:

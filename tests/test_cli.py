@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
@@ -347,6 +348,92 @@ def test_reused_parser_keeps_defaults(tmp_path, capsys):
     _, again = run(capsys, "sweep", THETA, "--exponents", str(p))
     assert again == fresh != chosen
     assert cli._parser() is cli._parser()
+
+
+GRAPH = ((), "graph", None, True, None, None, None, None)
+FAMILY = ((("--exponents",), "exponents", None, False, None, "CSV", None, (0, True)),
+          (("--screen",), "screen", None, False, None, "JSON", None, (0, True)))
+# each subcommand's help, handler and actions after -h, as ``actions`` reads them
+SUBCOMMANDS = {
+    "info": ("genus, punctures and boundary cycles", cli.cmd_info, (GRAPH,)),
+    "recurrent": ("test a subset or list all recurrent subsets", cli.cmd_recurrent, (
+        GRAPH,
+        (("--subset",), "subset", None, False, "comma separated edge labels", None, None,
+         (0, True)),
+        (("--enumerate",), "enumerate", False, False, None, None, None, (0, True)))),
+    "screens": ("enumerate screens", cli.cmd_screens, (
+        GRAPH,
+        (("--boundary",), "boundary", False, False, "also print boundaries", None, None, None),
+        (("--max-edges",), "max_edges", scn.MAX_ENUMERATION_EDGES, False, None, None, "int",
+         None))),
+    "boundary": ("boundary curves of an edge subset", cli.cmd_boundary, (
+        GRAPH,
+        (("--subset",), "subset", None, True, None, None, None, None))),
+    "trace": ("holonomy trace of a closed path", cli.cmd_trace, (
+        GRAPH,
+        (("--lambda",), "lam", None, True, None, "CSV", None, None),
+        (("--path",), "path", None, True, "step tokens, e.g. 'e0+,e1-'", None, None, None))),
+    "sweep": ("trace table along a monomial family", cli.cmd_sweep, (
+        GRAPH, *FAMILY,
+        (("--t",), "t", None, False, "comma separated t values (default 10,100,1000,10000)",
+         None, "_t_values", None),
+        (("--summary",), "summary", None, False, "write curve verdicts here", "JSON", None,
+         None))),
+    "detect": ("curves that get short along a family", cli.cmd_detect, (GRAPH, *FAMILY)),
+    "invert": ("weights realizing target coordinates", cli.cmd_invert, (
+        GRAPH,
+        (("--coords",), "coords", None, True, None, "CSV", None, None),
+        (("--tol",), "tol", 1e-10, False, None, None, "float", None))),
+    "check-cell": ("cell membership of weights", cli.cmd_check_cell, (
+        GRAPH,
+        (("--lambda",), "lam", None, True, None, "CSV", None, None),
+        (("--tol",), "tol", None, False, None, None, "float", None))),
+    "ij-check": ("divergent weights vs vanishing coordinates", cli.cmd_ij_check,
+                 (GRAPH, *FAMILY)),
+}
+
+
+def actions(parser: argparse.ArgumentParser) -> tuple:
+    """Option strings, dest, default, required, help, metavar, type name and
+    (index, required) of the mutually exclusive group of each action but -h."""
+    groups = parser._mutually_exclusive_groups
+    return tuple((tuple(a.option_strings), a.dest, a.default, a.required, a.help, a.metavar,
+                  getattr(a.type, "__name__", None),
+                  next(((i, grp.required) for i, grp in enumerate(groups)
+                        if a in grp._group_actions), None))
+                 for a in parser._actions if not isinstance(a, argparse._HelpAction))
+
+
+def test_parser_structure():
+    # independent of the Python version and of COLUMNS, unlike the --help text
+    parser = cli.make_parser()
+    assert actions(parser) == (((), "command", None, True, None, None, None, None),)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert [(c.dest, c.help) for c in sub._choices_actions] == [
+        (name, help) for name, (help, _, _) in SUBCOMMANDS.items()]
+    assert list(sub.choices) == list(SUBCOMMANDS)
+    for name, (_, func, rows) in SUBCOMMANDS.items():
+        p = sub.choices[name]
+        assert (p.get_default("func"), actions(p)) == (func, rows), name
+
+
+MISSING_GRAPH_ARGS = {
+    "info": [], "recurrent": ["--enumerate"], "screens": [], "boundary": ["--subset", "e0"],
+    "trace": ["--lambda", "{input}", "--path", "e0+ e1-"], "sweep": ["--exponents", "{input}"],
+    "detect": ["--exponents", "{input}"], "invert": ["--coords", "{input}"],
+    "check-cell": ["--lambda", "{input}"], "ij-check": ["--screen", "{input}"],
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_missing_graph_is_refused_in_one_line(tmp_path, capsys, command):
+    # the other input is missing too: main reads the graph first
+    missing = tmp_path / "missing.fg"
+    rest = [a.format(input=tmp_path / "input") for a in MISSING_GRAPH_ARGS[command]]
+    assert cli.main([command, str(missing), *rest]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"error: [Errno 2] No such file or directory: '{missing}'\n")
 
 
 def test_oversized_exact_trace_is_domain_error(tmp_path, capsys):

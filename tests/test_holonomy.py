@@ -224,19 +224,24 @@ def test_kernel_error_parity(fault, entry):
 
 def test_weight_count_is_checked(theta):
     # two weights used to raise IndexError; a fourth used to be ignored, and
-    # whitehead_transport returned it
-    path = fgr.EdgePath((0, 4))
+    # whitehead_transport and refine_to_trivalent returned it
+    path = fgr.EdgePath((0, 4))     # one left turn, then one right turn
     sector = geo.Sector(*theta.vertex_cycles[0][:2])
     for values in ([1, 1], [1, 1, 1, 1]):
         lam = geo.lambda_assignment(values)
-        for entry in (geo.simplicial_coords, geo.in_cell, geo.triangle_inequalities_hold):
+        for entry in (geo.simplicial_coords, geo.in_cell, geo.triangle_inequalities_hold,
+                      geo.refine_to_trivalent):
             with pytest.raises(DomainError, match="one weight per edge"):
                 entry(theta, lam)
         for entry, arg in ((hol.holonomy, path), (hol.abs_trace_of_path, path),
                            (hol.trace_gap_of_path, path), (geo.cross_ratio, 0),
-                           (geo.whitehead_transport, 0), (geo.h_length, sector)):
+                           (geo.whitehead_transport, 0), (geo.h_length, sector),
+                           (hol.edge_matrix, 0), (hol.one_left_turn_data, path)):
             with pytest.raises(DomainError, match="one weight per edge"):
                 entry(theta, lam, arg)
+    # a stray weight used to become the first new diagonal's on a 4-valent vertex
+    with pytest.raises(DomainError, match="one weight per edge"):
+        geo.refine_to_trivalent(load("wedge.fg"), geo.lambda_assignment([1, 1, 7]))
 
 
 def test_determinant_one(trivalent_corpus):
