@@ -18,8 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import DomainError
 from .fatgraph import CurveSystem, EdgePath, EdgeSubset, Fatgraph, \
@@ -75,8 +74,8 @@ class LeadingTerm:
 def _tau_exponents(fam: MonomialFamily) -> tuple[int, list[int]]:
     """Exponents q_e of the weights t**p_e in tau = t**(1/unit), with ``unit`` twice the
     lcm of the denominators, so that each cross-ratio square root halves an even q."""
-    unit = 2 * math.lcm(*(p.denominator for p in fam.exponents))
-    return unit, [p.numerator * (unit // p.denominator) for p in fam.exponents]
+    unit, levels = fam._levels
+    return 2 * unit, [2 * k for k in levels]
 
 
 def _top(poly: list[tuple[int, int]], unit: int) -> LeadingTerm:
@@ -90,15 +89,23 @@ def _gap_leading(g: Fatgraph, fam: MonomialFamily, path: EdgePath) -> LeadingTer
     return _top(_exact_gap_poly(g, q, path), unit)
 
 
-def _coordinate_polys(g: Fatgraph, q: list[int]) -> Iterator[list[tuple[int, int]]]:
-    """Each edge's ``simplicial_coords`` at weights tau**q_e, as sorted monomials (k, c)."""
-    for x, quad in zip(q, g._edge_quads):
-        a, b, c, d = [q[s] for s in quad]
-        terms: dict[int, int] = {}
-        for k, n in ((a - b - x, 1), (b - a - x, 1), (c - d - x, 1), (d - c - x, 1),
-                     (x - a - b, -1), (x - c - d, -1)):
-            terms[k] = terms.get(k, 0) + n
-        yield sorted((k, n) for k, n in terms.items() if n)
+def _coordinate_poly(x: int, a: int, b: int, c: int, d: int) -> list[tuple[int, int]]:
+    """An edge's ``simplicial_coords`` at weights tau**q, from the exponents of the edge
+    and of its quad slots, as sorted monomials (k, c)."""
+    terms: dict[int, int] = {}
+    for k, n in ((a - b - x, 1), (b - a - x, 1), (c - d - x, 1), (d - c - x, 1),
+                 (x - a - b, -1), (x - c - d, -1)):
+        terms[k] = terms.get(k, 0) + n
+    return sorted((k, n) for k, n in terms.items() if n)
+
+
+def _abel_positive(x: int, a: int, b: int, c: int, d: int) -> bool:
+    """Whether ``_coordinate_poly(x, a, b, c, d)`` has every coefficient sum from the top
+    down > 0, read off its six exponents: at each negative one, n, that the positive ones
+    do not cancel, more positive than negative exponents are >= n."""
+    pos, neg = (a - b - x, b - a - x, c - d - x, d - c - x), (x - a - b, x - c - d)
+    return all(sum(p >= n for p in pos) > sum(m >= n for m in neg)
+               for n in neg if pos.count(n) < neg.count(n))
 
 
 def _verdict(poly: list[tuple[int, int]]) -> str:
@@ -143,8 +150,8 @@ def sweep(g: Fatgraph, fam: MonomialFamily, curves: CurveSystem | Iterable[EdgeP
     unit, q = _tau_exponents(fam)
     polys = [(c, _exact_gap_poly(g, q, c)) for c in curves]
     # Abel summation: coefficient sums > 0 from the top down keep a coordinate > 0 for t >= 1
-    unsure = [m for m in _coordinate_polys(g, q)
-              if not all(s > 0 for s in accumulate(c for _, c in reversed(m)))]
+    slots = ((x, *[q[s] for s in quad]) for x, quad in zip(q, g._edge_quads))
+    unsure = [_coordinate_poly(*xs) for xs in slots if not _abel_positive(*xs)]
     p_lo, p_hi = min(q, default=0) / unit, max(q, default=0) / unit
     rows, flags = [], []
     for t in sched.t_values:
@@ -216,7 +223,8 @@ def ij_check(g: Fatgraph, fam: MonomialFamily) -> IJReport:
         raise DomainError("one exponent per edge required")
     divergent = frozenset(e for e in range(g.n_edges) if fam[e] > 0)
     unit, q = _tau_exponents(fam)
-    leading = [(e, _top(m, unit)) for e, m in enumerate(_coordinate_polys(g, q))]
+    leading = [(e, _top(_coordinate_poly(x, *[q[s] for s in quad]), unit))
+               for e, (x, quad) in enumerate(zip(q, g._edge_quads))]
     vanishing = frozenset(e for e, lead in leading if lead.exponent < 0)   # none is identically 0
     notes = [f"edge {g.label(e)}: leading coefficient {lead.coefficient} < 0, "
              f"the family leaves the cell for large t"

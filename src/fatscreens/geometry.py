@@ -194,7 +194,14 @@ def simplicial_coords(g: Fatgraph, lam: LambdaAssignment) -> SimplicialCoords:
         if not (abx and cdx):      # weights are positive: 0 is an underflow
             raise DomainError(f"weight products at edge {g.label(e)} underflow to 0")
         vals.append((a * a + b * b - x * x) / abx + (c * c + d * d - x * x) / cdx)
-    return SimplicialCoords(tuple(vals))
+    try:
+        return SimplicialCoords(tuple(vals))
+    except DomainError:     # a square may overflow where the end terms do not
+        for e in [e for e, v in enumerate(vals) if not math.isfinite(v)]:
+            x, (a, b, c, d) = w[e], map(w.__getitem__, g._edge_quads[e])
+            vals[e] = ((a / (b * x) + b / (a * x) - x / (a * b))
+                       + (c / (d * x) + d / (c * x) - x / (c * d)))
+        return SimplicialCoords(tuple(vals))
 
 
 def triangle_inequalities_hold(g: Fatgraph, lam: LambdaAssignment

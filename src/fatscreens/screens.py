@@ -9,10 +9,12 @@ depths, and exponents yield a screen through the filtration by strictly
 faster growth.
 
 Each graph keeps one member table, filled on first use, from a recurrent
-edge subset to its canonical faces and connected components.  It stores no
+edge subset to its canonical faces, components, sort key and relative
+boundaries (faces minus the parent's) per recurrent parent.  It stores no
 other subset (valid screens' members and depth-filtration stages are all
-recurrent), so it never outgrows the graph's recurrent subsets.  A member's
-relative boundary is its faces minus its parent's.  Each screen finds its
+recurrent), so it never outgrows the graph's recurrent subsets.  A monomial
+family keeps its exponents as int levels in steps of 1/lcm of their
+denominators.  Each screen finds its
 parents (immediate predecessors) and depths once, in one pass over the
 size-sorted family; a member is the union of its sub-members exactly when
 its disjoint children's sizes sum to its own.  Enumeration is a clique
@@ -38,14 +40,16 @@ from .fatgraph import (CurveSystem, EdgePath, EdgeSubset, Fatgraph, _curve_set,
                        reduce_path, subgraph)
 
 MAX_ENUMERATION_EDGES = 12      # default of enumerate_screens and ``screens --max-edges``
+_DEPTHS = tuple(map(Fraction, range(MAX_ENUMERATION_EDGES)))     # depth_family's exponents
 
 
 def _member_key(a: frozenset) -> tuple:
     return len(a), tuple(sorted(a))
 
 
-def _sorted_family(fam: Iterable[frozenset]) -> tuple[frozenset, ...]:
-    return tuple(sorted(fam, key=_member_key))
+def _sorted_family(g: Fatgraph, fam: Iterable[frozenset]) -> tuple[frozenset, ...]:
+    members = g._members
+    return tuple(sorted(fam, key=lambda a: members[a].key if a in members else _member_key(a)))
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,7 @@ class Screen:
         table: dict[EdgeSubset, tuple[EdgeSubset | None, int]] = {}
         for i in reversed(range(len(fam))):
             a = fam[i]
-            parent = next((b for b in fam[i + 1:] if a < b), None)
+            parent = next(filter(a.__lt__, fam[i + 1:]), None)     # the first b with a < b
             table[a] = (parent, 0 if parent is None else table[parent][1] + 1)
         return table
 
@@ -83,7 +87,7 @@ def screen(g: Fatgraph, family: Iterable[Iterable[int]]) -> Screen:
     """Normalize a family into a Screen, adding the full edge set."""
     fam = {frozenset(a) for a in family}
     fam.add(g.all_edges())
-    return Screen(g, _sorted_family(fam))
+    return Screen(g, _sorted_family(g, fam))
 
 
 @dataclass(frozen=True)
@@ -104,8 +108,8 @@ def validate_screen(s: Screen) -> ScreenCheck:
     top = g.all_edges()
     if top not in s.family:
         return ScreenCheck(False, "i", (top,), "full edge set missing from family")
-    for a in s.family:
-        if not a or not _member(g, a).recurrent:
+    for a in s.family:      # the member table holds recurrent subsets only
+        if a not in g._members and (not a or not _member(g, a).recurrent):
             return ScreenCheck(False, "ii", (a,),
                                f"member {sorted(a)} is not recurrent")
     for i, a in enumerate(s.family):
@@ -129,6 +133,8 @@ class _Member(NamedTuple):
     recurrent: bool
     faces: frozenset[EdgePath]
     components: tuple[EdgeSubset, ...]
+    key: tuple                                          # _member_key
+    relative: dict[EdgeSubset, frozenset[EdgePath]]     # faces - parent's, per recurrent parent
 
 
 def _member(g: Fatgraph, edges: EdgeSubset) -> _Member:
@@ -146,7 +152,8 @@ def _member(g: Fatgraph, edges: EdgeSubset) -> _Member:
                        for h in g.vertex_cycles[g._vertex_of[x]]} & todo
                 todo -= new
             components.append(frozenset(component))
-        entry = _Member(recurrent, frozenset(_subset_faces(g, edges)), tuple(components))
+        entry = _Member(recurrent, frozenset(_subset_faces(g, edges)), tuple(components),
+                        _member_key(edges), {})
         if recurrent:
             g._members[edges] = entry
     return entry
@@ -230,11 +237,17 @@ def _relative_faces(g: Fatgraph, member: EdgeSubset, parent: EdgeSubset) -> froz
     """The member's canonical faces not parallel to a parent face: not equal to one,
     as a recurrent member's faces are efficient simple cycles.  Off a valid screen
     faces may backtrack; those are reduced and compared with powers."""
-    m, parent_faces = _member(g, member), _member(g, parent).faces
-    if m.recurrent:
-        return m.faces - parent_faces
-    return frozenset(curve_system(g, [p for p in m.faces
-                                      if not is_boundary_parallel(g, p, parent_faces)]))
+    m = g._members.get(member) or _member(g, member)
+    faces = m.relative.get(parent)
+    if faces is None:
+        parent_faces = _member(g, parent).faces
+        if not m.recurrent:
+            return frozenset(curve_system(g, [p for p in m.faces
+                                              if not is_boundary_parallel(g, p, parent_faces)]))
+        faces = m.faces - parent_faces
+        if parent in g._members:    # the memo keys recurrent parents only, as the table does
+            m.relative[parent] = faces
+    return faces
 
 
 def relative_boundary(s: Screen, member: EdgeSubset) -> CurveSystem:
@@ -261,6 +274,12 @@ class MonomialFamily:
 
     exponents: tuple[Fraction, ...]
 
+    @cached_property
+    def _levels(self) -> tuple[int, tuple[int, ...]]:
+        """(unit, the exponents as ints in steps of 1/unit), unit the lcm of the denominators."""
+        unit = math.lcm(*(p.denominator for p in self.exponents))
+        return unit, tuple(p.numerator * (unit // p.denominator) for p in self.exponents)
+
     def __getitem__(self, e: int) -> Fraction:
         return self.exponents[e]
 
@@ -277,9 +296,12 @@ def depth_family(s: Screen) -> MonomialFamily:
     depth = [0] * s.graph.n_edges
     for a, (_, d) in s._depths.items():
         for e in a:
-            depth[e] = max(depth[e], d)
-    exponent = [Fraction(d) for d in range(max(depth, default=0) + 1)]
-    return MonomialFamily(tuple(map(exponent.__getitem__, depth)))
+            if d > depth[e]:
+                depth[e] = d
+    exponent = (*_DEPTHS, *map(Fraction, range(len(_DEPTHS), max(depth, default=0) + 1)))
+    fam = MonomialFamily(tuple(map(exponent.__getitem__, depth)))
+    fam.__dict__["_levels"] = (1, tuple(depth))     # seeds the cached property
+    return fam
 
 
 def screen_of_exponents(g: Fatgraph, fam: MonomialFamily) -> Screen:
@@ -293,13 +315,9 @@ def screen_of_exponents(g: Fatgraph, fam: MonomialFamily) -> Screen:
     """
     if len(fam) != g.n_edges:
         raise DomainError("one exponent per edge required")
-    level: dict[tuple[int, int], list[int]] = {}     # int pairs hash faster than Fractions
-    for e, p in enumerate(fam.exponents):
-        level.setdefault((p.numerator, p.denominator), []).append(e)
-    unit = math.lcm(*(d for _, d in level))         # compare n/d as ints in steps of 1/unit
+    levels = fam._levels[1]
     family: set[EdgeSubset] = {g.all_edges()}
-    stage: set[int] = set()
-    for n, d in sorted(level, key=lambda nd: nd[0] * (unit // nd[1]), reverse=True)[:-1]:
-        stage.update(level[n, d])       # now the edges above the next exponent down
-        family.update(_member(g, frozenset(stage)).components)
-    return Screen(g, _sorted_family(family))
+    for p in sorted(set(levels), reverse=True)[1:]:
+        stage = frozenset([e for e, k in enumerate(levels) if k > p])
+        family.update(_member(g, stage).components)
+    return Screen(g, _sorted_family(g, family))

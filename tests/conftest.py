@@ -43,6 +43,12 @@ def barbell() -> fgr.Fatgraph:
 
 
 @pytest.fixture(scope="session")
+def census12() -> fgr.Fatgraph:
+    """The benchmark's 12-edge genus-1 graph with four punctures: 6656 screens."""
+    return fgr.parse_fatgraph((DATA.parents[1] / "perfbench" / "data" / "census12.fg").read_text())
+
+
+@pytest.fixture(scope="session")
 def trivalent_corpus(theta, theta_planar, mercedes, genus2, barbell):
     return {"theta": theta, "theta_planar": theta_planar, "mercedes": mercedes,
             "genus2": genus2, "barbell": barbell}

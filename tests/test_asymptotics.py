@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate, product
 
 import mpmath
 import pytest
@@ -351,7 +353,8 @@ def test_cell_flags_match_mpmath_signs(theta, mercedes, genus2, monkeypatch):
             fam = scn.MonomialFamily(tuple(Fraction(rng.choice(choices))
                                            for _ in range(g.n_edges)))
             unit, q = asy._tau_exponents(fam)
-            coords = list(asy._coordinate_polys(g, q))
+            coords = [asy._coordinate_poly(x, *[q[s] for s in quad])
+                      for x, quad in zip(q, g._edge_quads)]
             # each coordinate is 2 at t = 1, so none is identically 0 and the cell's
             # forest condition on the 0 coordinates never has an edge to test
             assert all(sum(c for _, c in m) == 2 for m in coords)
@@ -370,6 +373,35 @@ def test_cell_flags_match_mpmath_signs(theta, mercedes, genus2, monkeypatch):
     assert checks == 4 * 50 * (3 + 6 + 9)
     # most families have a coordinate that Abel summation leaves to the evaluation at t
     assert evaluated > families // 2
+
+
+def test_abel_positive_from_six_exponents():
+    # every edge on a grid of exponents: the count decides as Abel summation of the sorted
+    # monomials does.  Without skipping the negative exponents that positive ones cancel,
+    # it would send more edges to the evaluation at t, and never fewer.
+    seen = Counter()
+    for xs in product(range(-3, 4), repeat=5):
+        x, a, b, c, d = xs
+        pos, neg = (a - b - x, b - a - x, c - d - x, d - c - x), (x - a - b, x - c - d)
+        uncancelled = all(sum(p >= n for p in pos) > sum(m >= n for m in neg) for n in neg)
+        abel = all(s > 0 for s in accumulate(n for _, n in reversed(asy._coordinate_poly(*xs))))
+        assert asy._abel_positive(*xs) == abel, xs
+        seen[uncancelled, abel] += 1
+    assert seen[True, False] == 0 and seen[False, True] > 0
+
+
+def test_sweep_builds_no_coordinate_monomials_on_depth_families(genus2, monkeypatch):
+    built = []
+    coordinate_poly = asy._coordinate_poly
+    monkeypatch.setattr(asy, "_coordinate_poly", lambda *xs: built.append(xs) or coordinate_poly(*xs))
+    for s in scn.enumerate_screens(genus2):
+        report = asy.sweep(genus2, scn.depth_family(s), [], asy.SweepSchedule((10.0,)))
+        assert report.in_cell_at == ((10.0, True),)
+    assert built == []
+    # a family that leaves the cell builds the monomials of the edges Abel summation leaves open
+    fam = scn.monomial_family([-75, 75, 0, 0, 75, -75, 0, 0, 0])
+    assert asy.sweep(genus2, fam, [], asy.SweepSchedule((1000.0,))).in_cell_at == ((1000.0, False),)
+    assert built
 
 
 def test_sweep_refuses_a_coordinate_that_is_0_at_t(theta):

@@ -312,6 +312,14 @@ def test_check_cell_underflow_is_domain_error(tmp_path, capsys):
     assert captured.err == "error: weight products at edge e0 underflow to 0\n"
 
 
+def test_check_cell_past_an_overflowing_square(tmp_path, capsys):
+    # refused as "simplicial coordinates must be finite" while a * a overflowed
+    lam = tmp_path / "lam.csv"
+    lam.write_text("edge,value\ne0,1e200\ne1,1\ne2,1\n")
+    code, out = run(capsys, "check-cell", THETA, "--lambda", str(lam))
+    assert (code, out) == (0, "not in cell\nmin_coordinate=-2e+200 at edge e0\n")
+
+
 def test_nan_tolerance_and_schedule_are_domain_errors(tmp_path, capsys):
     # weights 1, 1, 3 lie outside the cell, which a NaN tolerance used to hide
     lam = tmp_path / "lam.csv"

@@ -245,6 +245,32 @@ def test_simplicial_coords_match_end_term_reference(generated_trivalent):
             assert geo.simplicial_coords(g, lam).values == want
 
 
+def test_simplicial_coords_past_an_overflowing_square(theta, genus2):
+    # a * a overflows at a = 1e200, where the exact coordinates -2e200, 2e200, 2e200 do not
+    lam = geo.lambda_assignment([1e200, 1, 1])
+    assert geo.simplicial_coords(theta, lam).values == (-2e200, 2e200, 2e200)
+    # only the edges whose square overflows are summed by end terms; the rest keep their bits
+    rng = random.Random(71)
+    for e in range(genus2.n_edges):
+        w = [rng.uniform(1, 2) for _ in range(genus2.n_edges)]
+        w[e] = 1e200
+        lam = geo.lambda_assignment(w)
+        got = geo.simplicial_coords(genus2, lam).values
+        overflowed = 0
+        for f, (h1, h2) in enumerate(genus2.edge_halves):
+            square = reference_end_term(genus2, lam, h1) + reference_end_term(genus2, lam, h2)
+            if math.isfinite(square):
+                assert got[f] == square
+                continue
+            overflowed += 1
+            exact = sum(reference_end_term(genus2, [mpmath.mpf(v) for v in w], h) for h in (h1, h2))
+            assert got[f] == pytest.approx(float(exact), rel=1e-15)
+        assert overflowed
+    # an end term that overflows too is still refused
+    with pytest.raises(DomainError, match="^simplicial coordinates must be finite$"):
+        geo.simplicial_coords(theta, geo.lambda_assignment([1e300, 1e-10, 1]))
+
+
 # -- inversion ----------------------------------------------------------------------
 
 def test_invert_symmetric_target(theta):

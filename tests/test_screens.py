@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from fatscreens import asymptotics as asy
 from fatscreens import fatgraph as fgr
 from fatscreens import geometry as geo
 from fatscreens import screens as scn
@@ -27,7 +29,7 @@ def test_validate_ok(theta):
 
 
 def test_validate_condition_ii(theta):
-    s = scn.Screen(theta, scn._sorted_family({frozenset({0}), theta.all_edges()}))
+    s = scn.Screen(theta, scn._sorted_family(theta, {frozenset({0}), theta.all_edges()}))
     check = scn.validate_screen(s)
     assert (check.ok, check.condition) == (False, "ii")
     assert frozenset({0}) in check.witness
@@ -65,7 +67,7 @@ def test_validate_condition_iv(genus2):
 
 
 def test_validate_condition_i(theta):
-    s = scn.Screen(theta, scn._sorted_family({frozenset({0, 1})}))
+    s = scn.Screen(theta, scn._sorted_family(theta, {frozenset({0, 1})}))
     check = scn.validate_screen(s)
     assert (check.ok, check.condition) == (False, "i")
 
@@ -137,7 +139,7 @@ def reference_enumeration(g):
 
     def extend(start, chosen):
         if reference_union_member(chosen + [top]) is None:
-            families.append(scn._sorted_family(set(chosen) | {top}))
+            families.append(tuple(sorted(set(chosen) | {top}, key=scn._member_key)))
         for i in range(start, len(candidates)):
             if all(scn._nested_or_disjoint(candidates[i], b) for b in chosen):
                 extend(i + 1, chosen + [candidates[i]])
@@ -395,7 +397,7 @@ def reference_screen_of_exponents(g, fam):
     for p in set(fam.exponents):
         stage = frozenset(e for e in range(g.n_edges) if fam[e] > p)
         family |= reference_components(g, stage)
-    return scn._sorted_family(family)
+    return tuple(sorted(family, key=scn._member_key))
 
 
 def reference_check_ok(s):
@@ -474,3 +476,204 @@ def test_enumerated_screens_skip_the_id_check(theta, monkeypatch):
         with pytest.raises(DomainError, match="unknown edge ids"):
             scn.Screen(theta, (frozenset({0, 1}), frozenset(bad), theta.all_edges()))
     assert len(calls) == 2
+
+
+# -- integer exponent levels against Fractions -------------------------------------------
+
+def reference_depths(s):
+    """Each member's smallest proper superset in the family (the first in family order
+    among equal sizes; None for a maximal member) and the length of its parent chain."""
+    parent = {a: min((b for b in s.family if a < b), key=len, default=None) for a in s.family}
+
+    def depth(a):
+        return 0 if parent[a] is None else depth(parent[a]) + 1
+
+    return {a: (parent[a], depth(a)) for a in s.family}
+
+
+def fraction_depth_family(s):
+    """Depths as new Fractions, each edge's the max over the members holding it."""
+    depth = [0] * s.graph.n_edges
+    for a, (_, d) in reference_depths(s).items():
+        for e in a:
+            depth[e] = max(depth[e], d)
+    return scn.MonomialFamily(tuple(Fraction(d) for d in depth))
+
+
+def fraction_screen_of_exponents(g, fam):
+    """The filtration with levels keyed by (numerator, denominator), ordered through their lcm."""
+    level = {}
+    for e, p in enumerate(fam.exponents):
+        level.setdefault((p.numerator, p.denominator), []).append(e)
+    unit = math.lcm(*(d for _, d in level))
+    family, stage = {g.all_edges()}, set()
+    for n, d in sorted(level, key=lambda nd: nd[0] * (unit // nd[1]), reverse=True)[:-1]:
+        stage.update(level[n, d])
+        family |= reference_components(g, frozenset(stage))
+    return tuple(sorted(family, key=scn._member_key))
+
+
+def fraction_tau_exponents(fam):
+    unit = 2 * math.lcm(*(p.denominator for p in fam.exponents))
+    return unit, [p.numerator * (unit // p.denominator) for p in fam.exponents]
+
+
+def assert_levels_match_fractions(g, fam):
+    unit, levels = fam._levels
+    assert all(type(k) is int and Fraction(k, unit) == p for k, p in zip(levels, fam.exponents))
+    assert fam._levels == scn.MonomialFamily(fam.exponents)._levels    # seeded or computed
+    assert scn.screen_of_exponents(g, fam).family == fraction_screen_of_exponents(g, fam)
+    assert asy._tau_exponents(fam) == fraction_tau_exponents(fam)
+
+
+def test_depth_family_levels_on_every_screen(screen_corpus, census12):
+    for g in (*screen_corpus.values(), census12):
+        for s in scn.enumerate_screens(g):
+            fam = scn.depth_family(s)
+            assert fam == fraction_depth_family(s)
+            assert all(type(p) is Fraction for p in fam.exponents)
+            assert fam._levels == (1, tuple(map(int, fam.exponents)))
+            assert_levels_match_fractions(g, fam)
+            assert scn.screen_of_exponents(g, fam).family == s.family
+
+
+def test_levels_of_mixed_negative_and_zero_exponents(screen_corpus):
+    rng = random.Random(73)
+    for g in screen_corpus.values():
+        n = g.n_edges
+        families = [scn.monomial_family([0] * n), scn.MonomialFamily(tuple(range(-1, n - 1))),
+                    scn.monomial_family(["5/6", "-1/3", "0"] * (n // 3))]
+        for _ in range(200):
+            families.append(scn.monomial_family(
+                [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6, 7))) for _ in range(n)]))
+        for fam in families:
+            assert_levels_match_fractions(g, fam)
+            cand = scn.screen_of_exponents(g, fam)
+            assert scn.validate_screen(cand) == reference_validate_screen(cand)
+
+
+def random_direct_screens(g, rng, count):
+    """Screens built directly from families in random order: recurrent subsets that may
+    overlap, now and then two disjoint ones with their union, a subset that is not
+    recurrent or the empty set, and the top now and then left out."""
+    recurrent = list(fgr.recurrent_subsets(g))
+    masks = [frozenset(e for e in range(g.n_edges) if m >> e & 1) for m in range(1 << g.n_edges)]
+    for _ in range(count):
+        fam = set(rng.sample(recurrent, rng.randint(1, min(4, len(recurrent)))))
+        a = rng.choice(recurrent)
+        apart = [b for b in recurrent if not a & b]
+        if apart and rng.random() < 0.3:
+            b = rng.choice(apart)
+            fam = {a, b, a | b} | set(rng.sample(sorted(fam, key=scn._member_key), 1))
+        if rng.random() < 0.3:
+            fam.add(rng.choice(masks))
+        if rng.random() < 0.8:
+            fam.add(g.all_edges())
+        fam = list(fam)
+        rng.shuffle(fam)
+        yield scn.Screen(g, tuple(fam))
+
+
+def reference_validate_screen(s):
+    """The four conditions in order, with fresh recurrence tests and no member table."""
+    g = s.graph
+    top = g.all_edges()
+    if top not in s.family:
+        return scn.ScreenCheck(False, "i", (top,), "full edge set missing from family")
+    for a in s.family:
+        if not a or not fgr.is_recurrent(g, a):
+            return scn.ScreenCheck(False, "ii", (a,), f"member {sorted(a)} is not recurrent")
+    for i, a in enumerate(s.family):
+        for b in s.family[i + 1:]:
+            if not scn._nested_or_disjoint(a, b):
+                return scn.ScreenCheck(False, "iii", (a, b),
+                                       f"members {sorted(a)} and {sorted(b)} overlap without nesting")
+    filled = dict.fromkeys(s.family, 0)
+    for a, (parent, _) in reference_depths(s).items():
+        if parent is not None:
+            filled[parent] += len(a)
+    for a in s.family:
+        if filled[a] == len(a):
+            return scn.ScreenCheck(False, "iv", (a,),
+                                   f"member {sorted(a)} is the union of its proper sub-members")
+    return scn.ScreenCheck(True)
+
+
+def reference_screen_boundary(s):
+    """Each member's faces off its parent's, from fresh face walks and recurrence tests."""
+    g, faces = s.graph, set()
+    for a, (parent, _) in reference_depths(s).items():
+        if parent is None:
+            continue
+        mine, theirs = fgr._subset_faces(g, a), fgr._subset_faces(g, parent)
+        if fgr.is_recurrent(g, a):
+            faces |= mine - theirs
+        else:
+            faces |= set(fgr.curve_system(g, [p for p in mine
+                                              if not fgr.is_boundary_parallel(g, p, theirs)]))
+    return fgr._curve_set(g, faces)
+
+
+def test_unsorted_and_non_laminar_screens(screen_corpus):
+    rng = random.Random(79)
+    conditions = set()
+    for g in screen_corpus.values():
+        for s in random_direct_screens(g, rng, 300):
+            assert s._depths == reference_depths(s)
+            fam = scn.depth_family(s)
+            assert fam == fraction_depth_family(s)
+            assert_levels_match_fractions(g, fam)
+            check = scn.validate_screen(s)
+            assert check == reference_validate_screen(s)
+            conditions.add(check.condition)
+            if all(s.family):
+                assert scn.screen_boundary(s) == reference_screen_boundary(s)
+        # the relative-face memo keys recurrent parents only, as the member table does
+        assert all(p in g._members for m in g._members.values() for p in m.relative)
+    assert conditions == {None, "i", "ii", "iii", "iv"}
+
+
+# -- the member table's keys and relative faces -------------------------------------------
+
+def test_member_table_keys_sort_like_member_key(genus2):
+    scn.enumerate_screens(genus2)
+    members = genus2._members
+    assert all(m.key == scn._member_key(a) for a, m in members.items())
+    # a family with a member the table does not store: a subset that is not recurrent
+    loose = next(a for a in (frozenset({e}) for e in range(genus2.n_edges)) if a not in members)
+    fam = {loose, *sorted(members, key=scn._member_key)[::7]}
+    assert scn._sorted_family(genus2, fam) == tuple(sorted(fam, key=scn._member_key))
+    s = scn.screen(genus2, fam)
+    assert s.family == tuple(sorted(fam | {genus2.all_edges()}, key=scn._member_key))
+    assert scn.validate_screen(s) == reference_validate_screen(s)
+    assert loose not in members
+
+
+def test_relative_face_memo_on_census12(census12):
+    g = census12
+    pairs = set()
+    for s in scn.enumerate_screens(g):
+        scn.screen_boundary(s)
+        pairs |= {(a, p) for a, (p, _) in s._depths.items() if p is not None}
+    for a, p in pairs:
+        m = g._members[a]
+        assert m.relative[p] == m.faces - g._members[p].faces
+        assert m.relative[p] == fgr._subset_faces(g, a) - fgr._subset_faces(g, p)
+        assert scn._relative_faces(g, a, p) is m.relative[p]
+
+
+def test_validate_screen_reports_the_first_violation_as_before(theta, genus2):
+    circles = [a for a in fgr.recurrent_subsets(genus2) if len(scn._member(genus2, a).components) == 1]
+    a, b = next((a, b) for a in circles for b in circles
+                if not (a & b) and fgr.is_recurrent(genus2, a | b))
+    cases = [scn.Screen(theta, (frozenset({0, 1}),)),                           # (i)
+             scn.Screen(theta, (theta.all_edges(), frozenset({0}))),            # (ii)
+             scn.Screen(theta, (frozenset(), theta.all_edges())),               # (ii), empty
+             scn.screen(theta, [{0, 1}, {1, 2}]),                               # (iii)
+             scn.screen(genus2, [a, b, a | b])]                                 # (iv)
+    conditions = []
+    for s in cases:
+        check = scn.validate_screen(s)
+        assert check == reference_validate_screen(s)
+        conditions.append(check.condition)
+    assert conditions == ["i", "ii", "ii", "iii", "iv"]
