@@ -246,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(fgr.parse_fatgraph(_read(args.graph)), args)
-    except (DomainError, OSError) as exc:
+    except (DomainError, OSError, ImportError) as exc:     # ImportError: numpy or mpmath missing
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 import importlib.util
 import math
 import sys
+import types
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -49,10 +50,16 @@ from .fatgraph import (EdgePath, Fatgraph, WhiteheadMove, check_closed_path,
 
 
 def _lazy_import(name: str):
-    """Module ``name``, run on its first attribute use unless it was imported already."""
+    """Module ``name``, run on its first attribute use unless it was imported already; if it is
+    not installed, a stand-in whose first attribute use raises ``ModuleNotFoundError``."""
     module = sys.modules.get(name)
     if module is None:
-        spec = importlib.util.find_spec(name)
+        if (spec := importlib.util.find_spec(name)) is None:
+            def missing(attr: str):
+                raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+            module = types.ModuleType(name)
+            module.__getattr__ = missing    # a module's own __getattr__ (PEP 562)
+            return module
         spec.loader = importlib.util.LazyLoader(spec.loader)
         module = sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)

@@ -19,12 +19,15 @@ The product is one loop over four scalars, run over ``float``, ``mpmath.mpf``
 and packed ints.  Each step applies its turn and X in one closed-form update
 (R then X sends (a11, a12, a21, a22) to (-a11/s, (a11 - a12) s, -a21/s,
 (a21 - a22) s)); the other entries being 0 and +-1, these round exactly like
-full 2x2 products.  The loop runs over a per-weights step table whose row for
-each step holds the two turns out of its arrival, its s and -1/s.  A step that
-is neither turn breaks the path or backtracks, and only such a path is checked,
-to name its fault; a backtrack is refused as not efficient.  Each s is computed
-once per table, not once per visit; the float table is kept on the weights for
-the last graph they traced, the ``mpf`` one holds the path's steps.
+full 2x2 products.  The update assigns the four entries in place, each after
+the last read of its old value, so every operation rounds once, on the same
+operands as in the full products.  The loop runs over a per-weights step
+table whose row for each step holds the two turns out of its arrival, its s
+and -1/s.  A step that is neither turn breaks the path or backtracks, and only
+such a path is checked, to name its fault; a backtrack is refused as not
+efficient.  Each s is computed once per table, not once per visit; the float
+table is kept on the weights for the last graph they traced, the ``mpf`` one
+holds the path's steps.
 
 On an efficient path the product never cancels: with J = diag(1, -1),
 J R X J = -[[1/s, s], [0, s]] and J L X J = [[1/s, 0], [1/s, s]], so each
@@ -163,8 +166,11 @@ def _product(g: Fatgraph, path: EdgePath, rows) -> tuple:
 
     Each step applies its turn and X in one update, the same operations in the same order
     as the turn's column update followed by X's, so it rounds like that pair in every scalar
-    type.  The loop is the path check: a step is taken only as a right or left turn out of the
-    previous arrival, and only a path that fails it is checked, to name its fault.
+    type.  It writes the entries in place, with no tuple per step, each after the last read of
+    its old value: a right turn sets a12 before it scales a11 and a22 before a21, a left turn
+    a11 before it scales a12 and a21 before a22.  The loop is the path check: a step is taken
+    only as a right or left turn out of the previous arrival, and only a path that fails it is
+    checked, to name its fault.
     """
     steps = path.steps
     try:
@@ -173,10 +179,16 @@ def _product(g: Fatgraph, path: EdgePath, rows) -> tuple:
         for h in steps:
             if h == right:
                 right, left, s, inv = rows[h]
-                a11, a12, a21, a22 = a11 * inv, (a11 - a12) * s, a21 * inv, (a21 - a22) * s
+                a12 = (a11 - a12) * s
+                a11 *= inv
+                a22 = (a21 - a22) * s
+                a21 *= inv
             elif h == left:
                 right, left, s, inv = rows[h]
-                a11, a12, a21, a22 = (a12 - a11) * inv, a12 * s, (a22 - a21) * inv, a22 * s
+                a11 = (a12 - a11) * inv
+                a12 *= s
+                a21 = (a22 - a21) * inv
+                a22 *= s
             else:
                 raise KeyError(h)           # the path breaks or backtracks here
     except (IndexError, KeyError):          # or it has no steps, or its last is no id

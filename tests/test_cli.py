@@ -169,6 +169,15 @@ def test_invert_and_check_cell(tmp_path, capsys):
     assert code == 0 and out.splitlines()[0] == "in cell"
 
 
+def test_invert_without_numpy_is_refused_in_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(geo, "np", geo._lazy_import("fatscreens_no_numpy"))
+    coords = tmp_path / "x.csv"
+    coords.write_text("edge,value\ne0,1\ne1,2\ne2,5\n")
+    assert cli.main(["invert", THETA, "--coords", str(coords)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: No module named 'fatscreens_no_numpy'\n")
+
+
 def test_ij_check_cli(tmp_path, capsys):
     p = tmp_path / "p.csv"
     p.write_text("edge,exponent\ne0,1\ne1,1\ne2,0\n")

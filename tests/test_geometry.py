@@ -837,3 +837,13 @@ def test_numpy_runs_only_when_needed():
                           capture_output=True, text=True, timeout=120, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.stdout.split() == ["False", "True"]
+
+
+def test_lazy_import_of_a_missing_module():
+    # a module that is not installed imports as a stand-in; its first use names the module
+    name = "fatscreens_no_such_module"
+    module = geo._lazy_import(name)
+    assert name not in sys.modules
+    with pytest.raises(ModuleNotFoundError, match=f"No module named '{name}'") as exc:
+        module.linalg
+    assert exc.value.name == name

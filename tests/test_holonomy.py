@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import astuple
@@ -18,7 +19,7 @@ from fatscreens import screens as scn
 from fatscreens import serialize as ser
 from fatscreens.errors import DomainError
 
-from conftest import (essential_curve_pool, load, per_step_product, random_in_cell_lambda,
+from conftest import (DATA, essential_curve_pool, load, per_step_product, random_in_cell_lambda,
                       random_trivalent, two_update_product)
 
 ONES3 = geo.lambda_assignment([1, 1, 1])
@@ -473,10 +474,22 @@ def bits(entries):
     return tuple(float(x).hex() for x in entries)
 
 
-def test_step_rows_match_per_step_formula(trivalent_corpus, generated_trivalent):
+def test_step_rows_match_per_step_formula(trivalent_corpus, generated_trivalent, census12):
     """The row-table product, one update per step, equals the per-step formula of two updates
     bit for bit: in float on the corpus and on generated graphs, in mpf and over packed ints;
-    with a backtrack inserted, the per-step formula keeps the trace of the reduced path."""
+    with a backtrack inserted, the per-step formula keeps the trace of the reduced path.  So
+    does it on the lengths benchmark's graph, curves and weights, in float and in mpf at 20
+    digits, where each rounding is coarse enough to show an operation out of order."""
+    ref = json.loads((DATA.parents[1] / "perfbench" / "data" / "lengths12_ref.json").read_text())
+    curves = [fgr.EdgePath(tuple(c)) for c in ref["curves"]]
+    for values in ref["weights"][::16]:
+        rows = hol._float_rows(census12, geo.lambda_assignment(values))
+        with mpmath.workdps(20):
+            w = [mpmath.mpf(v) for v in values]
+            mp_rows = hol._step_rows(census12, w, mpmath.sqrt, range(census12.n_half_edges))
+            for p in curves:
+                assert bits(hol._product(census12, p, rows)) == bits(two_update_product(p, rows))
+                assert hol._product(census12, p, mp_rows) == two_update_product(p, mp_rows)
     rng, exponents = random.Random(71), random.Random(72)
     count = 0
     graphs = [(g, essential_curve_pool(g)[:12]) for g in trivalent_corpus.values()]
