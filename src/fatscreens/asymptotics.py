@@ -8,7 +8,8 @@ cross ratio is a monomial in t, so each trace and each simplicial
 coordinate is an exact Laurent polynomial in a root of t with integer
 coefficients.  This module tabulates each curve's gap |trace| - 2, that
 polynomial from the packed-int loop of :mod:`fatscreens.holonomy`, on a
-schedule of t; curves shrink by its leading term.  Coordinates, kept as sorted
+schedule of t; curves shrink by its leading term, which detection reads off the
+packed trace's top digits alone.  Coordinates, kept as sorted
 monomials, vanish by their leading term and decide cell membership exactly.
 """
 
@@ -25,7 +26,8 @@ from .fatgraph import CurveSystem, EdgePath, EdgeSubset, Fatgraph, \
     maximal_recurrent_subset
 # in_cell, simplicial_coords and trace_gap_of_path stay bound here for perfbench's tracer
 from .geometry import LambdaAssignment, in_cell, simplicial_coords
-from .holonomy import _exact_gap_poly, hyp_length_from_gap, terms_at, trace_gap_of_path
+from .holonomy import _exact_gap_poly, _exact_gap_top, hyp_length_from_gap, terms_at, \
+    trace_gap_of_path
 from .screens import MonomialFamily, Screen, screen_boundary, \
     screen_of_exponents, validate_screen
 
@@ -48,6 +50,9 @@ class SweepSchedule:
             raise DomainError("schedule values must be finite and >= 1")
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise DomainError("schedule must be strictly increasing")
+
+
+_DEFAULT_SCHEDULE = SweepSchedule()     # frozen: one validated instance serves every sweep
 
 
 def evaluate_family(fam: MonomialFamily, t: float) -> LambdaAssignment:
@@ -78,15 +83,15 @@ def _tau_exponents(fam: MonomialFamily) -> tuple[int, list[int]]:
     return 2 * unit, [2 * k for k in levels]
 
 
-def _top(poly: list[tuple[int, int]], unit: int) -> LeadingTerm:
-    """Leading term of the sum of c * t**(k / unit) over the monomials (k, c), sorted by k."""
-    return LeadingTerm(Fraction(poly[-1][0], unit), poly[-1][1]) if poly else LeadingTerm(None, 0)
+def _leading(top: tuple[int, int] | None, unit: int) -> LeadingTerm:
+    """Leading term in t of a top monomial (k, c) of c * t**(k / unit), None for the 0 polynomial."""
+    return LeadingTerm(Fraction(top[0], unit), top[1]) if top else LeadingTerm(None, 0)
 
 
 def _gap_leading(g: Fatgraph, fam: MonomialFamily, path: EdgePath) -> LeadingTerm:
-    """Leading term of |trace| - 2 along the family, from the exact trace."""
+    """Leading term of |trace| - 2 along the family, from the top digits of the exact trace."""
     unit, q = _tau_exponents(fam)
-    return _top(_exact_gap_poly(g, q, path), unit)
+    return _leading(_exact_gap_top(g, q, path), unit)
 
 
 def _coordinate_poly(x: int, a: int, b: int, c: int, d: int) -> list[tuple[int, int]]:
@@ -103,16 +108,19 @@ def _abel_positive(x: int, a: int, b: int, c: int, d: int) -> bool:
     """Whether ``_coordinate_poly(x, a, b, c, d)`` has every coefficient sum from the top
     down > 0, read off its six exponents: at each negative one, n, that the positive ones
     do not cancel, more positive than negative exponents are >= n."""
-    pos, neg = (a - b - x, b - a - x, c - d - x, d - c - x), (x - a - b, x - c - d)
-    return all(sum(p >= n for p in pos) > sum(m >= n for m in neg)
-               for n in neg if pos.count(n) < neg.count(n))
+    p1, p2, p3, p4, n1, n2 = a - b - x, b - a - x, c - d - x, d - c - x, x - a - b, x - c - d
+    if ((p1 >= n1) + (p2 >= n1) + (p3 >= n1) + (p4 >= n1) <= 1 + (n2 >= n1)
+            and (p1 == n1) + (p2 == n1) + (p3 == n1) + (p4 == n1) < 1 + (n2 == n1)):
+        return False
+    return ((p1 >= n2) + (p2 >= n2) + (p3 >= n2) + (p4 >= n2) > 1 + (n1 >= n2)
+            or (p1 == n2) + (p2 == n2) + (p3 == n2) + (p4 == n2) >= 1 + (n1 == n2))
 
 
-def _verdict(poly: list[tuple[int, int]]) -> str:
-    """Verdict on a trace gap, its monomials (k, c) of c * tau**k, read off its top term."""
-    if not poly:
+def _verdict(top: tuple[int, int] | None) -> str:
+    """Verdict on a trace gap from its top monomial (k, c) of c * tau**k, None for a gap of 0."""
+    if top is None:
         return VERDICT_PARABOLIC
-    return VERDICT_SHRINKING if poly[-1][0] < 0 else VERDICT_NOT_SHRINKING
+    return VERDICT_SHRINKING if top[0] < 0 else VERDICT_NOT_SHRINKING
 
 
 @dataclass(frozen=True)
@@ -146,12 +154,13 @@ def sweep(g: Fatgraph, fam: MonomialFamily, curves: CurveSystem | Iterable[EdgeP
         raise DomainError("sweep needs a trivalent graph")
     if len(fam) != g.n_edges:
         raise DomainError("one exponent per edge required")
-    sched = sched or SweepSchedule()
+    sched = sched or _DEFAULT_SCHEDULE
     unit, q = _tau_exponents(fam)
     polys = [(c, _exact_gap_poly(g, q, c)) for c in curves]
     # Abel summation: coefficient sums > 0 from the top down keep a coordinate > 0 for t >= 1
-    slots = ((x, *[q[s] for s in quad]) for x, quad in zip(q, g._edge_quads))
-    unsure = [_coordinate_poly(*xs) for xs in slots if not _abel_positive(*xs)]
+    unsure = [_coordinate_poly(x, q[a], q[b], q[c], q[d])
+              for x, (a, b, c, d) in zip(q, g._edge_quads)
+              if not _abel_positive(x, q[a], q[b], q[c], q[d])]
     p_lo, p_hi = min(q, default=0) / unit, max(q, default=0) / unit
     rows, flags = [], []
     for t in sched.t_values:
@@ -167,8 +176,9 @@ def sweep(g: Fatgraph, fam: MonomialFamily, curves: CurveSystem | Iterable[EdgeP
             if poly and not sys.float_info.min <= abs(gap) <= sys.float_info.max:
                 raise DomainError(f"a nonzero trace gap rounds to {gap:g} at t={t:g}")
             rows.append(SweepRow(t, c, 2.0 + gap, gap, hyp_length_from_gap(gap)))
-    verdicts = tuple((c, _verdict(poly)) for c, poly in polys)
-    leading = tuple((c, _top(poly, unit)) for c, poly in polys)
+    tops = [(c, poly[-1] if poly else None) for c, poly in polys]
+    verdicts = tuple((c, _verdict(top)) for c, top in tops)
+    leading = tuple((c, _leading(top, unit)) for c, top in tops)
     return SweepReport(tuple(rows), tuple(flags), verdicts, leading)
 
 
@@ -188,7 +198,7 @@ def detect_short_curves(g: Fatgraph, fam: MonomialFamily) -> CurveSystem:
             f"candidate screen invalid, condition ({check.condition}): {check.message}")
     curves = screen_boundary(candidate)
     _, q = _tau_exponents(fam)
-    bad = [c for c in curves if _verdict(_exact_gap_poly(g, q, c)) != VERDICT_SHRINKING]
+    bad = [c for c in curves if _verdict(_exact_gap_top(g, q, c)) != VERDICT_SHRINKING]
     if bad:
         raise DomainError(f"exact trace gap of {len(bad)} boundary curve(s) does not decay")
     return curves
@@ -223,7 +233,7 @@ def ij_check(g: Fatgraph, fam: MonomialFamily) -> IJReport:
         raise DomainError("one exponent per edge required")
     divergent = frozenset(e for e in range(g.n_edges) if fam[e] > 0)
     unit, q = _tau_exponents(fam)
-    leading = [(e, _top(_coordinate_poly(x, *[q[s] for s in quad]), unit))
+    leading = [(e, _leading(_coordinate_poly(x, *[q[s] for s in quad])[-1], unit))
                for e, (x, quad) in enumerate(zip(q, g._edge_quads))]
     vanishing = frozenset(e for e, lead in leading if lead.exponent < 0)   # none is identically 0
     notes = [f"edge {g.label(e)}: leading coefficient {lead.coefficient} < 0, "

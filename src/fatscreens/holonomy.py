@@ -42,7 +42,9 @@ a boundary-parallel path (parabolic for all weights, Penner 1987) the gap 0,
 and else rerun over ``mpf`` with digits raised by the measured cancellation,
 as ``terms_at`` does.  Along a monomial family the loop runs over ints packed
 at u = tau**2: by the lemma, |trace| is a Laurent polynomial with coefficients
->= 0 (positivity, Fock and Goncharov 2006) read as ``_exact_gap_poly``'s digits.
+>= 0 (positivity, Fock and Goncharov 2006), its digits.  ``_exact_gap_poly`` decodes
+them all for the rows of a sweep; ``_exact_gap_top`` reads only the top ones, all that a
+verdict needs.
 """
 
 from __future__ import annotations
@@ -200,13 +202,14 @@ def _product(g: Fatgraph, path: EdgePath, rows) -> tuple:
     raise DomainError("path is not efficient")
 
 
-def _exact_gap_poly(g: Fatgraph, q: Sequence[int], path: EdgePath) -> list[tuple[int, int]]:
-    """|trace| - 2 in tau for weights tau**q_e, q_e even, as its monomials (k, c) of c * tau**k,
-    c != 0, sorted by k >= -D.  With s = tau**k, X scaled by tau**|k| is [[0, u**k], [-1, 0]] or
-    [[0, 1], [-u**-k, 0]] in u = tau**2, so ``_product`` over ints packed at u = 2**(n + 1) gives
-    tau**D |trace|, D the sum of the |k|: coefficients >= 0 that sum to the trace at tau = 1 of n
-    factors [[1, 1], [0, 1]] or [[1, 0], [1, 1]].  Of column sums 1 and 2, each takes the entry
-    sum S of the product after it to at most 2S - 1, from 2: the sum stays below 2**(n + 1)."""
+def _packed_trace(g: Fatgraph, q: Sequence[int], path: EdgePath) -> tuple[int, int, int]:
+    """(tau**D |trace| packed at u = 2**bits, bits, D) for weights tau**q_e, q_e even: digit j
+    is the coefficient of tau**(2j - D) in |trace|.  With s = tau**k, X scaled by tau**|k| is
+    [[0, u**k], [-1, 0]] or [[0, 1], [-u**-k, 0]] in u = tau**2, so ``_product`` over ints packed
+    at u = 2**bits, bits = n + 1, gives tau**D |trace|, D the sum of the |k|: coefficients >= 0
+    that sum to the trace at tau = 1 of n factors [[1, 1], [0, 1]] or [[1, 0], [1, 1]].  Of
+    column sums 1 and 2, each takes the entry sum S of the product after it to at most 2S - 1,
+    from 2: the sum stays below 2**bits.  The size is refused before any row is shifted."""
     _check_kernel(g, q)
     _check_steps(g, steps := path.steps)
     bits, rows, degree, table = len(steps) + 1, {}, 0, g._step_table
@@ -219,13 +222,37 @@ def _exact_gap_poly(g: Fatgraph, q: Sequence[int], path: EdgePath) -> list[tuple
     for h, (right, left, k) in rows.items():    # shifted once the size is allowed
         rows[h] = (right, left, 1 << k * bits, -1) if k >= 0 else (right, left, 1, -1 << -k * bits)
     a11, _, _, a22 = _product(g, path, rows)
-    trace, k, poly = abs(a11 + a22), -degree, {0: -2}
+    return abs(a11 + a22), bits, degree
+
+
+def _exact_gap_poly(g: Fatgraph, q: Sequence[int], path: EdgePath) -> list[tuple[int, int]]:
+    """|trace| - 2 in tau for weights tau**q_e, q_e even, as its monomials (k, c) of c * tau**k,
+    c != 0, sorted by k >= -D: the digits of ``_packed_trace``, less 2 at k = 0."""
+    trace, bits, degree = _packed_trace(g, q, path)
+    k, poly = -degree, {0: -2}
     while trace:    # skip each run of zero digits at the lowest set bit
         zeros = ((trace & -trace).bit_length() - 1) // bits
         k, trace = k + 2 * zeros, trace >> zeros * bits
         poly[k] = poly.get(k, 0) + (trace & (1 << bits) - 1)
         k, trace = k + 2, trace >> bits
     return sorted((k, c) for k, c in poly.items() if c)
+
+
+def _exact_gap_top(g: Fatgraph, q: Sequence[int], path: EdgePath) -> tuple[int, int] | None:
+    """``_exact_gap_poly(g, q, path)[-1]``, or None where the gap is 0, read off the top digits
+    of ``_packed_trace`` with no decode.  The top digit c at k = 2j - D, k >= 0 as |trace| >= 2
+    for every tau, is the gap's top less 2 at k = 0; where it is 2 at k = 0, the gap's top is
+    the top digit below it, and a trace of exactly 2 is parabolic."""
+    trace, bits, degree = _packed_trace(g, q, path)
+    j = (trace.bit_length() - 1) // bits
+    k, c = 2 * j - degree, trace >> j * bits
+    if k or c != 2:
+        return k, c - 2 * (not k)
+    trace -= 2 << j * bits      # clear the 2
+    if not trace:
+        return None
+    j = (trace.bit_length() - 1) // bits
+    return 2 * j - degree, trace >> j * bits
 
 
 def terms_at(ks: Sequence[tuple[int, int]], unit: int, t: float) -> float:

@@ -380,7 +380,7 @@ def test_abel_positive_from_six_exponents():
     # monomials does.  Without skipping the negative exponents that positive ones cancel,
     # it would send more edges to the evaluation at t, and never fewer.
     seen = Counter()
-    for xs in product(range(-3, 4), repeat=5):
+    for xs in product(range(-4, 5), repeat=5):
         x, a, b, c, d = xs
         pos, neg = (a - b - x, b - a - x, c - d - x, d - c - x), (x - a - b, x - c - d)
         uncancelled = all(sum(p >= n for p in pos) > sum(m >= n for m in neg) for n in neg)
@@ -570,6 +570,64 @@ def test_gap_leading_matches_reference_property():
         assert_gap_matches_reference(g, fam, path)
 
     check()
+
+
+def assert_top_reads_the_decode(g, fam, curves):
+    """``_exact_gap_top`` equals the top monomial of the whole decoded gap on every curve."""
+    q = asy._tau_exponents(fam)[1]
+    for c in curves:
+        poly = hol._exact_gap_poly(g, q, c)
+        assert hol._exact_gap_top(g, q, c) == (poly[-1] if poly else None), (fam, c)
+
+
+def test_gap_top_reads_the_decode_on_depth_families(genus2, census12):
+    # every screen of genus2, and a seeded sample of census12's 6656, which take about 14 s
+    census_sample = random.Random(12).sample(scn.enumerate_screens(census12), 400)
+    for g, screens in ((genus2, scn.enumerate_screens(genus2)), (census12, census_sample)):
+        pool = essential_curve_pool(g)
+        for s in screens:
+            assert_top_reads_the_decode(g, scn.depth_family(s), [*scn.screen_boundary(s), *pool])
+
+
+def test_gap_top_reads_the_decode_on_rational_families(genus2):
+    pool = essential_curve_pool(genus2)
+    for i, s in enumerate(scn.enumerate_screens(genus2)):
+        depths = scn.depth_family(s).exponents
+        curves = [*scn.screen_boundary(s), *pool]
+        for scale in (Fraction(1, 3), Fraction(5, 6)):     # tau = t**(1/6) and t**(1/12)
+            assert_top_reads_the_decode(genus2, scn.MonomialFamily(tuple(p * scale for p in depths)),
+                                        curves)
+        if i % 64 == 0:     # packed traces of millions of bits
+            fam = scn.MonomialFamily(tuple(p * Fraction(10001, 10000) for p in depths))
+            assert_top_reads_the_decode(genus2, fam, scn.screen_boundary(s))
+
+
+def test_gap_top_edge_cases(theta):
+    curve = ser.parse_curve(theta, "e0+ e1-")
+    # the boundary cycle is parabolic: the top digit is 2 at k = 0, and nothing is below it
+    (cycle,) = fgr.boundary_cycles(theta)
+    assert hol._exact_gap_top(theta, (2, 2, 0), cycle) is None
+    # at constant weights |trace| = 3: the top digit 3 at k = 0 is no 2 to clear
+    assert hol._exact_gap_top(theta, (0, 0, 0), curve) == (0, 1)
+    # |trace| = 2 + tau**-12: the 2 at k = 0 is cleared, then five zero digits skipped
+    trace, bits, degree = hol._packed_trace(theta, (6, 6, 0), curve)
+    assert (trace, bits, degree) == (2 << 6 * bits | 1, 3, 12)
+    assert hol._exact_gap_top(theta, (6, 6, 0), curve) == (-12, 1)
+
+
+def test_detect_refuses_boundary_curves_that_do_not_decay(genus2, monkeypatch):
+    # a screen boundary that gains a pool curve outside it, or a boundary-parallel cycle
+    s = next(s for s in scn.enumerate_screens(genus2) if len(scn.screen_boundary(s)) >= 2)
+    fam, boundary = scn.depth_family(s), scn.screen_boundary(s)
+    outside = next(p for p in essential_curve_pool(genus2) if p not in boundary.curves)
+    (cycle,) = fgr.boundary_cycles(genus2)
+    for extra, verdict in ((outside, asy.VERDICT_NOT_SHRINKING), (cycle, asy.VERDICT_PARABOLIC)):
+        assert asy.sweep(genus2, fam, [extra], asy.SweepSchedule((10.0,))).verdicts[0][1] == verdict
+        curves = fgr.CurveSystem(genus2, (*boundary.curves, extra))
+        monkeypatch.setattr(asy, "screen_boundary", lambda screen: curves)
+        with pytest.raises(DomainError,
+                           match="^exact trace gap of 1 boundary curve\\(s\\) does not decay$"):
+            asy.detect_short_curves(genus2, fam)
 
 
 def test_exact_gap_refuses_before_it_shifts(theta):
