@@ -30,8 +30,11 @@ Newton system is nonsingular in exact arithmetic.  It is kept as the
 Jacobian's 6n cell values on per-end index tables, so no n x n array is
 formed.  Each system J s = resid is scaled once to unit diagonal, D = |diag
 J|**-1/2, and solved by conjugate gradients on -DJD, whose matrix-vector
-product is p plus the four off-diagonal cells of each row; this is Jacobi-
-preconditioned CG on -J, stopped on the scaled residual |D(J s - resid)|.
+product is p plus the four off-diagonal cells of each row, kept as 4 x n
+contiguous rows (slots a, b, c, d).  This is Jacobi-preconditioned CG on
+-J, stopped on |D(J s - resid)|, or on a last step (err**2 < tol) where
+|J s - resid|_inf <= tol / 2 is certain.  The start is the uniform weights
+whose coordinates equal the target's median positive one.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ import sys
 import types
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import DomainError, NonConvergenceError
@@ -89,9 +94,9 @@ class LambdaAssignment(_PerEdge):
     _trace_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if any(not (v > 0) or not math.isfinite(v) for v in self.values):
-            raise DomainError("lambda lengths must be positive finite reals")
         lo, hi = min(self.values, default=1.0), max(self.values, default=1.0)
+        if not (all(map(math.isfinite, self.values)) and lo > 0):
+            raise DomainError("lambda lengths must be positive finite reals")
         object.__setattr__(self, "log2_spread", math.log2(2 * hi / lo) if (
             lo * lo >= sys.float_info.min and hi * hi < math.inf) else math.inf)
         object.__setattr__(self, "_trace_rows", (None, None))
@@ -193,14 +198,14 @@ def simplicial_coords(g: Fatgraph, lam: LambdaAssignment) -> SimplicialCoords:
     _require_trivalent(g)
     _one_weight_per_edge(g, lam)
     w = lam.values
-    vals = []
-    for e, quad in enumerate(g._edge_quads):
-        x = w[e]
-        a, b, c, d = map(w.__getitem__, quad)
-        abx, cdx = a * b * x, c * d * x
-        if not (abx and cdx):      # weights are positive: 0 is an underflow
-            raise DomainError(f"weight products at edge {g.label(e)} underflow to 0")
-        vals.append((a * a + b * b - x * x) / abx + (c * c + d * d - x * x) / cdx)
+    slots = iter(itemgetter(*chain.from_iterable(g._edge_quads))(w))
+    try:
+        vals = [(a * a + b * b - x * x) / (a * b * x) + (c * c + d * d - x * x) / (c * d * x)
+                for x, a, b, c, d in zip(w, slots, slots, slots, slots)]
+    except ZeroDivisionError:   # weights are positive: a product of 0 is an underflow
+        e = next(e for e, (a, b, c, d) in enumerate(g._edge_quads)
+                 if not (w[a] * w[b] * w[e] and w[c] * w[d] * w[e]))
+        raise DomainError(f"weight products at edge {g.label(e)} underflow to 0") from None
     try:
         return SimplicialCoords(tuple(vals))
     except DomainError:     # a square may overflow where the end terms do not
@@ -269,12 +274,12 @@ def in_cell(g: Fatgraph, lam: LambdaAssignment) -> bool:
 def _end_tables(g: Fatgraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Index tables of the Newton system.  End 2e of edge e is its first half in
     ``g.halves`` order, with quad slots a, b; end 2e + 1 is its second, with c, d.
-    Returns each end's first and second slot edge (a or c, b or d), each row's
-    off-diagonal columns (its quad a, b, c, d), and 1.0 for each of those cells
-    but 0.0 where a loop puts it on the diagonal."""
-    quads = np.array(g._edge_quads, dtype=np.intp).reshape(-1, 4)
-    first, second = quads.reshape(-1, 2).T.copy()
-    return first, second, quads, (quads != np.arange(len(quads))[:, None]).astype(float)
+    Returns each end's first and second slot edge (a or c, b or d), the rows'
+    off-diagonal columns as 4 x n rows of slots a, b, c, d, and 1.0 for each of
+    those cells but 0.0 where a loop puts it on the diagonal."""
+    quads = np.fromiter(chain.from_iterable(g._edge_quads), np.intp, 4 * g.n_edges).reshape(-1, 4)
+    (first, second), quads = quads.reshape(-1, 2).T.copy(), quads.T.copy()
+    return first, second, quads, (quads != np.arange(g.n_edges)).astype(float)
 
 
 def _coords_and_jacobian(tables: tuple, lam_vals: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -292,31 +297,34 @@ def _coords_and_jacobian(tables: tuple, lam_vals: np.ndarray) -> tuple[np.ndarra
 
 def _unit_system(tables: tuple, vals: tuple) -> tuple[np.ndarray, np.ndarray, tuple]:
     """(diag J, d = |diag J|**-1/2, the system of -DJD for ``_unit_times``): the
-    cells of -DJD off its diagonal, on the quad columns, with each loop's cell
-    moved into diag J; -DJD has 1 on its diagonal."""
+    cells of -DJD off its diagonal, on the 4 x n quad columns, with each loop's
+    cell moved into diag J; -DJD has 1 on its diagonal."""
     _, _, quads, off_diagonal = tables
     ja, jb, je = vals
-    cells = np.empty(quads.shape)       # J on the quad columns: per end its two slots
-    ends = cells.reshape(-1, 2)
-    ends[:, 0], ends[:, 1] = ja, jb
+    cells = np.empty(quads.shape)       # J on the quad columns: rows a, b, c, d
+    cells[0::2], cells[1::2] = ja.reshape(-1, 2).T, jb.reshape(-1, 2).T
     off = cells * off_diagonal
     ones = np.ones(4)
-    diag = je[0::2] + je[1::2] + (cells - off).dot(ones)
+    diag = je[0::2] + je[1::2] + ones.dot(cells - off)
     d = np.abs(diag) ** -0.5
     off *= d[quads]
-    off *= -d[:, None]
+    off *= -d
     return diag, d, (quads, off, ones)
 
 
 def _unit_times(system: tuple, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """-DJD p: p plus each row's off-diagonal cells times p in their columns."""
     quads, cells, ones = system
-    return np.add((cells * p[quads]).dot(ones), p, out=out)
+    x = p[quads]
+    x *= cells
+    return np.add(ones.dot(x), p, out=out)
 
 
-def _newton_step(tables: tuple, vals: tuple, resid: np.ndarray, forcing: float) -> np.ndarray:
-    """Step s with |D(J s - resid)| <= forcing |D resid|, D = |diag J|**-1/2, or
-    the step after n iterations.
+def _newton_step(tables: tuple, vals: tuple, resid: np.ndarray, forcing: float,
+                 aim: float = 0.0) -> np.ndarray:
+    """Step s with |D(J s - resid)| <= max(forcing |D resid|, aim min(d)), D =
+    diag(d) = |diag J|**-1/2, or the step after n iterations; the second bound
+    gives |J s - resid|_inf <= aim.
 
     Conjugate gradients on -DJD y = -D resid from y = 0, and s = D y: this is CG
     on -J preconditioned by its diagonal (Saad 2003, sec. 9.2) with the scaling
@@ -332,7 +340,7 @@ def _newton_step(tables: tuple, vals: tuple, resid: np.ndarray, forcing: float) 
     np.multiply(d, resid, out=nr)
     np.negative(nr, out=p)
     rr = float(nr.dot(nr))
-    stop = forcing * forcing * rr
+    stop = max(forcing * forcing * rr, (aim * d.min()) ** 2)
     for _ in range(len(resid)):
         _unit_times(system, p, q)
         pq = float(p.dot(q))
@@ -356,11 +364,13 @@ def invert_coords(g: Fatgraph, target: SimplicialCoords, tol: float = 1e-10,
     automatic.  ``_newton_step`` solves each Newton system from the
     Jacobian's 6n cell values, scaled to unit diagonal by D = |diag J|**-1/2,
     to the relative residual |D(J s - resid)| / |D resid| = min(0.1,
-    sqrt(err)), err the largest coordinate residual, but never below 0.5 tol
-    / |resid|_2: a linear residual under tol / 2 is all a step near the
-    solution needs, so it does not oversolve (Eisenstat and Walker 1996;
-    Kelley 1995, ch. 6).  The target must be nonnegative with
-    no vanishing cycle; ``initial`` weights, if given, need one per edge and
+    sqrt(err)), err the largest coordinate residual (Eisenstat and Walker
+    1996; Kelley 1995, ch. 6).  Where err**2 < tol the quadratic remainder is
+    predicted under tol, and the step is solved to |J s - resid|_inf <= tol /
+    2 instead, all it needs.  Without ``initial`` it starts at the uniform
+    weights 2 / m, m the target's median positive coordinate, or at weights 1
+    where those leave double range.  The target must be nonnegative with no
+    vanishing cycle; ``initial`` weights, if given, need one per edge and
     finite coordinates.
     """
     _require_trivalent(g)
@@ -376,10 +386,15 @@ def invert_coords(g: Fatgraph, target: SimplicialCoords, tol: float = 1e-10,
         raise DomainError("one initial weight per edge required")
     x = np.asarray(target.values, dtype=float)
     tables = _end_tables(g)
-    u = np.zeros(g.n_edges) if initial is None else np.log(initial.values)
+    m = np.sort(x[x > 0])       # for 2 / their median; np.median would load numpy.ma (1.6 MB)
     # a trial point may overflow; the line search rejects it without a warning
     with np.errstate(all="ignore"):
+        u = (np.full(g.n_edges, np.log(4 / (m[(len(m) - 1) // 2] + m[len(m) // 2])))
+             if initial is None else np.log(initial.values))
         coords, vals = _coords_and_jacobian(tables, np.exp(u))
+        if initial is None and not np.isfinite(coords).all():    # a median beyond double range
+            u = np.zeros(g.n_edges)
+            coords, vals = _coords_and_jacobian(tables, np.exp(u))
         if not np.isfinite(coords).all():
             raise DomainError("initial weights give non-finite coordinates")
         resid = coords - x
@@ -387,9 +402,9 @@ def invert_coords(g: Fatgraph, target: SimplicialCoords, tol: float = 1e-10,
         for _ in range(200):
             if err <= tol:
                 break
-            # no oversolving: a linear residual of tol / 2 is all the last step needs
-            forcing = max(min(0.1, math.sqrt(err)), 0.5 * tol / np.linalg.norm(resid))
-            step = _newton_step(tables, vals, resid, forcing)
+            # the last step aims its linear residual at tol / 2, and no lower
+            forcing = min(0.1, math.sqrt(err)) if err * err >= tol else 0.0
+            step = _newton_step(tables, vals, resid, forcing, 0.5 * tol)
             for halvings in range(60):
                 u_try = u - 0.5 ** halvings * step
                 coords_try, vals_try = _coords_and_jacobian(tables, np.exp(u_try))

@@ -17,7 +17,7 @@ import pytest
 
 from fatscreens import fatgraph as fgr
 from fatscreens import geometry as geo
-from fatscreens.errors import DomainError
+from fatscreens.errors import DomainError, NonConvergenceError
 
 from conftest import DATA, load, random_in_cell_lambda, random_trivalent
 
@@ -271,6 +271,59 @@ def test_simplicial_coords_past_an_overflowing_square(theta, genus2):
         geo.simplicial_coords(theta, geo.lambda_assignment([1e300, 1e-10, 1]))
 
 
+def loop_coords(g, w):
+    """The coordinates edge by edge, each end's products checked for underflow first."""
+    vals = []
+    for e, (h1, h2) in enumerate(g.edge_halves):
+        x = w[e]
+        a, b = (w[f] for f in sigma_slots(g, h1)[:2])
+        c, d = (w[f] for f in sigma_slots(g, h2)[:2])
+        abx, cdx = a * b * x, c * d * x
+        if not (abx and cdx):
+            raise DomainError(f"weight products at edge {g.label(e)} underflow to 0")
+        vals.append((a * a + b * b - x * x) / abx + (c * c + d * d - x * x) / cdx)
+    return tuple(vals)
+
+
+def test_simplicial_coords_equal_the_edge_loop(trivalent_corpus, census12):
+    rng = random.Random(61)
+    graphs = [*trivalent_corpus.values(), census12,
+              random_trivalent(150, rng), random_trivalent(600, rng)]
+    for g in graphs:
+        for spread in (0.5, 4.0, 60.0):
+            w = [10 ** rng.uniform(-spread, spread) for _ in range(g.n_edges)]
+            assert geo.simplicial_coords(g, geo.lambda_assignment(w)).values == loop_coords(g, w)
+
+
+def test_simplicial_coords_name_the_first_edge_that_underflows(theta, genus2, barbell):
+    rng = random.Random(67)
+    named = set()
+    for g in (theta, genus2, barbell, random_trivalent(150, rng)):
+        for _ in range(10):
+            w = [rng.uniform(0.5, 2.0) for _ in range(g.n_edges)]
+            e = rng.randrange(g.n_edges)
+            for f in (e, g._edge_quads[e][rng.randrange(4)]):
+                w[f] = 1e-170       # a * b * x is 0 where two of these meet
+            with pytest.raises(DomainError) as want:
+                loop_coords(g, w)
+            with pytest.raises(DomainError) as got:
+                geo.simplicial_coords(g, geo.lambda_assignment(w))
+            assert str(got.value) == str(want.value)
+            named.add(str(want.value))
+    assert len(named) > 10
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0])
+def test_lambda_assignment_refuses_a_bad_weight_anywhere(bad):
+    for at in (0, 2, 4):
+        values = [1.0, 2.0, 3.0, 4.0, 5.0]
+        values[at] = bad
+        with pytest.raises(DomainError, match="^lambda lengths must be positive finite reals$"):
+            geo.LambdaAssignment(tuple(values))
+        with pytest.raises(DomainError, match="^lambda lengths must be positive finite reals$"):
+            geo.lambda_assignment(values)
+
+
 # -- inversion ----------------------------------------------------------------------
 
 def test_invert_symmetric_target(theta):
@@ -453,9 +506,18 @@ def unit_system(jac):
 
 
 def test_cell_product_matches_dense_product(newton_graphs):
+    # small random graphs add many loops (a cell moved onto the diagonal) and parallel
+    # edges (two cells in one column of a row) to the corpus
+    small_rng = random.Random(61)
+    small = [random_trivalent(n, small_rng) for n in (3, 6, 9, 12) * 10]
     rng = random.Random(59)
-    for g in newton_graphs.values():
+    loops = parallels = 0
+    for g in [*newton_graphs.values(), *small]:
+        ends = [tuple(sorted(g.vertex_of(h) for h in g.halves(e))) for e in range(g.n_edges)]
+        loops += sum(u == v for u, v in ends)
+        parallels += len(ends) - len(set(ends))
         tables = geo._end_tables(g)
+        assert tables[2].shape == (4, g.n_edges) and tables[2].flags.c_contiguous
         for _ in range(3):
             lam = np.exp([rng.uniform(-3.0, 3.0) for _ in range(g.n_edges)])
             p = np.array([rng.uniform(-1.0, 1.0) for _ in range(g.n_edges)])
@@ -463,6 +525,30 @@ def test_cell_product_matches_dense_product(newton_graphs):
             want = unit_system(dense_jacobian(tables, vals))[1] @ p
             got = geo._unit_times(geo._unit_system(tables, vals)[2], p)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * np.abs(want).max())
+    assert loops > 10 and parallels > 10
+
+
+def test_newton_step_meets_its_unscaled_aim(newton_graphs, monkeypatch):
+    # with forcing 0 the step's CG stops where |D(J s - r)| <= aim min(d), so |J s - r|_inf
+    # <= aim, unless it runs out of its n iterations (here only random30 at aim 1e-9)
+    products = []
+    unit_times = geo._unit_times
+    monkeypatch.setattr(geo, "_unit_times", lambda *args: products.append(1) or unit_times(*args))
+    rng = random.Random(73)
+    met = 0
+    for g in newton_graphs.values():
+        tables = geo._end_tables(g)
+        for aim in (1e-6, 1e-9):
+            lam = np.exp([rng.uniform(-2.0, 2.0) for _ in range(g.n_edges)])
+            resid = np.array([rng.uniform(-1e-3, 1e-3) for _ in range(g.n_edges)])
+            vals = geo._coords_and_jacobian(tables, lam)[1]
+            products.clear()
+            step = geo._newton_step(tables, vals, resid, 0.0, aim)
+            if np.max(np.abs(dense_jacobian(tables, vals) @ step - resid)) <= aim:
+                met += 1
+            else:
+                assert len(products) == g.n_edges
+    assert met >= 2 * len(newton_graphs) - 1
 
 
 def test_newton_step_meets_its_scaled_bound(newton_graphs, monkeypatch):
@@ -554,6 +640,64 @@ def test_invert_forest_zero_targets_at_scale():
         lam = geo.invert_coords(g, target, tol=tol)
         got = geo.simplicial_coords(g, lam)
         assert max(abs(x - y) for x, y in zip(got.values, target.values)) <= 10 * tol
+
+
+def test_invert_aims_its_last_step_at_tol(monkeypatch):
+    # where err**2 < tol the step's linear residual is aimed at tol / 2, unscaled, so few
+    # inversions start one more step at a residual of at most 10 tol.  On these 40 targets
+    # the parent, which stopped the last step on the scaled residual and started at u = 0,
+    # had 12 such inversions and 10.6 steps on average; this code measures 8 and 9.0.  The
+    # aim also stops CG: 139 products per inversion, 267 if the last steps ran CG to the end.
+    rng = random.Random(83)
+    tol = 1e-10
+    newton_step, unit_times = geo._newton_step, geo._unit_times
+    starts, products = [], []
+
+    def recorded(tables, vals, resid, forcing, aim):
+        step = newton_step(tables, vals, resid, forcing, aim)
+        err = np.max(np.abs(resid))
+        starts[-1].append(err)
+        if err * err < tol:
+            assert forcing == 0.0 and aim == 0.5 * tol
+            assert np.max(np.abs(dense_jacobian(tables, vals) @ step - resid)) <= 0.5 * tol
+        return step
+
+    monkeypatch.setattr(geo, "_newton_step", recorded)
+    monkeypatch.setattr(geo, "_unit_times", lambda *args: products.append(1) or unit_times(*args))
+    for _ in range(40):
+        g = random_trivalent(150, rng)
+        target = random_forest_target(g, rng)
+        starts.append([])
+        geo.invert_coords(g, target, tol=tol)
+    late = sum(any(err <= 10 * tol for err in errs) for errs in starts)
+    assert late <= 8
+    assert sum(map(len, starts)) / len(starts) <= 9.0
+    assert len(products) <= 140 * len(starts)
+
+
+def test_invert_starts_at_the_median_scale(theta, monkeypatch):
+    # uniform weights c give every coordinate 2 / c: c = 2 / the median positive coordinate
+    seen = []
+    coords_and_jacobian = geo._coords_and_jacobian
+    monkeypatch.setattr(geo, "_coords_and_jacobian",
+                        lambda tables, lam: seen.append(lam) or coords_and_jacobian(tables, lam))
+    geo.invert_coords(theta, geo.simplicial([0.0, 1.0, 3.0]))
+    assert list(seen[0]) == [1.0] * 3
+    seen.clear()
+    lam = geo.invert_coords(theta, geo.simplicial([4.0, 4.0, 4.0]))
+    assert len(seen) == 1 and lam.values == (0.5,) * 3
+
+
+def test_invert_starts_at_weights_1_where_the_median_scale_leaves_double_range(theta):
+    ones = geo.lambda_assignment([1, 1, 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # 2 / 1e-310 overflows: from weights 1 the coordinates fall within tol of the target
+        tiny = geo.simplicial([1e-310] * 3)
+        assert geo.invert_coords(theta, tiny) == geo.invert_coords(theta, tiny, initial=ones)
+        # weights 2e-300 give non-finite coordinates; the target is out of reach from 1 too
+        with pytest.raises(NonConvergenceError, match="^inversion stalled at residual 1.000e[+]300"):
+            geo.invert_coords(theta, geo.simplicial([1e300] * 3))
 
 
 def test_invert_allocates_no_dense_matrix():
