@@ -39,6 +39,7 @@ class EdgePath:
     """A closed edge-path as a cyclic tuple of departing half-edges."""
 
     steps: tuple[int, ...]
+    _plan = (None, None)    # (step table, trace plan) of the last graph traced: no field
 
     def __len__(self) -> int:
         return len(self.steps)

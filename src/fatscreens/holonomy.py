@@ -21,13 +21,14 @@ and packed ints.  Each step applies its turn and X in one closed-form update
 (a21 - a22) s)); the other entries being 0 and +-1, these round exactly like
 full 2x2 products.  The update assigns the four entries in place, each after
 the last read of its old value, so every operation rounds once, on the same
-operands as in the full products.  The loop runs over a per-weights step
-table whose row for each step holds the two turns out of its arrival, its s
-and -1/s.  A step that is neither turn breaks the path or backtracks, and only
-such a path is checked, to name its fault; a backtrack is refused as not
-efficient.  Each s is computed once per table, not once per visit; the float
-table is kept on the weights for the last graph they traced, the ``mpf`` one
-holds the path's steps.
+operands as in the full products.  The loop runs over the path's plan, its
+steps each with its turn, made once per graph and kept on the path for the last
+graph it traced.  Making the plan is the path check: a step that is neither
+turn out of the previous arrival breaks the path or backtracks, and the path
+is refused with its fault named, a backtrack as not efficient.  Each step's s
+and -1/s come from a per-weights row table, computed once per table, not once
+per visit; the float table is a list by half-edge id, kept on the weights for
+the last graph they traced, the ``mpf`` one holds the path's steps.
 
 On an efficient path the product never cancels: with J = diag(1, -1),
 J R X J = -[[1/s, s], [0, s]] and J L X J = [[1/s, 0], [1/s, s]], so each
@@ -64,6 +65,7 @@ mpmath = _lazy_import("mpmath")     # only the sums and traces that leave float 
 LEFT = "L"
 RIGHT = "R"
 
+_EPS = sys.float_info.epsilon   # twice the unit roundoff of a double
 TRACE_RTOL = 1e-13           # relative error certified for every returned |trace| and gap
 EXACT_BITS_MAX = 2 ** 24     # packed exact traces grow with the exponent denominators
 
@@ -137,69 +139,79 @@ def _check_kernel(g: Fatgraph, w: Sequence) -> None:
 
 
 def _step_rows(g: Fatgraph, w: Sequence, sqrt, halves: Iterable[int]) -> dict[int, tuple]:
-    """Row h of the product for each half-edge h in ``halves``: (the right and left turns out
-    of its arrival, s, -1/s) with s = sqrt(ac/bd) in the scalar type of ``w``."""
+    """Row h for each half-edge h in ``halves``: (s, -1/s), s = sqrt(ac/bd) in the type of w."""
     _check_kernel(g, w)
     table, rows = g._step_table, {}
     for h in halves:
-        right, left, a, b, c, d = table[h]
+        _, _, a, b, c, d = table[h]
         s = sqrt((w[a] * w[c]) / (w[b] * w[d]))
-        rows[h] = right, left, s, -1 / s
+        rows[h] = s, -1 / s
     return rows
 
 
-def _float_rows(g: Fatgraph, lam: LambdaAssignment) -> dict[int, tuple]:
-    """Float rows of every half-edge, kept on ``lam`` for the last graph it traced."""
+def _float_rows(g: Fatgraph, lam: LambdaAssignment) -> list[tuple]:
+    """Float rows of all half-edges, a list by id, kept on ``lam`` for the last graph it traced."""
     graph, rows = lam._trace_rows
     if graph is not g:
         try:
-            rows = _step_rows(g, lam.values, math.sqrt, range(g.n_half_edges))
+            rows = [*_step_rows(g, lam.values, math.sqrt, range(g.n_half_edges)).values()]
         except ZeroDivisionError:   # a weight product or a cross ratio underflows to 0
             rows = None
         # or one overflows: s = inf, or inf / inf = nan
-        if rows is None or not all(row[2] < math.inf for row in rows.values()):
+        if rows is None or not all(row[0] < math.inf for row in rows):
             raise DomainError("a cross ratio of these weights is beyond double range")
         object.__setattr__(lam, "_trace_rows", (g, rows))
     return rows
 
 
+def _plan(g: Fatgraph, path: EdgePath) -> tuple[tuple[int, bool], ...]:
+    """The path's steps h on g, each with whether it turns right out of the previous arrival,
+    kept on the path with g's step table, all it depends on: the path keeps no graph alive.  A
+    step that is neither turn breaks the path or backtracks: such a path is refused, with
+    nothing kept, by its first bad id, else its first break, else as not efficient."""
+    steps, table, plan = path.steps, g._step_table, []
+    try:
+        right, left, _, _, _, _ = table[steps[-1]]  # a negative last step fails at its turn
+        for h in steps:
+            if h == right:
+                plan.append((h, True))
+            elif h == left:
+                plan.append((h, False))
+            else:
+                raise KeyError(h)
+            right, left, _, _, _, _ = table[h]
+    except (IndexError, KeyError):          # or the path has no steps, or its last is no id
+        _check_steps(g, steps)
+        _check_joins(g, steps)
+        raise DomainError("path is not efficient") from None
+    object.__setattr__(path, "_plan", (table, plan := tuple(plan)))
+    return plan
+
+
 def _product(g: Fatgraph, path: EdgePath, rows) -> tuple:
-    """Entries of T_1 X_1 T_2 X_2 ... from the ``_step_rows`` of the path's steps.
+    """Entries of T_1 X_1 T_2 X_2 ... from the path's ``_plan`` on g and its steps' rows (s, -1/s).
 
     Each step applies its turn and X in one update, the same operations in the same order
     as the turn's column update followed by X's, so it rounds like that pair in every scalar
     type.  It writes the entries in place, with no tuple per step, each after the last read of
     its old value: a right turn sets a12 before it scales a11 and a22 before a21, a left turn
-    a11 before it scales a12 and a21 before a22.  The loop is the path check: a step is taken
-    only as a right or left turn out of the previous arrival, and only a path that fails it is
-    checked, to name its fault.
+    a11 before it scales a12 and a21 before a22.
     """
-    steps = path.steps
-    try:
-        right, left = rows[steps[-1]][:2]
-        a11, a12, a21, a22 = 1, 0, 0, 1     # ints: exact in every scalar type
-        for h in steps:
-            if h == right:
-                right, left, s, inv = rows[h]
-                a12 = (a11 - a12) * s
-                a11 *= inv
-                a22 = (a21 - a22) * s
-                a21 *= inv
-            elif h == left:
-                right, left, s, inv = rows[h]
-                a11 = (a12 - a11) * inv
-                a12 *= s
-                a21 = (a22 - a21) * inv
-                a22 *= s
-            else:
-                raise KeyError(h)           # the path breaks or backtracks here
-    except (IndexError, KeyError):          # or it has no steps, or its last is no id
-        pass
-    else:
-        return a11, a12, a21, a22
-    _check_steps(g, steps)                  # names the first bad id, else the first break
-    _check_joins(g, steps)
-    raise DomainError("path is not efficient")
+    table, plan = path._plan
+    a11, a12, a21, a22 = 1, 0, 0, 1     # ints: exact in every scalar type
+    for h, right in plan if table is g._step_table else _plan(g, path):
+        s, inv = rows[h]
+        if right:
+            a12 = (a11 - a12) * s
+            a11 *= inv
+            a22 = (a21 - a22) * s
+            a21 *= inv
+        else:
+            a11 = (a12 - a11) * inv
+            a12 *= s
+            a21 = (a22 - a21) * inv
+            a22 *= s
+    return a11, a12, a21, a22
 
 
 def _packed_trace(g: Fatgraph, q: Sequence[int], path: EdgePath) -> tuple[int, int, int]:
@@ -209,18 +221,19 @@ def _packed_trace(g: Fatgraph, q: Sequence[int], path: EdgePath) -> tuple[int, i
     at u = 2**bits, bits = n + 1, gives tau**D |trace|, D the sum of the |k|: coefficients >= 0
     that sum to the trace at tau = 1 of n factors [[1, 1], [0, 1]] or [[1, 0], [1, 1]].  Of
     column sums 1 and 2, each takes the entry sum S of the product after it to at most 2S - 1,
-    from 2: the sum stays below 2**bits.  The size is refused before any row is shifted."""
+    from 2: the sum stays below 2**bits.  The path, then the size, is checked before any shift."""
     _check_kernel(g, q)
-    _check_steps(g, steps := path.steps)
-    bits, rows, degree, table = len(steps) + 1, {}, 0, g._step_table
+    if path._plan[0] is not g._step_table:
+        _plan(g, path)      # the path's check, before its size
+    bits, rows, degree, table = len(steps := path.steps) + 1, {}, 0, g._step_table
     for h in steps:
-        right, left, a, b, c, d = table[h]
+        _, _, a, b, c, d = table[h]
         degree += abs(k := (q[a] + q[c] - q[b] - q[d]) // 2)
-        rows[h] = right, left, k
+        rows[h] = k
     if (size := bits * (degree + 1)) > EXACT_BITS_MAX:
         raise DomainError(f"exact trace gap needs {size} bits, over {EXACT_BITS_MAX}")
-    for h, (right, left, k) in rows.items():    # shifted once the size is allowed
-        rows[h] = (right, left, 1 << k * bits, -1) if k >= 0 else (right, left, 1, -1 << -k * bits)
+    for h, k in rows.items():   # shifted once the size is allowed
+        rows[h] = (1 << k * bits, -1) if k >= 0 else (1, -1 << -k * bits)
     a11, _, _, a22 = _product(g, path, rows)
     return abs(a11 + a22), bits, degree
 
@@ -326,16 +339,17 @@ def hyp_length_from_gap(gap: float) -> float:
 
 def _abs_trace_minus(g: Fatgraph, lam: LambdaAssignment, path: EdgePath, offset: int) -> float:
     """|trace| - offset within ``TRACE_RTOL`` as the module docstring derives, or refused."""
-    if lam._trace_rows[0] is not g:     # else the kernel was checked when the rows were built
+    graph, rows = lam._trace_rows
+    if graph is not g:     # else the kernel was checked when the rows were built
         _check_kernel(g, lam.values)
     n = len(path.steps)
     tr, gap, err, digits = 1.0, 0.0, 1.0, 0
     # weight products lie in [lo**2, hi**2], their quotients and nonzero entries within
     # (2 hi / lo)**+-(n + 1): the float pass runs only where all of these are normal
     if (n + 1) * lam.log2_spread < 1000:
-        a11, _, _, a22 = _product(g, path, _float_rows(g, lam))
+        a11, _, _, a22 = _product(g, path, rows if graph is g else _float_rows(g, lam))
         tr = abs(a11 + a22)
-        gap, err = tr - offset, (6 * n + 2) * sys.float_info.epsilon * tr
+        gap, err = tr - offset, (6 * n + 2) * _EPS * tr
         if err <= TRACE_RTOL * abs(gap):
             return gap
     if is_boundary_parallel(g, path):

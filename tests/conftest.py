@@ -163,11 +163,13 @@ def essential_curve_pool(g: fgr.Fatgraph) -> list[fgr.EdgePath]:
     return [pool[k] for k in sorted(pool)]
 
 
-def two_update_product(path: fgr.EdgePath, rows, allow_backtrack: bool = False) -> tuple:
-    """The trace kernel as two updates per step: the turn's column update, then X's.  With
-    ``allow_backtrack`` a step that is neither turn, on a closed path the backtrack, turns by
-    the identity, which keeps |trace|."""
-    right, left = rows[path.steps[-1]][:2]
+def two_update_product(g: fgr.Fatgraph, path: fgr.EdgePath, rows,
+                       allow_backtrack: bool = False) -> tuple:
+    """The trace kernel as two updates per step: the turn's column update, then X's, with the
+    turns read from ``g._step_table`` and (s, -1/s) from ``rows``.  With ``allow_backtrack`` a
+    step that is neither turn, on a closed path the backtrack, turns by the identity, which
+    keeps |trace|."""
+    right, left = g._step_table[path.steps[-1]][:2]
     a11, a12, a21, a22 = 1, 0, 0, 1
     for h in path.steps:
         if h == right:
@@ -176,7 +178,8 @@ def two_update_product(path: fgr.EdgePath, rows, allow_backtrack: bool = False) 
             a11, a12, a21, a22 = a12, a12 - a11, a22, a22 - a21
         else:
             assert allow_backtrack
-        right, left, s, inv = rows[h]
+        right, left = g._step_table[h][:2]
+        s, inv = rows[h]
         a11, a12, a21, a22 = a12 * inv, a11 * s, a22 * inv, a21 * s
     return a11, a12, a21, a22
 
@@ -186,7 +189,7 @@ def per_step_product(g: fgr.Fatgraph, path: fgr.EdgePath, w, sqrt,
     """The two-update kernel with s and -1/s computed at every step from the quad slots."""
     rows = {}
     for h in path.steps:
-        right, left, a, b, c, d = g._step_table[h]
+        _, _, a, b, c, d = g._step_table[h]
         s = sqrt((w[a] * w[c]) / (w[b] * w[d]))
-        rows[h] = right, left, s, -1 / s
-    return two_update_product(path, rows, allow_backtrack)
+        rows[h] = s, -1 / s
+    return two_update_product(g, path, rows, allow_backtrack)

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import itertools
 import json
 import math
 import random
+import weakref
 from dataclasses import astuple
 from fractions import Fraction
 
@@ -461,12 +464,12 @@ def test_in_cell_traces_stay_in_float(trivalent_corpus, monkeypatch):
 # -- per-weights step rows -----------------------------------------------------
 
 def packed_rows(g, q, path):
-    """``_exact_gap_poly``'s int rows of the path's steps for even exponents q."""
+    """``_packed_trace``'s int rows of the path's steps for even exponents q."""
     bits, rows = len(path.steps) + 1, {}
     for h in path.steps:
-        right, left, a, b, c, d = g._step_table[h]
+        _, _, a, b, c, d = g._step_table[h]
         k = (q[a] + q[c] - q[b] - q[d]) // 2
-        rows[h] = (right, left, 1 << k * bits, -1) if k >= 0 else (right, left, 1, -1 << -k * bits)
+        rows[h] = (1 << k * bits, -1) if k >= 0 else (1, -1 << -k * bits)
     return rows
 
 
@@ -488,8 +491,10 @@ def test_step_rows_match_per_step_formula(trivalent_corpus, generated_trivalent,
             w = [mpmath.mpf(v) for v in values]
             mp_rows = hol._step_rows(census12, w, mpmath.sqrt, range(census12.n_half_edges))
             for p in curves:
-                assert bits(hol._product(census12, p, rows)) == bits(two_update_product(p, rows))
-                assert hol._product(census12, p, mp_rows) == two_update_product(p, mp_rows)
+                assert bits(hol._product(census12, p, rows)) == bits(
+                    two_update_product(census12, p, rows))
+                assert hol._product(census12, p, mp_rows) == two_update_product(
+                    census12, p, mp_rows)
     rng, exponents = random.Random(71), random.Random(72)
     count = 0
     graphs = [(g, essential_curve_pool(g)[:12]) for g in trivalent_corpus.values()]
@@ -501,7 +506,7 @@ def test_step_rows_match_per_step_formula(trivalent_corpus, generated_trivalent,
             q = [2 * exponents.randint(-3, 3) for _ in range(g.n_edges)]
             for p in pool + [closed_walk(g, rng) for _ in range(8)]:
                 rows = packed_rows(g, q, p)
-                assert hol._product(g, p, rows) == two_update_product(p, rows)
+                assert hol._product(g, p, rows) == two_update_product(g, p, rows)
                 want = per_step_product(g, p, lam.values, math.sqrt)
                 assert bits(hol._product(g, p, hol._float_rows(g, lam))) == bits(want)
                 assert bits(astuple(hol.holonomy(g, lam, p))) == bits(want)
@@ -560,6 +565,143 @@ def test_kernel_faults_are_refused_after_a_trace(fault, theta):
         with pytest.raises(DomainError) as err:
             entry(g, lam, path)
         assert str(err.value) == message
+
+
+def test_plan_follows_the_graph(genus2, monkeypatch):
+    """The pool curves of genus2 and of a flip of it, traced alternately on both graphs, give
+    the traces and the refusals of fresh paths with the same steps; a path's plan is made once
+    per switch of graph, and a refused path keeps the plan it had."""
+    flipped = fgr.whitehead_move(genus2, genus2.edge_by_label("a")).graph
+    pool = {p.steps: p for g in (genus2, flipped) for p in essential_curve_pool(g)}
+    pool = [pool[k] for k in sorted(pool)]
+    lam = random_in_cell_lambda(genus2, random.Random(74))
+    made = []
+    plan = hol._plan
+    monkeypatch.setattr(hol, "_plan", lambda g, p: (plan(g, p), made.append(g))[0])
+
+    def traces(g, p):
+        try:
+            return (hol.abs_trace_of_path(g, lam, p), hol.trace_gap_of_path(g, lam, p),
+                    hol.holonomy(g, lam, p))
+        except DomainError as err:
+            return str(err)
+
+    refused = set()
+    for _ in range(3):
+        for g in (genus2, flipped):
+            made.clear()
+            stale = sum(p._plan[0] is not g._step_table for p in pool)
+            for p in pool:
+                kept = p._plan
+                got = traces(g, p)
+                assert got == traces(g, fgr.EdgePath(p.steps))
+                if isinstance(got, str):
+                    refused.add((g, p.steps))
+                    assert p._plan == kept and kept[0] is not g._step_table
+                else:
+                    assert p._plan[0] is g._step_table
+            n_refused = sum(h is g for h, _ in refused)
+            assert made == [g] * (stale - n_refused + len(pool) - n_refused)
+    assert 0 < len(refused) < len(pool)
+
+
+def efficient_loop(g, k):
+    """An efficient closed path of k distinct steps on g, or None."""
+    for h in range(g.n_half_edges):
+        for turns in itertools.product((0, 1), repeat=k - 1):
+            steps = [h]
+            for t in turns:
+                steps.append(g._step_table[steps[-1]][t])
+            path = fgr.EdgePath(tuple(steps))
+            if len(set(steps)) == k and public_message(g, path) is None:
+                return path
+    return None
+
+
+def relabelled(g, path, steps):
+    """g with its half-edges renamed so that ``path``, of distinct steps, reads ``steps``."""
+    name = dict(zip(path.steps, steps))
+    rest = iter(sorted(set(range(g.n_half_edges)) - set(steps)))
+    name.update((h, next(rest)) for h in range(g.n_half_edges) if h not in name)
+    return fgr.Fatgraph(tuple(tuple(name[h] for h in cyc) for cyc in g.vertex_cycles),
+                        tuple((name[a], name[b]) for a, b in g.edge_halves), g.edge_labels)
+
+
+@pytest.mark.parametrize("entry", KERNEL_ENTRIES)
+@pytest.mark.parametrize("fault", KERNEL_FAULTS)
+def test_refused_paths_keep_no_plan(fault, entry, mercedes, genus2):
+    """A refused path keeps no plan: every route refuses it twice with the same message, also
+    after its steps traced on a graph where they are an efficient loop, and keeps the plan of
+    that graph.  A path with a plan is equal, hash-equal and repr-equal to a fresh one."""
+    name, steps, message = KERNEL_FAULTS[fault]
+    g = load(name)
+    path = fgr.boundary_cycles(g)[0] if steps is None else fgr.EdgePath(steps)
+    if steps is None and entry == "sweep":
+        message = "sweep needs a trivalent graph"
+    k = len(path)
+    others = [relabelled(h, loop, path.steps) for h in (mercedes, genus2)
+              if k and 0 <= min(path.steps) and max(path.steps) < h.n_half_edges
+              and len(set(path.steps)) == k and (loop := efficient_loop(h, k))]
+    runs = [(path, None)] + [(fgr.EdgePath(path.steps), other) for other in others[:1]]
+    assert len(runs) == 2 or fault in ("empty", "invalid_last", "negative_last")
+    for p, kept in runs:
+        if kept:
+            assert hol.abs_trace_of_path(kept, ones(kept), p) >= 2
+            assert p._plan[0] is getattr(kept, "_step_table", None)
+        for _ in range(2):
+            with pytest.raises(DomainError) as err:
+                KERNEL_ENTRIES[entry](g, p)
+            assert str(err.value) == message
+            assert p._plan[0] is getattr(kept, "_step_table", None)
+        fresh = fgr.EdgePath(p.steps)
+        assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
+
+
+def test_traced_graph_is_freed_without_the_collector():
+    """Plans kept on the faces of a graph's member table, traced by detection, a sweep and
+    the float routes, hold no reference to the graph: once its last reference goes it is
+    freed by reference counting alone."""
+    g = fgr.parse_fatgraph((DATA / "genus2.fg").read_text())
+    lam = ones(g)
+    for s in scn.enumerate_screens(g)[:12]:
+        fam = scn.depth_family(s)
+        faces = scn.screen_boundary(s)
+        assert asy.detect_short_curves(g, fam).curves == faces.curves
+        asy.sweep(g, fam, faces)
+        for face in faces:
+            assert hol.abs_trace_of_path(g, lam, face) >= 2
+            assert face._plan[0] is g._step_table
+    freed = weakref.ref(g)
+    gc.collect()
+    gc.disable()
+    try:
+        del g, lam, s, fam, faces, face
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("fault", [f for f, (name, _, _) in KERNEL_FAULTS.items()
+                                   if name == "theta.fg"])
+def test_exact_routes_name_the_fault_before_the_size(fault, theta):
+    """On theta with q = (10**8, 0, 0) an efficient path needs more than ``EXACT_BITS_MAX``
+    bits, but a faulty one is refused for its fault on every exact route, as on the float
+    routes."""
+    _, steps, message = KERNEL_FAULTS[fault]
+    fam = scn.monomial_family([5 * 10 ** 7, 0, 0])
+    unit, q = asy._tau_exponents(fam)
+    assert q == [10 ** 8, 0, 0]
+    routes = (lambda p: hol._packed_trace(theta, q, p), lambda p: asy.sweep(theta, fam, [p]),
+              lambda p: asy._gap_leading(theta, fam, p))
+    for path, want in ((fgr.EdgePath((0, 4)), "exact trace gap needs 300000003 bits, over "
+                        f"{hol.EXACT_BITS_MAX}"), (fgr.EdgePath(steps), message)):
+        for route in routes:
+            with pytest.raises(DomainError) as err:
+                route(path)
+            assert str(err.value) == want
+    with pytest.raises(DomainError) as err:
+        hol.trace_gap_of_path(theta, ones(theta), fgr.EdgePath(steps))
+    assert str(err.value) == message
 
 
 def test_parabolic_traces_are_exact(genus2):
