@@ -161,12 +161,12 @@ def sweep(g: Fatgraph, fam: MonomialFamily, curves: CurveSystem | Iterable[EdgeP
     unsure = [_coordinate_poly(x, q[a], q[b], q[c], q[d])
               for x, (a, b, c, d) in zip(q, g._edge_quads)
               if not _abel_positive(x, q[a], q[b], q[c], q[d])]
-    p_lo, p_hi = min(q, default=0) / unit, max(q, default=0) / unit
+    q_lo, q_hi = min(q, default=0), max(q, default=0)
     rows, flags = [], []
     for t in sched.t_values:
         try:    # t >= 1: the least and largest exponents give the least and largest weights
-            in_range = float(t) ** p_lo > 0 and float(t) ** p_hi < math.inf
-        except OverflowError:
+            in_range = float(t) ** (q_lo / unit) > 0 and float(t) ** (q_hi / unit) < math.inf
+        except OverflowError:   # or an exponent is beyond double range
             in_range = False
         if not in_range:
             evaluate_family(fam, t)     # names the first weight beyond double range

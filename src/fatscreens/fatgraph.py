@@ -39,7 +39,7 @@ class EdgePath:
     """A closed edge-path as a cyclic tuple of departing half-edges."""
 
     steps: tuple[int, ...]
-    _plan = (None, None)    # (step table, trace plan) of the last graph traced: no field
+    _plan = (None, None)    # (slot table, trace plan) of the last graph traced: no field
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -158,20 +158,10 @@ class Fatgraph:
                 edge_of[sigma[h2]], edge_of[sigma[sigma[h2]]])
 
     @cached_property
-    def _step_table(self) -> tuple[tuple[int, ...], ...]:
-        """Row h for the trace kernel: (the right and left turns out of h's
-        arrival, the edges in h's quad slots a, b, c, d).  On a trivalent graph
-        the two turns are the only steps of an efficient path that can follow
-        h.  Built on first use: most graphs never trace."""
-        sigma = self._sigma
-        return tuple((sigma[back], sigma[sigma[back]], *self._quad(h))
-                     for h, back in enumerate(self._iota))
-
-    @cached_property
     def _edge_quads(self) -> tuple[tuple[int, int, int, int], ...]:
-        """Row e: ``_quad`` of edge e's first half, for the per-edge coordinate
-        formulas.  Four ints per edge, against ``_step_table``'s six per
-        half-edge, keep graphs that are only inverted small."""
+        """Row e: ``_quad`` of edge e's first half, the slot table of the per-edge
+        coordinates and trace rows (the second half's quad is (c, d, a, b)); its
+        identity keys the trace plans and rows kept on paths and weights."""
         return tuple(self._quad(h) for h, _ in self.edge_halves)
 
     _members = cached_property(lambda self: {})     # screens' member table, filled on use

@@ -90,7 +90,7 @@ class LambdaAssignment(_PerEdge):
     # log2(2 hi / lo) of the least and largest weights lo, hi where lo**2 and hi**2 are normal,
     # else inf: the trace's range test for its float pass reads it once per path
     log2_spread: float = field(init=False, repr=False, compare=False)
-    # (graph, its float step rows): the trace kernel's table for the last graph traced
+    # (slot table, float rows by edge) of the last graph traced: the trace kernel's rows
     _trace_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

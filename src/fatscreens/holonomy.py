@@ -22,13 +22,13 @@ and packed ints.  Each step applies its turn and X in one closed-form update
 full 2x2 products.  The update assigns the four entries in place, each after
 the last read of its old value, so every operation rounds once, on the same
 operands as in the full products.  The loop runs over the path's plan, its
-steps each with its turn, made once per graph and kept on the path for the last
-graph it traced.  Making the plan is the path check: a step that is neither
-turn out of the previous arrival breaks the path or backtracks, and the path
-is refused with its fault named, a backtrack as not efficient.  Each step's s
-and -1/s come from a per-weights row table, computed once per table, not once
-per visit; the float table is a list by half-edge id, kept on the weights for
-the last graph they traced, the ``mpf`` one holds the path's steps.
+steps as (edge, turn) pairs, made once per graph: a step that is neither turn
+out of the previous arrival breaks the path or backtracks, and the path is
+refused with its fault named, a backtrack as not efficient.  Both directions of
+an edge have one s (its second half reads the quad as (c, d, a, b); Penner
+1987), so s and -1/s come from per-weights rows by edge id, the float ones a
+list.  Plans and float rows are kept on the path and the weights, keyed by the
+slot table ``_edge_quads`` of the last graph they traced.
 
 On an efficient path the product never cancels: with J = diag(1, -1),
 J R X J = -[[1/s, s], [0, s]] and J L X J = [[1/s, 0], [1/s, s]], so each
@@ -138,58 +138,60 @@ def _check_kernel(g: Fatgraph, w: Sequence) -> None:
     _one_weight_per_edge(g, w)
 
 
-def _step_rows(g: Fatgraph, w: Sequence, sqrt, halves: Iterable[int]) -> dict[int, tuple]:
-    """Row h for each half-edge h in ``halves``: (s, -1/s), s = sqrt(ac/bd) in the type of w."""
-    _check_kernel(g, w)
-    table, rows = g._step_table, {}
-    for h in halves:
-        _, _, a, b, c, d = table[h]
+def _edge_rows(g: Fatgraph, w: Sequence, sqrt, edges: Iterable[int]) -> dict[int, tuple]:
+    """Row e for each edge e in ``edges``: (s, -1/s), s = sqrt(ac/bd) in the type of w, for both
+    halves of e, as the second reads its quad slots as (c, d, a, b) and products commute."""
+    quads, rows = g._edge_quads, {}
+    for e in edges:
+        a, b, c, d = quads[e]
         s = sqrt((w[a] * w[c]) / (w[b] * w[d]))
-        rows[h] = s, -1 / s
+        rows[e] = s, -1 / s
     return rows
 
 
 def _float_rows(g: Fatgraph, lam: LambdaAssignment) -> list[tuple]:
-    """Float rows of all half-edges, a list by id, kept on ``lam`` for the last graph it traced."""
-    graph, rows = lam._trace_rows
-    if graph is not g:
+    """Float rows of all edges, a list by id, kept on ``lam`` with g's slot table for the last
+    graph it traced: the weights keep no graph alive."""
+    quads, rows = lam._trace_rows
+    if quads is not g._edge_quads:
+        _check_kernel(g, lam.values)
         try:
-            rows = [*_step_rows(g, lam.values, math.sqrt, range(g.n_half_edges)).values()]
+            rows = [*_edge_rows(g, lam.values, math.sqrt, range(g.n_edges)).values()]
         except ZeroDivisionError:   # a weight product or a cross ratio underflows to 0
             rows = None
         # or one overflows: s = inf, or inf / inf = nan
         if rows is None or not all(row[0] < math.inf for row in rows):
             raise DomainError("a cross ratio of these weights is beyond double range")
-        object.__setattr__(lam, "_trace_rows", (g, rows))
+        object.__setattr__(lam, "_trace_rows", (g._edge_quads, rows))
     return rows
 
 
 def _plan(g: Fatgraph, path: EdgePath) -> tuple[tuple[int, bool], ...]:
-    """The path's steps h on g, each with whether it turns right out of the previous arrival,
-    kept on the path with g's step table, all it depends on: the path keeps no graph alive.  A
-    step that is neither turn breaks the path or backtracks: such a path is refused, with
+    """The path's steps on g as (edge id, whether it turns right), kept on the path with g's
+    slot table, not g.  Out of a step h the right turn is sigma(iota(h)), the left sigma of
+    that; a step that is neither breaks the path or backtracks: such a path is refused, with
     nothing kept, by its first bad id, else its first break, else as not efficient."""
-    steps, table, plan = path.steps, g._step_table, []
+    steps, sigma, iota, edge_of, plan = path.steps, g._sigma, g._iota, g._edge_of, []
     try:
-        right, left, _, _, _, _ = table[steps[-1]]  # a negative last step fails at its turn
+        right = sigma[iota[steps[-1]]]      # a negative last step fails at its turn
         for h in steps:
             if h == right:
-                plan.append((h, True))
-            elif h == left:
-                plan.append((h, False))
+                plan.append((edge_of[h], True))
+            elif h == sigma[right]:
+                plan.append((edge_of[h], False))
             else:
                 raise KeyError(h)
-            right, left, _, _, _, _ = table[h]
+            right = sigma[iota[h]]
     except (IndexError, KeyError):          # or the path has no steps, or its last is no id
         _check_steps(g, steps)
         _check_joins(g, steps)
         raise DomainError("path is not efficient") from None
-    object.__setattr__(path, "_plan", (table, plan := tuple(plan)))
+    object.__setattr__(path, "_plan", (g._edge_quads, plan := tuple(plan)))
     return plan
 
 
 def _product(g: Fatgraph, path: EdgePath, rows) -> tuple:
-    """Entries of T_1 X_1 T_2 X_2 ... from the path's ``_plan`` on g and its steps' rows (s, -1/s).
+    """Entries of T_1 X_1 T_2 X_2 ... from the path's ``_plan`` on g and its edges' rows (s, -1/s).
 
     Each step applies its turn and X in one update, the same operations in the same order
     as the turn's column update followed by X's, so it rounds like that pair in every scalar
@@ -197,10 +199,10 @@ def _product(g: Fatgraph, path: EdgePath, rows) -> tuple:
     its old value: a right turn sets a12 before it scales a11 and a22 before a21, a left turn
     a11 before it scales a12 and a21 before a22.
     """
-    table, plan = path._plan
+    quads, plan = path._plan
     a11, a12, a21, a22 = 1, 0, 0, 1     # ints: exact in every scalar type
-    for h, right in plan if table is g._step_table else _plan(g, path):
-        s, inv = rows[h]
+    for e, right in plan if quads is g._edge_quads else _plan(g, path):
+        s, inv = rows[e]
         if right:
             a12 = (a11 - a12) * s
             a11 *= inv
@@ -218,22 +220,23 @@ def _packed_trace(g: Fatgraph, q: Sequence[int], path: EdgePath) -> tuple[int, i
     """(tau**D |trace| packed at u = 2**bits, bits, D) for weights tau**q_e, q_e even: digit j
     is the coefficient of tau**(2j - D) in |trace|.  With s = tau**k, X scaled by tau**|k| is
     [[0, u**k], [-1, 0]] or [[0, 1], [-u**-k, 0]] in u = tau**2, so ``_product`` over ints packed
-    at u = 2**bits, bits = n + 1, gives tau**D |trace|, D the sum of the |k|: coefficients >= 0
-    that sum to the trace at tau = 1 of n factors [[1, 1], [0, 1]] or [[1, 0], [1, 1]].  Of
+    at u = 2**bits, bits = n + 1, gives tau**D |trace|, D the sum of the steps' |k|: coefficients
+    >= 0 that sum to the trace at tau = 1 of n factors [[1, 1], [0, 1]] or [[1, 0], [1, 1]].  Of
     column sums 1 and 2, each takes the entry sum S of the product after it to at most 2S - 1,
     from 2: the sum stays below 2**bits.  The path, then the size, is checked before any shift."""
     _check_kernel(g, q)
-    if path._plan[0] is not g._step_table:
-        _plan(g, path)      # the path's check, before its size
-    bits, rows, degree, table = len(steps := path.steps) + 1, {}, 0, g._step_table
-    for h in steps:
-        _, _, a, b, c, d = table[h]
+    quads, plan = path._plan
+    if quads is not g._edge_quads:
+        plan = _plan(g, path)       # the path's check, before its size
+    bits, rows, degree, quads = len(plan) + 1, {}, 0, g._edge_quads
+    for e, _ in plan:
+        a, b, c, d = quads[e]
         degree += abs(k := (q[a] + q[c] - q[b] - q[d]) // 2)
-        rows[h] = k
+        rows[e] = k
     if (size := bits * (degree + 1)) > EXACT_BITS_MAX:
         raise DomainError(f"exact trace gap needs {size} bits, over {EXACT_BITS_MAX}")
-    for h, k in rows.items():   # shifted once the size is allowed
-        rows[h] = (1 << k * bits, -1) if k >= 0 else (1, -1 << -k * bits)
+    for e, k in rows.items():   # shifted once the size is allowed
+        rows[e] = (1 << k * bits, -1) if k >= 0 else (1, -1 << -k * bits)
     a11, _, _, a22 = _product(g, path, rows)
     return abs(a11 + a22), bits, degree
 
@@ -339,15 +342,15 @@ def hyp_length_from_gap(gap: float) -> float:
 
 def _abs_trace_minus(g: Fatgraph, lam: LambdaAssignment, path: EdgePath, offset: int) -> float:
     """|trace| - offset within ``TRACE_RTOL`` as the module docstring derives, or refused."""
-    graph, rows = lam._trace_rows
-    if graph is not g:     # else the kernel was checked when the rows were built
+    quads, rows = lam._trace_rows
+    if not (kept := quads is g._edge_quads):   # else the kernel was checked with the rows
         _check_kernel(g, lam.values)
     n = len(path.steps)
     tr, gap, err, digits = 1.0, 0.0, 1.0, 0
     # weight products lie in [lo**2, hi**2], their quotients and nonzero entries within
     # (2 hi / lo)**+-(n + 1): the float pass runs only where all of these are normal
     if (n + 1) * lam.log2_spread < 1000:
-        a11, _, _, a22 = _product(g, path, rows if graph is g else _float_rows(g, lam))
+        a11, _, _, a22 = _product(g, path, rows if kept else _float_rows(g, lam))
         tr = abs(a11 + a22)
         gap, err = tr - offset, (6 * n + 2) * _EPS * tr
         if err <= TRACE_RTOL * abs(gap):
@@ -360,7 +363,8 @@ def _abs_trace_minus(g: Fatgraph, lam: LambdaAssignment, path: EdgePath, offset:
             raise DomainError(f"|trace| - {offset} of a {n}-step path cancels past 1000 digits")
         with mpmath.workdps(digits):
             w = [mpmath.mpf(v) for v in lam.values]
-            a11, _, _, a22 = _product(g, path, _step_rows(g, w, mpmath.sqrt, set(path.steps)))
+            rows = _edge_rows(g, w, mpmath.sqrt, set(map(g.edge_of, path.steps)))
+            a11, _, _, a22 = _product(g, path, rows)
             tr = abs(a11 + a22)
             gap, err = tr - offset, (6 * n + 2) * mpmath.eps * tr
     if not sys.float_info.min <= abs(gap) <= sys.float_info.max:

@@ -197,6 +197,7 @@ def enumerate_screens(g: Fatgraph, max_edges: int = MAX_ENUMERATION_EDGES) -> li
         found.append(Screen(g, (*picked, top)))    # after its extensions: sorted order
 
     extend((1 << len(candidates)) - 1, (), [])
+    del extend      # it refers to itself: the cycle would keep g alive until a collection
     return found
 
 

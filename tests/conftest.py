@@ -163,33 +163,39 @@ def essential_curve_pool(g: fgr.Fatgraph) -> list[fgr.EdgePath]:
     return [pool[k] for k in sorted(pool)]
 
 
-def two_update_product(g: fgr.Fatgraph, path: fgr.EdgePath, rows,
-                       allow_backtrack: bool = False) -> tuple:
+def _two_updates(g: fgr.Fatgraph, path: fgr.EdgePath, row, allow_backtrack: bool) -> tuple:
     """The trace kernel as two updates per step: the turn's column update, then X's, with the
-    turns read from ``g._step_table`` and (s, -1/s) from ``rows``.  With ``allow_backtrack`` a
-    step that is neither turn, on a closed path the backtrack, turns by the identity, which
-    keeps |trace|."""
-    right, left = g._step_table[path.steps[-1]][:2]
+    turns out of each arrival iota(h) read off the rotation, right = sigma(iota(h)) and left =
+    sigma(right), and (s, -1/s) of step h from ``row(h)``.  With ``allow_backtrack`` a step that
+    is neither turn, on a closed path the backtrack, turns by the identity, which keeps
+    |trace|."""
+    right = g.sigma(g.pairing(path.steps[-1]))
     a11, a12, a21, a22 = 1, 0, 0, 1
     for h in path.steps:
         if h == right:
             a11, a12, a21, a22 = a11 - a12, a11, a21 - a22, a21
-        elif h == left:
+        elif h == g.sigma(right):
             a11, a12, a21, a22 = a12, a12 - a11, a22, a22 - a21
         else:
             assert allow_backtrack
-        right, left = g._step_table[h][:2]
-        s, inv = rows[h]
+        right = g.sigma(g.pairing(h))
+        s, inv = row(h)
         a11, a12, a21, a22 = a12 * inv, a11 * s, a22 * inv, a21 * s
     return a11, a12, a21, a22
 
 
+def two_update_product(g: fgr.Fatgraph, path: fgr.EdgePath, rows) -> tuple:
+    """The two-update kernel on ``rows`` by edge id, the rows ``holonomy._product`` reads."""
+    return _two_updates(g, path, lambda h: rows[g.edge_of(h)], False)
+
+
 def per_step_product(g: fgr.Fatgraph, path: fgr.EdgePath, w, sqrt,
                      allow_backtrack: bool = False) -> tuple:
-    """The two-update kernel with s and -1/s computed at every step from the quad slots."""
-    rows = {}
-    for h in path.steps:
-        _, _, a, b, c, d = g._step_table[h]
+    """The two-update kernel with s and -1/s computed at every step from its own quad slots,
+    in its own direction."""
+    def row(h):
+        a, b, c, d = geo.quad_slots(g, h)
         s = sqrt((w[a] * w[c]) / (w[b] * w[d]))
-        rows[h] = s, -1 / s
-    return two_update_product(g, path, rows, allow_backtrack)
+        return s, -1 / s
+
+    return _two_updates(g, path, row, allow_backtrack)

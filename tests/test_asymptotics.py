@@ -128,7 +128,7 @@ def reference_gap(g, fam, path, t):
     unit, q = asy._tau_exponents(fam)
     with mpmath.workdps(80):
         tau = mpmath.mpf(t) ** (mpmath.mpf(1) / unit)
-        rows = hol._step_rows(g, [tau ** k for k in q], mpmath.sqrt, path.steps)
+        rows = hol._edge_rows(g, [tau ** k for k in q], mpmath.sqrt, map(g.edge_of, path.steps))
         a11, _, _, a22 = hol._product(g, path, rows)
         return abs(a11 + a22) - 2
 
@@ -444,7 +444,7 @@ def test_tau_exponents_once_per_family(genus2, monkeypatch):
 class Laurent(dict):
     """Exact Laurent polynomial in tau: exponent -> nonzero coefficient, all ints.
 
-    Only what ``holonomy._step_rows`` and ``_product`` compute: sums, and products, quotients and
+    Only what ``holonomy._edge_rows`` and ``_product`` compute: sums, and products, quotients and
     square roots with a monomial or int operand."""
 
     def __add__(self, other, sign: int = 1) -> "Laurent":
@@ -491,7 +491,8 @@ def reference_gap_poly(g, fam, path):
     over Laurent polynomials."""
     unit = 2 * math.lcm(*(p.denominator for p in fam.exponents))
     w = [Laurent({int(p * unit): 1}) for p in fam.exponents]
-    a11, _, _, a22 = hol._product(g, path, hol._step_rows(g, w, Laurent.sqrt, path.steps))
+    rows = hol._edge_rows(g, w, Laurent.sqrt, map(g.edge_of, path.steps))
+    a11, _, _, a22 = hol._product(g, path, rows)
     trace = a11 + a22
     sign = -1 if trace and trace[max(trace)] < 0 else 1
     return sorted((sign * trace - 2).items())

@@ -264,6 +264,12 @@ def test_sweep_overflow_is_domain_error(tmp_path, capsys):
     # detection evaluates no weight, so nothing overflows
     code, out = run(capsys, "detect", THETA, "--exponents", str(p))
     assert code == 0 and out.strip() == "e0+ e1-"
+    # exponents beyond double range, and no boundary curve to trace first
+    p.write_text("edge,exponent\ne0,1e400\ne1,1e400\ne2,1e400\n")
+    code = cli.main(["sweep", THETA, "--exponents", str(p)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"error: weight t**{10 ** 400} of edge 0 overflows at t=10\n"
 
 
 def write_exponents(path, labels, exponents):

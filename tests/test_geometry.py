@@ -231,7 +231,6 @@ def test_quad_slots_follow_sigma(generated_trivalent):
     for g in generated_trivalent:
         for h in range(g.n_half_edges):
             assert geo.quad_slots(g, h) == sigma_slots(g, h)
-            assert g._step_table[h][2:] == sigma_slots(g, h)
         assert g._edge_quads == tuple(sigma_slots(g, h) for h, _ in g.edge_halves)
 
 

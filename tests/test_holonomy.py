@@ -437,7 +437,7 @@ def test_kernel_adds_magnitudes_property():
         g = random_trivalent(n_edges, rng)
         w = [10 ** rng.uniform(-6, 6) for _ in range(n_edges)]
         path = closed_walk(g, rng)
-        rows = hol._step_rows(g, w, lambda x: Signed(math.sqrt(x)), path.steps)
+        rows = hol._edge_rows(g, w, lambda x: Signed(math.sqrt(x)), map(g.edge_of, path.steps))
         a11, a12, a21, a22 = hol._product(g, path, rows)
         assert all(type(x) is Signed for x in (a11, a12, a21, a22))
         assert a11 != 0 != a22 and (a11 > 0) == (a22 > 0)
@@ -461,15 +461,16 @@ def test_in_cell_traces_stay_in_float(trivalent_corpus, monkeypatch):
     assert entries == []
 
 
-# -- per-weights step rows -----------------------------------------------------
+# -- per-weights edge rows -----------------------------------------------------
 
 def packed_rows(g, q, path):
-    """``_packed_trace``'s int rows of the path's steps for even exponents q."""
+    """``_packed_trace``'s int rows of the path's edges for even exponents q, by edge id, each
+    from the quad slots of a step over it, in that step's own direction."""
     bits, rows = len(path.steps) + 1, {}
     for h in path.steps:
-        _, _, a, b, c, d = g._step_table[h]
+        a, b, c, d = geo.quad_slots(g, h)
         k = (q[a] + q[c] - q[b] - q[d]) // 2
-        rows[h] = (1 << k * bits, -1) if k >= 0 else (1, -1 << -k * bits)
+        rows[g.edge_of(h)] = (1 << k * bits, -1) if k >= 0 else (1, -1 << -k * bits)
     return rows
 
 
@@ -489,7 +490,7 @@ def test_step_rows_match_per_step_formula(trivalent_corpus, generated_trivalent,
         rows = hol._float_rows(census12, geo.lambda_assignment(values))
         with mpmath.workdps(20):
             w = [mpmath.mpf(v) for v in values]
-            mp_rows = hol._step_rows(census12, w, mpmath.sqrt, range(census12.n_half_edges))
+            mp_rows = hol._edge_rows(census12, w, mpmath.sqrt, range(census12.n_edges))
             for p in curves:
                 assert bits(hol._product(census12, p, rows)) == bits(
                     two_update_product(census12, p, rows))
@@ -522,9 +523,31 @@ def test_step_rows_match_per_step_formula(trivalent_corpus, generated_trivalent,
                 count += 1
             with mpmath.workdps(40):
                 w = [mpmath.mpf(v) for v in lam.values]
-                rows = hol._step_rows(g, w, mpmath.sqrt, set(p.steps))
+                rows = hol._edge_rows(g, w, mpmath.sqrt, map(g.edge_of, p.steps))
                 assert hol._product(g, p, rows) == per_step_product(g, p, w, mpmath.sqrt)
     assert count > 250
+
+
+def test_edge_rows_serve_both_halves(trivalent_corpus, census12, generated_trivalent):
+    """Each edge's row equals the per-direction formula, s = sqrt(ac/bd) from a step's own quad
+    slots, bit for bit on both halves of the edge: in float, as kept on the weights, and in mpf,
+    for in-cell weights and for weights spread over 10**+-6."""
+    rng = random.Random(76)
+    for g in [*trivalent_corpus.values(), census12, *generated_trivalent]:
+        for lam in (random_in_cell_lambda(g, rng),
+                    geo.lambda_assignment([10 ** rng.uniform(-6, 6) for _ in range(g.n_edges)])):
+            rows = hol._float_rows(g, lam)
+            with mpmath.workdps(30):
+                w = [mpmath.mpf(v) for v in lam.values]
+                mp_rows = hol._edge_rows(g, w, mpmath.sqrt, range(g.n_edges))
+                for e, halves in enumerate(g.edge_halves):
+                    for h in halves:
+                        a, b, c, d = geo.quad_slots(g, h)
+                        s = math.sqrt((lam[a] * lam[c]) / (lam[b] * lam[d]))
+                        assert bits(rows[e]) == bits((s, -1 / s))
+                        s = mpmath.sqrt((w[a] * w[c]) / (w[b] * w[d]))
+                        assert mp_rows[e] == (s, -1 / s)
+        assert len(rows) == g.n_edges
 
 
 def test_trace_rows_follow_the_graph(genus2, monkeypatch):
@@ -532,12 +555,12 @@ def test_trace_rows_follow_the_graph(genus2, monkeypatch):
     edge count but other quads, gives the traces of fresh weights; the rows are built
     once per switch of graph."""
     flipped = fgr.whitehead_move(genus2, genus2.edge_by_label("a")).graph
-    assert flipped.n_edges == genus2.n_edges and flipped._step_table != genus2._step_table
+    assert flipped.n_edges == genus2.n_edges and flipped._edge_quads != genus2._edge_quads
     pools = [(g, essential_curve_pool(g)[:10]) for g in (genus2, flipped)]
     lam = random_in_cell_lambda(genus2, random.Random(73))
     built = []
-    step_rows = hol._step_rows
-    monkeypatch.setattr(hol, "_step_rows", lambda g, *a: built.append(g) or step_rows(g, *a))
+    edge_rows = hol._edge_rows
+    monkeypatch.setattr(hol, "_edge_rows", lambda g, *a: built.append(g) or edge_rows(g, *a))
     for _ in range(3):
         for g, pool in pools:
             for p in pool:
@@ -546,7 +569,7 @@ def test_trace_rows_follow_the_graph(genus2, monkeypatch):
                 fresh = geo.lambda_assignment(lam.values)
                 assert got == (hol.abs_trace_of_path(g, fresh, p),
                                hol.trace_gap_of_path(g, fresh, p), hol.holonomy(g, fresh, p))
-            assert lam._trace_rows[0] is g
+            assert lam._trace_rows[0] is g._edge_quads
     assert built.count(genus2) == 3 * (1 + 10) and built.count(flipped) == 3 * (1 + 10)
 
 
@@ -559,7 +582,7 @@ def test_kernel_faults_are_refused_after_a_trace(fault, theta):
     lam = ones(g)
     if g.is_trivalent():
         assert hol.abs_trace_of_path(g, lam, fgr.EdgePath((0, 4))) == 3.0
-        assert lam._trace_rows[0] is g
+        assert lam._trace_rows[0] is g._edge_quads
     path = fgr.boundary_cycles(g)[0] if steps is None else fgr.EdgePath(steps)
     for entry in (hol.holonomy, hol.abs_trace_of_path, hol.trace_gap_of_path):
         with pytest.raises(DomainError) as err:
@@ -590,16 +613,16 @@ def test_plan_follows_the_graph(genus2, monkeypatch):
     for _ in range(3):
         for g in (genus2, flipped):
             made.clear()
-            stale = sum(p._plan[0] is not g._step_table for p in pool)
+            stale = sum(p._plan[0] is not g._edge_quads for p in pool)
             for p in pool:
                 kept = p._plan
                 got = traces(g, p)
                 assert got == traces(g, fgr.EdgePath(p.steps))
                 if isinstance(got, str):
                     refused.add((g, p.steps))
-                    assert p._plan == kept and kept[0] is not g._step_table
+                    assert p._plan == kept and kept[0] is not g._edge_quads
                 else:
-                    assert p._plan[0] is g._step_table
+                    assert p._plan[0] is g._edge_quads
             n_refused = sum(h is g for h, _ in refused)
             assert made == [g] * (stale - n_refused + len(pool) - n_refused)
     assert 0 < len(refused) < len(pool)
@@ -611,7 +634,8 @@ def efficient_loop(g, k):
         for turns in itertools.product((0, 1), repeat=k - 1):
             steps = [h]
             for t in turns:
-                steps.append(g._step_table[steps[-1]][t])
+                right = g.sigma(g.pairing(steps[-1]))
+                steps.append(g.sigma(right) if t else right)
             path = fgr.EdgePath(tuple(steps))
             if len(set(steps)) == k and public_message(g, path) is None:
                 return path
@@ -647,36 +671,43 @@ def test_refused_paths_keep_no_plan(fault, entry, mercedes, genus2):
     for p, kept in runs:
         if kept:
             assert hol.abs_trace_of_path(kept, ones(kept), p) >= 2
-            assert p._plan[0] is getattr(kept, "_step_table", None)
+            assert p._plan[0] is getattr(kept, "_edge_quads", None)
         for _ in range(2):
             with pytest.raises(DomainError) as err:
                 KERNEL_ENTRIES[entry](g, p)
             assert str(err.value) == message
-            assert p._plan[0] is getattr(kept, "_step_table", None)
+            assert p._plan[0] is getattr(kept, "_edge_quads", None)
         fresh = fgr.EdgePath(p.steps)
         assert p == fresh and hash(p) == hash(fresh) and repr(p) == repr(fresh)
 
 
 def test_traced_graph_is_freed_without_the_collector():
-    """Plans kept on the faces of a graph's member table, traced by detection, a sweep and
-    the float routes, hold no reference to the graph: once its last reference goes it is
-    freed by reference counting alone."""
-    g = fgr.parse_fatgraph((DATA / "genus2.fg").read_text())
-    lam = ones(g)
-    for s in scn.enumerate_screens(g)[:12]:
-        fam = scn.depth_family(s)
-        faces = scn.screen_boundary(s)
-        assert asy.detect_short_curves(g, fam).curves == faces.curves
-        asy.sweep(g, fam, faces)
-        for face in faces:
-            assert hol.abs_trace_of_path(g, lam, face) >= 2
-            assert face._plan[0] is g._step_table
-    freed = weakref.ref(g)
+    """With the collector off throughout, a graph is freed by reference counting alone once
+    its last reference goes: after its screens are enumerated, and after plans kept on the
+    faces of its member table are traced by detection, a sweep and the float routes, with
+    weights that outlive it and keep their rows."""
+    lam = geo.lambda_assignment([1.0] * 9)
     gc.collect()
     gc.disable()
     try:
-        del g, lam, s, fam, faces, face
+        g = fgr.parse_fatgraph((DATA / "genus2.fg").read_text())
+        assert len(scn.enumerate_screens(g)) == 384
+        freed = weakref.ref(g)
+        del g
         assert freed() is None
+        g = fgr.parse_fatgraph((DATA / "genus2.fg").read_text())
+        for s in scn.enumerate_screens(g)[:12]:
+            fam = scn.depth_family(s)
+            faces = scn.screen_boundary(s)
+            assert asy.detect_short_curves(g, fam).curves == faces.curves
+            asy.sweep(g, fam, faces)
+            for face in faces:
+                assert hol.abs_trace_of_path(g, lam, face) >= 2
+                assert face._plan[0] is g._edge_quads is lam._trace_rows[0]
+        freed = weakref.ref(g)
+        del g, s, fam, faces, face
+        assert freed() is None
+        assert len(lam._trace_rows[1]) == 9
     finally:
         gc.enable()
 
