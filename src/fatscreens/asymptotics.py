@@ -56,13 +56,13 @@ _DEFAULT_SCHEDULE = SweepSchedule()     # frozen: one validated instance serves 
 
 
 def evaluate_family(fam: MonomialFamily, t: float) -> LambdaAssignment:
-    """Weights t**p_e at one parameter value."""
+    """Weights t**p_e at one parameter value, each exactly 1 at t = 1 whatever its exponent."""
     if not 1.0 <= t < math.inf:
         raise DomainError(f"schedule value t must be finite and >= 1, got {t}")
     weights = []
     for e, p in enumerate(fam.exponents):
         try:
-            weights.append(float(t) ** float(p))
+            weights.append(1.0 if t == 1 else float(t) ** float(p))
         except OverflowError:
             raise DomainError(f"weight t**{p} of edge {e} overflows at t={t:g}") from None
     return LambdaAssignment(tuple(weights))

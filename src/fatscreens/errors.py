@@ -9,10 +9,9 @@ class DomainError(ValueError):
 
 
 class FormatError(DomainError):
-    """Malformed serialized data; carries a 1-based line number when known."""
+    """Malformed serialized data; the message starts with its 1-based line number when known."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

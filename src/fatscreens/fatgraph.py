@@ -44,9 +44,6 @@ class EdgePath:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.steps)
-
 
 @dataclass(frozen=True)
 class Fatgraph:
@@ -424,7 +421,6 @@ def is_boundary_parallel(g: Fatgraph, path: EdgePath,
 class CurveSystem:
     """A set of canonicalized essential closed curves on a fixed graph."""
 
-    graph: Fatgraph = field(compare=False)
     curves: tuple[EdgePath, ...] = ()
 
     def __len__(self) -> int:
@@ -437,11 +433,11 @@ class CurveSystem:
 def curve_system(g: Fatgraph, paths: Iterable[EdgePath]) -> CurveSystem:
     """The canonical forms of ``paths``, each reduced first; contractible paths are dropped."""
     reduced = (reduce_path(g, p) for p in paths)
-    return _curve_set(g, {canonical_path(g, r) for r in reduced if r is not None})
+    return _curve_set({canonical_path(g, r) for r in reduced if r is not None})
 
 
-def _curve_set(g: Fatgraph, canon: Iterable[EdgePath]) -> CurveSystem:
-    return CurveSystem(g, tuple(sorted(canon, key=lambda p: (len(p.steps), p.steps))))
+def _curve_set(canon: Iterable[EdgePath]) -> CurveSystem:
+    return CurveSystem(tuple(sorted(canon, key=lambda p: (len(p.steps), p.steps))))
 
 
 # ---------------------------------------------------------------------------
@@ -456,11 +452,8 @@ class SubFatgraph:
     densely and mapped back to the parent through ``to_parent_half``.
     """
 
-    parent: Fatgraph
-    edges: EdgeSubset
     graph: Fatgraph
     to_parent_half: tuple[int, ...]
-    to_parent_edge: tuple[int, ...]
 
 
 def _edge_subset(g: Fatgraph, edges: Iterable[int]) -> EdgeSubset:
@@ -487,7 +480,7 @@ def subgraph(g: Fatgraph, edges: Iterable[int]) -> SubFatgraph:
     halves = tuple((new_id[g.halves(e)[0]], new_id[g.halves(e)[1]]) for e in sub_edges)
     labels = tuple(g.label(e) for e in sub_edges)
     sub = Fatgraph(tuple(cycles), halves, labels, allow_disconnected=True)
-    return SubFatgraph(g, subset, sub, tuple(kept_halves), tuple(sub_edges))
+    return SubFatgraph(sub, tuple(kept_halves))
 
 
 def is_recurrent(g: Fatgraph, edges: Iterable[int]) -> bool:
@@ -663,7 +656,7 @@ def subset_boundary(g: Fatgraph, edges: Iterable[int]) -> CurveSystem:
     subset = _edge_subset(g, edges)
     if not is_recurrent(g, subset):
         raise DomainError("subset is not recurrent")
-    return _curve_set(g, _subset_faces(g, subset) - _subset_faces(g, g.all_edges()))
+    return _curve_set(_subset_faces(g, subset) - _subset_faces(g, g.all_edges()))
 
 
 # ---------------------------------------------------------------------------

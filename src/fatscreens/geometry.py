@@ -121,14 +121,6 @@ def simplicial(values: Iterable[float]) -> SimplicialCoords:
     return SimplicialCoords(tuple(float(v) for v in values))
 
 
-@dataclass(frozen=True)
-class Sector:
-    """Two cyclically consecutive half-edges at one vertex."""
-
-    first: int
-    second: int
-
-
 def _require_trivalent(g: Fatgraph) -> None:
     if not g.is_trivalent():
         raise DomainError("operation requires a trivalent graph")
@@ -181,16 +173,14 @@ def cross_ratio(g: Fatgraph, lam: LambdaAssignment, step: int) -> float:
     return (lam[b] * lam[d]) / (lam[a] * lam[c])
 
 
-def h_length(g: Fatgraph, lam: LambdaAssignment, sector: Sector) -> float:
-    """Horocyclic length across a sector: opposite over product of adjacent."""
+def h_length(g: Fatgraph, lam: LambdaAssignment, h: int) -> float:
+    """Horocyclic length across the sector from half-edge ``h`` to ``sigma(h)``:
+    opposite over product of adjacent."""
     _one_weight_per_edge(g, lam)
-    x, y = sector.first, sector.second
-    if g.vertex_of(x) != g.vertex_of(y) or g.sigma(x) != y:
-        raise DomainError("sector must be two consecutive half-edges")
-    if g.valence(g.vertex_of(x)) != 3:
+    if g.valence(g.vertex_of(h)) != 3:
         raise DomainError("h-length needs a trivalent vertex")
-    opp = g.sigma(y)
-    return lam[g.edge_of(opp)] / (lam[g.edge_of(x)] * lam[g.edge_of(y)])
+    y = g.sigma(h)
+    return lam[g.edge_of(g.sigma(y))] / (lam[g.edge_of(h)] * lam[g.edge_of(y)])
 
 
 def simplicial_coords(g: Fatgraph, lam: LambdaAssignment) -> SimplicialCoords:
@@ -560,7 +550,6 @@ def tetra_volume_sign(q: QuadLambdas) -> float:
 
 @dataclass(frozen=True)
 class CyclicPolygon:
-    side_lengths: tuple[float, ...]
     circumradius: float
     central_angles: tuple[float, ...]
 
@@ -607,7 +596,7 @@ def cyclic_polygon(lengths: Sequence[float]) -> CyclicPolygon:
     angles = [2.0 * t for t in half_angles(lo)]
     if not inside:
         angles[imax] = math.pi + 2.0 * lo
-    return CyclicPolygon(tuple(ls), lmax / (2.0 * math.cos(lo)), tuple(angles))
+    return CyclicPolygon(lmax / (2.0 * math.cos(lo)), tuple(angles))
 
 
 @dataclass(frozen=True)

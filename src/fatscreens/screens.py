@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError
 # subgraph, boundary_cycles, reduce_path, canonical_path and is_recurrent stay
@@ -63,12 +63,6 @@ class Screen:
         # the member table holds only subsets whose edge ids were checked
         if not all(map(self.graph._members.__contains__, self.family)):
             _edge_subset(self.graph, frozenset().union(*self.family))
-
-    def __iter__(self) -> Iterator[EdgeSubset]:
-        return iter(self.family)
-
-    def __len__(self) -> int:
-        return len(self.family)
 
     @cached_property
     def _depths(self) -> dict[EdgeSubset, tuple[EdgeSubset | None, int]]:
@@ -254,15 +248,15 @@ def _relative_faces(g: Fatgraph, member: EdgeSubset, parent: EdgeSubset) -> froz
 def relative_boundary(s: Screen, member: EdgeSubset) -> CurveSystem:
     """Faces of a member's subsurface not parallel to its immediate predecessor's."""
     parent = immediate_predecessor(s, member)
-    return _curve_set(s.graph, _relative_faces(s.graph, frozenset(member), parent))
+    return _curve_set(_relative_faces(s.graph, frozenset(member), parent))
 
 
 def screen_boundary(s: Screen) -> CurveSystem:
     """Union of the relative boundaries of all non-top members."""
     g = s.graph
-    return _curve_set(g, frozenset().union(*(_relative_faces(g, a, parent)
-                                             for a, (parent, _) in s._depths.items()
-                                             if parent is not None)))
+    return _curve_set(frozenset().union(*(_relative_faces(g, a, parent)
+                                          for a, (parent, _) in s._depths.items()
+                                          if parent is not None)))
 
 
 # ---------------------------------------------------------------------------

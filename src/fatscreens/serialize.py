@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import DomainError, FormatError
+from .errors import FormatError
 from .fatgraph import EdgePath, Fatgraph, check_closed_path
 from .geometry import LambdaAssignment, SimplicialCoords
 from .screens import MonomialFamily, Screen, screen
@@ -129,8 +129,6 @@ def parse_step_token(g: Fatgraph, token: str) -> int:
 
 def parse_curve(g: Fatgraph, text: str) -> EdgePath:
     tokens = text.replace(",", " ").split()
-    if not tokens:
-        raise DomainError("empty path")
     path = EdgePath(tuple(parse_step_token(g, tok) for tok in tokens))
     check_closed_path(g, path)
     return path
@@ -138,8 +136,6 @@ def parse_curve(g: Fatgraph, text: str) -> EdgePath:
 
 def parse_subset(g: Fatgraph, text: str) -> frozenset:
     labels = [p for p in text.replace(",", " ").split() if p]
-    if not labels:
-        raise DomainError("empty edge subset")
     return frozenset(g.edge_by_label(lab) for lab in labels)
 
 

@@ -44,6 +44,8 @@ def test_evaluate_family(theta):
     assert asy.evaluate_family(half, 4.0).values == (8.0,)
     with pytest.raises(DomainError, match="edge 1 overflows at t=10"):
         asy.evaluate_family(scn.monomial_family([0, 400, 0]), 10.0)
+    # every weight is exactly 1 at t = 1, so no exponent is converted to a float
+    assert asy.evaluate_family(scn.monomial_family(["1e400"] * 3), 1.0).values == (1.0, 1.0, 1.0)
 
 
 def test_sweep_evaluates_weights_only_to_refuse_them(theta, monkeypatch):
@@ -624,7 +626,7 @@ def test_detect_refuses_boundary_curves_that_do_not_decay(genus2, monkeypatch):
     (cycle,) = fgr.boundary_cycles(genus2)
     for extra, verdict in ((outside, asy.VERDICT_NOT_SHRINKING), (cycle, asy.VERDICT_PARABOLIC)):
         assert asy.sweep(genus2, fam, [extra], asy.SweepSchedule((10.0,))).verdicts[0][1] == verdict
-        curves = fgr.CurveSystem(genus2, (*boundary.curves, extra))
+        curves = fgr.CurveSystem((*boundary.curves, extra))
         monkeypatch.setattr(asy, "screen_boundary", lambda screen: curves)
         with pytest.raises(DomainError,
                            match="^exact trace gap of 1 boundary curve\\(s\\) does not decay$"):

@@ -236,6 +236,61 @@ def test_input_that_is_not_utf8_is_refused_in_one_line(tmp_path, capsys, argv, d
     assert (captured.out, captured.err) == ("", f"error: {bad}: not UTF-8 text (byte {at})\n")
 
 
+GRAPH_HEAD = "fatgraph v1\nv 0 : 0 1 2\nv 1 : 3 4 5\n"
+LAMBDA = ["trace", THETA, "--path", "e0+,e1-", "--lambda"]
+SCREEN = ["detect", THETA, "--screen"]
+
+
+# (argv, input file appended to argv or None, the one stderr line after "error: ")
+@pytest.mark.parametrize("argv, data, message", [
+    (["info"], "graph v1\n", "line 1: expected 'fatgraph v1' header"),
+    (["info"], "# only a comment\n\n", "line 1: missing 'fatgraph v1' header"),
+    (["info"], "fatgraph v1\nv x : 0 1 2\n", "line 2: vertex line needs integer ids"),
+    (["info"], GRAPH_HEAD + "e e0 : 0 x\n", "line 4: edge line needs integer half-edge ids"),
+    (["info"], "fatgraph v1\nv 0 :\n", "line 2: vertex with no half-edges"),
+    (["info"], "fatgraph v1\nv 0 : 0 1 2\nv 0 : 3 4 5\n", "line 3: duplicate vertex id 0"),
+    (["info"], GRAPH_HEAD + "e e0 : 0 3 1\n", "line 4: edge line needs exactly two half-edge ids"),
+    (["info"], GRAPH_HEAD + "f e0 : 0 3\n", "line 4: unknown line kind 'f'"),
+    (["info"], GRAPH_HEAD, "line 1: no edges"),
+    (["info"], "fatgraph v1\nv 0 : 0 1 2\nv 1 : 3 4\ne e0 : 0 3\ne e1 : 1 4\ne e2 : 2 5\n",
+     "line 1: half-edges [5] missing from vertex lines"),
+    (LAMBDA, "edge,value\ne0,1,2\n", "line 2: expected 'edge,value'"),
+    (LAMBDA, "edge,value\n# no rows\n", "line 1: no data rows"),
+    (LAMBDA, "edge,value\ne0,1\ne1,1\ne0,2\ne2,1\n", "line 4: duplicate entry for edge 'e0'"),
+    (LAMBDA, "edge,value\ne0,1\ne1,1\n", "line 1: missing entries for edges ['e2']"),
+    (LAMBDA, "edge,value\ne0,1\ne1,x\ne2,1\n",
+     "bad numeric value: could not convert string to float: 'x'"),
+    (SCREEN, "not json", "bad JSON: Expecting value: line 1 column 1 (char 0)"),
+    (SCREEN, '{"members": []}', 'expected an object with a "family" key'),
+    (SCREEN, '{"family": ["e0"]}', "family members must be arrays of edge labels"),
+    (["trace", THETA, "--path", ",", "--lambda"], "edge,value\ne0,1\ne1,1\ne2,1\n",
+     "empty path"),
+    (["recurrent", THETA, "--subset", ","], None, "empty edge subset"),
+    (["boundary", THETA, "--subset", ","], None, "empty edge subset"),
+], ids=["header_expected", "header_missing", "vertex_ids", "edge_ids", "empty_vertex",
+        "duplicate_vertex", "edge_id_count", "line_kind", "no_edges", "unplaced_halves",
+        "csv_fields", "csv_no_rows", "csv_duplicate", "csv_missing", "csv_value",
+        "json_syntax", "json_no_family", "json_member", "empty_path", "empty_subset",
+        "empty_boundary_subset"])
+def test_input_refusals_are_one_line(tmp_path, capsys, argv, data, message):
+    if data is not None:
+        (tmp_path / "input").write_text(data)
+        argv = [*argv, str(tmp_path / "input")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_accepted_input_forms(tmp_path, capsys):
+    """A bare label reads as ``<label>+``; CSV comment and blank lines are skipped."""
+    plain, commented = tmp_path / "plain.csv", tmp_path / "commented.csv"
+    plain.write_text("edge,value\ne0,1\ne1,2\ne2,5\n")
+    commented.write_text("# weights\n\nedge,value\ne0,1  # first\n\ne1,2\ne2,5\n")
+    want = run(capsys, "trace", THETA, "--lambda", str(plain), "--path", "e0+,e1-")
+    assert want[0] == 0 and want[1].startswith("abs_trace=")
+    assert run(capsys, "trace", THETA, "--lambda", str(plain), "--path", "e0,e1-") == want
+    assert run(capsys, "trace", THETA, "--lambda", str(commented), "--path", "e0+,e1-") == want
+
+
 def test_domain_error_exit_code(tmp_path, capsys):
     code = cli.main(["boundary", THETA, "--subset", "e0"])
     err = capsys.readouterr().err
@@ -270,6 +325,9 @@ def test_sweep_overflow_is_domain_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
     assert captured.err == f"error: weight t**{10 ** 400} of edge 0 overflows at t=10\n"
+    # at t = 1 every weight is exactly 1, whatever its exponent
+    assert run(capsys, "sweep", THETA, "--exponents", str(p), "--t", "1") == (
+        0, "t,curve,abs_trace,abs_trace_minus_2,hyp_length\n")
 
 
 def write_exponents(path, labels, exponents):

@@ -87,13 +87,13 @@ def test_h_length(theta, barbell):
     ones = geo.lambda_assignment([1, 1, 1])
     for v, cyc in enumerate(theta.vertex_cycles):
         for i in range(3):
-            sec = geo.Sector(cyc[i], cyc[(i + 1) % 3])
+            sec = cyc[i]
             assert geo.h_length(theta, ones, sec) == 1.0
     lam = geo.lambda_assignment([3.0, 4.0, 5.0])
-    sec = geo.Sector(0, 1)   # adjacent weights 3, 4; opposite 5
+    sec = 0   # sector from 0 to sigma(0) = 1: adjacent weights 3, 4; opposite 5
     assert geo.h_length(theta, lam, sec) == pytest.approx(5 / 12)
     lam_b = geo.lambda_assignment([2.0, 3.0, 2.0])
-    loop_sec = geo.Sector(0, 1)  # both slots on the loop, opposite the bridge
+    loop_sec = 0  # both slots on the loop, opposite the bridge
     assert geo.h_length(barbell, lam_b, loop_sec) == pytest.approx(3 / 4)
 
 
@@ -577,7 +577,7 @@ def test_newton_step_meets_its_scaled_bound(newton_graphs, monkeypatch):
 
 
 def sector_sum(g, lam):
-    return sum(geo.h_length(g, lam, geo.Sector(cyc[i], cyc[(i + 1) % 3]))
+    return sum(geo.h_length(g, lam, cyc[i])
                for cyc in g.vertex_cycles for i in range(3))
 
 
@@ -933,23 +933,32 @@ def test_refine_identity_on_trivalent(theta):
 
 
 def test_refine_collapse_recovers_input():
-    g = fgr.build([(0, 1, 2, 3, 4, 5, 6, 7)],
-                  [(0, 2), (1, 3), (4, 6), (5, 7)])   # one-vertex genus-2 spine
-    assert fgr.topology(g) == (2, 1)
-    lam = geo.lambda_assignment([1.0, 1.2, 0.8, 1.1])
-    ref = geo.refine_to_trivalent(g, lam)
-    assert ref.graph.is_trivalent()
-    assert fgr.topology(ref.graph) == (2, 1)
-    coords = geo.simplicial_coords(ref.graph, ref.lam)
-    for e in ref.new_edges:
-        assert abs(coords[e]) < 1e-10
-    for e in range(ref.graph.n_edges):
-        assert coords[e] > -1e-10
-    back = ref.graph
-    for label in [ref.graph.label(e) for e in ref.new_edges]:
-        back = fgr.collapse_edge(back, back.edge_by_label(label))
-    assert fgr.is_isomorphic(back, g)
-    assert sorted(back.edge_labels) == sorted(g.edge_labels)
+    # the one-vertex genus-2 spine
+    spine = ([(0, 1, 2, 3, 4, 5, 6, 7)], [(0, 2), (1, 3), (4, 6), (5, 7)])
+    genus2 = load("genus2.fg")
+    cases = [
+        (fgr.build(*spine), [1.0, 1.2, 0.8, 1.1]),
+        # trivalent vertices beside a 4-valent one
+        (fgr.collapse_edge(genus2, genus2.edge_by_label("r")), [1.0] * 8),
+        # the first fan edge would be d4, so it becomes _d4
+        (fgr.build(*spine, ["e0", "e1", "e2", "d4"]), [1.0, 1.2, 0.8, 1.1]),
+    ]
+    for g, weights in cases:
+        assert fgr.topology(g) == (2, 1)
+        lam = geo.lambda_assignment(weights)
+        ref = geo.refine_to_trivalent(g, lam)
+        assert ref.graph.is_trivalent()
+        assert fgr.topology(ref.graph) == (2, 1)
+        coords = geo.simplicial_coords(ref.graph, ref.lam)
+        for e in ref.new_edges:
+            assert abs(coords[e]) < 1e-10
+        for e in range(ref.graph.n_edges):
+            assert coords[e] > -1e-10
+        back = ref.graph
+        for label in [ref.graph.label(e) for e in ref.new_edges]:
+            back = fgr.collapse_edge(back, back.edge_by_label(label))
+        assert fgr.is_isomorphic(back, g)
+        assert sorted(back.edge_labels) == sorted(g.edge_labels)
 
 
 def test_refine_rejects_triangle_violation():

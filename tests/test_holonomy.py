@@ -230,7 +230,7 @@ def test_weight_count_is_checked(theta):
     # two weights used to raise IndexError; a fourth used to be ignored, and
     # whitehead_transport and refine_to_trivalent returned it
     path = fgr.EdgePath((0, 4))     # one left turn, then one right turn
-    sector = geo.Sector(*theta.vertex_cycles[0][:2])
+    sector = theta.vertex_cycles[0][0]
     for values in ([1, 1], [1, 1, 1, 1]):
         lam = geo.lambda_assignment(values)
         for entry in (geo.simplicial_coords, geo.in_cell, geo.triangle_inequalities_hold,

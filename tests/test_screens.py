@@ -419,10 +419,10 @@ def test_member_table_matches_fresh_walk(screen_corpus):
             for a in s.family:
                 if a != top:
                     faces = fgr._subset_faces(g, a) - fgr._subset_faces(g, reference_predecessor(s, a))
-                    relative[a] = fgr._curve_set(g, faces)
+                    relative[a] = fgr._curve_set(faces)
                     assert scn.relative_boundary(s, a) == relative[a]
             assert scn.screen_boundary(s) == fgr._curve_set(
-                g, set().union(*(set(c.curves) for c in relative.values())))
+                set().union(*(set(c.curves) for c in relative.values())))
             assert scn.validate_screen(s).ok and reference_check_ok(s)
             want = [max(depth[a] for a in s.family if e in a) for e in range(g.n_edges)]
             fam = scn.depth_family(s)
@@ -611,7 +611,7 @@ def reference_screen_boundary(s):
         else:
             faces |= set(fgr.curve_system(g, [p for p in mine
                                               if not fgr.is_boundary_parallel(g, p, theirs)]))
-    return fgr._curve_set(g, faces)
+    return fgr._curve_set(faces)
 
 
 def test_unsorted_and_non_laminar_screens(screen_corpus):

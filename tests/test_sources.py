@@ -1,6 +1,6 @@
 """The sources parse as the oldest Python that ``pyproject.toml`` promises, which the
-test machines need not have, and the library still has every binding that the benchmark's
-tracer replaces."""
+test machines need not have, the library still has every binding that the benchmark's
+tracer replaces, and every field it declares is read somewhere."""
 
 from __future__ import annotations
 
@@ -53,3 +53,26 @@ def test_tracer_bindings_resolve_and_restore():
     finally:
         spans.uninstall()
     assert all(now is old for now, old in zip(bound(), before))
+
+
+def _record_fields(tree: ast.Module):
+    """(class, field) for each annotated field of a dataclass or ``NamedTuple`` class."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and any(
+                ast.unparse(n.func if isinstance(n, ast.Call) else n) in ("dataclass", "NamedTuple")
+                for n in [*cls.decorator_list, *cls.bases]):
+            yield from ((cls.name, stmt.target.id) for stmt in cls.body
+                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name))
+
+
+def test_every_record_field_is_read():
+    """A field that no ``.name`` read in the library, the tests or the benchmark loads is dead:
+    it is stored and kept alive for nothing."""
+    library = sorted((ROOT / "src" / "fatscreens").glob("*.py"))
+    readers = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
+    read = {node.attr for path in readers for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    declared = [(path.stem, *field) for path in library
+                for field in _record_fields(ast.parse(path.read_text()))]
+    assert declared
+    assert [d for d in declared if d[2] not in read] == []
