@@ -64,14 +64,14 @@ class Fatgraph:
         seen: dict[int, int] = {}
         iota = [-1] * n
         for e, (a, b) in enumerate(self.edge_halves):
+            if a == b:
+                raise DomainError(f"edge {e} pairs half-edge {a} with itself (fixed point)")
             for h in (a, b):
                 if not (0 <= h < n):
                     raise DomainError(f"half-edge id {h} out of range 0..{n - 1}")
                 if h in seen:
                     raise DomainError(f"half-edge {h} used by two edges")
                 seen[h] = e
-            if a == b:
-                raise DomainError(f"edge {e} pairs half-edge {a} with itself (fixed point)")
             iota[a], iota[b] = b, a
         sigma = [-1] * n
         vert = [-1] * n
@@ -83,7 +83,7 @@ class Fatgraph:
                     raise DomainError(f"half-edge {h} missing from edges or repeated in vertices")
                 sigma[h] = cyc[(i + 1) % len(cyc)]
                 vert[h] = v
-        if any(s < 0 for s in sigma) or len(seen) != n:
+        if any(s < 0 for s in sigma):
             raise DomainError("vertex cycles and edges must cover the same half-edge ids")
         if len(self.edge_labels) != len(self.edge_halves):
             raise DomainError("one label per edge required")

@@ -133,6 +133,8 @@ def _one_weight_per_edge(g: Fatgraph, weights: Sequence) -> None:
 
 def quad_slots(g: Fatgraph, step: int) -> tuple[int, int, int, int]:
     """Edge ids (a, b, c, d) around the traversed edge, tail end first."""
+    if not 0 <= step < g.n_half_edges:     # a negative id would index from the end
+        raise DomainError(f"invalid half-edge id {step}")
     for x in (step, g.pairing(step)):
         if g.valence(g.vertex_of(x)) != 3:
             raise DomainError("edge endpoints must be trivalent")
@@ -177,6 +179,8 @@ def h_length(g: Fatgraph, lam: LambdaAssignment, h: int) -> float:
     """Horocyclic length across the sector from half-edge ``h`` to ``sigma(h)``:
     opposite over product of adjacent."""
     _one_weight_per_edge(g, lam)
+    if not 0 <= h < g.n_half_edges:
+        raise DomainError(f"invalid half-edge id {h}")
     if g.valence(g.vertex_of(h)) != 3:
         raise DomainError("h-length needs a trivalent vertex")
     y = g.sigma(h)

@@ -24,11 +24,12 @@ the last read of its old value, so every operation rounds once, on the same
 operands as in the full products.  The loop runs over the path's plan, its
 steps as (edge, turn) pairs, made once per graph: a step that is neither turn
 out of the previous arrival breaks the path or backtracks, and the path is
-refused with its fault named, a backtrack as not efficient.  Both directions of
-an edge have one s (its second half reads the quad as (c, d, a, b); Penner
-1987), so s and -1/s come from per-weights rows by edge id, the float ones a
-list.  Plans and float rows are kept on the path and the weights, keyed by the
-slot table ``_edge_quads`` of the last graph they traced.
+refused with its fault named, a backtrack as not efficient; ``path_turns``
+reads its turns.  Both directions of an edge have one s (its second half reads
+the quad as (c, d, a, b); Penner 1987), so s and -1/s come from per-weights
+rows by edge id, the float ones a list.  Plans and float rows are kept on the
+path and the weights, keyed by the slot table ``_edge_quads`` of the last graph
+they traced.
 
 On an efficient path the product never cancels: with J = diag(1, -1),
 J R X J = -[[1/s, s], [0, s]] and J L X J = [[1/s, 0], [1/s, s]], so each
@@ -57,8 +58,7 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError
 from .fatgraph import EdgePath, Fatgraph, _check_joins, _check_steps, is_boundary_parallel
-from .geometry import (LambdaAssignment, _lazy_import, _off_path_edge, _one_weight_per_edge,
-                       quad_slots)
+from .geometry import LambdaAssignment, _lazy_import, _off_path_edge, _one_weight_per_edge
 
 mpmath = _lazy_import("mpmath")     # only the sums and traces that leave float need it
 
@@ -70,66 +70,12 @@ TRACE_RTOL = 1e-13           # relative error certified for every returned |trac
 EXACT_BITS_MAX = 2 ** 24     # packed exact traces grow with the exponent denominators
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """Real 2x2 matrix, interpreted up to global sign."""
-
-    m11: float
-    m12: float
-    m21: float
-    m22: float
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.m11 * other.m11 + self.m12 * other.m21,
-                    self.m11 * other.m12 + self.m12 * other.m22,
-                    self.m21 * other.m11 + self.m22 * other.m21,
-                    self.m21 * other.m12 + self.m22 * other.m22)
-
-    def trace(self) -> float:
-        return self.m11 + self.m22
-
-    def det(self) -> float:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-
-IDENTITY = Mat2(1.0, 0.0, 0.0, 1.0)
-
-
-def turn_matrices() -> tuple[Mat2, Mat2]:
-    """(R, L); they satisfy R*L = 1 and R^3 = L^3 = -1."""
-    return Mat2(1.0, 1.0, -1.0, 0.0), Mat2(0.0, -1.0, 1.0, 1.0)
-
-
-def turn_direction(g: Fatgraph, incoming: int, outgoing: int) -> str:
-    """LEFT or RIGHT for a turn at a trivalent vertex.
-
-    ``incoming`` is the arrival half-edge of the previous step, ``outgoing``
-    the departing half-edge of the next.
-    """
-    v = g.vertex_of(incoming)
-    if v != g.vertex_of(outgoing):
-        raise DomainError("turn half-edges must share a vertex")
-    if g.valence(v) != 3:
-        raise DomainError("turns are defined at trivalent vertices")
-    if outgoing == incoming:
-        raise DomainError("backtrack is not a turn")
-    if outgoing == g.sigma(incoming):
-        return RIGHT
-    return LEFT
-
-
-def edge_matrix(g: Fatgraph, lam: LambdaAssignment, step: int) -> Mat2:
-    """Cross-ratio matrix of the traversed edge; squares to -1."""
-    _one_weight_per_edge(g, lam)
-    a, b, c, d = quad_slots(g, step)
-    s = math.sqrt((lam[a] * lam[c]) / (lam[b] * lam[d]))
-    return Mat2(0.0, s, -1.0 / s, 0.0)
-
-
 def path_turns(g: Fatgraph, path: EdgePath) -> tuple[str, ...]:
-    """Turn before each step (from the previous step's arrival), cyclically."""
-    steps = path.steps
-    return tuple(turn_direction(g, g.pairing(steps[k - 1]), steps[k]) for k in range(len(steps)))
+    """RIGHT or LEFT for the turn into each step from the previous step's arrival, cyclically,
+    read off the path's plan on g: refused as the trace functions refuse it."""
+    if not g.is_trivalent():
+        raise DomainError("holonomy needs a trivalent graph")
+    return tuple(RIGHT if right else LEFT for _, right in _plan(g, path))
 
 
 def _check_kernel(g: Fatgraph, w: Sequence) -> None:
@@ -311,13 +257,13 @@ def _quotient_error(k: int, unit: int) -> float:
     return (k * q - p * unit) / (q * unit)
 
 
-def holonomy(g: Fatgraph, lam: LambdaAssignment, path: EdgePath) -> Mat2:
-    """Float path-ordered product T_1 X_1 T_2 X_2 ... over the closed efficient path, each T a
-    right or left turn; refused where an entry leaves double range."""
+def holonomy(g: Fatgraph, lam: LambdaAssignment, path: EdgePath) -> tuple[float, ...]:
+    """Float (a11, a12, a21, a22) of the path-ordered product T_1 X_1 T_2 X_2 ... over the closed
+    efficient path, each T a right or left turn; refused where an entry leaves double range."""
     m = _product(g, path, _float_rows(g, lam))
     if not all(map(math.isfinite, m)):
         raise DomainError("the holonomy of this path is beyond double range")
-    return Mat2(*m)
+    return m
 
 
 def hyp_length(abs_tr: float) -> float:
@@ -437,10 +383,9 @@ def one_left_turn_data(g: Fatgraph, lam: LambdaAssignment, path: EdgePath
     """
     _one_weight_per_edge(g, lam)
     turns = path_turns(g, path)
-    lefts = [i for i, t in enumerate(turns) if t == LEFT]
-    if len(lefts) != 1:
+    if turns.count(LEFT) != 1:
         raise DomainError("path must have exactly one left turn")
-    start = lefts[0]
+    start = turns.index(LEFT)
     steps = path.steps[start:] + path.steps[:start]
     n1 = len(steps)            # n + 1 edges
     n = n1 - 1

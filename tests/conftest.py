@@ -163,6 +163,26 @@ def essential_curve_pool(g: fgr.Fatgraph) -> list[fgr.EdgePath]:
     return [pool[k] for k in sorted(pool)]
 
 
+# The full-matrix reference: a 2x2 matrix as the tuple (m11, m12, m21, m22), the turn
+# matrices R and L as in the holonomy module's docstring.
+IDENTITY = (1.0, 0.0, 0.0, 1.0)
+R_MAT = (1.0, 1.0, -1.0, 0.0)
+L_MAT = (0.0, -1.0, 1.0, 1.0)
+
+
+def mat_mul(m: tuple, n: tuple) -> tuple:
+    """The product m n, each entry the sum of its two products in row-column order."""
+    m11, m12, m21, m22 = m
+    n11, n12, n21, n22 = n
+    return (m11 * n11 + m12 * n21, m11 * n12 + m12 * n22,
+            m21 * n11 + m22 * n21, m21 * n12 + m22 * n22)
+
+
+def det(m: tuple) -> float:
+    m11, m12, m21, m22 = m
+    return m11 * m22 - m12 * m21
+
+
 def _two_updates(g: fgr.Fatgraph, path: fgr.EdgePath, row, allow_backtrack: bool) -> tuple:
     """The trace kernel as two updates per step: the turn's column update, then X's, with the
     turns out of each arrival iota(h) read off the rotation, right = sigma(iota(h)) and left =

@@ -18,8 +18,8 @@ from fatscreens import geometry as geo
 from fatscreens import holonomy as hol
 from fatscreens import screens as scn
 
-from conftest import (all_rotations, essential_curve_pool, load, per_step_product,
-                      random_fatgraph, random_in_cell_lambda)
+from conftest import (L_MAT, R_MAT, all_rotations, essential_curve_pool, load, mat_mul,
+                      per_step_product, random_fatgraph, random_in_cell_lambda)
 
 
 def report(num: int, name: str) -> None:
@@ -237,23 +237,23 @@ def test_criterion_11_geometry_kernels():
 
 def test_criterion_12_psl2_relations(trivalent_corpus):
     rng = random.Random(12)
-    r_mat, l_mat = hol.turn_matrices()
 
     def pm_identity(m, tol):
-        return (abs(abs(m.m11) - 1) <= tol and abs(abs(m.m22) - 1) <= tol
-                and m.m11 * m.m22 > 0 and abs(m.m12) <= tol and abs(m.m21) <= tol)
+        m11, m12, m21, m22 = m
+        return (abs(abs(m11) - 1) <= tol and abs(abs(m22) - 1) <= tol
+                and m11 * m22 > 0 and abs(m12) <= tol and abs(m21) <= tol)
 
-    assert pm_identity(r_mat @ l_mat, 0.0)
-    assert pm_identity(r_mat @ r_mat @ r_mat, 0.0)
-    assert pm_identity(l_mat @ l_mat @ l_mat, 0.0)
+    assert pm_identity(mat_mul(R_MAT, L_MAT), 0.0)
+    assert pm_identity(mat_mul(mat_mul(R_MAT, R_MAT), R_MAT), 0.0)
+    assert pm_identity(mat_mul(mat_mul(L_MAT, L_MAT), L_MAT), 0.0)
     samples = 0
     for g in trivalent_corpus.values():
         pool = essential_curve_pool(g)[:2]
         for _ in range(100):
             lam = random_in_cell_lambda(g, rng)
-            for h in range(g.n_half_edges):
-                x = hol.edge_matrix(g, lam, h)
-                assert pm_identity(x @ x, 1e-12)
+            for s, inv in hol._float_rows(g, lam):     # X = [[0, s], [-1/s, 0]] per edge
+                x = (0.0, s, inv, 0.0)
+                assert pm_identity(mat_mul(x, x), 1e-12)
             for p in pool:
                 base = hol.abs_trace_of_path(g, lam, p)
                 k = rng.randrange(len(p.steps))

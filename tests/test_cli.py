@@ -267,11 +267,16 @@ SCREEN = ["detect", THETA, "--screen"]
      "empty path"),
     (["recurrent", THETA, "--subset", ","], None, "empty edge subset"),
     (["boundary", THETA, "--subset", ","], None, "empty edge subset"),
+    (["trace", THETA, "--path", "zz+", "--lambda"], "edge,value\ne0,1\ne1,1\ne2,1\n",
+     "unknown edge label 'zz'"),
+    (["recurrent", THETA, "--subset", "zz"], None, "unknown edge label 'zz'"),
+    (LAMBDA, "edge,value\ne0,1\nzz,1\ne1,1\ne2,1\n", "unknown edge label 'zz'"),
+    (SCREEN, '{"family": [["zz"]]}', "unknown edge label 'zz'"),
 ], ids=["header_expected", "header_missing", "vertex_ids", "edge_ids", "empty_vertex",
         "duplicate_vertex", "edge_id_count", "line_kind", "no_edges", "unplaced_halves",
         "csv_fields", "csv_no_rows", "csv_duplicate", "csv_missing", "csv_value",
         "json_syntax", "json_no_family", "json_member", "empty_path", "empty_subset",
-        "empty_boundary_subset"])
+        "empty_boundary_subset", "path_label", "subset_label", "csv_label", "json_label"])
 def test_input_refusals_are_one_line(tmp_path, capsys, argv, data, message):
     if data is not None:
         (tmp_path / "input").write_text(data)

@@ -93,6 +93,38 @@ def test_parse_error_carries_line_number():
         fgr.parse_fatgraph(bad)
 
 
+# (vertex cycles, edge halves, labels or None for e0, e1, ..., message): each refusal of
+# Fatgraph, which library callers reach with no parser in front
+FATGRAPH_REFUSALS = {
+    "edge_id_range": ([(0, 1)], [(0, 2)], None, "half-edge id 2 out of range 0..1"),
+    "edge_id_twice": ([(0, 1, 2, 3)], [(0, 1), (1, 2)], None, "half-edge 1 used by two edges"),
+    "fixed_point": ([(0, 1)], [(0, 0)], None,
+                    "edge 0 pairs half-edge 0 with itself (fixed point)"),
+    "empty_vertex": ([(0, 1), ()], [(0, 1)], None, "vertex 1 has no half-edges"),
+    "vertex_id_range": ([(0, 2)], [(0, 1)], None,
+                        "half-edge 2 missing from edges or repeated in vertices"),
+    "vertex_id_twice": ([(0, 1, 0)], [(0, 1)], None,
+                        "half-edge 0 missing from edges or repeated in vertices"),
+    "uncovered": ([(0,)], [(0, 1)], None,
+                  "vertex cycles and edges must cover the same half-edge ids"),
+    "label_count": ([(0, 1)], [(0, 1)], ("a", "b"), "one label per edge required"),
+    "label_twice": ([(0, 1, 2, 3)], [(0, 1), (2, 3)], ("a", "a"), "duplicate edge labels"),
+    "disconnected": ([(0, 1), (2, 3)], [(0, 1), (2, 3)], None, "graph is disconnected"),
+}
+
+
+@pytest.mark.parametrize("case", FATGRAPH_REFUSALS)
+def test_fatgraph_refusals(case):
+    cycles, halves, labels, message = FATGRAPH_REFUSALS[case]
+    with pytest.raises(DomainError) as err:
+        fgr.build(cycles, halves, labels)
+    assert str(err.value) == message
+    labels = labels or tuple(f"e{e}" for e in range(len(halves)))
+    with pytest.raises(DomainError) as err:
+        fgr.Fatgraph(tuple(map(tuple, cycles)), tuple(halves), labels)
+    assert str(err.value) == message
+
+
 # -- boundary cycles and topology ----------------------------------------------
 
 @pytest.mark.parametrize("name,cycles,genus,punctures", [

@@ -17,6 +17,8 @@ import pytest
 
 from fatscreens import fatgraph as fgr
 from fatscreens import geometry as geo
+from fatscreens import holonomy as hol
+from fatscreens import screens as scn
 from fatscreens.errors import DomainError, NonConvergenceError
 
 from conftest import DATA, load, random_in_cell_lambda, random_trivalent
@@ -357,6 +359,51 @@ def test_invert_rejects_bad_targets(theta):
     # an infinite tolerance used to return the initial weights 1, 1, 1 unchanged
     with pytest.raises(DomainError, match="tolerance must be positive and finite"):
         geo.invert_coords(theta, geo.simplicial([1, 2, 5]), tol=math.inf)
+
+
+def weights(*values):
+    return geo.lambda_assignment(values)
+
+
+WEDGE_FACE = fgr.EdgePath((0, 3, 2, 1))     # a boundary cycle of wedge.fg
+
+
+# library refusals that no parser or CLI check reaches first: (call, message); wedge.fg has one
+# 4-valent vertex, loop.fg a 2-valent one, and theta's half-edge ids are 0..5 (an unchecked -1
+# would index from the end)
+LIBRARY_REFUSALS = {
+    "coords_not_trivalent": (lambda: geo.simplicial_coords(load("wedge.fg"), weights(1, 1)),
+                             "operation requires a trivalent graph"),
+    "quad_not_trivalent": (lambda: geo.quad_slots(load("wedge.fg"), 0),
+                           "edge endpoints must be trivalent"),
+    "h_length_not_trivalent": (lambda: geo.h_length(load("wedge.fg"), weights(1, 1), 0),
+                               "h-length needs a trivalent vertex"),
+    "path_turns_not_trivalent": (lambda: hol.path_turns(load("wedge.fg"), WEDGE_FACE),
+                                 "holonomy needs a trivalent graph"),
+    "invert_target_count": (lambda: geo.invert_coords(load("theta.fg"), geo.simplicial([1, 2])),
+                            "one target coordinate per edge required"),
+    "refine_low_valence": (lambda: geo.refine_to_trivalent(load("loop.fg"), weights(1)),
+                           "refinement needs all valences >= 3"),
+    "polygon_two_sides": (lambda: geo.cyclic_polygon([1.0, 1.0]),
+                          "need at least three positive finite lengths"),
+    "depth_unknown_edge": (
+        lambda: scn.depth_of_edge(scn.enumerate_screens(load("theta.fg"))[0], 3),
+        "unknown edge id 3"),
+    **{f"{name}_{h}": (lambda call=call, h=h: call(load("theta.fg"), h),
+                       f"invalid half-edge id {h}")
+       for name, call in (("quad", geo.quad_slots),
+                          ("cross_ratio", lambda g, h: geo.cross_ratio(g, weights(3, 4, 5), h)),
+                          ("h_length", lambda g, h: geo.h_length(g, weights(3, 4, 5), h)))
+       for h in (-1, 6)},
+}
+
+
+@pytest.mark.parametrize("case", LIBRARY_REFUSALS)
+def test_library_refusals(case):
+    call, message = LIBRARY_REFUSALS[case]
+    with pytest.raises(DomainError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_invert_start_outside_double_range(theta):

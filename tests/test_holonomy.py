@@ -8,7 +8,6 @@ import json
 import math
 import random
 import weakref
-from dataclasses import astuple
 from fractions import Fraction
 
 import mpmath
@@ -22,8 +21,8 @@ from fatscreens import screens as scn
 from fatscreens import serialize as ser
 from fatscreens.errors import DomainError
 
-from conftest import (DATA, essential_curve_pool, load, per_step_product, random_in_cell_lambda,
-                      random_trivalent, two_update_product)
+from conftest import (DATA, IDENTITY, L_MAT, R_MAT, det, essential_curve_pool, load, mat_mul,
+                      per_step_product, random_in_cell_lambda, random_trivalent, two_update_product)
 
 ONES3 = geo.lambda_assignment([1, 1, 1])
 
@@ -31,12 +30,9 @@ ONES3 = geo.lambda_assignment([1, 1, 1])
 # -- turns --------------------------------------------------------------------
 
 def test_turn_direction_basics(theta):
-    assert hol.turn_direction(theta, 3, 4) == hol.RIGHT   # next slot
-    assert hol.turn_direction(theta, 3, 5) == hol.LEFT    # previous slot
-    with pytest.raises(DomainError, match="[Bb]acktrack"):
-        hol.turn_direction(theta, 3, 3)
-    with pytest.raises(DomainError, match="share a vertex"):
-        hol.turn_direction(theta, 3, 0)
+    # arriving by 3 (step 0), the next slot 4 is a right turn, the previous slot 5 a left one
+    assert hol.path_turns(theta, fgr.EdgePath((0, 4)))[1] == hol.RIGHT
+    assert hol.path_turns(theta, fgr.EdgePath((0, 5)))[1] == hol.LEFT
 
 
 def test_boundary_cycles_constant_turns(trivalent_corpus):
@@ -56,38 +52,33 @@ def test_mixed_turns_on_essential_cycle(theta):
 # -- matrices -----------------------------------------------------------------
 
 def test_psl_relations_constant():
-    r_mat, l_mat = hol.turn_matrices()
-    ident = hol.IDENTITY
+    def is_pm_identity(m):
+        return m in (IDENTITY, (-1.0, 0.0, 0.0, -1.0))
 
-    def is_pm_identity(m, tol=0.0):
-        for sign in (1.0, -1.0):
-            if (abs(m.m11 - sign) <= tol and abs(m.m22 - sign) <= tol
-                    and abs(m.m12) <= tol and abs(m.m21) <= tol):
-                return True
-        return False
-
-    assert is_pm_identity(r_mat @ l_mat)
-    assert is_pm_identity(r_mat @ r_mat @ r_mat)
-    assert is_pm_identity(l_mat @ l_mat @ l_mat)
-    assert ident @ r_mat == r_mat
+    assert is_pm_identity(mat_mul(R_MAT, L_MAT))
+    assert is_pm_identity(mat_mul(mat_mul(R_MAT, R_MAT), R_MAT))
+    assert is_pm_identity(mat_mul(mat_mul(L_MAT, L_MAT), L_MAT))
+    assert mat_mul(IDENTITY, R_MAT) == R_MAT
 
 
 def test_edge_matrix_squares_to_identity(trivalent_corpus):
+    # X = [[0, s], [-1/s, 0]] from the kernel's row (s, -1/s) of each edge
     rng = random.Random(2)
     for g in trivalent_corpus.values():
         lam = random_in_cell_lambda(g, rng)
-        for h in range(g.n_half_edges):
-            x = hol.edge_matrix(g, lam, h)
-            sq = x @ x
-            assert sq.m11 == pytest.approx(-1, rel=1e-12)
-            assert sq.m22 == pytest.approx(-1, rel=1e-12)
-            assert abs(sq.m12) < 1e-12 and abs(sq.m21) < 1e-12
-            assert x.det() == pytest.approx(1.0, rel=1e-12)
+        rows = hol._float_rows(g, lam)
+        assert len(rows) == g.n_edges
+        for s, inv in rows:
+            x = (0.0, s, inv, 0.0)
+            m11, m12, m21, m22 = mat_mul(x, x)
+            assert m11 == pytest.approx(-1, rel=1e-12)
+            assert m22 == pytest.approx(-1, rel=1e-12)
+            assert abs(m12) < 1e-12 and abs(m21) < 1e-12
+            assert det(x) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_edge_matrix_all_ones(theta):
-    x = hol.edge_matrix(theta, ONES3, 0)
-    assert (x.m11, x.m12, x.m21, x.m22) == (0.0, 1.0, -1.0, 0.0)
+    assert hol._float_rows(theta, ONES3)[0] == (1.0, -1.0)
 
 
 def test_reciprocal_cross_ratios_along_cycle(theta):
@@ -103,8 +94,8 @@ def test_reciprocal_cross_ratios_along_cycle(theta):
 
 def test_theta_trace_all_ones(theta):
     m = hol.holonomy(theta, ONES3, fgr.EdgePath((0, 4)))
-    assert abs(m.trace()) == pytest.approx(3.0, abs=1e-14)
-    assert m.det() == pytest.approx(1.0, rel=1e-12)
+    assert abs(m[0] + m[3]) == pytest.approx(3.0, abs=1e-14)
+    assert det(m) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_theta_trace_worked_family(theta):
@@ -172,7 +163,7 @@ KERNEL_FAULTS = {
 }
 
 # every route into the kernel: float (rerun in mpf where its bound fails), mpf alone for
-# weights beyond the float pass's range, and exact Laurent
+# weights beyond the float pass's range, and exact Laurent; and the turns read off its plan
 KERNEL_ENTRIES = {
     "holonomy": lambda g, p: hol.holonomy(g, ones(g), p),
     "abs_trace_of_path": lambda g, p: hol.abs_trace_of_path(g, ones(g), p),
@@ -180,6 +171,8 @@ KERNEL_ENTRIES = {
     "trace_gap_of_path_mpf": lambda g, p: hol.trace_gap_of_path(g, beyond_float(g), p),
     "sweep": lambda g, p: asy.sweep(g, asy_family(g), [p]),
     "gap_leading": lambda g, p: asy._gap_leading(g, asy_family(g), p),
+    "path_turns": hol.path_turns,
+    "one_left_turn_data": lambda g, p: hol.one_left_turn_data(g, ones(g), p),
 }
 
 
@@ -240,7 +233,7 @@ def test_weight_count_is_checked(theta):
         for entry, arg in ((hol.holonomy, path), (hol.abs_trace_of_path, path),
                            (hol.trace_gap_of_path, path), (geo.cross_ratio, 0),
                            (geo.whitehead_transport, 0), (geo.h_length, sector),
-                           (hol.edge_matrix, 0), (hol.one_left_turn_data, path)):
+                           (hol.one_left_turn_data, path)):
             with pytest.raises(DomainError, match="one weight per edge"):
                 entry(theta, lam, arg)
     # a stray weight used to become the first new diagonal's on a 4-valent vertex
@@ -253,8 +246,7 @@ def test_determinant_one(trivalent_corpus):
     for g in trivalent_corpus.values():
         lam = random_in_cell_lambda(g, rng)
         for p in essential_curve_pool(g)[:4]:
-            m = hol.holonomy(g, lam, p)
-            assert m.det() == pytest.approx(1.0, rel=1e-9)
+            assert det(hol.holonomy(g, lam, p)) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_whitehead_trace_invariance(trivalent_corpus):
@@ -278,14 +270,21 @@ def test_whitehead_trace_invariance(trivalent_corpus):
 
 # -- kernel regression against full matrix products ----------------------------
 
+def edge_x(g, lam, h):
+    """The cross-ratio matrix X = [[0, s], [-1/s, 0]] of step h, s = sqrt(ac/bd) from its own
+    quad slots."""
+    a, b, c, d = geo.quad_slots(g, h)
+    s = math.sqrt((lam[a] * lam[c]) / (lam[b] * lam[d]))
+    return 0.0, s, -1.0 / s, 0.0
+
+
 def reference_traces(g, lam, path):
-    """(float product, |trace|, |trace| - 2): the float product chains Mat2
-    matrices, the reference values multiply mpmath matrices at 100 digits."""
-    r_mat, l_mat = hol.turn_matrices()
-    acc = hol.IDENTITY
+    """(float product, |trace|, |trace| - 2): the float product chains full 2x2 products,
+    T then X per step, the reference values multiply mpmath matrices at 100 digits."""
+    acc = IDENTITY
     for turn, h in zip(turn_codes(g, path), path.steps):
-        t_mat = {None: hol.IDENTITY, hol.RIGHT: r_mat, hol.LEFT: l_mat}[turn]
-        acc = acc @ t_mat @ hol.edge_matrix(g, lam, h)
+        t_mat = {None: IDENTITY, hol.RIGHT: R_MAT, hol.LEFT: L_MAT}[turn]
+        acc = mat_mul(mat_mul(acc, t_mat), edge_x(g, lam, h))
     with mpmath.workdps(100):
         tr = mp_abs_trace(g, lam, path)
         return acc, tr, tr - 2
@@ -298,7 +297,7 @@ def check_certified(g, lam, path):
     must be exactly 0."""
     m, tr, gap = reference_traces(g, lam, path)
     if fgr.is_efficient(g, path):
-        assert hol.holonomy(g, lam, path) == m
+        assert bits(hol.holonomy(g, lam, path)) == bits(m)
     else:
         path = fgr.reduce_path(g, path)
     got_tr = hol.abs_trace_of_path(g, lam, path)
@@ -312,11 +311,13 @@ def check_certified(g, lam, path):
 
 
 def turn_codes(g, path):
-    """Turn into each step, None at a backtrack."""
+    """Turn into each step off the rotation, None at a backtrack: out of the arrival
+    iota(h) of the previous step h, right onto sigma(iota(h)), else left."""
     turns = []
     for k, h in enumerate(path.steps):
         incoming = g.pairing(path.steps[k - 1])
-        turns.append(None if h == incoming else hol.turn_direction(g, incoming, h))
+        turns.append(None if h == incoming else
+                     hol.RIGHT if h == g.sigma(incoming) else hol.LEFT)
     return turns
 
 
@@ -510,7 +511,7 @@ def test_step_rows_match_per_step_formula(trivalent_corpus, generated_trivalent,
                 assert hol._product(g, p, rows) == two_update_product(g, p, rows)
                 want = per_step_product(g, p, lam.values, math.sqrt)
                 assert bits(hol._product(g, p, hol._float_rows(g, lam))) == bits(want)
-                assert bits(astuple(hol.holonomy(g, lam, p))) == bits(want)
+                assert bits(hol.holonomy(g, lam, p)) == bits(want)
                 if not wide:    # certified in float: the trace is the float product's
                     assert hol.abs_trace_of_path(g, lam, p) == abs(want[0] + want[3])
                 ins = rng.choice(g.vertex_cycles[g.step_head(p.steps[0])])
@@ -930,10 +931,11 @@ def test_one_left_turn_trace_simple():
     assert hol.one_left_turn_trace([1.0, 1.0]) == pytest.approx(3.0)
     # direct product check for three factors, all ones:
     # L X R X R X with X = [[0,1],[-1,0]]
-    r_mat, l_mat = hol.turn_matrices()
-    x = hol.Mat2(0.0, 1.0, -1.0, 0.0)
-    m = l_mat @ x @ r_mat @ x @ r_mat @ x
-    assert hol.one_left_turn_trace([1.0, 1.0, 1.0]) == pytest.approx(abs(m.trace()))
+    x = (0.0, 1.0, -1.0, 0.0)
+    m = L_MAT
+    for t_mat in (x, R_MAT, x, R_MAT, x):
+        m = mat_mul(m, t_mat)
+    assert hol.one_left_turn_trace([1.0, 1.0, 1.0]) == pytest.approx(abs(m[0] + m[3]))
 
 
 def one_left_turn_paths(g, max_len=8):
@@ -1017,7 +1019,7 @@ def reference_telescoping_sides(g, lam, path):
 
 
 def reference_one_left_turn_data(g, lam, path):
-    start = hol.path_turns(g, path).index(hol.LEFT)
+    start = turn_codes(g, path).index(hol.LEFT)
     steps = path.steps[start:] + path.steps[:start]
     n = len(steps) - 1
     y = [lam[g.edge_of(s)] for s in steps]
