@@ -64,7 +64,10 @@ def evaluate_family(fam: MonomialFamily, t: float) -> LambdaAssignment:
         try:
             weights.append(1.0 if t == 1 else float(t) ** float(p))
         except OverflowError:
-            raise DomainError(f"weight t**{p} of edge {e} overflows at t={t:g}") from None
+            if abs(p) > sys.float_info.max:
+                raise DomainError(f"weight of edge {e} overflows at t={t:g}: its exponent is "
+                                  "beyond double range") from None
+            raise DomainError(f"weight t**{float(p):g} of edge {e} overflows at t={t:g}") from None
     return LambdaAssignment(tuple(weights))
 
 

@@ -50,8 +50,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import DomainError, NonConvergenceError
-from .fatgraph import (EdgePath, Fatgraph, WhiteheadMove, check_closed_path,
-                       is_efficient, whitehead_move)
+from .fatgraph import Fatgraph, WhiteheadMove, whitehead_move
 
 
 def _lazy_import(name: str):
@@ -139,13 +138,6 @@ def quad_slots(g: Fatgraph, step: int) -> tuple[int, int, int, int]:
         if g.valence(g.vertex_of(x)) != 3:
             raise DomainError("edge endpoints must be trivalent")
     return g._quad(step)
-
-
-def _off_path_edge(g: Fatgraph, step: int, depart: int) -> int:
-    """Edge in the slot a path passes by when it turns (never backtracks) from
-    ``step`` into ``depart``: d when it departs right, c when it departs left."""
-    _, _, c, d = g._quad(step)
-    return d if depart == g.sigma(g.pairing(step)) else c
 
 
 # ---------------------------------------------------------------------------
@@ -415,31 +407,6 @@ def invert_coords(g: Fatgraph, target: SimplicialCoords, tol: float = 1e-10,
             f"inversion did not reach tolerance {tol:.1e} in 200 iterations "
             f"(residual {err:.3e})")
     return LambdaAssignment(tuple(np.exp(u).tolist()))
-
-
-# ---------------------------------------------------------------------------
-# Telescoping sums along a path
-# ---------------------------------------------------------------------------
-
-def telescoping_sides(g: Fatgraph, lam: LambdaAssignment, path: EdgePath
-                      ) -> tuple[float, float]:
-    """(sum of coordinates over traversed edges, twice the sum of sector h-lengths).
-
-    The two values agree for every efficient closed path; each vertex visit
-    contributes the same quantity to both sides.
-    """
-    _require_trivalent(g)
-    check_closed_path(g, path)
-    if not is_efficient(g, path):
-        raise DomainError("telescoping sums need an efficient path")
-    coords = simplicial_coords(g, lam)
-    sum_x = sum(coords[g.edge_of(s)] for s in path.steps)
-    sum_h = 0.0
-    steps = path.steps
-    for step, depart in zip(steps, steps[1:] + steps[:1]):
-        third = _off_path_edge(g, step, depart)
-        sum_h += lam[third] / (lam[g.edge_of(step)] * lam[g.edge_of(depart)])
-    return sum_x, 2.0 * sum_h
 
 
 # ---------------------------------------------------------------------------

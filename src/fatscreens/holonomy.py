@@ -24,12 +24,11 @@ the last read of its old value, so every operation rounds once, on the same
 operands as in the full products.  The loop runs over the path's plan, its
 steps as (edge, turn) pairs, made once per graph: a step that is neither turn
 out of the previous arrival breaks the path or backtracks, and the path is
-refused with its fault named, a backtrack as not efficient; ``path_turns``
-reads its turns.  Both directions of an edge have one s (its second half reads
-the quad as (c, d, a, b); Penner 1987), so s and -1/s come from per-weights
-rows by edge id, the float ones a list.  Plans and float rows are kept on the
-path and the weights, keyed by the slot table ``_edge_quads`` of the last graph
-they traced.
+refused with its fault named, a backtrack as not efficient.  Both directions
+of an edge have one s (its second half reads the quad as (c, d, a, b); Penner
+1987), so s and -1/s come from per-weights rows by edge id, the float ones a
+list.  Plans and float rows are kept on the path and the weights, keyed by the
+slot table ``_edge_quads`` of the last graph they traced.
 
 On an efficient path the product never cancels: with J = diag(1, -1),
 J R X J = -[[1/s, s], [0, s]] and J L X J = [[1/s, 0], [1/s, s]], so each
@@ -53,29 +52,17 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DomainError
 from .fatgraph import EdgePath, Fatgraph, _check_joins, _check_steps, is_boundary_parallel
-from .geometry import LambdaAssignment, _lazy_import, _off_path_edge, _one_weight_per_edge
+from .geometry import LambdaAssignment, _lazy_import, _one_weight_per_edge
 
 mpmath = _lazy_import("mpmath")     # only the sums and traces that leave float need it
-
-LEFT = "L"
-RIGHT = "R"
 
 _EPS = sys.float_info.epsilon   # twice the unit roundoff of a double
 TRACE_RTOL = 1e-13           # relative error certified for every returned |trace| and gap
 EXACT_BITS_MAX = 2 ** 24     # packed exact traces grow with the exponent denominators
-
-
-def path_turns(g: Fatgraph, path: EdgePath) -> tuple[str, ...]:
-    """RIGHT or LEFT for the turn into each step from the previous step's arrival, cyclically,
-    read off the path's plan on g: refused as the trace functions refuse it."""
-    if not g.is_trivalent():
-        raise DomainError("holonomy needs a trivalent graph")
-    return tuple(RIGHT if right else LEFT for _, right in _plan(g, path))
 
 
 def _check_kernel(g: Fatgraph, w: Sequence) -> None:
@@ -356,47 +343,3 @@ def one_left_turn_trace(zetas: Sequence[float]) -> float:
             term /= zs[k - 1] ** 2
         acc += term
     return prod_all + 1.0 / prod_all + (prod_all * acc) / (zs[0] ** 2)
-
-
-@dataclass(frozen=True)
-class OneLeftTurnData:
-    """Cross-ratio factors of a one-left-turn path and diagnostics."""
-
-    zetas: tuple[float, ...]
-    zeta_product: float          # telescopes to lambda(y_{n+1}) / lambda(y_1)
-    traversed_edges: tuple[int, ...]
-
-
-def one_left_turn_data(g: Fatgraph, lam: LambdaAssignment, path: EdgePath
-                       ) -> OneLeftTurnData:
-    """Read off the zeta factors from a closed path with exactly one left turn.
-
-    The path is rotated to start at the left turn.  With traversed edges
-    y_1..y_{n+1}, off-path slot x_0 at the left turn and x_1..x_n at the
-    right turns:
-
-        zeta_1^2 = y_2 y_{n+1} / (x_1 x_0)
-        zeta_k^2 = y_{k+1} x_{k-1} / (x_k y_{k-1})   for k = 2..n
-        zeta_{n+1}^2 = x_0 x_n / (y_1 y_n)
-
-    and zeta_k^{-2} is the cross ratio of y_k.
-    """
-    _one_weight_per_edge(g, lam)
-    turns = path_turns(g, path)
-    if turns.count(LEFT) != 1:
-        raise DomainError("path must have exactly one left turn")
-    start = turns.index(LEFT)
-    steps = path.steps[start:] + path.steps[:start]
-    n1 = len(steps)            # n + 1 edges
-    n = n1 - 1
-    if n < 1:
-        raise DomainError("need at least one right turn")
-    y = [lam[g.edge_of(s)] for s in steps]
-    # x_k sits at the turn between step k and step k+1 (x_0 at the wrap)
-    x = [lam[_off_path_edge(g, s, depart)] for s, depart in zip(steps, steps[1:] + steps[:1])]
-    x0 = x[-1]
-    zetas = [math.sqrt((y[1] * y[n1 - 1]) / (x[0] * x0))]
-    zetas += [math.sqrt((y[k] * x[k - 2]) / (x[k - 1] * y[k - 2])) for k in range(2, n + 1)]
-    zetas.append(math.sqrt((x0 * x[n - 1]) / (y[0] * y[n - 1])))
-    return OneLeftTurnData(tuple(zetas), math.prod(zetas),
-                           tuple(g.edge_of(s) for s in steps))

@@ -196,35 +196,6 @@ def enumerate_screens(g: Fatgraph, max_edges: int = MAX_ENUMERATION_EDGES) -> li
 
 
 # ---------------------------------------------------------------------------
-# Depth structure
-# ---------------------------------------------------------------------------
-
-def _parent_and_depth(s: Screen, member: EdgeSubset) -> tuple[EdgeSubset | None, int]:
-    member = frozenset(member)
-    if member not in s._depths:
-        raise DomainError(f"{sorted(member)} is not a member of the screen")
-    return s._depths[member]
-
-
-def immediate_predecessor(s: Screen, member: EdgeSubset) -> EdgeSubset:
-    """The unique minimal member strictly containing the given one."""
-    parent, _ = _parent_and_depth(s, member)
-    if parent is None:
-        raise DomainError("the full edge set has no predecessor")
-    return parent
-
-
-def depth_of_member(s: Screen, member: EdgeSubset) -> int:
-    return _parent_and_depth(s, member)[1]
-
-
-def depth_of_edge(s: Screen, e: int) -> int:
-    if not (0 <= e < s.graph.n_edges):
-        raise DomainError(f"unknown edge id {e}")
-    return max(d for a, (_, d) in s._depths.items() if e in a)
-
-
-# ---------------------------------------------------------------------------
 # Boundaries
 # ---------------------------------------------------------------------------
 
@@ -247,8 +218,12 @@ def _relative_faces(g: Fatgraph, member: EdgeSubset, parent: EdgeSubset) -> froz
 
 def relative_boundary(s: Screen, member: EdgeSubset) -> CurveSystem:
     """Faces of a member's subsurface not parallel to its immediate predecessor's."""
-    parent = immediate_predecessor(s, member)
-    return _curve_set(_relative_faces(s.graph, frozenset(member), parent))
+    member = frozenset(member)
+    if member not in s._depths:
+        raise DomainError(f"{sorted(member)} is not a member of the screen")
+    if (parent := s._depths[member][0]) is None:
+        raise DomainError("the full edge set has no predecessor")
+    return _curve_set(_relative_faces(s.graph, member, parent))
 
 
 def screen_boundary(s: Screen) -> CurveSystem:

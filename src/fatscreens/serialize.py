@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import FormatError
+from .errors import DomainError, FormatError
 from .fatgraph import EdgePath, Fatgraph, check_closed_path
 from .geometry import LambdaAssignment, SimplicialCoords
 from .screens import MonomialFamily, Screen, screen
@@ -43,25 +43,28 @@ def _parse_rows(text: str, value_name: str) -> list[tuple[int, str, str]]:
     return rows
 
 
-def _values_by_edge(g: Fatgraph, rows: list[tuple[int, str, str]]) -> list[str]:
-    vals: list[str | None] = [None] * g.n_edges
+def _values_by_edge(g: Fatgraph, rows: list[tuple[int, str, str]], convert, bad: str) -> list:
+    """Each edge's value by ``convert``; a row's unknown label, repeat or bad value names its line."""
+    vals: list = [None] * g.n_edges
     for lineno, label, raw in rows:
-        e = g.edge_by_label(label)
+        try:
+            e = g.edge_by_label(label)
+        except DomainError as exc:
+            raise FormatError(str(exc), lineno) from None
         if vals[e] is not None:
             raise FormatError(f"duplicate entry for edge {label!r}", lineno)
-        vals[e] = raw
+        try:
+            vals[e] = convert(raw)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise FormatError(f"{bad}: {exc}", lineno) from None
     missing = [g.label(e) for e, v in enumerate(vals) if v is None]
     if missing:
         raise FormatError(f"missing entries for edges {missing}", 1)
-    return vals  # type: ignore[return-value]
+    return vals
 
 
 def _read_values_csv(g: Fatgraph, text: str, cls):
-    raw = _values_by_edge(g, _parse_rows(text, "value"))
-    try:
-        return cls(tuple(float(v) for v in raw))
-    except ValueError as exc:
-        raise FormatError(f"bad numeric value: {exc}") from None
+    return cls(tuple(_values_by_edge(g, _parse_rows(text, "value"), float, "bad numeric value")))
 
 
 def read_lambda_csv(g: Fatgraph, text: str) -> LambdaAssignment:
@@ -79,11 +82,8 @@ def read_coords_csv(g: Fatgraph, text: str) -> SimplicialCoords:
 
 
 def read_exponents_csv(g: Fatgraph, text: str) -> MonomialFamily:
-    raw = _values_by_edge(g, _parse_rows(text, "exponent"))
-    try:
-        return MonomialFamily(tuple(Fraction(v) for v in raw))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad exponent: {exc}") from None
+    return MonomialFamily(tuple(_values_by_edge(g, _parse_rows(text, "exponent"), Fraction,
+                                                 "bad exponent")))
 
 
 # -- screens ----------------------------------------------------------------

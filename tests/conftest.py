@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -219,3 +221,64 @@ def per_step_product(g: fgr.Fatgraph, path: fgr.EdgePath, w, sqrt,
         return s, -1 / s
 
     return _two_updates(g, path, row, allow_backtrack)
+
+
+# The tests' own turn rule and references for identities along a closed efficient path: out of
+# the arrival iota(h) of a step h the path turns right onto sigma(iota(h)), else left.
+RIGHT, LEFT = "R", "L"
+
+
+def turn_codes(g: fgr.Fatgraph, path: fgr.EdgePath) -> list:
+    """Turn into each step off the rotation, None at a backtrack: out of the arrival
+    iota(h) of the previous step h, right onto sigma(iota(h)), else left."""
+    turns = []
+    for k, h in enumerate(path.steps):
+        incoming = g.pairing(path.steps[k - 1])
+        turns.append(None if h == incoming else RIGHT if h == g.sigma(incoming) else LEFT)
+    return turns
+
+
+def third_slot(g: fgr.Fatgraph, arrive: int, depart: int) -> int:
+    """The half-edge at a turn's vertex that the path neither arrives by nor departs by."""
+    return next(h for h in g.vertex_cycles[g.vertex_of(arrive)] if h not in (arrive, depart))
+
+
+def reference_telescoping_sides(g, lam, path) -> tuple[float, float]:
+    """(sum of coordinates over the traversed edges, twice the sum of the h-lengths of the
+    sectors the path passes by): the two agree on every closed efficient path, as each vertex
+    visit adds the same to both."""
+    coords = geo.simplicial_coords(g, lam)
+    sum_x = sum(coords[g.edge_of(s)] for s in path.steps)
+    sum_h = 0.0
+    n = len(path.steps)
+    for k in range(n):
+        arrive = g.pairing(path.steps[k])
+        depart = path.steps[(k + 1) % n]
+        third = third_slot(g, arrive, depart)
+        sum_h += lam[g.edge_of(third)] / (lam[g.edge_of(arrive)] * lam[g.edge_of(depart)])
+    return sum_x, 2.0 * sum_h
+
+
+class OneLeftTurn(NamedTuple):
+    """Cross-ratio factors of a path with one left turn, read from its start at that turn."""
+
+    zetas: tuple[float, ...]
+    zeta_product: float             # telescopes to lambda(y_{n+1}) / lambda(y_1)
+    traversed_edges: tuple[int, ...]
+
+
+def reference_one_left_turn_data(g, lam, path) -> OneLeftTurn:
+    """The zeta factors of a closed path with exactly one left turn, started at it.  With
+    traversed edges y_1..y_{n+1}, off-path slot x_0 at the left turn and x_1..x_n at the right
+    turns: zeta_1^2 = y_2 y_{n+1} / (x_1 x_0), zeta_k^2 = y_{k+1} x_{k-1} / (x_k y_{k-1}) for
+    k = 2..n and zeta_{n+1}^2 = x_0 x_n / (y_1 y_n); zeta_k^-2 is the cross ratio of y_k."""
+    start = turn_codes(g, path).index(LEFT)
+    steps = path.steps[start:] + path.steps[:start]
+    n = len(steps) - 1
+    y = [lam[g.edge_of(s)] for s in steps]
+    x = [lam[g.edge_of(third_slot(g, g.pairing(s), t))]
+         for s, t in zip(steps, steps[1:] + steps[:1])]
+    zetas = [math.sqrt((y[1] * y[n]) / (x[0] * x[-1]))]
+    zetas += [math.sqrt((y[k] * x[k - 2]) / (x[k - 1] * y[k - 2])) for k in range(2, n + 1)]
+    zetas.append(math.sqrt((x[-1] * x[n - 1]) / (y[0] * y[n - 1])))
+    return OneLeftTurn(tuple(zetas), math.prod(zetas), tuple(g.edge_of(s) for s in steps))

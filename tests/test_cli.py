@@ -259,7 +259,16 @@ SCREEN = ["detect", THETA, "--screen"]
     (LAMBDA, "edge,value\ne0,1\ne1,1\ne0,2\ne2,1\n", "line 4: duplicate entry for edge 'e0'"),
     (LAMBDA, "edge,value\ne0,1\ne1,1\n", "line 1: missing entries for edges ['e2']"),
     (LAMBDA, "edge,value\ne0,1\ne1,x\ne2,1\n",
-     "bad numeric value: could not convert string to float: 'x'"),
+     "line 3: bad numeric value: could not convert string to float: 'x'"),
+    (LAMBDA, "edge,value\ne0,1\ne1,nan\ne2,1\n", "lambda lengths must be positive finite reals"),
+    (["invert", THETA, "--coords"], "edge,value\ne0,1\ne1,2\ne2,y\n",
+     "line 4: bad numeric value: could not convert string to float: 'y'"),
+    (["invert", THETA, "--coords"], "edge,value\ne0,1\ne1,inf\ne2,5\n",
+     "simplicial coordinates must be finite"),
+    (["sweep", THETA, "--exponents"], "edge,exponent\ne0,1\ne1,1/0\ne2,0\n",
+     "line 3: bad exponent: Fraction(1, 0)"),
+    (["sweep", THETA, "--exponents"], "edge,exponent\ne0,1\nzz,1\ne2,0\n",
+     "line 3: unknown edge label 'zz'"),
     (SCREEN, "not json", "bad JSON: Expecting value: line 1 column 1 (char 0)"),
     (SCREEN, '{"members": []}', 'expected an object with a "family" key'),
     (SCREEN, '{"family": ["e0"]}', "family members must be arrays of edge labels"),
@@ -270,11 +279,12 @@ SCREEN = ["detect", THETA, "--screen"]
     (["trace", THETA, "--path", "zz+", "--lambda"], "edge,value\ne0,1\ne1,1\ne2,1\n",
      "unknown edge label 'zz'"),
     (["recurrent", THETA, "--subset", "zz"], None, "unknown edge label 'zz'"),
-    (LAMBDA, "edge,value\ne0,1\nzz,1\ne1,1\ne2,1\n", "unknown edge label 'zz'"),
+    (LAMBDA, "edge,value\ne0,1\nzz,1\ne1,1\ne2,1\n", "line 3: unknown edge label 'zz'"),
     (SCREEN, '{"family": [["zz"]]}', "unknown edge label 'zz'"),
 ], ids=["header_expected", "header_missing", "vertex_ids", "edge_ids", "empty_vertex",
         "duplicate_vertex", "edge_id_count", "line_kind", "no_edges", "unplaced_halves",
-        "csv_fields", "csv_no_rows", "csv_duplicate", "csv_missing", "csv_value",
+        "csv_fields", "csv_no_rows", "csv_duplicate", "csv_missing", "csv_value", "csv_nan",
+        "coords_value", "coords_inf", "exponent_zero_denominator", "exponent_label",
         "json_syntax", "json_no_family", "json_member", "empty_path", "empty_subset",
         "empty_boundary_subset", "path_label", "subset_label", "csv_label", "json_label"])
 def test_input_refusals_are_one_line(tmp_path, capsys, argv, data, message):
@@ -329,7 +339,8 @@ def test_sweep_overflow_is_domain_error(tmp_path, capsys):
     code = cli.main(["sweep", THETA, "--exponents", str(p)])
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
-    assert captured.err == f"error: weight t**{10 ** 400} of edge 0 overflows at t=10\n"
+    assert captured.err == ("error: weight of edge 0 overflows at t=10: its exponent is beyond "
+                            "double range\n")
     # at t = 1 every weight is exactly 1, whatever its exponent
     assert run(capsys, "sweep", THETA, "--exponents", str(p), "--t", "1") == (
         0, "t,curve,abs_trace,abs_trace_minus_2,hyp_length\n")

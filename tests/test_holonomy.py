@@ -21,32 +21,38 @@ from fatscreens import screens as scn
 from fatscreens import serialize as ser
 from fatscreens.errors import DomainError
 
-from conftest import (DATA, IDENTITY, L_MAT, R_MAT, det, essential_curve_pool, load, mat_mul,
-                      per_step_product, random_in_cell_lambda, random_trivalent, two_update_product)
+from conftest import (DATA, IDENTITY, L_MAT, LEFT, R_MAT, RIGHT, det, essential_curve_pool, load,
+                      mat_mul, per_step_product, random_in_cell_lambda, random_trivalent,
+                      reference_one_left_turn_data, turn_codes, two_update_product)
 
 ONES3 = geo.lambda_assignment([1, 1, 1])
 
 
 # -- turns --------------------------------------------------------------------
 
+def plan_turns(g, path):
+    """Whether the trace plan turns right into each step."""
+    return [right for _, right in hol._plan(g, path)]
+
+
 def test_turn_direction_basics(theta):
     # arriving by 3 (step 0), the next slot 4 is a right turn, the previous slot 5 a left one
-    assert hol.path_turns(theta, fgr.EdgePath((0, 4)))[1] == hol.RIGHT
-    assert hol.path_turns(theta, fgr.EdgePath((0, 5)))[1] == hol.LEFT
+    assert plan_turns(theta, fgr.EdgePath((0, 4)))[1] is True
+    assert plan_turns(theta, fgr.EdgePath((0, 5)))[1] is False
 
 
 def test_boundary_cycles_constant_turns(trivalent_corpus):
     for g in trivalent_corpus.values():
         for cyc in fgr.boundary_cycles(g):
-            turns = set(hol.path_turns(g, cyc))
+            turns = set(plan_turns(g, cyc))
             assert len(turns) == 1
             rev = fgr.EdgePath(tuple(g.pairing(s) for s in reversed(cyc.steps)))
-            assert len(set(hol.path_turns(g, rev))) == 1
-            assert set(hol.path_turns(g, rev)) != turns
+            assert len(set(plan_turns(g, rev))) == 1
+            assert set(plan_turns(g, rev)) != turns
 
 
 def test_mixed_turns_on_essential_cycle(theta):
-    assert sorted(hol.path_turns(theta, fgr.EdgePath((0, 4)))) == ["L", "R"]
+    assert sorted(plan_turns(theta, fgr.EdgePath((0, 4)))) == [False, True]
 
 
 # -- matrices -----------------------------------------------------------------
@@ -163,7 +169,7 @@ KERNEL_FAULTS = {
 }
 
 # every route into the kernel: float (rerun in mpf where its bound fails), mpf alone for
-# weights beyond the float pass's range, and exact Laurent; and the turns read off its plan
+# weights beyond the float pass's range, and exact Laurent
 KERNEL_ENTRIES = {
     "holonomy": lambda g, p: hol.holonomy(g, ones(g), p),
     "abs_trace_of_path": lambda g, p: hol.abs_trace_of_path(g, ones(g), p),
@@ -171,8 +177,6 @@ KERNEL_ENTRIES = {
     "trace_gap_of_path_mpf": lambda g, p: hol.trace_gap_of_path(g, beyond_float(g), p),
     "sweep": lambda g, p: asy.sweep(g, asy_family(g), [p]),
     "gap_leading": lambda g, p: asy._gap_leading(g, asy_family(g), p),
-    "path_turns": hol.path_turns,
-    "one_left_turn_data": lambda g, p: hol.one_left_turn_data(g, ones(g), p),
 }
 
 
@@ -232,8 +236,7 @@ def test_weight_count_is_checked(theta):
                 entry(theta, lam)
         for entry, arg in ((hol.holonomy, path), (hol.abs_trace_of_path, path),
                            (hol.trace_gap_of_path, path), (geo.cross_ratio, 0),
-                           (geo.whitehead_transport, 0), (geo.h_length, sector),
-                           (hol.one_left_turn_data, path)):
+                           (geo.whitehead_transport, 0), (geo.h_length, sector)):
             with pytest.raises(DomainError, match="one weight per edge"):
                 entry(theta, lam, arg)
     # a stray weight used to become the first new diagonal's on a 4-valent vertex
@@ -283,7 +286,7 @@ def reference_traces(g, lam, path):
     T then X per step, the reference values multiply mpmath matrices at 100 digits."""
     acc = IDENTITY
     for turn, h in zip(turn_codes(g, path), path.steps):
-        t_mat = {None: IDENTITY, hol.RIGHT: R_MAT, hol.LEFT: L_MAT}[turn]
+        t_mat = {None: IDENTITY, RIGHT: R_MAT, LEFT: L_MAT}[turn]
         acc = mat_mul(mat_mul(acc, t_mat), edge_x(g, lam, h))
     with mpmath.workdps(100):
         tr = mp_abs_trace(g, lam, path)
@@ -310,22 +313,11 @@ def check_certified(g, lam, path):
     return False
 
 
-def turn_codes(g, path):
-    """Turn into each step off the rotation, None at a backtrack: out of the arrival
-    iota(h) of the previous step h, right onto sigma(iota(h)), else left."""
-    turns = []
-    for k, h in enumerate(path.steps):
-        incoming = g.pairing(path.steps[k - 1])
-        turns.append(None if h == incoming else
-                     hol.RIGHT if h == g.sigma(incoming) else hol.LEFT)
-    return turns
-
-
 def mp_abs_trace(g, lam, path):
     """|trace| from mpmath matrix products at the caller's working precision."""
     mp_turns = {None: mpmath.matrix([[1, 0], [0, 1]]),
-                hol.RIGHT: mpmath.matrix([[1, 1], [-1, 0]]),
-                hol.LEFT: mpmath.matrix([[0, -1], [1, 1]])}
+                RIGHT: mpmath.matrix([[1, 1], [-1, 0]]),
+                LEFT: mpmath.matrix([[0, -1], [1, 1]])}
     mm = mp_turns[None]
     for turn, h in zip(turn_codes(g, path), path.steps):
         a, b, c, d = geo.quad_slots(g, h)
@@ -951,8 +943,7 @@ def one_left_turn_paths(g, max_len=8):
                     continue
                 if nxt == start and len(path) >= 2:
                     cand = fgr.EdgePath(path)
-                    turns = hol.path_turns(g, cand)
-                    if turns.count(hol.LEFT) == 1:
+                    if turn_codes(g, cand).count(LEFT) == 1:
                         found[fgr.canonical_path(g, cand).steps] = cand
                 if len(path) < max_len:
                     stack.append((nxt, path + (nxt,)))
@@ -967,7 +958,7 @@ def test_closed_form_matches_matrix_product(trivalent_corpus):
         for p in paths[:6]:
             for _ in range(3):
                 lam = random_in_cell_lambda(g, rng)
-                data = hol.one_left_turn_data(g, lam, p)
+                data = reference_one_left_turn_data(g, lam, p)
                 closed = hol.one_left_turn_trace(data.zetas)
                 matrix = hol.abs_trace_of_path(g, lam, p)
                 assert abs(closed) == pytest.approx(matrix, rel=1e-9)
@@ -979,9 +970,8 @@ def test_zeta_factors_are_cross_ratios(theta):
     for t in (3.0, 11.0):
         lam = geo.lambda_assignment([t, t, 1.0])
         p = fgr.EdgePath((0, 4))
-        data = hol.one_left_turn_data(theta, lam, p)
-        turns = hol.path_turns(theta, p)
-        start = turns.index(hol.LEFT)
+        data = reference_one_left_turn_data(theta, lam, p)
+        start = turn_codes(theta, p).index(LEFT)
         steps = p.steps[start:] + p.steps[:start]
         for z, s in zip(data.zetas, steps):
             assert z ** -2 == pytest.approx(geo.cross_ratio(theta, lam, s), rel=1e-12)
@@ -993,56 +983,12 @@ def test_zeta_product_telescopes(trivalent_corpus):
     for g in trivalent_corpus.values():
         for p in one_left_turn_paths(g, max_len=6)[:4]:
             lam = random_in_cell_lambda(g, rng)
-            data = hol.one_left_turn_data(g, lam, p)
+            data = reference_one_left_turn_data(g, lam, p)
             y = [lam[e] for e in data.traversed_edges]
             assert data.zeta_product == pytest.approx(y[-1] / y[0], rel=1e-12)
 
 
-# -- the off-path slot and Whitehead invariance on generated graphs -------------------
-
-def third_slot(g, arrive, depart):
-    """The half-edge at a turn's vertex that the path neither arrives by nor departs by."""
-    return next(h for h in g.vertex_cycles[g.vertex_of(arrive)] if h not in (arrive, depart))
-
-
-def reference_telescoping_sides(g, lam, path):
-    coords = geo.simplicial_coords(g, lam)
-    sum_x = sum(coords[g.edge_of(s)] for s in path.steps)
-    sum_h = 0.0
-    n = len(path.steps)
-    for k in range(n):
-        arrive = g.pairing(path.steps[k])
-        depart = path.steps[(k + 1) % n]
-        third = third_slot(g, arrive, depart)
-        sum_h += lam[g.edge_of(third)] / (lam[g.edge_of(arrive)] * lam[g.edge_of(depart)])
-    return sum_x, 2.0 * sum_h
-
-
-def reference_one_left_turn_data(g, lam, path):
-    start = turn_codes(g, path).index(hol.LEFT)
-    steps = path.steps[start:] + path.steps[:start]
-    n = len(steps) - 1
-    y = [lam[g.edge_of(s)] for s in steps]
-    x = [lam[g.edge_of(third_slot(g, g.pairing(s), t))]
-         for s, t in zip(steps, steps[1:] + steps[:1])]
-    zetas = [math.sqrt((y[1] * y[n]) / (x[0] * x[-1]))]
-    zetas += [math.sqrt((y[k] * x[k - 2]) / (x[k - 1] * y[k - 2])) for k in range(2, n + 1)]
-    zetas.append(math.sqrt((x[-1] * x[n - 1]) / (y[0] * y[n - 1])))
-    return hol.OneLeftTurnData(tuple(zetas), math.prod(zetas), tuple(g.edge_of(s) for s in steps))
-
-
-def test_off_path_slot_matches_third_slot_search(generated_trivalent):
-    rng = random.Random(61)
-    for g in generated_trivalent:
-        walks = [closed_walk(g, rng) for _ in range(6)] + list(fgr.boundary_cycles(g))
-        one_left = one_left_turn_paths(g, max_len=6)[:6]
-        for _ in range(3):
-            lam = geo.lambda_assignment([10 ** rng.uniform(-2, 2) for _ in range(g.n_edges)])
-            for p in walks + one_left:
-                assert geo.telescoping_sides(g, lam, p) == reference_telescoping_sides(g, lam, p)
-            for p in one_left:
-                assert hol.one_left_turn_data(g, lam, p) == reference_one_left_turn_data(g, lam, p)
-
+# -- Whitehead invariance on generated graphs -----------------------------------
 
 def test_whitehead_trace_invariance_generated(generated_trivalent):
     rng = random.Random(67)

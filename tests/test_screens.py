@@ -206,26 +206,26 @@ def test_simple_cycles_are_atomic(screen_corpus):
 def test_depth_and_predecessor(theta):
     s = scn.screen(theta, [{0, 1}])
     member = frozenset({0, 1})
-    assert scn.immediate_predecessor(s, member) == theta.all_edges()
-    assert scn.depth_of_member(s, theta.all_edges()) == 0
-    assert scn.depth_of_member(s, member) == 1
-    assert scn.depth_of_edge(s, 0) == 1
-    assert scn.depth_of_edge(s, 2) == 0
-    with pytest.raises(DomainError):
-        scn.immediate_predecessor(s, theta.all_edges())
-    with pytest.raises(DomainError):
-        scn.depth_of_member(s, frozenset({1, 2}))
+    assert s._depths[member] == (theta.all_edges(), 1)
+    assert s._depths[theta.all_edges()] == (None, 0)
+    assert scn.depth_family(s).exponents == (1, 1, 0)
+    with pytest.raises(DomainError) as err:
+        scn.relative_boundary(s, theta.all_edges())
+    assert str(err.value) == "the full edge set has no predecessor"
+    with pytest.raises(DomainError) as err:
+        scn.relative_boundary(s, frozenset({2, 1}))
+    assert str(err.value) == "[1, 2] is not a member of the screen"
 
 
 def test_three_level_nest(mercedes):
     deep = [s for s in scn.enumerate_screens(mercedes)
-            if max(scn.depth_of_member(s, a) for a in s.family) >= 2]
+            if max(d for _, d in s._depths.values()) >= 2]
     assert deep
     s = deep[0]
-    chain = [a for a in s.family if scn.depth_of_member(s, a) == 2]
-    assert scn.depth_of_member(s, chain[0]) == 2
-    mid = scn.immediate_predecessor(s, chain[0])
-    assert scn.depth_of_member(s, mid) == 1
+    chain = [a for a, (_, d) in s._depths.items() if d == 2]
+    mid = s._depths[chain[0]][0]
+    assert mid == reference_predecessor(s, chain[0])
+    assert s._depths[mid][1] == 1
 
 
 # -- boundaries -------------------------------------------------------------------
@@ -362,14 +362,12 @@ def test_laminar_pass_matches_definitions(screen_corpus):
         for s in scn.enumerate_screens(g):
             depth = {a: reference_depth(s, a) for a in s.family}
             for a in s.family:
-                assert scn.depth_of_member(s, a) == depth[a]
+                assert s._depths[a] == (None if a == top else reference_predecessor(s, a), depth[a])
                 if a == top:
                     continue
-                assert scn.immediate_predecessor(s, a) == reference_predecessor(s, a)
                 assert scn.relative_boundary(s, a) == reference_relative_boundary(s, a)
             want = [max(depth[a] for a in s.family if e in a) for e in range(g.n_edges)]
             assert scn.depth_family(s).exponents == tuple(Fraction(d) for d in want)
-            assert [scn.depth_of_edge(s, e) for e in range(g.n_edges)] == want
 
 
 # -- the member table against fresh walks ------------------------------------------------
@@ -427,7 +425,6 @@ def test_member_table_matches_fresh_walk(screen_corpus):
             want = [max(depth[a] for a in s.family if e in a) for e in range(g.n_edges)]
             fam = scn.depth_family(s)
             assert fam.exponents == tuple(Fraction(d) for d in want)
-            assert [scn.depth_of_edge(s, e) for e in range(g.n_edges)] == want
             assert scn.screen_of_exponents(g, fam).family == reference_screen_of_exponents(g, fam)
             assert reference_screen_of_exponents(g, fam) == s.family
         # candidates off the screens: condition (ii) fails for many of them

@@ -1,6 +1,7 @@
 """The sources parse as the oldest Python that ``pyproject.toml`` promises, which the
 test machines need not have, the library still has every binding that the benchmark's
-tracer replaces, and every field it declares is read somewhere."""
+tracer replaces, every field it declares is read somewhere, and every name it imports is
+used."""
 
 from __future__ import annotations
 
@@ -27,13 +28,19 @@ def test_source_parses_as_oldest_python(path):
     ast.parse(path.read_text(), str(path), feature_version=OLDEST)
 
 
+def _tracer() -> types.ModuleType:
+    """``perfbench/tracer.py`` executed from its source, which is left as it is."""
+    path = ROOT / "perfbench" / "tracer.py"
+    tracer = types.ModuleType("tracer")
+    exec(compile(path.read_text(), str(path), "exec"), tracer.__dict__)
+    return tracer
+
+
 def test_tracer_bindings_resolve_and_restore():
     """Each function in ``perfbench/tracer.py``'s ``WRAPPED`` is one object at its home module
     and at every site that binds it, and ``install`` then ``uninstall`` restores every binding
     the tracer replaces.  The tracer is executed from its source, which is left as it is."""
-    path = ROOT / "perfbench" / "tracer.py"
-    tracer = types.ModuleType("tracer")
-    exec(compile(path.read_text(), str(path), "exec"), tracer.__dict__)
+    tracer = _tracer()
     bindings = [(site, name.split(".", 1)[1]) for name, sites in tracer.WRAPPED.items()
                 for site in sites]
     bindings += [("holonomy", "mpmath"), ("geometry", "np")]
@@ -76,3 +83,27 @@ def test_every_record_field_is_read():
                 for field in _record_fields(ast.parse(path.read_text()))]
     assert declared
     assert [d for d in declared if d[2] not in read] == []
+
+
+def _imported_names(tree: ast.Module):
+    """The name that each import in a module binds, but ``from __future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((a.asname or a.name.split(".")[0]) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((a.asname or a.name) for a in node.names)
+
+
+def test_every_import_is_used():
+    """Each name a library module imports is read there as a name, or is a binding that
+    ``perfbench/tracer.py``'s ``WRAPPED`` replaces at that module: a leftover import keeps code
+    looking needed that nothing runs."""
+    wrapped = {(site, name.split(".", 1)[1]) for name, sites in _tracer().WRAPPED.items()
+               for site in sites}
+    unused = []
+    for path in sorted((ROOT / "src" / "fatscreens").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(path.stem, name) for name in _imported_names(tree)
+                   if name not in names and (path.stem, name) not in wrapped]
+    assert unused == []
