@@ -17,10 +17,16 @@ family keeps its exponents as int levels in steps of 1/lcm of their
 denominators.  Each screen finds its
 parents (immediate predecessors) and depths once, in one pass over the
 size-sorted family; a member is the union of its sub-members exactly when
-its disjoint children's sizes sum to its own.  Enumeration is a clique
-search over bitmasks of the later candidates nested in or disjoint from
-each candidate, carrying the maximal picked members (roots); it records
-each screen after its extensions (post-order), already sorted.
+its disjoint children's sizes sum to its own.
+
+Enumeration runs on int edge masks (bit e for edge e): the recurrent-subset
+scan yields them, and a clique search runs over the candidates' masks and
+bitmasks of the later candidates nested in or disjoint from each one,
+carrying the maximal picked members (roots).  A new pick's children are the
+roots inside it, so the search knows each screen's parents; it records each
+screen after its extensions (post-order), already sorted, with its parent
+and depth table filled in, and the one-pass scan is left to screens from
+elsewhere.
 """
 
 from __future__ import annotations
@@ -35,9 +41,9 @@ from .errors import DomainError
 # subgraph, boundary_cycles, reduce_path, canonical_path and is_recurrent stay
 # bound here for perfbench's tracer, which wraps them at this site
 from .fatgraph import (CurveSystem, EdgePath, EdgeSubset, Fatgraph, _curve_set,
-                       _edge_subset, _subset_faces, boundary_cycles, canonical_path,
-                       curve_system, is_boundary_parallel, is_recurrent, recurrent_subsets,
-                       reduce_path, subgraph)
+                       _edge_subset, _mask_edges, _recurrent_masks, _subset_faces,
+                       boundary_cycles, canonical_path, curve_system, is_boundary_parallel,
+                       is_recurrent, reduce_path, subgraph)
 
 MAX_ENUMERATION_EDGES = 12      # default of enumerate_screens and ``screens --max-edges``
 _DEPTHS = tuple(map(Fraction, range(MAX_ENUMERATION_EDGES)))     # depth_family's exponents
@@ -67,7 +73,8 @@ class Screen:
     @cached_property
     def _depths(self) -> dict[EdgeSubset, tuple[EdgeSubset | None, int]]:
         """Each member's parent (its first later superset in size order; None for
-        the top) and depth, filled from the largest member down."""
+        the top) and depth, filled from the largest member down.  ``enumerate_screens``
+        seeds the same table from its search."""
         fam = sorted(self.family, key=len)
         table: dict[EdgeSubset, tuple[EdgeSubset | None, int]] = {}
         for i in reversed(range(len(fam))):
@@ -161,36 +168,57 @@ def enumerate_screens(g: Fatgraph, max_edges: int = MAX_ENUMERATION_EDGES) -> li
     members into connected components.  A family with a disconnected member
     still passes ``validate_screen``; it describes the same degeneration as
     its componentwise refinement, which this enumeration does produce.
+
+    The search runs on the int edge masks of the recurrent-subset scan.  Each
+    screen comes with its parent and depth table filled in, entry for entry
+    and in the order that ``Screen``'s own scan fills it: a pick's children
+    are the roots inside it, and the top's are the roots left.
     """
     n = g.n_edges
     if n > max_edges:
         raise DomainError(f"edge count {n} exceeds enumeration bound {max_edges}")
     top = g.all_edges()
-    candidates = sorted((a for a in recurrent_subsets(g)     # the top, too, gets an entry
+    recurrent = {_mask_edges(mask): mask for mask in _recurrent_masks(g)}
+    candidates = sorted((a for a in recurrent       # the top, too, gets an entry
                          if len(_member(g, a).components) == 1 and a != top),
                         key=_member_key)
-    # bit j of compatible[i]: a later candidate j nests with or is disjoint from i
-    compatible = [sum(1 << j for j in range(i + 1, len(candidates))
-                      if _nested_or_disjoint(a, candidates[j]))
-                  for i, a in enumerate(candidates)]
+    masks = [recurrent[a] for a in candidates]
+    # bit j of compatible[i]: a later candidate j nests with or is disjoint from i.  No
+    # later candidate lies inside an earlier one, so nesting means containing it.
+    compatible = [sum(1 << j for j in range(i + 1, len(masks)) if masks[j] & a in (0, a))
+                  for i, a in enumerate(masks)]
+    full = (1 << n) - 1
     found: list[Screen] = []
 
-    # roots are the maximal picked members, pairwise disjoint.  Candidates come
-    # in member-key order, so a new one contains every picked member it meets
-    # and no later one lies inside it: its children, and (iv) for it, are fixed.
-    def extend(allowed: int, picked: tuple[EdgeSubset, ...], roots: list[EdgeSubset]) -> None:
-        if sum(map(len, roots)) == n:
+    # roots are the maximal picks, pairwise disjoint, as (mask, position in picked);
+    # parents[k] is pick k's parent, the top while pick k is a root.  Candidates come in
+    # member-key order, so a new pick contains every pick it meets and no later one lies
+    # inside it: its children are the roots it meets, and (iv) for it is fixed.
+    def extend(allowed: int, covered: int, picked: tuple[EdgeSubset, ...],
+               parents: list[EdgeSubset], roots: list[tuple[int, int]]) -> None:
+        if covered == full:
             return    # the top is the union of the roots in every extension
         while allowed:
             i = (allowed & -allowed).bit_length() - 1
             allowed &= allowed - 1
-            a = candidates[i]
-            if sum(len(r) for r in roots if r <= a) == len(a):
+            a, mask = candidates[i], masks[i]
+            if covered & mask == mask:
                 continue    # a is the union of its children in every extension
-            extend(allowed & compatible[i], (*picked, a), [r for r in roots if not r <= a] + [a])
-        found.append(Screen(g, (*picked, top)))    # after its extensions: sorted order
+            new_parents, new_roots = [*parents, top], [(mask, len(picked))]
+            for root in roots:
+                if root[0] & mask:
+                    new_parents[root[1]] = a
+                else:
+                    new_roots.append(root)
+            extend(allowed & compatible[i], covered | mask, (*picked, a), new_parents, new_roots)
+        depths = {top: (None, 0)}       # from the top down, as Screen._depths fills it
+        for a, parent in zip(reversed(picked), reversed(parents)):
+            depths[a] = (parent, depths[parent][1] + 1)
+        s = Screen(g, (*picked, top))   # after its extensions: sorted order
+        s.__dict__["_depths"] = depths  # seeds the cached property
+        found.append(s)
 
-    extend((1 << len(candidates)) - 1, (), [])
+    extend((1 << len(masks)) - 1, 0, (), [], [])
     del extend      # it refers to itself: the cycle would keep g alive until a collection
     return found
 

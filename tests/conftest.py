@@ -13,6 +13,7 @@ from fatscreens import fatgraph as fgr
 from fatscreens import geometry as geo
 
 DATA = Path(__file__).parent / "data"
+CENSUS12 = DATA.parents[1] / "perfbench" / "data" / "census12.fg"
 
 
 def load(name: str) -> fgr.Fatgraph:
@@ -47,7 +48,7 @@ def barbell() -> fgr.Fatgraph:
 @pytest.fixture(scope="session")
 def census12() -> fgr.Fatgraph:
     """The benchmark's 12-edge genus-1 graph with four punctures: 6656 screens."""
-    return fgr.parse_fatgraph((DATA.parents[1] / "perfbench" / "data" / "census12.fg").read_text())
+    return fgr.parse_fatgraph(CENSUS12.read_text())
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,7 @@ from fatscreens import screens as scn
 from fatscreens import serialize as ser
 from fatscreens.errors import FormatError
 
-from conftest import DATA
+from conftest import CENSUS12, DATA
 
 THETA = str(DATA / "theta.fg")
 
@@ -239,6 +239,9 @@ def test_input_that_is_not_utf8_is_refused_in_one_line(tmp_path, capsys, argv, d
 GRAPH_HEAD = "fatgraph v1\nv 0 : 0 1 2\nv 1 : 3 4 5\n"
 LAMBDA = ["trace", THETA, "--path", "e0+,e1-", "--lambda"]
 SCREEN = ["detect", THETA, "--screen"]
+# one vertex with 25 loops: past the recurrent-subset scan's bound
+LOOPS_25 = ("fatgraph v1\nv 0 : " + " ".join(map(str, range(50))) + "\n"
+            + "".join(f"e e{i} : {2 * i} {2 * i + 1}\n" for i in range(25)))
 
 
 # (argv, input file appended to argv or None, the one stderr line after "error: ")
@@ -281,12 +284,14 @@ SCREEN = ["detect", THETA, "--screen"]
     (["recurrent", THETA, "--subset", "zz"], None, "unknown edge label 'zz'"),
     (LAMBDA, "edge,value\ne0,1\nzz,1\ne1,1\ne2,1\n", "line 3: unknown edge label 'zz'"),
     (SCREEN, '{"family": [["zz"]]}', "unknown edge label 'zz'"),
+    (["recurrent", "--enumerate"], LOOPS_25, "edge count 25 exceeds recurrent-subset scan bound 24"),
 ], ids=["header_expected", "header_missing", "vertex_ids", "edge_ids", "empty_vertex",
         "duplicate_vertex", "edge_id_count", "line_kind", "no_edges", "unplaced_halves",
         "csv_fields", "csv_no_rows", "csv_duplicate", "csv_missing", "csv_value", "csv_nan",
         "coords_value", "coords_inf", "exponent_zero_denominator", "exponent_label",
         "json_syntax", "json_no_family", "json_member", "empty_path", "empty_subset",
-        "empty_boundary_subset", "path_label", "subset_label", "csv_label", "json_label"])
+        "empty_boundary_subset", "path_label", "subset_label", "csv_label", "json_label",
+        "scan_bound"])
 def test_input_refusals_are_one_line(tmp_path, capsys, argv, data, message):
     if data is not None:
         (tmp_path / "input").write_text(data)
@@ -601,12 +606,14 @@ GOLDEN = {
                 "e0ff09d7c9b57cd2a445c01fa5cebc3db1e1a007bbea8d016a32aed296ee45fa"),
     "theta_planar": ("f35965709e5c65f813c4fdd3a1c41b81e5210eda7eda90196e2bd291c806291a",
                      "20afc38abbcb4f591c73786b18a59e5599ebad4c18b050af22db803c88b07e12"),
+    "census12": ("a41426fcd4544e41dd9242d11a546e5d0607fe33ebae10b0e9ea2242c732c80d",
+                 "43b7e298e51b70920e01503fe9cee922a7ae985b364a2069ca2afccde66e2f94"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_screens_and_recurrent_output(name, capsys):
-    graph = str(DATA / f"{name}.fg")
+    graph = str(CENSUS12 if name == "census12" else DATA / f"{name}.fg")
     screens_digest, recurrent_digest = GOLDEN[name]
     code, out = run(capsys, "screens", graph, "--boundary")
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == screens_digest

@@ -211,6 +211,11 @@ def test_recurrence_basics(theta, barbell):
     for bad in ({-1, 0}, {0, 3}):
         with pytest.raises(DomainError, match=r"unknown edge ids \[(-1|3)\]"):
             fgr.is_recurrent(theta, bad)
+    # past MAX_SCAN_EDGES the 2**n scan is refused on the call, not run for hours
+    n = fgr.MAX_SCAN_EDGES + 1
+    loops = fgr.build([range(2 * n)], [(2 * e, 2 * e + 1) for e in range(n)])
+    with pytest.raises(DomainError, match=f"edge count {n} exceeds recurrent-subset scan bound 24"):
+        fgr.recurrent_subsets(loops)
 
 
 def test_maximal_recurrent_subset(theta, barbell):

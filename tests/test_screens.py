@@ -353,21 +353,43 @@ def reference_relative_boundary(s, member):
     return fgr.curve_system(g, keep)
 
 
-def test_laminar_pass_matches_definitions(screen_corpus):
-    for g in screen_corpus.values():
-        top = g.all_edges()
+def reference_recurrent(g, edges):
+    """Every vertex that the subset meets, it meets in at least two half-edges."""
+    met = [g.vertex_of(h) for e in edges for h in g.halves(e)]
+    return all(met.count(v) >= 2 for v in met)
+
+
+def check_laminar_pass(s):
+    """The table the enumeration seeded equals the references, and holds what a fresh
+    screen's scan fills, in the same insertion order."""
+    g, top = s.graph, s.graph.all_edges()
+    depth = {a: reference_depth(s, a) for a in s.family}
+    for a in s.family:
+        assert s._depths[a] == (None if a == top else reference_predecessor(s, a), depth[a])
+    assert list(s._depths.items()) == list(scn.Screen(g, s.family)._depths.items())
+    want = [max(depth[a] for a in s.family if e in a) for e in range(g.n_edges)]
+    assert scn.depth_family(s).exponents == tuple(Fraction(d) for d in want)
+
+
+def test_laminar_pass_matches_definitions(screen_corpus, census12):
+    graphs = list(generated_graphs())
+    ends = [[{g.vertex_of(h) for h in g.halves(e)} for e in range(g.n_edges)] for g in graphs]
+    assert any(len(v) == 1 for row in ends for v in row)                                # a loop
+    assert any(len(v) == 2 and row.count(v) > 1 for row in ends for v in row)           # parallel edges
+    assert {1, 2, 3, 4} <= {g.valence(v) for g in graphs for v in range(g.n_vertices)}
+    for g in [*screen_corpus.values(), *graphs]:
         masks = [frozenset(e for e in range(g.n_edges) if mask >> e & 1)
                  for mask in range(1, 1 << g.n_edges)]
-        assert list(fgr.recurrent_subsets(g)) == [a for a in masks if fgr.is_recurrent(g, a)]
+        assert [fgr.is_recurrent(g, a) for a in masks] == [reference_recurrent(g, a) for a in masks]
+        assert list(fgr.recurrent_subsets(g)) == [a for a in masks if reference_recurrent(g, a)]
         for s in scn.enumerate_screens(g):
-            depth = {a: reference_depth(s, a) for a in s.family}
+            check_laminar_pass(s)
             for a in s.family:
-                assert s._depths[a] == (None if a == top else reference_predecessor(s, a), depth[a])
-                if a == top:
-                    continue
-                assert scn.relative_boundary(s, a) == reference_relative_boundary(s, a)
-            want = [max(depth[a] for a in s.family if e in a) for e in range(g.n_edges)]
-            assert scn.depth_family(s).exponents == tuple(Fraction(d) for d in want)
+                if a != g.all_edges():
+                    assert scn.relative_boundary(s, a) == reference_relative_boundary(s, a)
+    # census12's trees, on a seeded sample of its 6656 screens
+    for s in random.Random(73).sample(scn.enumerate_screens(census12), 300):
+        check_laminar_pass(s)
 
 
 # -- the member table against fresh walks ------------------------------------------------
