@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError
-from .fatgraph import CurveSystem, EdgePath, EdgeSubset, Fatgraph, \
+from .fatgraph import CurveSystem, EdgePath, EdgeSubset, Fatgraph, _one_per_edge, \
     maximal_recurrent_subset
 # in_cell, simplicial_coords and trace_gap_of_path stay bound here for perfbench's tracer
 from .geometry import LambdaAssignment, in_cell, simplicial_coords
@@ -155,8 +155,7 @@ def sweep(g: Fatgraph, fam: MonomialFamily, curves: CurveSystem | Iterable[EdgeP
     """
     if not g.is_trivalent():
         raise DomainError("sweep needs a trivalent graph")
-    if len(fam) != g.n_edges:
-        raise DomainError("one exponent per edge required")
+    _one_per_edge(g, fam, "exponent")
     sched = sched or _DEFAULT_SCHEDULE
     unit, q = _tau_exponents(fam)
     polys = [(c, _exact_gap_poly(g, q, c)) for c in curves]
@@ -232,8 +231,7 @@ def ij_check(g: Fatgraph, fam: MonomialFamily) -> IJReport:
     """
     if not g.is_trivalent():
         raise DomainError("coordinate analysis needs a trivalent graph")
-    if len(fam) != g.n_edges:
-        raise DomainError("one exponent per edge required")
+    _one_per_edge(g, fam, "exponent")
     divergent = frozenset(e for e in range(g.n_edges) if fam[e] > 0)
     unit, q = _tau_exponents(fam)
     leading = [(e, _leading(_coordinate_poly(x, *[q[s] for s in quad])[-1], unit))

@@ -2,13 +2,15 @@
 
 Subcommands map one to one onto library operations; all output is
 deterministic for fixed inputs.  Exit codes: 0 success, 1 domain error,
-2 usage error.
+2 usage error, 130 interrupted (Ctrl-C), 141 output pipe closed by its
+reader (the status of a process killed by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -245,7 +247,15 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(fgr.parse_fatgraph(_read(args.graph)), args)
+        status = args.func(fgr.parse_fatgraph(_read(args.graph)), args)
+        sys.stdout.flush()      # a closed pipe shows here, not in the interpreter's last flush
+        return status
+    except BrokenPipeError:     # the reader is gone: what is left goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except (DomainError, OSError, ImportError) as exc:     # ImportError: numpy or mpmath missing
         print(f"error: {exc}", file=sys.stderr)
         return 1

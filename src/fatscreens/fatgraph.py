@@ -89,8 +89,7 @@ class Fatgraph:
                 vert[h] = v
         if any(s < 0 for s in sigma):
             raise DomainError("vertex cycles and edges must cover the same half-edge ids")
-        if len(self.edge_labels) != len(self.edge_halves):
-            raise DomainError("one label per edge required")
+        _one_per_edge(self, self.edge_labels, "label")
         if len(set(self.edge_labels)) != len(self.edge_labels):
             raise DomainError("duplicate edge labels")
         edge_of = [seen[h] for h in range(n)]
@@ -190,6 +189,11 @@ class Fatgraph:
 
     def step_head(self, step: DirectedStep) -> int:
         return self._vertex_of[self._iota[step]]
+
+
+def _one_per_edge(g: Fatgraph, values: Sequence, what: str) -> None:
+    if len(values) != g.n_edges:
+        raise DomainError(f"one {what} per edge required")
 
 
 def _connected(sigma: Sequence[int], iota: Sequence[int]) -> bool:
@@ -543,20 +547,16 @@ def recurrent_subsets(g: Fatgraph) -> Iterator[EdgeSubset]:
 
 
 def maximal_recurrent_subset(g: Fatgraph, edges: Iterable[int]) -> EdgeSubset:
-    """Largest recurrent subset, by pruning edges at valence <= 1 vertices."""
-    current = set(_edge_subset(g, edges))
-    while current:
-        valence: dict[int, int] = {}
-        for e in current:
-            for h in g.halves(e):
-                v = g.vertex_of(h)
-                valence[v] = valence.get(v, 0) + 1
-        drop = {e for e in current
-                if any(valence[g.vertex_of(h)] <= 1 for h in g.halves(e))}
-        if not drop:
-            break
-        current -= drop
-    return frozenset(current)
+    """Largest recurrent subset, by pruning the edges that meet a vertex alone, not as a loop."""
+    mask, lone = sum(1 << e for e in _edge_subset(g, edges)), -1
+    while lone:
+        lone = 0
+        for incident, loops in g._vertex_masks:
+            m = mask & incident
+            if m and not m & (m - 1 | loops):
+                lone |= m
+        mask &= ~lone
+    return _mask_edges(mask)
 
 
 def recurrent_witness_cycles(g: Fatgraph, edges: Iterable[int]) -> dict[int, EdgePath] | None:

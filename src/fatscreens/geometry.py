@@ -50,7 +50,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import DomainError, NonConvergenceError
-from .fatgraph import Fatgraph, WhiteheadMove, whitehead_move
+from .fatgraph import Fatgraph, WhiteheadMove, _one_per_edge, whitehead_move
 
 
 def _lazy_import(name: str):
@@ -125,11 +125,6 @@ def _require_trivalent(g: Fatgraph) -> None:
         raise DomainError("operation requires a trivalent graph")
 
 
-def _one_weight_per_edge(g: Fatgraph, weights: Sequence) -> None:
-    if len(weights) != g.n_edges:
-        raise DomainError("one weight per edge required")
-
-
 def quad_slots(g: Fatgraph, step: int) -> tuple[int, int, int, int]:
     """Edge ids (a, b, c, d) around the traversed edge, tail end first."""
     if not 0 <= step < g.n_half_edges:     # a negative id would index from the end
@@ -147,7 +142,7 @@ def quad_slots(g: Fatgraph, step: int) -> tuple[int, int, int, int]:
 def whitehead_transport(g: Fatgraph, lam: LambdaAssignment, e: int
                         ) -> tuple[Fatgraph, LambdaAssignment, WhiteheadMove]:
     """Flip an edge and exchange its weight by the Ptolemy rule."""
-    _one_weight_per_edge(g, lam)
+    _one_per_edge(g, lam, "weight")
     move = whitehead_move(g, e)
     a, b, c, d = (g.edge_of(h) for h in move.neighbor_slots)
     new = list(lam.values)
@@ -162,7 +157,7 @@ def cross_ratio(g: Fatgraph, lam: LambdaAssignment, step: int) -> float:
     pattern seen along a curve comes from the two ends of consecutive
     edges exchanging roles.
     """
-    _one_weight_per_edge(g, lam)
+    _one_per_edge(g, lam, "weight")
     a, b, c, d = quad_slots(g, step)
     return (lam[b] * lam[d]) / (lam[a] * lam[c])
 
@@ -170,7 +165,7 @@ def cross_ratio(g: Fatgraph, lam: LambdaAssignment, step: int) -> float:
 def h_length(g: Fatgraph, lam: LambdaAssignment, h: int) -> float:
     """Horocyclic length across the sector from half-edge ``h`` to ``sigma(h)``:
     opposite over product of adjacent."""
-    _one_weight_per_edge(g, lam)
+    _one_per_edge(g, lam, "weight")
     if not 0 <= h < g.n_half_edges:
         raise DomainError(f"invalid half-edge id {h}")
     if g.valence(g.vertex_of(h)) != 3:
@@ -182,7 +177,7 @@ def h_length(g: Fatgraph, lam: LambdaAssignment, h: int) -> float:
 def simplicial_coords(g: Fatgraph, lam: LambdaAssignment) -> SimplicialCoords:
     """Per-edge coordinates: the term of the first half's end plus the second's."""
     _require_trivalent(g)
-    _one_weight_per_edge(g, lam)
+    _one_per_edge(g, lam, "weight")
     w = lam.values
     slots = iter(itemgetter(*chain.from_iterable(g._edge_quads))(w))
     try:
@@ -206,7 +201,7 @@ def triangle_inequalities_hold(g: Fatgraph, lam: LambdaAssignment
                                ) -> tuple[bool, int | None]:
     """Strict triangle inequalities for the three slot values at each vertex."""
     _require_trivalent(g)
-    _one_weight_per_edge(g, lam)
+    _one_per_edge(g, lam, "weight")
     for v, cyc in enumerate(g.vertex_cycles):
         *rest, top = sorted(lam[g.edge_of(h)] for h in cyc)
         if sum(map(Fraction, rest)) <= top:     # exact: 1 + 1e16 > 1e16 although it rounds
@@ -219,8 +214,7 @@ def no_vanishing_cycle(g: Fatgraph, coords: SimplicialCoords,
     """Nonnegative coordinates and no cycle among the (near-)zero edges."""
     if not tol >= 0:        # NaN fails this too
         raise DomainError("tolerance must be nonnegative")
-    if len(coords) != g.n_edges:
-        raise DomainError("one coordinate per edge required")
+    _one_per_edge(g, coords, "coordinate")
     if min(coords.values) < -tol:
         return False
     # forest test by union-find on the zero edges; loops and parallel edges close cycles
@@ -362,14 +356,13 @@ def invert_coords(g: Fatgraph, target: SimplicialCoords, tol: float = 1e-10,
     _require_trivalent(g)
     if not 0 < tol < math.inf:       # NaN fails this too
         raise DomainError(f"tolerance must be positive and finite, got {tol}")
-    if len(target) != g.n_edges:
-        raise DomainError("one target coordinate per edge required")
+    _one_per_edge(g, target, "target coordinate")
     if min(target.values) < 0:
         raise DomainError("infeasible target: negative coordinate")
     if not no_vanishing_cycle(g, target, 0.0):
         raise DomainError("infeasible target: vanishing cycle")
-    if initial is not None and len(initial) != g.n_edges:
-        raise DomainError("one initial weight per edge required")
+    if initial is not None:
+        _one_per_edge(g, initial, "initial weight")
     x = np.asarray(target.values, dtype=float)
     tables = _end_tables(g)
     m = np.sort(x[x > 0])       # for 2 / their median; np.median would load numpy.ma (1.6 MB)
@@ -586,7 +579,7 @@ def refine_to_trivalent(g: Fatgraph, lam: LambdaAssignment) -> Refinement:
     polygon and the new fan edges receive the Euclidean diagonal lengths
     from its first corner.  Collapsing the new edges recovers the input.
     """
-    _one_weight_per_edge(g, lam)
+    _one_per_edge(g, lam, "weight")
     if any(g.valence(v) < 3 for v in range(g.n_vertices)):
         raise DomainError("refinement needs all valences >= 3")
     for v, cyc in enumerate(g.vertex_cycles):

@@ -52,11 +52,13 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .fatgraph import EdgePath, Fatgraph, _check_joins, _check_steps, is_boundary_parallel
-from .geometry import LambdaAssignment, _lazy_import, _one_weight_per_edge
+from .fatgraph import EdgePath, Fatgraph, _check_joins, _check_steps, _one_per_edge, \
+    is_boundary_parallel
+from .geometry import LambdaAssignment, _lazy_import
 
 mpmath = _lazy_import("mpmath")     # only the sums and traces that leave float need it
 
@@ -68,7 +70,7 @@ EXACT_BITS_MAX = 2 ** 24     # packed exact traces grow with the exponent denomi
 def _check_kernel(g: Fatgraph, w: Sequence) -> None:
     if not g.is_trivalent():
         raise DomainError("holonomy needs a trivalent graph")
-    _one_weight_per_edge(g, w)
+    _one_per_edge(g, w, "weight")
 
 
 def _edge_rows(g: Fatgraph, w: Sequence, sqrt, edges: Iterable[int]) -> dict[int, tuple]:
@@ -218,7 +220,7 @@ def terms_at(ks: Sequence[tuple[int, int]], unit: int, t: float) -> float:
     try:
         terms, fixes, err = [c * t ** (k / unit) for k, c in ks], [], len(ks) * 2 ** -1074
         for (k, _), x in zip(ks, terms) if unit & unit - 1 else ():
-            if y := _quotient_error(k, unit) * ln_t:    # x * 0 is nan where x overflows
+            if y := float(Fraction(k, unit) - Fraction(k / unit)) * ln_t:  # inf * 0 is nan
                 fixes.append(f := x * y)
                 err += abs(f) * (2 * abs(y) + 2 ** -49) + 2 * 2 ** -1074
         total, mass = math.fsum(terms + fixes), math.fsum(map(abs, terms))
@@ -236,12 +238,6 @@ def terms_at(ks: Sequence[tuple[int, int]], unit: int, t: float) -> float:
             err = mass * (2 + max(abs(k) for k, _ in ks) / unit * abs(ln_t))
             err *= mpmath.mpf(10) ** -digits
     return float(total)
-
-
-def _quotient_error(k: int, unit: int) -> float:
-    """k / unit - fl(k / unit), from the float's exact ratio p / q."""
-    p, q = (k / unit).as_integer_ratio()
-    return (k * q - p * unit) / (q * unit)
 
 
 def holonomy(g: Fatgraph, lam: LambdaAssignment, path: EdgePath) -> tuple[float, ...]:

@@ -41,7 +41,7 @@ from .errors import DomainError
 # subgraph, boundary_cycles, reduce_path, canonical_path and is_recurrent stay
 # bound here for perfbench's tracer, which wraps them at this site
 from .fatgraph import (CurveSystem, EdgePath, EdgeSubset, Fatgraph, _curve_set,
-                       _edge_subset, _mask_edges, _recurrent_masks, _subset_faces,
+                       _edge_subset, _mask_edges, _one_per_edge, _recurrent_masks, _subset_faces,
                        boundary_cycles, canonical_path, curve_system, is_boundary_parallel,
                        is_recurrent, reduce_path, subgraph)
 
@@ -311,8 +311,7 @@ def screen_of_exponents(g: Fatgraph, fam: MonomialFamily) -> Screen:
     checked here, so the result may fail ``validate_screen`` when the
     exponents do not come from a valid degeneration.
     """
-    if len(fam) != g.n_edges:
-        raise DomainError("one exponent per edge required")
+    _one_per_edge(g, fam, "exponent")
     levels = fam._levels[1]
     family: set[EdgeSubset] = {g.all_edges()}
     for p in sorted(set(levels), reverse=True)[1:]:

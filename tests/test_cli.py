@@ -6,7 +6,12 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -327,6 +332,45 @@ def test_usage_error_exit_code(tmp_path, capsys):
         cli.main(["sweep", THETA, "--exponents", str(p), "--t", "abc"])
     assert exc.value.code == 2
     assert "argument --t: expected comma separated numbers" in capsys.readouterr().err
+
+
+def cli_process(*argv: str, **kwargs) -> subprocess.Popen:
+    """``python -m fatscreens.cli`` in a child process, on this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.Popen([sys.executable, "-m", "fatscreens.cli", *argv],
+                            env={**os.environ, "PYTHONPATH": src}, **kwargs)
+
+
+def prism_text(k: int) -> str:
+    """The prism over a k-gon as a fatgraph file: 2k trivalent vertices, 3k edges."""
+    lines = ["fatgraph v1"] + [f"v {v} : {3 * v} {3 * v + 1} {3 * v + 2}" for v in range(2 * k)]
+    for i, j in ((i, (i + 1) % k) for i in range(k)):
+        lines += [f"e t{i} : {3 * i} {3 * j + 1}", f"e b{i} : {3 * (k + i)} {3 * (k + j) + 1}",
+                  f"e r{i} : {3 * i + 2} {3 * (k + i) + 2}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_closed_output_pipe_ends_quietly():
+    # the reader leaves after one line of about 870 kB: no stderr line and no "Exception
+    # ignored" from the last flush, and the shell sees 141 as for a process killed by SIGPIPE
+    with cli_process("screens", str(CENSUS12), stdout=subprocess.PIPE,
+                     stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"screens=6656\n"
+        proc.stdout.close()
+        assert proc.communicate(timeout=60)[1] == b""
+    assert proc.returncode in (141, -signal.SIGPIPE)
+
+
+def test_interrupt_is_one_line(tmp_path):
+    # Ctrl-C one second into the 2**24-mask scan of a 24-edge prism (several seconds)
+    graph = tmp_path / "prism24.fg"
+    graph.write_text(prism_text(8))
+    with cli_process("recurrent", str(graph), "--enumerate",
+                     stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) as proc:
+        time.sleep(1)
+        proc.send_signal(signal.SIGINT)
+        assert proc.communicate(timeout=60)[1] == b"error: interrupted\n"
+    assert proc.returncode == 130
 
 
 def test_sweep_overflow_is_domain_error(tmp_path, capsys):

@@ -243,6 +243,42 @@ def test_closure_operator_properties():
         assert ra <= fgr.maximal_recurrent_subset(g, b)
 
 
+def _maximal_recurrent_reference(g: fgr.Fatgraph, edges) -> frozenset:
+    """Prune every edge at a vertex of valence <= 1, counted per half-edge in a dict
+    (a loop counts twice), until none is left to prune."""
+    current = set(edges)
+    while current:
+        valence: dict[int, int] = {}
+        for e in current:
+            for h in g.halves(e):
+                v = g.vertex_of(h)
+                valence[v] = valence.get(v, 0) + 1
+        drop = {e for e in current
+                if any(valence[g.vertex_of(h)] <= 1 for h in g.halves(e))}
+        if not drop:
+            break
+        current -= drop
+    return frozenset(current)
+
+
+def test_maximal_recurrent_subset_matches_reference(census12, generated_fatgraphs,
+                                                    generated_trivalent):
+    # every subset up to 10 edges, 300 seeded ones of each larger graph; the pruned
+    # subsets and the kept ones both show up
+    rng = random.Random(37)
+    graphs = [fgr.parse_fatgraph(p.read_text()) for p in sorted(DATA.glob("*.fg"))]
+    seen = Counter()
+    for g in graphs + [census12] + generated_fatgraphs + generated_trivalent:
+        n = g.n_edges
+        masks = range(1 << n) if n <= 10 else (rng.getrandbits(n) for _ in range(300))
+        for mask in masks:
+            subset = fgr._mask_edges(mask)
+            got = fgr.maximal_recurrent_subset(g, subset)
+            assert got == _maximal_recurrent_reference(g, subset), (g, sorted(subset))
+            seen[n > 10, got == subset] += 1
+    assert min(seen.values()) > 100 and len(seen) == 4, seen
+
+
 def test_witness_cycles(theta, barbell):
     w = fgr.recurrent_witness_cycles(theta, {0, 1})
     assert set(w) == {0, 1}

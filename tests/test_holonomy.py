@@ -232,15 +232,15 @@ def test_weight_count_is_checked(theta):
         lam = geo.lambda_assignment(values)
         for entry in (geo.simplicial_coords, geo.in_cell, geo.triangle_inequalities_hold,
                       geo.refine_to_trivalent):
-            with pytest.raises(DomainError, match="one weight per edge"):
+            with pytest.raises(DomainError, match="^one weight per edge required$"):
                 entry(theta, lam)
         for entry, arg in ((hol.holonomy, path), (hol.abs_trace_of_path, path),
                            (hol.trace_gap_of_path, path), (geo.cross_ratio, 0),
                            (geo.whitehead_transport, 0), (geo.h_length, sector)):
-            with pytest.raises(DomainError, match="one weight per edge"):
+            with pytest.raises(DomainError, match="^one weight per edge required$"):
                 entry(theta, lam, arg)
     # a stray weight used to become the first new diagonal's on a 4-valent vertex
-    with pytest.raises(DomainError, match="one weight per edge"):
+    with pytest.raises(DomainError, match="^one weight per edge required$"):
         geo.refine_to_trivalent(load("wedge.fg"), geo.lambda_assignment([1, 1, 7]))
 
 
