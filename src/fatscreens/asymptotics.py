@@ -52,9 +52,6 @@ class SweepSchedule:
             raise DomainError("schedule must be strictly increasing")
 
 
-_DEFAULT_SCHEDULE = SweepSchedule()     # frozen: one validated instance serves every sweep
-
-
 def evaluate_family(fam: MonomialFamily, t: float) -> LambdaAssignment:
     """Weights t**p_e at one parameter value, each exactly 1 at t = 1 whatever its exponent."""
     if not 1.0 <= t < math.inf:
@@ -144,7 +141,7 @@ class SweepReport:
 
 
 def sweep(g: Fatgraph, fam: MonomialFamily, curves: CurveSystem | Iterable[EdgePath],
-          sched: SweepSchedule | None = None) -> SweepReport:
+          sched: SweepSchedule = SweepSchedule()) -> SweepReport:
     """Trace every curve at every scheduled t and classify the decay.
 
     Rows evaluate each curve's exact gap |trace| - 2 to 15 digits, or refuse a nonzero gap
@@ -155,8 +152,7 @@ def sweep(g: Fatgraph, fam: MonomialFamily, curves: CurveSystem | Iterable[EdgeP
     """
     if not g.is_trivalent():
         raise DomainError("sweep needs a trivalent graph")
-    _one_per_edge(g, fam, "exponent")
-    sched = sched or _DEFAULT_SCHEDULE
+    _one_per_edge(g, fam.exponents, "exponent")
     unit, q = _tau_exponents(fam)
     polys = [(c, _exact_gap_poly(g, q, c)) for c in curves]
     # Abel summation: coefficient sums > 0 from the top down keep a coordinate > 0 for t >= 1
@@ -231,8 +227,8 @@ def ij_check(g: Fatgraph, fam: MonomialFamily) -> IJReport:
     """
     if not g.is_trivalent():
         raise DomainError("coordinate analysis needs a trivalent graph")
-    _one_per_edge(g, fam, "exponent")
-    divergent = frozenset(e for e in range(g.n_edges) if fam[e] > 0)
+    _one_per_edge(g, fam.exponents, "exponent")
+    divergent = frozenset(e for e in range(g.n_edges) if fam.exponents[e] > 0)
     unit, q = _tau_exponents(fam)
     leading = [(e, _leading(_coordinate_poly(x, *[q[s] for s in quad])[-1], unit))
                for e, (x, quad) in enumerate(zip(q, g._edge_quads))]

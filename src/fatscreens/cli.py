@@ -1,26 +1,31 @@
 """Command-line front end.
 
 Subcommands map one to one onto library operations; all output is
-deterministic for fixed inputs.  Exit codes: 0 success, 1 domain error,
-2 usage error, 130 interrupted (Ctrl-C), 141 output pipe closed by its
-reader (the status of a process killed by SIGPIPE).
+deterministic for fixed inputs.  Exit codes: 0 success, 1 domain error
+or out of memory, 2 usage error, 130 interrupted (Ctrl-C), 141 output pipe
+closed by its reader (the status of a process killed by SIGPIPE).
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
-import os
 import sys
-from pathlib import Path
 
-from . import asymptotics as asy
-from . import fatgraph as fgr
-from . import geometry as geo
-from . import holonomy as hol
-from . import screens as scn
-from . import serialize as ser
-from .errors import DomainError, FormatError
+try:    # a Ctrl-C while the modules load ends as one in a command does
+    import argparse
+    import functools
+    import os
+    from pathlib import Path
+
+    from . import asymptotics as asy
+    from . import fatgraph as fgr
+    from . import geometry as geo
+    from . import holonomy as hol
+    from . import screens as scn
+    from . import serialize as ser
+    from .errors import DomainError, FormatError
+except KeyboardInterrupt:
+    print("error: interrupted", file=sys.stderr)
+    sys.exit(130)
 
 FATGRAPH_GRAMMAR = """\
 fatgraph v1 file format ('#' starts a comment):
@@ -66,8 +71,12 @@ def cmd_info(g: fgr.Fatgraph, args) -> int:
 
 def cmd_recurrent(g: fgr.Fatgraph, args) -> int:
     if args.enumerate:
-        for sub in sorted(fgr.recurrent_subsets(g), key=scn._member_key):
-            print(ser.subset_text(g, sub))
+        # member-key order: by size, then the set holding the lowest edge where two differ
+        # first, which is the larger of the masks read with edge 0 as the top bit
+        n = g.n_edges
+        for mask in sorted(fgr._recurrent_masks(g), key=lambda m: (n - m.bit_count()) << n
+                           | int(f"{m:0{n}b}"[::-1], 2), reverse=True):
+            print(ser.subset_text(g, fgr._mask_edges(mask)))
         return 0
     subset = ser.parse_subset(g, args.subset)
     ok = fgr.is_recurrent(g, subset)
@@ -256,6 +265,9 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     except (DomainError, OSError, ImportError) as exc:     # ImportError: numpy or mpmath missing
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -182,14 +182,6 @@ class Fatgraph:
     _label_index = cached_property(lambda self: {lab: e for e, lab in enumerate(self.edge_labels)})
     _all_edges = cached_property(lambda self: frozenset(range(len(self.edge_halves))))
 
-    # -- step helpers ---------------------------------------------------------
-
-    def step_tail(self, step: DirectedStep) -> int:
-        return self._vertex_of[step]
-
-    def step_head(self, step: DirectedStep) -> int:
-        return self._vertex_of[self._iota[step]]
-
 
 def _one_per_edge(g: Fatgraph, values: Sequence, what: str) -> None:
     if len(values) != g.n_edges:
@@ -363,24 +355,17 @@ def topology(g: Fatgraph) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 def check_closed_path(g: Fatgraph, path: EdgePath) -> None:
-    _check_steps(g, path.steps)
-    _check_joins(g, path.steps)
-
-
-def _check_steps(g: Fatgraph, steps: Sequence[int]) -> None:
-    """Refuse an empty path or a step that is no half-edge id."""
+    """Refuse an empty path, else its first step that is no half-edge id, else the first
+    step, in path order, whose successor (cyclically) starts elsewhere."""
+    steps, n = path.steps, g.n_half_edges
     if not steps:
         raise DomainError("empty path")
-    n = g.n_half_edges
     if min(steps) < 0 or max(steps) >= n:
         bad = next(h for h in steps if not 0 <= h < n)
         raise DomainError(f"invalid half-edge id {bad} in path")
-
-
-def _check_joins(g: Fatgraph, steps: Sequence[int]) -> None:
-    """Refuse the first step, in path order, whose successor (cyclically) starts elsewhere."""
+    vertex_of, iota = g._vertex_of, g._iota
     for k, step in enumerate(steps):
-        if g.step_head(step) != g.step_tail(steps[(k + 1) % len(steps)]):
+        if vertex_of[iota[step]] != vertex_of[steps[(k + 1) % len(steps)]]:
             raise DomainError(f"path breaks between steps {k} and {k + 1}")
 
 
@@ -752,8 +737,8 @@ def transport_path(g: Fatgraph, move: WhiteheadMove, path: EdgePath) -> EdgePath
     for i, s in enumerate(kept):
         steps.append(s)
         nxt = kept[(i + 1) % n]
-        v_here = g2.step_head(s)
-        v_next = g2.step_tail(nxt)
+        v_here = g2.vertex_of(g2.pairing(s))
+        v_next = g2.vertex_of(nxt)
         if v_here != v_next:
             if v_here == g2.vertex_of(hu) and v_next == g2.vertex_of(hw):
                 steps.append(hu)

@@ -89,8 +89,7 @@ class LambdaAssignment(_PerEdge):
     # log2(2 hi / lo) of the least and largest weights lo, hi where lo**2 and hi**2 are normal,
     # else inf: the trace's range test for its float pass reads it once per path
     log2_spread: float = field(init=False, repr=False, compare=False)
-    # (slot table, float rows by edge) of the last graph traced: the trace kernel's rows
-    _trace_rows: tuple = field(init=False, repr=False, compare=False)
+    _trace_rows = (None, None)  # (slot table, float rows) of the last graph traced: no field
 
     def __post_init__(self):
         lo, hi = min(self.values, default=1.0), max(self.values, default=1.0)
@@ -98,7 +97,6 @@ class LambdaAssignment(_PerEdge):
             raise DomainError("lambda lengths must be positive finite reals")
         object.__setattr__(self, "log2_spread", math.log2(2 * hi / lo) if (
             lo * lo >= sys.float_info.min and hi * hi < math.inf) else math.inf)
-        object.__setattr__(self, "_trace_rows", (None, None))
 
 
 @dataclass(frozen=True)

@@ -56,8 +56,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-from .fatgraph import EdgePath, Fatgraph, _check_joins, _check_steps, _one_per_edge, \
-    is_boundary_parallel
+from .fatgraph import EdgePath, Fatgraph, _one_per_edge, check_closed_path, is_boundary_parallel
 from .geometry import LambdaAssignment, _lazy_import
 
 mpmath = _lazy_import("mpmath")     # only the sums and traces that leave float need it
@@ -118,8 +117,7 @@ def _plan(g: Fatgraph, path: EdgePath) -> tuple[tuple[int, bool], ...]:
                 raise KeyError(h)
             right = sigma[iota[h]]
     except (IndexError, KeyError):          # or the path has no steps, or its last is no id
-        _check_steps(g, steps)
-        _check_joins(g, steps)
+        check_closed_path(g, path)
         raise DomainError("path is not efficient") from None
     object.__setattr__(path, "_plan", (g._edge_quads, plan := tuple(plan)))
     return plan

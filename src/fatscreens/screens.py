@@ -14,8 +14,8 @@ boundaries (faces minus the parent's) per recurrent parent.  It stores no
 other subset (valid screens' members and depth-filtration stages are all
 recurrent), so it never outgrows the graph's recurrent subsets.  A monomial
 family keeps its exponents as int levels in steps of 1/lcm of their
-denominators.  Each screen finds its
-parents (immediate predecessors) and depths once, in one pass over the
+denominators.  A screen from any producer but ``enumerate_screens`` finds
+its parents (immediate predecessors) and depths once, in one pass over the
 size-sorted family; a member is the union of its sub-members exactly when
 its disjoint children's sizes sum to its own.
 
@@ -25,8 +25,7 @@ bitmasks of the later candidates nested in or disjoint from each one,
 carrying the maximal picked members (roots).  A new pick's children are the
 roots inside it, so the search knows each screen's parents; it records each
 screen after its extensions (post-order), already sorted, with its parent
-and depth table filled in, and the one-pass scan is left to screens from
-elsewhere.
+and depth table filled in.
 """
 
 from __future__ import annotations
@@ -110,7 +109,7 @@ def validate_screen(s: Screen) -> ScreenCheck:
     if top not in s.family:
         return ScreenCheck(False, "i", (top,), "full edge set missing from family")
     for a in s.family:      # the member table holds recurrent subsets only
-        if a not in g._members and (not a or not _member(g, a).recurrent):
+        if a not in g._members and (not a or not is_recurrent(g, a)):
             return ScreenCheck(False, "ii", (a,),
                                f"member {sorted(a)} is not recurrent")
     for i, a in enumerate(s.family):
@@ -131,7 +130,6 @@ def validate_screen(s: Screen) -> ScreenCheck:
 
 
 class _Member(NamedTuple):
-    recurrent: bool
     faces: frozenset[EdgePath]
     components: tuple[EdgeSubset, ...]
     key: tuple                                          # _member_key
@@ -153,7 +151,7 @@ def _member(g: Fatgraph, edges: EdgeSubset) -> _Member:
                        for h in g.vertex_cycles[g._vertex_of[x]]} & todo
                 todo -= new
             components.append(frozenset(component))
-        entry = _Member(recurrent, frozenset(_subset_faces(g, edges)), tuple(components),
+        entry = _Member(frozenset(_subset_faces(g, edges)), tuple(components),
                         _member_key(edges), {})
         if recurrent:
             g._members[edges] = entry
@@ -235,7 +233,7 @@ def _relative_faces(g: Fatgraph, member: EdgeSubset, parent: EdgeSubset) -> froz
     faces = m.relative.get(parent)
     if faces is None:
         parent_faces = _member(g, parent).faces
-        if not m.recurrent:
+        if member not in g._members:    # not recurrent: _member stored no entry
             return frozenset(curve_system(g, [p for p in m.faces
                                               if not is_boundary_parallel(g, p, parent_faces)]))
         faces = m.faces - parent_faces
@@ -278,12 +276,6 @@ class MonomialFamily:
         unit = math.lcm(*(p.denominator for p in self.exponents))
         return unit, tuple(p.numerator * (unit // p.denominator) for p in self.exponents)
 
-    def __getitem__(self, e: int) -> Fraction:
-        return self.exponents[e]
-
-    def __len__(self) -> int:
-        return len(self.exponents)
-
 
 def monomial_family(exponents: Iterable[Fraction | int | str]) -> MonomialFamily:
     return MonomialFamily(tuple(Fraction(p) for p in exponents))
@@ -311,7 +303,7 @@ def screen_of_exponents(g: Fatgraph, fam: MonomialFamily) -> Screen:
     checked here, so the result may fail ``validate_screen`` when the
     exponents do not come from a valid degeneration.
     """
-    _one_per_edge(g, fam, "exponent")
+    _one_per_edge(g, fam.exponents, "exponent")
     levels = fam._levels[1]
     family: set[EdgeSubset] = {g.all_edges()}
     for p in sorted(set(levels), reverse=True)[1:]:

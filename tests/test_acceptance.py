@@ -258,7 +258,7 @@ def test_criterion_12_psl2_relations(trivalent_corpus):
             for p in pool:
                 base = hol.abs_trace_of_path(g, lam, p)
                 k = rng.randrange(len(p.steps))
-                v = g.step_head(p.steps[k])
+                v = g.vertex_of(g.pairing(p.steps[k]))
                 ins = rng.choice(g.vertex_cycles[v])
                 noisy = fgr.EdgePath(
                     p.steps[:k + 1] + (ins, g.pairing(ins)) + p.steps[k + 1:])

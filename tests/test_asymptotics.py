@@ -287,7 +287,7 @@ def reference_coordinate_leading(g, fam):
     for e, halves in enumerate(g.edge_halves):
         terms = {}
         for h in halves:
-            x, a, b = (fam[g.edge_of(s)] for s in (h, g.sigma(h), g.sigma(g.sigma(h))))
+            x, a, b = (fam.exponents[g.edge_of(s)] for s in (h, g.sigma(h), g.sigma(g.sigma(h))))
             for k, c in ((a - b - x, 1), (b - a - x, 1), (x - a - b, -1)):
                 terms[k] = terms.get(k, 0) + c
         top = max((k for k, c in terms.items() if c), default=None)

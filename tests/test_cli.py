@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import resource
 import signal
 import subprocess
 import sys
@@ -244,9 +245,15 @@ def test_input_that_is_not_utf8_is_refused_in_one_line(tmp_path, capsys, argv, d
 GRAPH_HEAD = "fatgraph v1\nv 0 : 0 1 2\nv 1 : 3 4 5\n"
 LAMBDA = ["trace", THETA, "--path", "e0+,e1-", "--lambda"]
 SCREEN = ["detect", THETA, "--screen"]
-# one vertex with 25 loops: past the recurrent-subset scan's bound
-LOOPS_25 = ("fatgraph v1\nv 0 : " + " ".join(map(str, range(50))) + "\n"
-            + "".join(f"e e{i} : {2 * i} {2 * i + 1}\n" for i in range(25)))
+
+
+def bouquet_text(n: int) -> str:
+    """One vertex with n loops as a fatgraph file: every nonempty edge subset is recurrent."""
+    return ("fatgraph v1\nv 0 : " + " ".join(map(str, range(2 * n))) + "\n"
+            + "".join(f"e e{i} : {2 * i} {2 * i + 1}\n" for i in range(n)))
+
+
+LOOPS_25 = bouquet_text(25)     # past the recurrent-subset scan's bound
 
 
 # (argv, input file appended to argv or None, the one stderr line after "error: ")
@@ -371,6 +378,50 @@ def test_interrupt_is_one_line(tmp_path):
         proc.send_signal(signal.SIGINT)
         assert proc.communicate(timeout=60)[1] == b"error: interrupted\n"
     assert proc.returncode == 130
+
+
+def test_interrupt_while_importing_is_one_line(tmp_path):
+    # a Ctrl-C that lands while cli.py imports the library, as a finder raises it there
+    script = tmp_path / "interrupt.py"
+    script.write_text(
+        "import runpy, sys\n"
+        "class Interrupt:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'fatscreens.asymptotics':\n"
+        "            raise KeyboardInterrupt\n"
+        "sys.meta_path.insert(0, Interrupt())\n"
+        f"sys.argv = ['fatscreens', 'info', {THETA!r}]\n"
+        "runpy.run_module('fatscreens.cli', run_name='__main__')\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, str(script)], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (130, b"", b"error: interrupted\n")
+
+
+def test_enumerate_lists_in_member_key_order(capsys, trivalent_corpus, census12,
+                                             generated_fatgraphs):
+    graphs = [*trivalent_corpus.values(), census12, *generated_fatgraphs,
+              fgr.parse_fatgraph(bouquet_text(16))]
+    for g in graphs:
+        assert cli.cmd_recurrent(g, argparse.Namespace(enumerate=True)) == 0
+        want = [ser.subset_text(g, a) for a in sorted(fgr.recurrent_subsets(g),
+                                                        key=scn._member_key)]
+        assert capsys.readouterr().out.splitlines() == want
+
+
+def test_enumerate_out_of_memory_is_one_line(tmp_path):
+    # a 20-loop bouquet has 2**20 - 1 recurrent subsets: more masks than 64 MB of address
+    # space holds, which the interpreter itself fits in
+    graph = tmp_path / "bouquet20.fg"
+    graph.write_text(bouquet_text(20))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))
+
+    with cli_process("recurrent", str(graph), "--enumerate", stdout=subprocess.PIPE,
+                     stderr=subprocess.PIPE, preexec_fn=limit) as proc:
+        assert proc.communicate(timeout=60) == (b"", b"error: out of memory\n")
+    assert proc.returncode == 1
 
 
 def test_sweep_overflow_is_domain_error(tmp_path, capsys):

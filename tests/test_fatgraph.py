@@ -442,13 +442,13 @@ def _random_closed_path(g: fgr.Fatgraph, rng: random.Random) -> fgr.EdgePath:
         steps: list[int] = []
         while len(steps) < 30 and (not steps or v != v0 or rng.random() < 0.5):
             steps.append(rng.choice(g.vertex_cycles[v]))
-            v = g.step_head(steps[-1])
+            v = g.vertex_of(g.pairing(steps[-1]))
         if v == v0:
             break
     for _ in range(rng.randint(0, 3)):
         out = rng.choice(g.vertex_cycles[v0])
         steps = [g.pairing(out), *steps, out]
-        v0 = g.step_head(out)
+        v0 = g.vertex_of(g.pairing(out))
     r = rng.randrange(len(steps))
     return fgr.EdgePath(tuple(steps[r:] + steps[:r]))
 
@@ -542,7 +542,7 @@ def test_canonical_and_parallel_match_references():
                 g, {h for e in rng.choice(subsets) for h in g.edge_halves[e]})]
             face = rng.choice(faces + list(fgr.boundary_cycles(g))).steps
             k = rng.randrange(len(face))
-            h = rng.choice(g.vertex_cycles[g.step_tail(face[k])])
+            h = rng.choice(g.vertex_cycles[g.vertex_of(face[k])])
             walks = (_random_closed_path(g, rng),
                      fgr.EdgePath(face[:k] + (h, g.pairing(h)) + face[k:]))
             for walk in walks:

@@ -111,6 +111,90 @@ def test_theta_trace_worked_family(theta):
         assert tr == pytest.approx(2 + t ** -2, rel=1e-9)
 
 
+# closed forms on theta, the once-punctured torus (Penner 1987): e_i+ e_j- leaves vertex 0
+# by edge i and comes back by edge j, and for weights w with S = w0**2 + w1**2 + w2**2
+# its |trace| is S / (wi wj), its gap ((wi - wj)**2 + wk**2) / (wi wj).  They share no factor
+# with the full-matrix reference, so they check the kernel and its extended-precision rerun.
+
+def theta_curve(i: int, j: int) -> fgr.EdgePath:
+    return fgr.EdgePath((i, 3 + j))
+
+
+def assert_theta_closed_forms(theta, values):
+    lam = geo.lambda_assignment(values)
+    w = [Fraction(v) for v in lam.values]
+    for i, j in itertools.permutations(range(3), 2):
+        k = 3 - i - j
+        path = theta_curve(i, j)
+        for got, want in ((hol.abs_trace_of_path(theta, lam, path),
+                           (w[0] ** 2 + w[1] ** 2 + w[2] ** 2) / (w[i] * w[j])),
+                          (hol.trace_gap_of_path(theta, lam, path),
+                           ((w[i] - w[j]) ** 2 + w[k] ** 2) / (w[i] * w[j]))):
+            assert abs(Fraction(got) - want) <= hol.TRACE_RTOL * want, (values, i, j)
+
+
+def test_theta_closed_forms_property(theta):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @hypothesis.given(st.lists(st.floats(1e-8, 1e8), min_size=3, max_size=3))
+    def check(values):
+        assert_theta_closed_forms(theta, values)
+
+    check()
+
+
+def test_theta_closed_forms_near_parabolic(theta, monkeypatch):
+    # the gaps of e0+ e1- and e1+ e0- round away next to a trace of 2: only the mpf rerun
+    # keeps them
+    entries = []
+    workdps = mpmath.workdps
+    monkeypatch.setattr(hol.mpmath, "workdps", lambda dps: entries.append(dps) or workdps(dps))
+    for values in ([1, 1, 2 ** -40], [1e10, 1e10, 1], [3, 3 * (1 + 2 ** -30), 2 ** -35]):
+        assert_theta_closed_forms(theta, values)
+    assert len(entries) >= 6
+
+
+def packed_poly(g, q, path) -> dict[int, int]:
+    """|trace| in tau for weights tau**q_e, q_e even, as {k: c} from ``_packed_trace``'s digits."""
+    trace, bits, degree = hol._packed_trace(g, q, path)
+    poly, k = {}, -degree
+    while trace:
+        if c := trace & (1 << bits) - 1:
+            poly[k] = c
+        trace, k = trace >> bits, k + 2
+    return poly
+
+
+def poly_mul(*polys: dict[int, int]) -> dict[int, int]:
+    product = {0: 1}
+    for p in polys:
+        out: dict[int, int] = {}
+        for (j, a), (k, b) in itertools.product(product.items(), p.items()):
+            out[j + k] = out.get(j + k, 0) + a * b
+        product = out
+    return {k: c for k, c in product.items() if c}
+
+
+def test_theta_markov_equation(theta):
+    # X = e0+ e2- and Y = e1+ e2- generate the punctured torus's group, with a parabolic
+    # commutator: x**2 + y**2 + z**2 = x y z for x, y, z the |trace| of X, Y and XY (Bowditch
+    # 1996), in floats and exactly in the digits of the packed trace
+    paths = theta_curve(0, 2), theta_curve(1, 2), fgr.EdgePath((0, 5, 1, 5))
+    rng = random.Random(37)
+    for _ in range(100):
+        lam = geo.lambda_assignment([10 ** rng.uniform(-4, 4) for _ in range(3)])
+        x, y, z = (hol.abs_trace_of_path(theta, lam, p) for p in paths)
+        assert abs(x * x + y * y + z * z - x * y * z) <= 1e-13 * x * y * z
+        q = [2 * rng.randint(-6, 6) for _ in range(3)]
+        x, y, z = (packed_poly(theta, q, p) for p in paths)
+        squares: dict[int, int] = {}
+        for k, c in itertools.chain(*(poly_mul(p, p).items() for p in (x, y, z))):
+            squares[k] = squares.get(k, 0) + c
+        assert squares == poly_mul(x, y, z), q
+
+
 def test_boundary_cycles_parabolic(trivalent_corpus):
     rng = random.Random(19)
     for g in trivalent_corpus.values():
@@ -144,7 +228,7 @@ def test_backtrack_insertion_invariance(trivalent_corpus):
         for p in pool:
             base = hol.abs_trace_of_path(g, lam, p)
             for k in range(len(p.steps)):
-                v = g.step_head(p.steps[k])
+                v = g.vertex_of(g.pairing(p.steps[k]))
                 for ins in g.vertex_cycles[v]:
                     noisy = p.steps[:k + 1] + (ins, g.pairing(ins)) + p.steps[k + 1:]
                     path = fgr.EdgePath(noisy)
@@ -339,7 +423,7 @@ def kernel_cases(trivalent_corpus, genus2):
                                              for _ in range(g.n_edges)])
             for p in paths:
                 yield g, lam, p
-                ins = g.vertex_cycles[g.step_head(p.steps[0])][k % 3]
+                ins = g.vertex_cycles[g.vertex_of(g.pairing(p.steps[0]))][k % 3]
                 yield g, lam, fgr.EdgePath(p.steps[:1] + (ins, g.pairing(ins)) + p.steps[1:])
     for s in scn.enumerate_screens(genus2)[::4]:
         fam = scn.depth_family(s)
@@ -391,7 +475,7 @@ def test_kernel_matches_full_matrix_products_property():
         steps = path.steps
         for _ in range(n_backtracks):
             k = rng.randrange(len(steps))
-            ins = rng.choice(g.vertex_cycles[g.step_head(steps[k])])
+            ins = rng.choice(g.vertex_cycles[g.vertex_of(g.pairing(steps[k]))])
             steps = steps[:k + 1] + (ins, g.pairing(ins)) + steps[k + 1:]
             cases.append(fgr.EdgePath(steps))
         for p in cases:
@@ -506,7 +590,7 @@ def test_step_rows_match_per_step_formula(trivalent_corpus, generated_trivalent,
                 assert bits(hol.holonomy(g, lam, p)) == bits(want)
                 if not wide:    # certified in float: the trace is the float product's
                     assert hol.abs_trace_of_path(g, lam, p) == abs(want[0] + want[3])
-                ins = rng.choice(g.vertex_cycles[g.step_head(p.steps[0])])
+                ins = rng.choice(g.vertex_cycles[g.vertex_of(g.pairing(p.steps[0]))])
                 noisy = fgr.EdgePath(p.steps[:1] + (ins, g.pairing(ins)) + p.steps[1:])
                 tr = hol.abs_trace_of_path(g, lam, fgr.reduce_path(g, noisy))
                 with mpmath.workdps(40):    # a backtrack's identity turn may cancel

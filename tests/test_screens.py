@@ -415,7 +415,7 @@ def reference_components(g, edges):
 def reference_screen_of_exponents(g, fam):
     family = {g.all_edges()}
     for p in set(fam.exponents):
-        stage = frozenset(e for e in range(g.n_edges) if fam[e] > p)
+        stage = frozenset(e for e in range(g.n_edges) if fam.exponents[e] > p)
         family |= reference_components(g, stage)
     return tuple(sorted(family, key=scn._member_key))
 
