@@ -70,13 +70,9 @@ def cmd_info(g: fgr.Fatgraph, args) -> int:
 
 
 def cmd_recurrent(g: fgr.Fatgraph, args) -> int:
-    if args.enumerate:
-        # member-key order: by size, then the set holding the lowest edge where two differ
-        # first, which is the larger of the masks read with edge 0 as the top bit
-        n = g.n_edges
-        for mask in sorted(fgr._recurrent_masks(g), key=lambda m: (n - m.bit_count()) << n
-                           | int(f"{m:0{n}b}"[::-1], 2), reverse=True):
-            print(ser.subset_text(g, fgr._mask_edges(mask)))
+    if args.enumerate:      # as the scan yields them: in member-key order
+        for a in fgr.recurrent_subsets(g):
+            print(ser.subset_text(g, a))
         return 0
     subset = ser.parse_subset(g, args.subset)
     ok = fgr.is_recurrent(g, subset)
@@ -255,6 +251,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    hook = sys.unraisablehook   # finalizers out of memory: reported once, below
+    sys.unraisablehook = lambda u: issubclass(u.exc_type, MemoryError) or hook(u)
     try:
         status = args.func(fgr.parse_fatgraph(_read(args.graph)), args)
         sys.stdout.flush()      # a closed pipe shows here, not in the interpreter's last flush
@@ -271,6 +269,8 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, OSError, ImportError) as exc:     # ImportError: numpy or mpmath missing
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.unraisablehook = hook
 
 
 if __name__ == "__main__":

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from itertools import chain, combinations
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, FormatError
 
@@ -33,8 +34,8 @@ from .errors import DomainError, FormatError
 DirectedStep = int
 EdgeSubset = frozenset
 
-# the recurrent-subset scan tests all 2**n edge masks, about 0.4 us each on a 2.1 GHz
-# Xeon: 6 s at 24 edges
+# the recurrent-subset scan tests all 2**n edge masks, about 0.37 us each on a 2.1 GHz
+# Xeon (Python 3.11): 6.4 s at 24 edges
 MAX_SCAN_EDGES = 24
 
 
@@ -98,8 +99,10 @@ class Fatgraph:
         object.__setattr__(self, "_vertex_of", tuple(vert))
         object.__setattr__(self, "_edge_of", tuple(edge_of))
         object.__setattr__(self, "_trivalent", all(len(c) == 3 for c in self.vertex_cycles))
-        if not self.allow_disconnected and n and not _connected(sigma, iota):
-            raise DomainError("graph is disconnected")
+        if not self.allow_disconnected:
+            find = _union_find(self, range(n // 2))[0]
+            if len(set(map(find, range(len(self.vertex_cycles))))) > 1:
+                raise DomainError("graph is disconnected")
 
     # -- elementary accessors ------------------------------------------------
 
@@ -188,15 +191,23 @@ def _one_per_edge(g: Fatgraph, values: Sequence, what: str) -> None:
         raise DomainError(f"one {what} per edge required")
 
 
-def _connected(sigma: Sequence[int], iota: Sequence[int]) -> bool:
-    seen, stack = {0}, [0]
-    while stack:
-        h = stack.pop()
-        for nb in (sigma[h], iota[h]):
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == len(sigma)
+def _union_find(g: Fatgraph, edges: Iterable[int]) -> tuple[Callable[[int], int], bool]:
+    """The vertices joined along ``edges``: (a vertex's root, whether some edge joined
+    two vertices already joined, as a loop or a second parallel edge does)."""
+    root, vertex_of, cycle = list(range(len(g.vertex_cycles))), g._vertex_of, False
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for e in edges:
+        h1, h2 = g.edge_halves[e]
+        u, v = find(vertex_of[h1]), find(vertex_of[h2])
+        cycle |= u == v
+        root[u] = v
+    return find, cycle
 
 
 # ---------------------------------------------------------------------------
@@ -517,17 +528,18 @@ def is_recurrent(g: Fatgraph, edges: Iterable[int]) -> bool:
 
 def _recurrent_masks(g: Fatgraph) -> Iterator[int]:
     """Every nonempty recurrent edge subset as an int mask, the full set included,
-    in increasing order: a scan of all 2**n masks, refused on the call above
-    ``MAX_SCAN_EDGES`` edges."""
+    in member-key order (by size, then by sorted edge ids): a scan of all 2**n
+    masks, refused on the call above ``MAX_SCAN_EDGES`` edges."""
     n = g.n_edges
     if n > MAX_SCAN_EDGES:
         raise DomainError(f"edge count {n} exceeds recurrent-subset scan bound {MAX_SCAN_EDGES}")
-    return _recurrent_filter(g, range(1, 1 << n))
+    bits = [1 << e for e in range(n)]
+    return _recurrent_filter(g, map(sum, chain(*(combinations(bits, k) for k in range(1, n + 1)))))
 
 
 def recurrent_subsets(g: Fatgraph) -> Iterator[EdgeSubset]:
-    """Every nonempty recurrent edge subset, the full set included, in bitmask order;
-    refused on the call above ``MAX_SCAN_EDGES`` edges."""
+    """Every nonempty recurrent edge subset, the full set included, in member-key
+    order; refused on the call above ``MAX_SCAN_EDGES`` edges."""
     return map(_mask_edges, _recurrent_masks(g))
 
 

@@ -50,7 +50,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import DomainError, NonConvergenceError
-from .fatgraph import Fatgraph, WhiteheadMove, _one_per_edge, whitehead_move
+from .fatgraph import Fatgraph, WhiteheadMove, _one_per_edge, _union_find, whitehead_move
 
 
 def _lazy_import(name: str):
@@ -215,23 +215,7 @@ def no_vanishing_cycle(g: Fatgraph, coords: SimplicialCoords,
     _one_per_edge(g, coords, "coordinate")
     if min(coords.values) < -tol:
         return False
-    # forest test by union-find on the zero edges; loops and parallel edges close cycles
-    parent = list(range(g.n_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    vertex_of = g._vertex_of
-    for x, (h1, h2) in zip(coords.values, g.edge_halves):
-        if abs(x) <= tol:
-            ra, rb = find(vertex_of[h1]), find(vertex_of[h2])
-            if ra == rb:
-                return False
-            parent[ra] = rb
-    return True
+    return not _union_find(g, [e for e, x in enumerate(coords.values) if abs(x) <= tol])[1]
 
 
 def default_zero_tol(coords: SimplicialCoords) -> float:

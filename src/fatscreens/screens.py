@@ -20,12 +20,12 @@ size-sorted family; a member is the union of its sub-members exactly when
 its disjoint children's sizes sum to its own.
 
 Enumeration runs on int edge masks (bit e for edge e): the recurrent-subset
-scan yields them, and a clique search runs over the candidates' masks and
-bitmasks of the later candidates nested in or disjoint from each one,
-carrying the maximal picked members (roots).  A new pick's children are the
-roots inside it, so the search knows each screen's parents; it records each
-screen after its extensions (post-order), already sorted, with its parent
-and depth table filled in.
+scan yields them in member-key order, and the candidates keep it.  A clique
+search runs over the candidates' masks and bitmasks of the later candidates
+nested in or disjoint from each one, carrying the maximal picked members
+(roots).  A new pick's children are the roots inside it, so the search knows
+each screen's parents; it records each screen after its extensions
+(post-order), already sorted, with its parent and depth table filled in.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from typing import Iterable, NamedTuple
 from .errors import DomainError
 # subgraph, boundary_cycles, reduce_path, canonical_path and is_recurrent stay
 # bound here for perfbench's tracer, which wraps them at this site
-from .fatgraph import (CurveSystem, EdgePath, EdgeSubset, Fatgraph, _curve_set,
-                       _edge_subset, _mask_edges, _one_per_edge, _recurrent_masks, _subset_faces,
+from .fatgraph import (CurveSystem, EdgePath, EdgeSubset, Fatgraph, _curve_set, _edge_subset,
+                       _mask_edges, _one_per_edge, _recurrent_masks, _subset_faces, _union_find,
                        boundary_cycles, canonical_path, curve_system, is_boundary_parallel,
                        is_recurrent, reduce_path, subgraph)
 
@@ -142,17 +142,11 @@ def _member(g: Fatgraph, edges: EdgeSubset) -> _Member:
     entry = g._members.get(edges)
     if entry is None:
         recurrent = is_recurrent(g, edges)      # refuses unknown ids and the empty set
-        components, todo = [], set(edges)
-        while todo:     # grow a component by the unseen edges at its new edges' vertices
-            component, new = set(), {todo.pop()}
-            while new:
-                component |= new
-                new = {g._edge_of[h] for e in new for x in g.edge_halves[e]
-                       for h in g.vertex_cycles[g._vertex_of[x]]} & todo
-                todo -= new
-            components.append(frozenset(component))
-        entry = _Member(frozenset(_subset_faces(g, edges)), tuple(components),
-                        _member_key(edges), {})
+        find, components = _union_find(g, edges)[0], {}
+        for e in edges:     # grouped by the root of the edge's first end
+            components.setdefault(find(g._vertex_of[g.edge_halves[e][0]]), []).append(e)
+        entry = _Member(frozenset(_subset_faces(g, edges)),
+                        tuple(map(frozenset, components.values())), _member_key(edges), {})
         if recurrent:
             g._members[edges] = entry
     return entry
@@ -175,17 +169,14 @@ def enumerate_screens(g: Fatgraph, max_edges: int = MAX_ENUMERATION_EDGES) -> li
     n = g.n_edges
     if n > max_edges:
         raise DomainError(f"edge count {n} exceeds enumeration bound {max_edges}")
-    top = g.all_edges()
-    recurrent = {_mask_edges(mask): mask for mask in _recurrent_masks(g)}
-    candidates = sorted((a for a in recurrent       # the top, too, gets an entry
-                         if len(_member(g, a).components) == 1 and a != top),
-                        key=_member_key)
-    masks = [recurrent[a] for a in candidates]
+    top, full = g.all_edges(), (1 << n) - 1
+    masks = [mask for mask in _recurrent_masks(g)       # the top, too, gets an entry
+             if len(_member(g, _mask_edges(mask)).components) == 1 and mask != full]
+    candidates = list(map(_mask_edges, masks))
     # bit j of compatible[i]: a later candidate j nests with or is disjoint from i.  No
     # later candidate lies inside an earlier one, so nesting means containing it.
     compatible = [sum(1 << j for j in range(i + 1, len(masks)) if masks[j] & a in (0, a))
                   for i, a in enumerate(masks)]
-    full = (1 << n) - 1
     found: list[Screen] = []
 
     # roots are the maximal picks, pairwise disjoint, as (mask, position in picked);

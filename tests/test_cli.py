@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -409,19 +410,34 @@ def test_enumerate_lists_in_member_key_order(capsys, trivalent_corpus, census12,
         assert capsys.readouterr().out.splitlines() == want
 
 
+def limit_address_space():
+    """64 MB of address space, which the interpreter itself fits in."""
+    resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))
+
+
 def test_enumerate_out_of_memory_is_one_line(tmp_path):
-    # a 20-loop bouquet has 2**20 - 1 recurrent subsets: more masks than 64 MB of address
-    # space holds, which the interpreter itself fits in
-    graph = tmp_path / "bouquet20.fg"
-    graph.write_text(bouquet_text(20))
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))
-
-    with cli_process("recurrent", str(graph), "--enumerate", stdout=subprocess.PIPE,
-                     stderr=subprocess.PIPE, preexec_fn=limit) as proc:
+    # a 14-loop bouquet's 16,383 candidate members, each with a bitmask of the candidates
+    # compatible with it, take more than 64 MB before the first screen is printed
+    graph = tmp_path / "bouquet14.fg"
+    graph.write_text(bouquet_text(14))
+    with cli_process("screens", str(graph), "--max-edges", "14", stdout=subprocess.PIPE,
+                     stderr=subprocess.PIPE, preexec_fn=limit_address_space) as proc:
         assert proc.communicate(timeout=60) == (b"", b"error: out of memory\n")
     assert proc.returncode == 1
+
+
+def test_enumerate_streams_in_member_key_order(tmp_path):
+    # all 2**19 - 1 subsets of a 19-loop bouquet are recurrent: each is printed as the
+    # scan yields it, so the listing fits in 64 MB of address space
+    graph = tmp_path / "bouquet19.fg"
+    graph.write_text(bouquet_text(19))
+    with cli_process("recurrent", str(graph), "--enumerate", stdout=subprocess.PIPE,
+                     stderr=subprocess.PIPE, preexec_fn=limit_address_space) as proc:
+        out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, b"")
+    want = ("{" + ",".join(sorted(f"e{e}" for e in a)) + "}"
+            for k in range(1, 20) for a in itertools.combinations(range(19), k))
+    assert out.decode().splitlines() == list(want)
 
 
 def test_sweep_overflow_is_domain_error(tmp_path, capsys):

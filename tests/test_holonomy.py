@@ -195,6 +195,47 @@ def test_theta_markov_equation(theta):
         assert squares == poly_mul(x, y, z), q
 
 
+def inverse(g, steps):
+    return tuple(map(g.pairing, reversed(steps)))
+
+
+def farey_walk(g, lam, p, q, limit):
+    """The products met walking the Farey tree of the free pair (P, Q) down to
+    |trace| <= limit, as (unreduced product, |trace|).  Each step checks Vieta's rule
+    tr(PQ) = tr P tr Q - tr(PQ^-1), every trace taken of the reduced path, to the sum of
+    the certified errors: tr P tr Q = tr(PQ) + tr(PQ^-1) < 2 tr(PQ) down the tree."""
+    def trace(p):
+        return hol.abs_trace_of_path(g, lam, fgr.reduce_path(g, fgr.EdgePath(p)))
+
+    found = []
+    todo = [(p, q, trace(p), trace(q), trace(p + inverse(g, q)))]
+    while todo:
+        p, q, tp, tq, t_quotient = todo.pop()
+        pq = p + q
+        t = trace(pq)
+        assert abs(t - (tp * tq - t_quotient)) <= 6 * hol.TRACE_RTOL * t, (len(pq), t)
+        found.append((pq, t))
+        if t <= limit:      # the children (P, PQ) and (PQ, Q) have quotients Q^-1 and P
+            todo += [(p, pq, tp, t, tq), (pq, q, t, tq, tp)]
+    return found
+
+
+@pytest.mark.parametrize("values", [(1, 1.3, 0.7), (1, 1, 1), (3, 0.2, 1.1)])
+def test_theta_vieta_and_mcshane(theta, values):
+    # X = e0+ e2- and Y = e1+ e2- generate the punctured torus's group; the Farey trees
+    # of (X, Y) and (X, Y^-1) list every other simple closed curve once (Bowditch 1996).
+    # McShane's identity: 1 / (1 + e^length) sums to 1/2 over the simple closed geodesics
+    lam = geo.lambda_assignment(values)
+    x, y = theta_curve(0, 2).steps, theta_curve(1, 2).steps
+    limit = 1e7
+    walk = farey_walk(theta, lam, x, y, limit) + farey_walk(theta, lam, x, inverse(theta, y), limit)
+    curves = [(fgr.EdgePath(p), hol.abs_trace_of_path(theta, lam, fgr.EdgePath(p))) for p in (x, y)]
+    curves += [(fgr.reduce_path(theta, fgr.EdgePath(p)), t) for p, t in walk]
+    assert len({fgr.canonical_path(theta, c) for c, _ in curves}) == len(curves) > 500
+    total = math.fsum(1 / (1 + math.exp(hol.hyp_length(t))) for _, t in curves if t <= limit)
+    assert abs(total - 0.5) <= 1e-12, total
+
+
 def test_boundary_cycles_parabolic(trivalent_corpus):
     rng = random.Random(19)
     for g in trivalent_corpus.values():

@@ -14,7 +14,7 @@ from fatscreens import geometry as geo
 from fatscreens import screens as scn
 from fatscreens.errors import DomainError
 
-from conftest import DATA, _cycles_of_permutation, random_fatgraph, random_trivalent
+from conftest import DATA, _cycles_of_permutation, load, random_fatgraph, random_trivalent
 
 
 def family_sets(s: scn.Screen) -> set[frozenset]:
@@ -381,7 +381,8 @@ def test_laminar_pass_matches_definitions(screen_corpus, census12):
         masks = [frozenset(e for e in range(g.n_edges) if mask >> e & 1)
                  for mask in range(1, 1 << g.n_edges)]
         assert [fgr.is_recurrent(g, a) for a in masks] == [reference_recurrent(g, a) for a in masks]
-        assert list(fgr.recurrent_subsets(g)) == [a for a in masks if reference_recurrent(g, a)]
+        assert list(fgr.recurrent_subsets(g)) == sorted(
+            (a for a in masks if reference_recurrent(g, a)), key=scn._member_key)
         for s in scn.enumerate_screens(g):
             check_laminar_pass(s)
             for a in s.family:
@@ -410,6 +411,33 @@ def reference_components(g, edges):
     for e in edges:
         comps.setdefault(find(g.vertex_of(g.halves(e)[0])), set()).add(e)
     return {frozenset(c) for c in comps.values()}
+
+
+def test_union_find_matches_references(census12, generated_fatgraphs):
+    # fatgraph's one union-find gives a member's components and the forest test of the zero
+    # coordinates: against the local union-find above and the rank rule, by which an edge
+    # set F holds a cycle exactly when |F| + c(F) > |V(F)|, for V(F) the vertices F touches
+    # and c(F) its components.  Every subset up to 10 edges, 200 seeded ones past that
+    rng = random.Random(41)
+    corpus = [load(p.name) for p in sorted(DATA.glob("*.fg"))]
+    kinds = set()
+    for g in [*corpus, census12, *generated_fatgraphs]:
+        n = g.n_edges
+        masks = range(1, 1 << n) if n <= 10 else (rng.getrandbits(n) or 1 for _ in range(200))
+        for mask in masks:
+            edges = frozenset(e for e in range(n) if mask >> e & 1)
+            components = reference_components(g, edges)
+            assert sorted(scn._member(g, edges).components, key=min) == sorted(components, key=min)
+            touched = {g.vertex_of(h) for e in edges for h in g.halves(e)}
+            cycle = len(edges) + len(components) > len(touched)
+            zeros = geo.simplicial([0.0 if e in edges else 1.0 for e in range(n)])
+            assert geo.no_vanishing_cycle(g, zeros) is not cycle, (g.edge_labels, sorted(edges))
+            ends = {frozenset(map(g.vertex_of, g.halves(e))) for e in edges}
+            if cycle and len(edges) == len(touched) == 1:
+                kinds.add("loop")
+            if cycle and len(edges) == len(touched) == 2 and len(ends) == 1:
+                kinds.add("parallel pair")
+    assert kinds == {"loop", "parallel pair"}
 
 
 def reference_screen_of_exponents(g, fam):
