@@ -33,8 +33,9 @@ J|**-1/2, and solved by conjugate gradients on -DJD, whose matrix-vector
 product is p plus the four off-diagonal cells of each row, kept as 4 x n
 contiguous rows (slots a, b, c, d).  This is Jacobi-preconditioned CG on
 -J, stopped on |D(J s - resid)|, or on a last step (err**2 < tol) where
-|J s - resid|_inf <= tol / 2 is certain.  The start is the uniform weights
-whose coordinates equal the target's median positive one.
+|J s - resid|_inf <= tol / 2 is certain.  Uniform weights c give every
+coordinate 2 / c, so edge e starts at the c = 4 / (x_e + m) whose
+coordinate is the mean of its own target x_e and the median positive one m.
 """
 
 from __future__ import annotations
@@ -329,11 +330,14 @@ def invert_coords(g: Fatgraph, target: SimplicialCoords, tol: float = 1e-10,
     sqrt(err)), err the largest coordinate residual (Eisenstat and Walker
     1996; Kelley 1995, ch. 6).  Where err**2 < tol the quadratic remainder is
     predicted under tol, and the step is solved to |J s - resid|_inf <= tol /
-    2 instead, all it needs.  Without ``initial`` it starts at the uniform
-    weights 2 / m, m the target's median positive coordinate, or at weights 1
-    where those leave double range.  The target must be nonnegative with no
-    vanishing cycle; ``initial`` weights, if given, need one per edge and
-    finite coordinates.
+    2 instead, all it needs.  Without ``initial`` it starts each edge e at
+    4 / (x_e + m), x_e its target and m the target's median positive
+    coordinate: a zero target starts at 4 / m, and no start is infinite.  It
+    starts at weights 1 where those weights give non-finite coordinates.  The
+    target must be nonnegative with no vanishing cycle; ``initial`` weights,
+    if given, need one per edge and finite coordinates.  A failure names a
+    tol below one ulp of the largest target coordinate, which no residual
+    there can meet but 0.
     """
     _require_trivalent(g)
     if not 0 < tol < math.inf:       # NaN fails this too
@@ -347,19 +351,19 @@ def invert_coords(g: Fatgraph, target: SimplicialCoords, tol: float = 1e-10,
         _one_per_edge(g, initial, "initial weight")
     x = np.asarray(target.values, dtype=float)
     tables = _end_tables(g)
-    m = np.sort(x[x > 0])       # for 2 / their median; np.median would load numpy.ma (1.6 MB)
+    m = np.sort(x[x > 0])       # for their median; np.median would load numpy.ma (1.6 MB)
     # a trial point may overflow; the line search rejects it without a warning
     with np.errstate(all="ignore"):
-        u = (np.full(g.n_edges, np.log(4 / (m[(len(m) - 1) // 2] + m[len(m) // 2])))
+        u = (np.log(4 / (x + 0.5 * (m[(len(m) - 1) // 2] + m[len(m) // 2])))
              if initial is None else np.log(initial.values))
         coords, vals = _coords_and_jacobian(tables, np.exp(u))
-        if initial is None and not np.isfinite(coords).all():    # a median beyond double range
+        if initial is None and not np.isfinite(coords).all():    # a target beyond double range
             u = np.zeros(g.n_edges)
             coords, vals = _coords_and_jacobian(tables, np.exp(u))
         if not np.isfinite(coords).all():
             raise DomainError("initial weights give non-finite coordinates")
         resid = coords - x
-        err = np.max(np.abs(resid))
+        err, stalled = np.abs(resid).max(), False
         for _ in range(200):
             if err <= tol:
                 break
@@ -370,17 +374,20 @@ def invert_coords(g: Fatgraph, target: SimplicialCoords, tol: float = 1e-10,
                 u_try = u - 0.5 ** halvings * step
                 coords_try, vals_try = _coords_and_jacobian(tables, np.exp(u_try))
                 resid_try = coords_try - x
-                err_try = np.max(np.abs(resid_try))
+                err_try = np.abs(resid_try).max()
                 if err_try < err:
                     u, vals, resid, err = u_try, vals_try, resid_try, err_try
                     break
             else:
-                raise NonConvergenceError(
-                    f"inversion stalled at residual {err:.3e} (tol {tol:.1e})")
+                stalled = True
+                break
     if err > tol:
+        ulp = math.ulp(x.max())
+        below = f" is below one ulp, {ulp:.3e}, of the largest target coordinate" if tol < ulp else ""
         raise NonConvergenceError(
+            f"inversion stalled at residual {err:.3e} (tol {tol:.1e}{below})" if stalled else
             f"inversion did not reach tolerance {tol:.1e} in 200 iterations "
-            f"(residual {err:.3e})")
+            f"(residual {err:.3e}{below and f'; tol{below}'})")
     return LambdaAssignment(tuple(np.exp(u).tolist()))
 
 

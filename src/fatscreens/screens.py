@@ -136,17 +136,22 @@ class _Member(NamedTuple):
     relative: dict[EdgeSubset, frozenset[EdgePath]]     # faces - parent's, per recurrent parent
 
 
+def _components(g: Fatgraph, edges: EdgeSubset) -> tuple[EdgeSubset, ...]:
+    """The edge sets of the subgraph's connected components."""
+    find, components = _union_find(g, edges)[0], {}
+    for e in edges:     # grouped by the root of the edge's first end
+        components.setdefault(find(g._vertex_of[g.edge_halves[e][0]]), []).append(e)
+    return tuple(map(frozenset, components.values()))
+
+
 def _member(g: Fatgraph, edges: EdgeSubset) -> _Member:
     """A nonempty edge subset's entry in ``g``'s member table, made on first use;
     a subset that is not recurrent gets a fresh entry, not stored."""
     entry = g._members.get(edges)
     if entry is None:
         recurrent = is_recurrent(g, edges)      # refuses unknown ids and the empty set
-        find, components = _union_find(g, edges)[0], {}
-        for e in edges:     # grouped by the root of the edge's first end
-            components.setdefault(find(g._vertex_of[g.edge_halves[e][0]]), []).append(e)
-        entry = _Member(frozenset(_subset_faces(g, edges)),
-                        tuple(map(frozenset, components.values())), _member_key(edges), {})
+        entry = _Member(frozenset(_subset_faces(g, edges)), _components(g, edges),
+                        _member_key(edges), {})
         if recurrent:
             g._members[edges] = entry
     return entry
@@ -161,18 +166,27 @@ def enumerate_screens(g: Fatgraph, max_edges: int = MAX_ENUMERATION_EDGES) -> li
     still passes ``validate_screen``; it describes the same degeneration as
     its componentwise refinement, which this enumeration does produce.
 
-    The search runs on the int edge masks of the recurrent-subset scan.  Each
-    screen comes with its parent and depth table filled in, entry for entry
-    and in the order that ``Screen``'s own scan fills it: a pick's children
-    are the roots inside it, and the top's are the roots left.
+    The search runs on the int edge masks of the recurrent-subset scan.  A
+    subset's components are counted before it gets a member entry, so only the
+    connected ones, the top included, get entries here.  Each screen comes
+    with its parent and depth table filled in, entry for entry and in the
+    order that ``Screen``'s own scan fills it: a pick's children are the
+    roots inside it, and the top's are the roots left.
     """
     n = g.n_edges
     if n > max_edges:
         raise DomainError(f"edge count {n} exceeds enumeration bound {max_edges}")
     top, full = g.all_edges(), (1 << n) - 1
-    masks = [mask for mask in _recurrent_masks(g)       # the top, too, gets an entry
-             if len(_member(g, _mask_edges(mask)).components) == 1 and mask != full]
-    candidates = list(map(_mask_edges, masks))
+    masks, candidates = [], []
+    for mask in _recurrent_masks(g):
+        edges = _mask_edges(mask)
+        entry = g._members.get(edges)
+        # only a connected subset, the top too, gets an entry here: no face walk for the others
+        if entry is None and len(_components(g, edges)) == 1:
+            entry = _member(g, edges)
+        if entry is not None and len(entry.components) == 1 and mask != full:
+            masks.append(mask)
+            candidates.append(edges)
     # bit j of compatible[i]: a later candidate j nests with or is disjoint from i.  No
     # later candidate lies inside an earlier one, so nesting means containing it.
     compatible = [sum(1 << j for j in range(i + 1, len(masks)) if masks[j] & a in (0, a))

@@ -682,13 +682,16 @@ def test_invert_forest_zero_targets_at_scale():
 def test_invert_aims_its_last_step_at_tol(monkeypatch):
     # where err**2 < tol the step's linear residual is aimed at tol / 2, unscaled, so few
     # inversions start one more step at a residual of at most 10 tol.  On these 40 targets
-    # the parent, which stopped the last step on the scaled residual and started at u = 0,
-    # had 12 such inversions and 10.6 steps on average; this code measures 8 and 9.0.  The
-    # aim also stops CG: 139 products per inversion, 267 if the last steps ran CG to the end.
+    # the code that stopped the last step on the scaled residual and started at u = 0 had 12
+    # such inversions and 10.6 steps on average; from the uniform start 2 / (median target)
+    # it had 8, 9.0 steps, 139 CG products and 11.0 coordinate evaluations per inversion.
+    # From the per-edge start 4 / (x_e + median) this code measures 5, 7.5, 130.8 and 8.5.
+    # The aim also stops CG: 267 products per inversion if the last steps ran CG to the end.
     rng = random.Random(83)
     tol = 1e-10
     newton_step, unit_times = geo._newton_step, geo._unit_times
-    starts, products = [], []
+    coords_and_jacobian = geo._coords_and_jacobian
+    starts, products, evaluations = [], [], []
 
     def recorded(tables, vals, resid, forcing, aim):
         step = newton_step(tables, vals, resid, forcing, aim)
@@ -701,28 +704,53 @@ def test_invert_aims_its_last_step_at_tol(monkeypatch):
 
     monkeypatch.setattr(geo, "_newton_step", recorded)
     monkeypatch.setattr(geo, "_unit_times", lambda *args: products.append(1) or unit_times(*args))
+    monkeypatch.setattr(geo, "_coords_and_jacobian",
+                        lambda *args: evaluations.append(1) or coords_and_jacobian(*args))
     for _ in range(40):
         g = random_trivalent(150, rng)
         target = random_forest_target(g, rng)
         starts.append([])
         geo.invert_coords(g, target, tol=tol)
     late = sum(any(err <= 10 * tol for err in errs) for errs in starts)
-    assert late <= 8
-    assert sum(map(len, starts)) / len(starts) <= 9.0
-    assert len(products) <= 140 * len(starts)
+    assert late <= 5
+    assert sum(map(len, starts)) / len(starts) <= 7.5
+    assert len(products) <= 131 * len(starts)
+    assert len(evaluations) <= 8.5 * len(starts)
 
 
-def test_invert_starts_at_the_median_scale(theta, monkeypatch):
-    # uniform weights c give every coordinate 2 / c: c = 2 / the median positive coordinate
+def test_invert_starts_at_per_edge_weights(theta, monkeypatch):
+    # uniform weights c give every coordinate 2 / c: edge e starts at the c = 4 / (x_e + m)
+    # whose coordinate is the mean of its own target x_e and m, the median positive one
     seen = []
     coords_and_jacobian = geo._coords_and_jacobian
     monkeypatch.setattr(geo, "_coords_and_jacobian",
                         lambda tables, lam: seen.append(lam) or coords_and_jacobian(tables, lam))
     geo.invert_coords(theta, geo.simplicial([0.0, 1.0, 3.0]))
-    assert list(seen[0]) == [1.0] * 3
+    assert list(seen[0]) == [2.0, 4 / 3, 0.8]
     seen.clear()
     lam = geo.invert_coords(theta, geo.simplicial([4.0, 4.0, 4.0]))
     assert len(seen) == 1 and lam.values == (0.5,) * 3
+
+
+def test_invert_names_a_tolerance_below_one_ulp(theta):
+    # one ulp of 1e6 is 1.164e-10: no residual at that coordinate lies strictly between 0
+    # and it, so tol 1e-10 is met only by an exact hit
+    with pytest.raises(NonConvergenceError) as err:
+        geo.invert_coords(theta, geo.simplicial([1e-6, 1, 1e6]), tol=1e-10)
+    assert str(err.value) == ("inversion stalled at residual 1.164e-10 (tol 1.0e-10 is below one "
+                              "ulp, 1.164e-10, of the largest target coordinate)")
+    # from this far start the iterations run out first
+    with pytest.raises(NonConvergenceError) as err:
+        geo.invert_coords(theta, geo.simplicial([1, 2, 5]), tol=1e-16,
+                          initial=geo.lambda_assignment([1e80, 1, 1]))
+    assert str(err.value).startswith("inversion did not reach tolerance 1.0e-16 in 200 iterations")
+    assert str(err.value).endswith("; tol is below one ulp, 8.882e-16, of the largest target "
+                                   "coordinate)")
+    # a tolerance of one ulp and more is named alone
+    with pytest.raises(NonConvergenceError) as err:
+        geo.invert_coords(theta, geo.simplicial([1, 2, 5]), initial=geo.lambda_assignment([1e80, 1, 1]))
+    assert str(err.value).startswith("inversion did not reach tolerance 1.0e-10 in 200 iterations")
+    assert "ulp" not in str(err.value)
 
 
 def test_invert_starts_at_weights_1_where_the_median_scale_leaves_double_range(theta):

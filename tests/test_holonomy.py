@@ -180,19 +180,27 @@ def poly_mul(*polys: dict[int, int]) -> dict[int, int]:
 def test_theta_markov_equation(theta):
     # X = e0+ e2- and Y = e1+ e2- generate the punctured torus's group, with a parabolic
     # commutator: x**2 + y**2 + z**2 = x y z for x, y, z the |trace| of X, Y and XY (Bowditch
-    # 1996), in floats and exactly in the digits of the packed trace
+    # 1996), in floats and exactly in the digits of the packed trace: for even exponents,
+    # and for exponents n / d, d in {3, 5, 7} prime to n, in tau = t**(1 / 2d)
     paths = theta_curve(0, 2), theta_curve(1, 2), fgr.EdgePath((0, 5, 1, 5))
-    rng = random.Random(37)
+    rng, odd_rng = random.Random(37), random.Random(41)
+    units = set()
     for _ in range(100):
         lam = geo.lambda_assignment([10 ** rng.uniform(-4, 4) for _ in range(3)])
         x, y, z = (hol.abs_trace_of_path(theta, lam, p) for p in paths)
         assert abs(x * x + y * y + z * z - x * y * z) <= 1e-13 * x * y * z
-        q = [2 * rng.randint(-6, 6) for _ in range(3)]
-        x, y, z = (packed_poly(theta, q, p) for p in paths)
-        squares: dict[int, int] = {}
-        for k, c in itertools.chain(*(poly_mul(p, p).items() for p in (x, y, z))):
-            squares[k] = squares.get(k, 0) + c
-        assert squares == poly_mul(x, y, z), q
+        d = odd_rng.choice((3, 5, 7))
+        odd = scn.monomial_family([Fraction(odd_rng.choice([n for n in range(-6 * d, 6 * d + 1)
+                                                            if n % d]), d) for _ in range(3)])
+        unit, odd_q = asy._tau_exponents(odd)
+        units.add(unit)
+        for q in ([2 * rng.randint(-6, 6) for _ in range(3)], odd_q):
+            x, y, z = (packed_poly(theta, q, p) for p in paths)
+            squares: dict[int, int] = {}
+            for k, c in itertools.chain(*(poly_mul(p, p).items() for p in (x, y, z))):
+                squares[k] = squares.get(k, 0) + c
+            assert squares == poly_mul(x, y, z), q
+    assert units == {6, 10, 14}
 
 
 def inverse(g, steps):

@@ -14,7 +14,7 @@ from fatscreens import geometry as geo
 from fatscreens import screens as scn
 from fatscreens.errors import DomainError
 
-from conftest import DATA, _cycles_of_permutation, load, random_fatgraph, random_trivalent
+from conftest import CENSUS12, DATA, _cycles_of_permutation, load, random_fatgraph, random_trivalent
 
 
 def family_sets(s: scn.Screen) -> set[frozenset]:
@@ -707,6 +707,19 @@ def test_relative_face_memo_on_census12(census12):
         assert m.relative[p] == m.faces - g._members[p].faces
         assert m.relative[p] == fgr._subset_faces(g, a) - fgr._subset_faces(g, p)
         assert scn._relative_faces(g, a, p) is m.relative[p]
+
+
+def test_enumeration_makes_member_entries_for_connected_subsets_only():
+    # 113 of census12's 174 recurrent subsets are disconnected: their components are
+    # counted without the face walk of a member entry
+    g = fgr.parse_fatgraph(CENSUS12.read_text())
+    assert len(scn.enumerate_screens(g)) == 6656
+    assert g.all_edges() in g._members
+    assert len(g._members) == 61
+    assert all(len(m.components) == 1 for m in g._members.values())
+    disconnected = [a for a in fgr.recurrent_subsets(g) if a not in g._members]
+    assert len(disconnected) == 113
+    assert all(len(scn._member(g, a).components) > 1 for a in disconnected)
 
 
 def test_validate_screen_reports_the_first_violation_as_before(theta, genus2):
