@@ -12,7 +12,7 @@ import sys
 
 try:    # a Ctrl-C while the modules load ends as one in a command does
     import argparse
-    import functools
+    import io
     import os
     from pathlib import Path
 
@@ -243,16 +243,12 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` reuses: building it costs more than most commands."""
-    return make_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-    hook = sys.unraisablehook   # finalizers out of memory: reported once, below
-    sys.unraisablehook = lambda u: issubclass(u.exc_type, MemoryError) or hook(u)
+    args = make_parser().parse_args(argv)
+    # finalizers' reports are held here: the interpreter writes them also where memory is too
+    # short for a hook to run, and those are dropped
+    stderr, sys.stderr = sys.stderr, io.StringIO()
+    reserve = bytes(2 << 20)    # freed by the out-of-memory exit, so that it has room to print
     try:
         status = args.func(fgr.parse_fatgraph(_read(args.graph)), args)
         sys.stdout.flush()      # a closed pipe shows here, not in the interpreter's last flush
@@ -261,16 +257,20 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
+        print("error: interrupted", file=stderr)
         return 130
-    except MemoryError:
-        print("error: out of memory", file=sys.stderr)
+    except MemoryError as exc:
+        del reserve
+        exc.__traceback__ = None    # frees the command's frames, and all they hold
+        sys.stderr.truncate(0)
+        print("error: out of memory", file=stderr)
         return 1
     except (DomainError, OSError, ImportError) as exc:     # ImportError: numpy or mpmath missing
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=stderr)
         return 1
     finally:
-        sys.unraisablehook = hook
+        stderr.write(sys.stderr.getvalue())
+        sys.stderr = stderr
 
 
 if __name__ == "__main__":

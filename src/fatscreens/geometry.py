@@ -198,8 +198,7 @@ def simplicial_coords(g: Fatgraph, lam: LambdaAssignment) -> SimplicialCoords:
 
 def triangle_inequalities_hold(g: Fatgraph, lam: LambdaAssignment
                                ) -> tuple[bool, int | None]:
-    """Strict triangle inequalities for the three slot values at each vertex."""
-    _require_trivalent(g)
+    """At each vertex, of any valence, the longest slot value below the sum of the others."""
     _one_per_edge(g, lam, "weight")
     for v, cyc in enumerate(g.vertex_cycles):
         *rest, top = sorted(lam[g.edge_of(h)] for h in cyc)
@@ -466,8 +465,14 @@ class QuadLambdas:
                            self.diag_24, self.diag_13)
 
 
-def lift_quad(q: QuadLambdas) -> tuple[MinkowskiVector, ...]:
-    """Lift all four corners; fails when the six weights are inconsistent."""
+def tetra_volume_sign(q: QuadLambdas) -> float:
+    """Signed volume of the lifted tetrahedron, oriented-quadrilateral gauge.
+
+    Normalized so that the value equals
+    ``2*sqrt(2) * s12*s23*s34*s41 * X`` where X is the two-term simplicial
+    expression of the 1-3 diagonal; the sign is positive exactly when the
+    1-3 edge of the tetrahedron passes below the 2-4 edge; inconsistent weights are refused.
+    """
     u1, u2, u3 = (u.as_array() for u in minkowski_lift((q.s12, q.diag_13, q.s23)))
     # u4 solves three linear pairing equations; isotropy is the consistency check
     mat = np.array([[u[0], u[1], -u[2]] for u in (u1, u2, u3)])
@@ -480,19 +485,6 @@ def lift_quad(q: QuadLambdas) -> tuple[MinkowskiVector, ...]:
     scale = float(np.dot(u4, u4))
     if abs(iso) > 1e-8 * (1.0 + scale):
         raise DomainError("inconsistent quadrilateral weights (Ptolemy fails)")
-    return (MinkowskiVector(*u1), MinkowskiVector(*u2),
-            MinkowskiVector(*u3), MinkowskiVector(*u4))
-
-
-def tetra_volume_sign(q: QuadLambdas) -> float:
-    """Signed volume of the lifted tetrahedron, oriented-quadrilateral gauge.
-
-    Normalized so that the value equals
-    ``2*sqrt(2) * s12*s23*s34*s41 * X`` where X is the two-term simplicial
-    expression of the 1-3 diagonal; the sign is positive exactly when the
-    1-3 edge of the tetrahedron passes below the 2-4 edge.
-    """
-    u1, u2, u3, u4 = (u.as_array() for u in lift_quad(q))
     det = float(np.linalg.det(np.array([u2 - u1, u3 - u1, u4 - u1])))
     return -2.0 * det
 
@@ -571,10 +563,9 @@ def refine_to_trivalent(g: Fatgraph, lam: LambdaAssignment) -> Refinement:
     _one_per_edge(g, lam, "weight")
     if any(g.valence(v) < 3 for v in range(g.n_vertices)):
         raise DomainError("refinement needs all valences >= 3")
-    for v, cyc in enumerate(g.vertex_cycles):
-        *rest, top = sorted(lam[g.edge_of(h)] for h in cyc)
-        if sum(map(Fraction, rest)) <= top:
-            raise DomainError(f"triangle inequalities fail at vertex {v}")
+    ok, v = triangle_inequalities_hold(g, lam)
+    if not ok:
+        raise DomainError(f"triangle inequalities fail at vertex {v}")
     if g.is_trivalent():
         return Refinement(g, lam, ())
     next_half = g.n_half_edges

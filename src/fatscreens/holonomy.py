@@ -40,12 +40,13 @@ the entry product and the turn's sum; Higham 2002, ch. 3), so the float
 twice the unit roundoff, which covers a11 + a22, the subtraction and higher
 orders).  The trace functions keep it when that is within ``TRACE_RTOL``, give
 a boundary-parallel path (parabolic for all weights, Penner 1987) the gap 0,
-and else rerun over ``mpf`` with digits raised by the measured cancellation,
-as ``terms_at`` does.  Along a monomial family the loop runs over ints packed
-at u = tau**2: by the lemma, |trace| is a Laurent polynomial with coefficients
->= 0 (positivity, Fock and Goncharov 2006), its digits.  ``_exact_gap_poly`` decodes
-them all for the rows of a sweep; ``_exact_gap_top`` reads only the top ones, all that a
-verdict needs.
+and else climb the ``mpf`` ladder that ``terms_at`` shares: the first rung at
+20 + log10 of the measured cancellation, each later one 15 or more digits
+above, refused past 1000 digits.  Along a monomial family the loop runs over
+ints packed at u = tau**2: by the lemma, |trace| is a Laurent polynomial with
+coefficients >= 0 (positivity, Fock and Goncharov 2006), its digits.
+``_exact_gap_poly`` decodes them all for the rows of a sweep; ``_exact_gap_top``
+reads only the top ones, all that a verdict needs.
 """
 
 from __future__ import annotations
@@ -204,14 +205,32 @@ def _exact_gap_top(g: Fatgraph, q: Sequence[int], path: EdgePath) -> tuple[int, 
     return 2 * j - degree, trace >> j * bits
 
 
+def _mpf_ladder(rung, args: tuple, value, mass, err, rtol: float, what: str):
+    """The module docstring's ladder: ``value`` within ``rtol`` from ``rung(digits, *args)``."""
+    digits = 0
+    while not err <= rtol * abs(value):
+        digits = max(digits + 15, 20 + int(mpmath.log10(max(mass / max(abs(value), err), 1))))
+        if digits > 1000:
+            raise DomainError(f"{what} cancels past 1000 digits")
+        with mpmath.workdps(digits):
+            value, mass, err = rung(digits, *args)   # args: a closure would slow each float pass
+    return value
+
+
+def _sum_rung(digits: int, ks: Sequence[tuple[int, int]], unit: int, t: float, ln_t: float):
+    terms = [c * mpmath.mpf(t) ** (mpmath.mpf(k) / unit) for k, c in ks]
+    mass = mpmath.fsum(terms, absolute=True)
+    err = mass * (2 + max(abs(k) for k, _ in ks) / unit * abs(ln_t))
+    return mpmath.fsum(terms), mass, err * mpmath.mpf(10) ** -digits
+
+
 def terms_at(ks: Sequence[tuple[int, int]], unit: int, t: float) -> float:
     """Sum of c * t**(k / unit) over (k, c) in ``ks`` to 15 digits: a fsum of float terms under
-    an a-priori bound, else ``mpf`` with digits raised by the cancellation until it holds;
-    refused past 1000 digits.  A term is x = c * t**fl(k / unit) plus f = x * y, y = d ln t, the
-    first-order correction for the rounding d = k / unit - fl(k / unit) (Higham 2002, ch. 3),
-    skipped where d = 0, as for every power-of-2 ``unit``.  The terms and the fsum round by
-    5 * 2**-53 of the terms' mass; each f adds 2 |f| |y| for the dropped e**y - 1 - y <= y**2
-    (|y| < 1e-13, as a nonzero double t**fl(k / unit) has |fl(k / unit) ln t| < 745) and
+    an a-priori bound, else ``_mpf_ladder``.  A term is x = c * t**fl(k / unit) plus f = x * y,
+    y = d ln t, the first-order correction for the rounding d = k / unit - fl(k / unit) (Higham
+    2002, ch. 3), skipped where d = 0, as for every power-of-2 ``unit``.  The terms and the fsum
+    round by 5 * 2**-53 of the terms' mass; each f adds 2 |f| |y| for the dropped e**y - 1 - y <=
+    y**2 (|y| < 1e-13, as a nonzero double t**fl(k / unit) has |fl(k / unit) ln t| < 745) and
     2**-49 |f| for its roundings (x, d, ln t and two products: about 5 ulp).  Below the normal
     range each term adds 2**-1074 and each f, with its bound, 2 * 2**-1074."""
     ln_t = math.log(t)
@@ -225,17 +244,10 @@ def terms_at(ks: Sequence[tuple[int, int]], unit: int, t: float) -> float:
         err += mass * 5 * 2 ** -53
     except (OverflowError, ValueError):     # a term beyond double range: no float sum
         total, mass, err = 0.0, 1.0, 1.0
-    digits = 0
-    while not err <= 1e-15 * abs(total):
-        digits = max(digits + 15, 20 + int(mpmath.log10(max(mass / max(abs(total), err), 1))))
-        if digits > 1000:
-            raise DomainError(f"a sum of {len(ks)} powers of t={t:g} cancels past 1000 digits")
-        with mpmath.workdps(digits):
-            terms = [c * mpmath.mpf(t) ** (mpmath.mpf(k) / unit) for k, c in ks]
-            total, mass = mpmath.fsum(terms), mpmath.fsum(terms, absolute=True)
-            err = mass * (2 + max(abs(k) for k, _ in ks) / unit * abs(ln_t))
-            err *= mpmath.mpf(10) ** -digits
-    return float(total)
+    if err <= 1e-15 * abs(total):
+        return total
+    return float(_mpf_ladder(_sum_rung, (ks, unit, t, ln_t), total, mass, err, 1e-15,
+                             f"a sum of {len(ks)} powers of t={t:g}"))
 
 
 def holonomy(g: Fatgraph, lam: LambdaAssignment, path: EdgePath) -> tuple[float, ...]:
@@ -249,7 +261,7 @@ def holonomy(g: Fatgraph, lam: LambdaAssignment, path: EdgePath) -> tuple[float,
 
 def hyp_length(abs_tr: float) -> float:
     """Hyperbolic length from |trace| = 2 cosh(length / 2)."""
-    if abs_tr < 2.0 - 1e-12:
+    if not abs_tr >= 2.0 - 1e-12:     # NaN fails this too
         raise DomainError(f"|trace| = {abs_tr} < 2: no geodesic length")
     return 2.0 * math.acosh(max(1.0, abs_tr / 2.0))
 
@@ -257,7 +269,7 @@ def hyp_length(abs_tr: float) -> float:
 def hyp_length_from_gap(gap: float) -> float:
     """Length from |trace| - 2 as 2 acosh(1 + u) = 2 log1p(u + sqrt(u * (2 + u))), u = gap / 2,
     stable for gaps far below double epsilon."""
-    if gap < -1e-12:
+    if not gap >= -1e-12:     # NaN fails this too
         raise DomainError(f"trace gap {gap} < 0: no geodesic length")
     u = max(0.0, gap) / 2.0
     square = u * (2.0 + u)
@@ -267,13 +279,21 @@ def hyp_length_from_gap(gap: float) -> float:
     return 2.0 * math.log1p(u + math.sqrt(square))
 
 
+def _trace_rung(digits: int, g: Fatgraph, lam: LambdaAssignment, path: EdgePath, offset: int):
+    w = [mpmath.mpf(v) for v in lam.values]
+    rows = _edge_rows(g, w, mpmath.sqrt, set(map(g.edge_of, path.steps)))
+    a11, _, _, a22 = _product(g, path, rows)
+    tr = abs(a11 + a22)
+    return tr - offset, tr, (6 * len(path.steps) + 2) * mpmath.eps * tr
+
+
 def _abs_trace_minus(g: Fatgraph, lam: LambdaAssignment, path: EdgePath, offset: int) -> float:
     """|trace| - offset within ``TRACE_RTOL`` as the module docstring derives, or refused."""
     quads, rows = lam._trace_rows
     if not (kept := quads is g._edge_quads):   # else the kernel was checked with the rows
         _check_kernel(g, lam.values)
     n = len(path.steps)
-    tr, gap, err, digits = 1.0, 0.0, 1.0, 0
+    tr, gap, err = 1.0, 0.0, 1.0
     # weight products lie in [lo**2, hi**2], their quotients and nonzero entries within
     # (2 hi / lo)**+-(n + 1): the float pass runs only where all of these are normal
     if (n + 1) * lam.log2_spread < 1000:
@@ -284,16 +304,8 @@ def _abs_trace_minus(g: Fatgraph, lam: LambdaAssignment, path: EdgePath, offset:
             return gap
     if is_boundary_parallel(g, path):
         return 2.0 - offset
-    while not err <= TRACE_RTOL * abs(gap):
-        digits = max(digits + 15, 20 + int(mpmath.log10(max(tr / max(abs(gap), err), 1))))
-        if digits > 1000:
-            raise DomainError(f"|trace| - {offset} of a {n}-step path cancels past 1000 digits")
-        with mpmath.workdps(digits):
-            w = [mpmath.mpf(v) for v in lam.values]
-            rows = _edge_rows(g, w, mpmath.sqrt, set(map(g.edge_of, path.steps)))
-            a11, _, _, a22 = _product(g, path, rows)
-            tr = abs(a11 + a22)
-            gap, err = tr - offset, (6 * n + 2) * mpmath.eps * tr
+    gap = _mpf_ladder(_trace_rung, (g, lam, path, offset), gap, tr, err, TRACE_RTOL,
+                      f"|trace| - {offset} of a {n}-step path")
     if not sys.float_info.min <= abs(gap) <= sys.float_info.max:
         raise DomainError(f"|trace| - {offset} = {mpmath.nstr(gap, 3)} is beyond double range")
     return float(gap)

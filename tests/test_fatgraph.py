@@ -172,6 +172,7 @@ def test_subgraph_restriction(theta):
     assert all(single.graph.valence(v) == 1 for v in range(2))
     full = fgr.subgraph(theta, {0, 1, 2})
     assert fgr.is_isomorphic(full.graph, theta)
+    assert not fgr.is_isomorphic(sub.graph, theta)     # 4 half-edges against 6
     with pytest.raises(DomainError):
         fgr.subgraph(theta, set())
 

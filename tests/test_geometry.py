@@ -17,6 +17,7 @@ import pytest
 
 from fatscreens import fatgraph as fgr
 from fatscreens import geometry as geo
+from fatscreens import holonomy as hol
 from fatscreens.errors import DomainError, NonConvergenceError
 
 from conftest import (DATA, load, random_in_cell_lambda, random_trivalent,
@@ -365,9 +366,26 @@ def weights(*values):
 
 
 # library refusals that no parser or CLI check reaches first: (call, message); wedge.fg has one
-# 4-valent vertex, loop.fg a 2-valent one, and theta's half-edge ids are 0..5 (an unchecked -1
-# would index from the end)
+# 4-valent vertex, loop.fg a 2-valent one, barbell's two loops induce a disconnected subgraph, and
+# theta's half-edge ids are 0..5 (an unchecked -1 would index from the end)
 LIBRARY_REFUSALS = {
+    "topology_disconnected": (lambda: fgr.topology(fgr.subgraph(load("barbell.fg"), [0, 2]).graph),
+                              "inconsistent map: V-E=0, boundary cycles=4"),
+    "weights_negative": (lambda: fgr.weights_admissible(load("theta.fg"), {0: -2}),
+                         "negative weight"),
+    "transport_flipped_edge_only": (
+        lambda: fgr.transport_path(load("theta.fg"), fgr.whitehead_move(load("theta.fg"), 0),
+                                   fgr.EdgePath((0, 3))),
+        "path supported on the flipped edge only"),
+    "lift_nonpositive": (lambda: geo.minkowski_lift((1, 0, 1)), "lambda lengths must be positive"),
+    "one_left_turn_one_factor": (lambda: hol.one_left_turn_trace([1.0]),
+                                 "need at least two factors (one right turn)"),
+    "one_left_turn_nonpositive": (lambda: hol.one_left_turn_trace([1.0, 0.0]),
+                                  "factors must be positive"),
+    # NaN fails the comparison that admits a length
+    "hyp_length_nan": (lambda: hol.hyp_length(math.nan), "|trace| = nan < 2: no geodesic length"),
+    "hyp_length_from_gap_nan": (lambda: hol.hyp_length_from_gap(math.nan),
+                                "trace gap nan < 0: no geodesic length"),
     "coords_not_trivalent": (lambda: geo.simplicial_coords(load("wedge.fg"), weights(1, 1)),
                              "operation requires a trivalent graph"),
     "quad_not_trivalent": (lambda: geo.quad_slots(load("wedge.fg"), 0),
