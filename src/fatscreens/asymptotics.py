@@ -88,12 +88,6 @@ def _leading(top: tuple[int, int] | None, unit: int) -> LeadingTerm:
     return LeadingTerm(Fraction(top[0], unit), top[1]) if top else LeadingTerm(None, 0)
 
 
-def _gap_leading(g: Fatgraph, fam: MonomialFamily, path: EdgePath) -> LeadingTerm:
-    """Leading term of |trace| - 2 along the family, from the top digits of the exact trace."""
-    unit, q = _tau_exponents(fam)
-    return _leading(_exact_gap_top(g, q, path), unit)
-
-
 def _coordinate_poly(x: int, a: int, b: int, c: int, d: int) -> list[tuple[int, int]]:
     """An edge's ``simplicial_coords`` at weights tau**q, from the exponents of the edge
     and of its quad slots, as sorted monomials (k, c)."""

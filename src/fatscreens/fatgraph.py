@@ -25,13 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import DomainError, FormatError
 
-# A directed step is the departing half-edge id; an edge subset is a
-# frozenset of edge ids.
-DirectedStep = int
+# an edge subset is a frozenset of edge ids
 EdgeSubset = frozenset
 
 # the recurrent-subset scan tests all 2**n edge masks, about 0.37 us each on a 2.1 GHz
@@ -151,21 +149,15 @@ class Fatgraph:
     def all_edges(self) -> EdgeSubset:
         return self._all_edges
 
-    def _quad(self, h: DirectedStep) -> tuple[int, int, int, int]:
-        """Edge ids in the quad slots of step h, counter-clockwise from each end:
-        a = sigma(h), b = sigma^2(h), c = sigma(h'), d = sigma^2(h') for h' = iota(h).
-        Every slot formula reads its slots here."""
-        sigma, edge_of = self._sigma, self._edge_of
-        h2 = self._iota[h]
-        return (edge_of[sigma[h]], edge_of[sigma[sigma[h]]],
-                edge_of[sigma[h2]], edge_of[sigma[sigma[h2]]])
-
     @cached_property
     def _edge_quads(self) -> tuple[tuple[int, int, int, int], ...]:
-        """Row e: ``_quad`` of edge e's first half, the slot table of the per-edge
-        coordinates and trace rows (the second half's quad is (c, d, a, b)); its
-        identity keys the trace plans and rows kept on paths and weights."""
-        return tuple(self._quad(h) for h, _ in self.edge_halves)
+        """Row e: the edge ids in the quad slots of edge e's first half h, counter-clockwise
+        from each end, a = sigma(h), b = sigma^2(h), c = sigma(h'), d = sigma^2(h') for its
+        second half h' (whose quad is (c, d, a, b)).  Every slot formula reads its slots here;
+        the table's identity keys the trace plans and rows kept on paths and weights."""
+        sigma, edge_of = self._sigma, self._edge_of
+        return tuple((edge_of[sigma[h]], edge_of[sigma[sigma[h]]],
+                      edge_of[sigma[h2]], edge_of[sigma[sigma[h2]]]) for h, h2 in self.edge_halves)
 
     @cached_property
     def _vertex_masks(self) -> tuple[tuple[int, int], ...]:
@@ -378,11 +370,6 @@ def check_closed_path(g: Fatgraph, path: EdgePath) -> None:
     for k, step in enumerate(steps):
         if vertex_of[iota[step]] != vertex_of[steps[(k + 1) % len(steps)]]:
             raise DomainError(f"path breaks between steps {k} and {k + 1}")
-
-
-def is_efficient(g: Fatgraph, path: EdgePath) -> bool:
-    n = len(path.steps)
-    return all(path.steps[(k + 1) % n] != g.pairing(path.steps[k]) for k in range(n))
 
 
 def reduce_path(g: Fatgraph, path: EdgePath) -> EdgePath | None:
@@ -601,78 +588,6 @@ def recurrent_witness_cycles(g: Fatgraph, edges: Iterable[int]) -> dict[int, Edg
         else:
             return None
     return witnesses
-
-
-# ---------------------------------------------------------------------------
-# Weights: admissibility and the multicurve construction
-# ---------------------------------------------------------------------------
-
-def weights_admissible(g: Fatgraph, mu: Mapping[int, int]) -> bool:
-    """Even sums and weak triangle inequalities at every vertex.
-
-    ``mu`` maps edge ids to non-negative integers; loops count twice at
-    their vertex through their two half-edge slots.
-    """
-    vals = [int(mu.get(e, 0)) for e in range(g.n_edges)]
-    if any(v < 0 for v in vals):
-        raise DomainError("negative weight")
-    for cyc in g.vertex_cycles:
-        slot = [vals[g.edge_of(h)] for h in cyc]
-        total = sum(slot)
-        if total % 2:
-            return False
-        if any(2 * x > total for x in slot):
-            return False
-    return True
-
-
-def weights_to_multicurve(g: Fatgraph, mu: Mapping[int, int]) -> list[EdgePath]:
-    """Closed efficient paths whose per-edge traversal counts realize ``mu``.
-
-    Strand j of half-edge h is the slot (h, j), counted counter-clockwise
-    around h's vertex.  At each vertex, while free slots remain, the last
-    free slot of a side with the most free slots is joined to the first free
-    slot of the next nonempty side.  The two slots are adjacent among the
-    free ones, so no arcs cross, and they lie on different sides, so no path
-    backtracks.  Every join keeps the free counts admissible (even total, no
-    side over half), so a side with free slots always has a neighbour.
-    Across edge e, slot (h, r) continues as (iota(h), mu_e - 1 - r).
-    """
-    if not weights_admissible(g, mu):
-        raise DomainError("weights not admissible")
-    vals = [int(mu.get(e, 0)) for e in range(g.n_edges)]
-    edge_of = g._edge_of
-    joined: dict[tuple[int, int], tuple[int, int]] = {}
-    for cyc in g.vertex_cycles:
-        # [h, lo, hi]: the free slots (h, lo) .. (h, hi - 1), sides counter-clockwise
-        free = [[h, 0, vals[edge_of[h]]] for h in cyc if vals[edge_of[h]]]
-        while free:
-            i = max(range(len(free)), key=lambda k: free[k][2] - free[k][1])
-            x, y = free[i], free[(i + 1) % len(free)]
-            x[2] -= 1
-            joined[x[0], x[2]], joined[y[0], y[1]] = (y[0], y[1]), (x[0], x[2])
-            y[1] += 1
-            free = [side for side in free if side[1] < side[2]]
-
-    seen: set[tuple[int, int]] = set()
-    curves: list[EdgePath] = []
-    for start in sorted(joined):
-        if start in seen:
-            continue
-        steps: list[int] = []
-        h, j = start
-        while (h, j) not in seen:
-            # depart through slot (h, j), arrive in the paired slot, follow its join
-            steps.append(h)
-            arrival = (g._iota[h], vals[edge_of[h]] - 1 - j)
-            seen.update(((h, j), arrival))
-            h, j = joined[arrival]
-        curves.append(EdgePath(tuple(steps)))
-    for p in curves:
-        check_closed_path(g, p)
-        if not is_efficient(g, p):
-            raise DomainError("constructed multicurve has a backtrack")
-    return curves
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ are read counter-clockwise as
     a = sigma(h), b = sigma(sigma(h)), c = sigma(h'), d = sigma(sigma(h')),
 
 with slot values taken from the underlying edges, so loops and parallel
-edges repeat values instead of breaking the formulas.  Every formula below
-reads its slots from ``Fatgraph._quad``, their one reader, or from the
-tables it fills.  In this notation:
+edges repeat values instead of breaking the formulas.  Every slot formula
+reads its slots from ``Fatgraph._edge_quads``, their one table, whose row e
+holds the quad of edge e's first half (the second half's is (c, d, a, b)).
+In this notation:
 
 * Ptolemy exchange under a flip:  f = (ac + bd) / e
 * cross ratio magnitude of e:     bd / (ac)
@@ -71,7 +72,7 @@ def _lazy_import(name: str):
     return module
 
 
-np = _lazy_import("numpy")      # only inversion and the Minkowski lifts need it
+np = _lazy_import("numpy")      # only inversion needs it
 
 
 class _PerEdge:
@@ -124,16 +125,6 @@ def _require_trivalent(g: Fatgraph) -> None:
         raise DomainError("operation requires a trivalent graph")
 
 
-def quad_slots(g: Fatgraph, step: int) -> tuple[int, int, int, int]:
-    """Edge ids (a, b, c, d) around the traversed edge, tail end first."""
-    if not 0 <= step < g.n_half_edges:     # a negative id would index from the end
-        raise DomainError(f"invalid half-edge id {step}")
-    for x in (step, g.pairing(step)):
-        if g.valence(g.vertex_of(x)) != 3:
-            raise DomainError("edge endpoints must be trivalent")
-    return g._quad(step)
-
-
 # ---------------------------------------------------------------------------
 # Pointwise formulas
 # ---------------------------------------------------------------------------
@@ -147,30 +138,6 @@ def whitehead_transport(g: Fatgraph, lam: LambdaAssignment, e: int
     new = list(lam.values)
     new[e] = (lam[a] * lam[c] + lam[b] * lam[d]) / lam[e]
     return move.graph, LambdaAssignment(tuple(new)), move
-
-
-def cross_ratio(g: Fatgraph, lam: LambdaAssignment, step: int) -> float:
-    """Positive magnitude bd/(ac) of the cross ratio across the edge.
-
-    The value is the same for the two traversal directions; the reciprocal
-    pattern seen along a curve comes from the two ends of consecutive
-    edges exchanging roles.
-    """
-    _one_per_edge(g, lam, "weight")
-    a, b, c, d = quad_slots(g, step)
-    return (lam[b] * lam[d]) / (lam[a] * lam[c])
-
-
-def h_length(g: Fatgraph, lam: LambdaAssignment, h: int) -> float:
-    """Horocyclic length across the sector from half-edge ``h`` to ``sigma(h)``:
-    opposite over product of adjacent."""
-    _one_per_edge(g, lam, "weight")
-    if not 0 <= h < g.n_half_edges:
-        raise DomainError(f"invalid half-edge id {h}")
-    if g.valence(g.vertex_of(h)) != 3:
-        raise DomainError("h-length needs a trivalent vertex")
-    y = g.sigma(h)
-    return lam[g.edge_of(g.sigma(y))] / (lam[g.edge_of(h)] * lam[g.edge_of(y)])
 
 
 def simplicial_coords(g: Fatgraph, lam: LambdaAssignment) -> SimplicialCoords:
@@ -388,105 +355,6 @@ def invert_coords(g: Fatgraph, target: SimplicialCoords, tol: float = 1e-10,
             f"inversion did not reach tolerance {tol:.1e} in 200 iterations "
             f"(residual {err:.3e}{below and f'; tol{below}'})")
     return LambdaAssignment(tuple(np.exp(u).tolist()))
-
-
-# ---------------------------------------------------------------------------
-# Minkowski lifts
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MinkowskiVector:
-    x: float
-    y: float
-    z: float
-
-    def pair(self, other: "MinkowskiVector") -> float:
-        return self.x * other.x + self.y * other.y - self.z * other.z
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-
-def minkowski_lift(triple: Sequence[float]) -> tuple[MinkowskiVector, ...]:
-    """Isotropic vectors u1, u2, u3 with pairings -l12^2, -l13^2, -l23^2.
-
-    Input order is (l12, l13, l23).  The gauge puts u1 at azimuth 0 with
-    unit height, u2 in the x-z half-plane opposite u1, and u3 above the
-    x-z plane.
-    """
-    l12, l13, l23 = (float(v) for v in triple)
-    if min(l12, l13, l23) <= 0:
-        raise DomainError("lambda lengths must be positive")
-    r1 = 1.0
-    r2 = l12 * l12 / (2.0 * r1)
-    tan_half = math.sqrt(r2 * l13 * l13 / (l23 * l23))
-    t = 2.0 * math.atan(tan_half)
-    sin_half_sq = tan_half * tan_half / (1.0 + tan_half * tan_half)
-    r3 = l13 * l13 / (2.0 * r1 * sin_half_sq)
-    u1 = MinkowskiVector(r1, 0.0, r1)
-    u2 = MinkowskiVector(-r2, 0.0, r2)
-    u3 = MinkowskiVector(r3 * math.cos(t), r3 * math.sin(t), r3)
-    return u1, u2, u3
-
-
-def is_elliptic_section(triple: Sequence[float]) -> bool:
-    """Whether the affine plane through the lifted triple cuts an ellipse.
-
-    Equivalent to the three strict triangle inequalities; decided by the
-    sign of the Minkowski square of the plane normal.
-    """
-    u1, u2, u3 = (u.as_array() for u in minkowski_lift(triple))
-    n = np.cross(u2 - u1, u3 - u1)
-    norm = float(np.linalg.norm(n))
-    if norm == 0.0:
-        raise DomainError("degenerate lift: collinear points")
-    return n[0] * n[0] + n[1] * n[1] - n[2] * n[2] < 0.0
-
-
-@dataclass(frozen=True)
-class QuadLambdas:
-    """Six weights of a quadrilateral: sides in cyclic order, two diagonals.
-
-    ``diag_13`` spans corners 1-3 (between sides s12/s23 and s34/s41);
-    ``diag_24`` the other pair.  Consistency means Ptolemy holds:
-    d13 * d24 = s12 * s34 + s23 * s41.
-    """
-
-    s12: float
-    s23: float
-    s34: float
-    s41: float
-    diag_13: float
-    diag_24: float
-
-    def swapped_diagonals(self) -> "QuadLambdas":
-        """Relabel corners cyclically so the other diagonal takes the e-role."""
-        return QuadLambdas(self.s23, self.s34, self.s41, self.s12,
-                           self.diag_24, self.diag_13)
-
-
-def tetra_volume_sign(q: QuadLambdas) -> float:
-    """Signed volume of the lifted tetrahedron, oriented-quadrilateral gauge.
-
-    Normalized so that the value equals
-    ``2*sqrt(2) * s12*s23*s34*s41 * X`` where X is the two-term simplicial
-    expression of the 1-3 diagonal; the sign is positive exactly when the
-    1-3 edge of the tetrahedron passes below the 2-4 edge; inconsistent weights are refused.
-    """
-    u1, u2, u3 = (u.as_array() for u in minkowski_lift((q.s12, q.diag_13, q.s23)))
-    # u4 solves three linear pairing equations; isotropy is the consistency check
-    mat = np.array([[u[0], u[1], -u[2]] for u in (u1, u2, u3)])
-    rhs = np.array([-q.s41 ** 2, -q.diag_24 ** 2, -q.s34 ** 2])
-    try:
-        u4 = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError:
-        raise DomainError("degenerate configuration: collinear lift") from None
-    iso = u4[0] ** 2 + u4[1] ** 2 - u4[2] ** 2
-    scale = float(np.dot(u4, u4))
-    if abs(iso) > 1e-8 * (1.0 + scale):
-        raise DomainError("inconsistent quadrilateral weights (Ptolemy fails)")
-    det = float(np.linalg.det(np.array([u2 - u1, u3 - u1, u4 - u1])))
-    return -2.0 * det
 
 
 # ---------------------------------------------------------------------------

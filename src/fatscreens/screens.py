@@ -282,10 +282,6 @@ class MonomialFamily:
         return unit, tuple(p.numerator * (unit // p.denominator) for p in self.exponents)
 
 
-def monomial_family(exponents: Iterable[Fraction | int | str]) -> MonomialFamily:
-    return MonomialFamily(tuple(Fraction(p) for p in exponents))
-
-
 def depth_family(s: Screen) -> MonomialFamily:
     """Exponent of each edge equal to the depth of the deepest member holding it."""
     depth = [0] * s.graph.n_edges

@@ -26,7 +26,10 @@ def fmt(x: float) -> str:
 
 # -- edge-value CSV ---------------------------------------------------------
 
-def _parse_rows(text: str, value_name: str) -> list[tuple[int, str, str]]:
+def _parse_rows(text: str, value_name: str, convert) -> list[tuple[int, str, str]]:
+    """(line number, label, value) per data row.  A header is ``edge,<value_name>`` on any
+    line, or an ``edge`` row on line 1 whose second field is no value: a first row for an
+    edge labelled ``edge`` is data."""
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -35,18 +38,23 @@ def _parse_rows(text: str, value_name: str) -> list[tuple[int, str, str]]:
         parts = [p.strip() for p in line.split(",")]
         if len(parts) != 2:
             raise FormatError(f"expected 'edge,{value_name}'", lineno)
-        if parts[0] == "edge" and lineno == 1 or parts == ["edge", value_name]:
+        if parts == ["edge", value_name]:
             continue
+        if lineno == 1 and parts[0] == "edge":
+            try:
+                convert(parts[1])
+            except (ValueError, ZeroDivisionError):
+                continue
         rows.append((lineno, parts[0], parts[1]))
     if not rows:
         raise FormatError("no data rows", 1)
     return rows
 
 
-def _values_by_edge(g: Fatgraph, rows: list[tuple[int, str, str]], convert, bad: str) -> list:
+def _values_by_edge(g: Fatgraph, text: str, value_name: str, convert, bad: str) -> list:
     """Each edge's value by ``convert``; a row's unknown label, repeat or bad value names its line."""
     vals: list = [None] * g.n_edges
-    for lineno, label, raw in rows:
+    for lineno, label, raw in _parse_rows(text, value_name, convert):
         try:
             e = g.edge_by_label(label)
         except DomainError as exc:
@@ -64,7 +72,7 @@ def _values_by_edge(g: Fatgraph, rows: list[tuple[int, str, str]], convert, bad:
 
 
 def _read_values_csv(g: Fatgraph, text: str, cls):
-    return cls(tuple(_values_by_edge(g, _parse_rows(text, "value"), float, "bad numeric value")))
+    return cls(tuple(_values_by_edge(g, text, "value", float, "bad numeric value")))
 
 
 def read_lambda_csv(g: Fatgraph, text: str) -> LambdaAssignment:
@@ -82,8 +90,7 @@ def read_coords_csv(g: Fatgraph, text: str) -> SimplicialCoords:
 
 
 def read_exponents_csv(g: Fatgraph, text: str) -> MonomialFamily:
-    return MonomialFamily(tuple(_values_by_edge(g, _parse_rows(text, "exponent"), Fraction,
-                                                 "bad exponent")))
+    return MonomialFamily(tuple(_values_by_edge(g, text, "exponent", Fraction, "bad exponent")))
 
 
 # -- screens ----------------------------------------------------------------

@@ -12,6 +12,8 @@ import pytest
 from fatscreens import fatgraph as fgr
 from fatscreens import geometry as geo
 
+import oracles
+
 DATA = Path(__file__).parent / "data"
 CENSUS12 = DATA.parents[1] / "perfbench" / "data" / "census12.fg"
 
@@ -217,7 +219,7 @@ def per_step_product(g: fgr.Fatgraph, path: fgr.EdgePath, w, sqrt,
     """The two-update kernel with s and -1/s computed at every step from its own quad slots,
     in its own direction."""
     def row(h):
-        a, b, c, d = geo.quad_slots(g, h)
+        a, b, c, d = oracles.quad_slots(g, h)
         s = sqrt((w[a] * w[c]) / (w[b] * w[d]))
         return s, -1 / s
 

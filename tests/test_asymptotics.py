@@ -20,6 +20,7 @@ from fatscreens import screens as scn
 from fatscreens import serialize as ser
 from fatscreens.errors import DomainError
 
+import oracles
 from conftest import essential_curve_pool, load, random_trivalent
 
 
@@ -33,19 +34,19 @@ def test_schedule_validation():
         with pytest.raises(DomainError, match="schedule values must be finite and >= 1"):
             asy.SweepSchedule((10.0, bad))
         with pytest.raises(DomainError, match="schedule value t must be finite and >= 1"):
-            asy.evaluate_family(scn.monomial_family([1, 1, 0]), bad)
+            asy.evaluate_family(oracles.monomial_family([1, 1, 0]), bad)
 
 
 def test_evaluate_family(theta):
-    fam = scn.monomial_family([1, 1, 0])
+    fam = oracles.monomial_family([1, 1, 0])
     assert asy.evaluate_family(fam, 1.0).values == (1.0, 1.0, 1.0)
     assert asy.evaluate_family(fam, 10.0).values == (10.0, 10.0, 1.0)
-    half = scn.monomial_family([Fraction(3, 2)])
+    half = oracles.monomial_family([Fraction(3, 2)])
     assert asy.evaluate_family(half, 4.0).values == (8.0,)
     with pytest.raises(DomainError, match="edge 1 overflows at t=10"):
-        asy.evaluate_family(scn.monomial_family([0, 400, 0]), 10.0)
+        asy.evaluate_family(oracles.monomial_family([0, 400, 0]), 10.0)
     # every weight is exactly 1 at t = 1, so no exponent is converted to a float
-    assert asy.evaluate_family(scn.monomial_family(["1e400"] * 3), 1.0).values == (1.0, 1.0, 1.0)
+    assert asy.evaluate_family(oracles.monomial_family(["1e400"] * 3), 1.0).values == (1.0, 1.0, 1.0)
 
 
 def test_sweep_evaluates_weights_only_to_refuse_them(theta, monkeypatch):
@@ -56,17 +57,17 @@ def test_sweep_evaluates_weights_only_to_refuse_them(theta, monkeypatch):
     evaluate = asy.evaluate_family
     monkeypatch.setattr(asy, "evaluate_family", lambda fam, t: calls.append(t) or evaluate(fam, t))
     for exponents in ([1, 1, 0], [0, 308, 0], [0, -323, 0], [Fraction(616, 2), 0, -300]):
-        asy.sweep(theta, scn.monomial_family(exponents), [], asy.SweepSchedule((1.0, 10.0)))
+        asy.sweep(theta, oracles.monomial_family(exponents), [], asy.SweepSchedule((1.0, 10.0)))
     assert calls == []
     for exponents, message in (([0, 309, 400], "weight t\\*\\*309 of edge 1 overflows at t=10"),
                                ([0, -324, 0], "lambda lengths must be positive finite reals")):
         with pytest.raises(DomainError, match=f"^{message}$"):
-            asy.sweep(theta, scn.monomial_family(exponents), [], asy.SweepSchedule((1.0, 10.0)))
+            asy.sweep(theta, oracles.monomial_family(exponents), [], asy.SweepSchedule((1.0, 10.0)))
         assert calls.pop() == 10.0 and not calls
 
 
 def test_sweep_gap_sequence(theta, genus2):
-    fam = scn.monomial_family([1, 1, 0])
+    fam = oracles.monomial_family([1, 1, 0])
     curves = fgr.subset_boundary(theta, {0, 1})
     report = asy.sweep(theta, fam, curves)
     gaps = [r.gap for r in report.rows]
@@ -75,21 +76,21 @@ def test_sweep_gap_sequence(theta, genus2):
     assert all(ok for _, ok in report.in_cell_at)
     ((curve, verdict),) = report.verdicts
     assert verdict == asy.VERDICT_SHRINKING
-    lead = asy._gap_leading(theta, fam, curve)
+    lead = oracles.gap_leading(theta, fam, curve)
     assert (lead.exponent, lead.coefficient) == (-2, 1)
     assert report.leading == ((curve, lead),)
     # a screen boundary curve whose gap 11/t is still 1.1e-3 at t = 1e4
-    fam = scn.monomial_family([1] * 8 + [0])
+    fam = oracles.monomial_family([1] * 8 + [0])
     curve = ser.parse_curve(genus2, "a+ p- b+ q- a- p+ q+ r+ s+ d+ c- r- b-")
     assert curve.steps in {c.steps for c in asy.detect_short_curves(genus2, fam)}
     ((_, verdict),) = asy.sweep(genus2, fam, [curve]).verdicts
     assert verdict == asy.VERDICT_SHRINKING
-    lead = asy._gap_leading(genus2, fam, curve)
+    lead = oracles.gap_leading(genus2, fam, curve)
     assert (lead.exponent, lead.coefficient) == (-1, 11)
 
 
 def test_sweep_constant_family_not_shrinking(theta):
-    fam = scn.monomial_family([0, 0, 0])
+    fam = oracles.monomial_family([0, 0, 0])
     curves = fgr.subset_boundary(theta, {0, 1})
     report = asy.sweep(theta, fam, curves)
     assert all(r.abs_trace == pytest.approx(3.0) for r in report.rows)
@@ -100,7 +101,7 @@ def test_sweep_constant_family_not_shrinking(theta):
 def test_sweep_rejects_wrong_exponent_count(theta):
     curve = ser.parse_curve(theta, "e0+ e1-")
     for exponents in ([1, 1], [1, 1, 0, 2]):
-        fam = scn.monomial_family(exponents)
+        fam = oracles.monomial_family(exponents)
         for call in (lambda: asy.sweep(theta, fam, [curve]), lambda: asy.ij_check(theta, fam),
                      lambda: scn.screen_of_exponents(theta, fam)):
             with pytest.raises(DomainError, match="^one exponent per edge required$"):
@@ -108,7 +109,7 @@ def test_sweep_rejects_wrong_exponent_count(theta):
 
 
 def test_exact_analysis_rejects_non_trivalent_graphs():
-    wedge, fam = load("wedge.fg"), scn.monomial_family([1, 0])
+    wedge, fam = load("wedge.fg"), oracles.monomial_family([1, 0])
     with pytest.raises(DomainError, match="detection needs a trivalent graph"):
         asy.detect_short_curves(wedge, fam)
     with pytest.raises(DomainError, match="coordinate analysis needs a trivalent graph"):
@@ -116,11 +117,11 @@ def test_exact_analysis_rejects_non_trivalent_graphs():
 
 
 def test_sweep_flags_boundary_cycles(theta):
-    fam = scn.monomial_family([1, 1, 0])
+    fam = oracles.monomial_family([1, 1, 0])
     report = asy.sweep(theta, fam, fgr.boundary_cycles(theta))
     ((cycle, verdict),) = report.verdicts
     assert verdict == asy.VERDICT_PARABOLIC
-    assert asy._gap_leading(theta, fam, cycle) == asy.LeadingTerm(None, 0)
+    assert oracles.gap_leading(theta, fam, cycle) == asy.LeadingTerm(None, 0)
     assert report.leading == ((cycle, asy.LeadingTerm(None, 0)),)
     assert all((r.gap, r.abs_trace, r.hyp_length) == (0.0, 2.0, 0.0) for r in report.rows)
 
@@ -158,7 +159,7 @@ def test_sweep_rows_match_reference(genus2, mercedes):
 def test_sweep_row_is_exact_where_float_traces_were_not(genus2):
     # weight t on a, c, d, p, s, t and 1 on b, q, r: the gap of a+ p- is exactly t**-2,
     # which a float trace refined only below a gap of 1e-6 gave as 1.00000000013978e-06
-    fam = scn.monomial_family([int(genus2.label(e) in "acdpst") for e in range(genus2.n_edges)])
+    fam = oracles.monomial_family([int(genus2.label(e) in "acdpst") for e in range(genus2.n_edges)])
     curve = ser.parse_curve(genus2, "a+ p-")
     report = asy.sweep(genus2, fam, [curve])
     assert [ser.fmt(r.gap) for r in report.rows] == ["0.01", "0.0001", "1e-06", "1e-08"]
@@ -208,26 +209,26 @@ def test_sweep_runs_the_exact_kernel_once_per_curve(genus2, monkeypatch):
         return exact(g, q, path)
 
     monkeypatch.setattr(asy, "_exact_gap_poly", counted)
-    fam = scn.monomial_family([1] * 8 + [0])
+    fam = oracles.monomial_family([1] * 8 + [0])
     curves = list(asy.detect_short_curves(genus2, fam))
     calls.clear()
     report = asy.sweep(genus2, fam, curves)
     assert calls == curves
-    assert report.leading == tuple((c, asy._gap_leading(genus2, fam, c)) for c in curves)
+    assert report.leading == tuple((c, oracles.gap_leading(genus2, fam, c)) for c in curves)
     assert report.verdicts == tuple((c, asy.VERDICT_SHRINKING) for c in curves)
 
 
 def test_detect_theta(theta):
-    fam = scn.monomial_family([1, 1, 0])
+    fam = oracles.monomial_family([1, 1, 0])
     curves = asy.detect_short_curves(theta, fam)
     assert [c.steps for c in curves] == [
         fgr.canonical_path(theta, fgr.EdgePath((0, 4))).steps]
-    assert len(asy.detect_short_curves(theta, scn.monomial_family([0, 0, 0]))) == 0
+    assert len(asy.detect_short_curves(theta, oracles.monomial_family([0, 0, 0]))) == 0
 
 
 def test_detect_rejects_invalid_candidate(theta):
     with pytest.raises(DomainError, match="condition \\(ii\\)"):
-        asy.detect_short_curves(theta, scn.monomial_family([1, 0, 0]))
+        asy.detect_short_curves(theta, oracles.monomial_family([1, 0, 0]))
 
 
 def test_detect_equals_screen_boundary_everywhere(screen_corpus):
@@ -237,7 +238,7 @@ def test_detect_equals_screen_boundary_everywhere(screen_corpus):
             got = asy.detect_short_curves(g, fam)
             want = scn.screen_boundary(s)
             assert got.curves == want.curves
-            assert all(asy._gap_leading(g, fam, c).exponent < 0 for c in want)
+            assert all(oracles.gap_leading(g, fam, c).exponent < 0 for c in want)
 
 
 def test_negative_controls(screen_corpus):
@@ -253,11 +254,11 @@ def test_negative_controls(screen_corpus):
             report = asy.sweep(g, fam, [outside])
             final = report.rows[-1]
             assert final.gap > 0.1
-            assert asy._gap_leading(g, fam, outside).exponent >= 0
+            assert oracles.gap_leading(g, fam, outside).exponent >= 0
 
 
 def test_ij_check_theta(theta):
-    fam = scn.monomial_family([1, 1, 0])
+    fam = oracles.monomial_family([1, 1, 0])
     report = asy.ij_check(theta, fam)
     assert report.divergent == {0, 1}
     assert report.vanishing == {0, 1}
@@ -268,7 +269,7 @@ def test_ij_check_theta(theta):
 
 
 def test_ij_check_trivial(theta):
-    report = asy.ij_check(theta, scn.monomial_family([0, 0, 0]))
+    report = asy.ij_check(theta, oracles.monomial_family([0, 0, 0]))
     assert report.divergent == frozenset() and report.vanishing == frozenset()
     assert report.i_subset_j and report.recurrent_core_equals_i
 
@@ -305,14 +306,14 @@ def test_ij_check_leading_matches_reference(generated_trivalent):
 
 
 def test_ij_check_notes_on_cell_exit(theta):
-    report = asy.ij_check(theta, scn.monomial_family([1, 0, 0]))
+    report = asy.ij_check(theta, oracles.monomial_family([1, 0, 0]))
     assert any("leaves the cell" in n for n in report.notes)
 
 
 def test_ij_check_notes_only_exact_verdicts(genus2):
     # the first enumerated genus2 screen: b, c, q and s vanish like 2/t, which no
     # float threshold at a fixed t may report as anything else
-    fam = scn.monomial_family([2, 1, 1, 2, 2, 1, 0, 1, 2])
+    fam = oracles.monomial_family([2, 1, 1, 2, 2, 1, 0, 1, 2])
     report = asy.ij_check(genus2, fam)
     assert report.notes == ()
     by_label = {genus2.label(e): lead for e, lead in report.leading}
@@ -336,7 +337,7 @@ def reference_coordinate_signs(g, fam, t):
     with mpmath.workdps(60):
         w = [mpmath.mpf(t) ** (mpmath.mpf(p.numerator) / p.denominator) for p in fam.exponents]
         for e, (h, _) in enumerate(g.edge_halves):
-            x, (a, b, c, d) = w[e], [w[s] for s in g._quad(h)]
+            x, (a, b, c, d) = w[e], [w[s] for s in oracles.quad_slots(g, h)]
             terms = [a / (b * x), b / (a * x), -x / (a * b), c / (d * x), d / (c * x), -x / (c * d)]
             value, scale = mpmath.fsum(terms), mpmath.fsum(terms, absolute=True)
             signs.append(0 if abs(value) <= 1e-54 * scale else 1 if value > 0 else -1)
@@ -401,7 +402,7 @@ def test_sweep_builds_no_coordinate_monomials_on_depth_families(genus2, monkeypa
         assert report.in_cell_at == ((10.0, True),)
     assert built == []
     # a family that leaves the cell builds the monomials of the edges Abel summation leaves open
-    fam = scn.monomial_family([-75, 75, 0, 0, 75, -75, 0, 0, 0])
+    fam = oracles.monomial_family([-75, 75, 0, 0, 75, -75, 0, 0, 0])
     assert asy.sweep(genus2, fam, [], asy.SweepSchedule((1000.0,))).in_cell_at == ((1000.0, False),)
     assert built
 
@@ -417,7 +418,7 @@ def test_sweep_refuses_a_coordinate_that_is_0_at_t(theta):
 @pytest.mark.parametrize("exponent", [170, 200])
 def test_sweep_refuses_gaps_below_double_range(theta, exponent):
     # weights 10**170 are finite, but the gap 10**-340 of e0+ e1- rounds to 0
-    fam = scn.monomial_family([exponent, exponent, 0])
+    fam = oracles.monomial_family([exponent, exponent, 0])
     curve = ser.parse_curve(theta, "e0+ e1-")
     with pytest.raises(DomainError, match="^a nonzero trace gap rounds to 0 at t=10$"):
         asy.sweep(theta, fam, [curve], asy.SweepSchedule((10.0,)))
@@ -513,7 +514,7 @@ def assert_gap_matches_reference(g, fam, path):
     the verdicts both match the reference."""
     gap = reference_gap_poly(g, fam, path)
     assert hol._exact_gap_poly(g, asy._tau_exponents(fam)[1], path) == gap
-    assert asy._gap_leading(g, fam, path) == reference_gap_leading(fam, gap)
+    assert oracles.gap_leading(g, fam, path) == reference_gap_leading(fam, gap)
 
 
 def test_gap_leading_matches_reference(screen_corpus):

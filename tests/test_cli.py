@@ -25,6 +25,7 @@ from fatscreens import screens as scn
 from fatscreens import serialize as ser
 from fatscreens.errors import FormatError
 
+import oracles
 from conftest import CENSUS12, DATA
 
 THETA = str(DATA / "theta.fg")
@@ -110,6 +111,24 @@ def test_detect_and_trace(tmp_path, capsys):
     code, out = run(capsys, "trace", THETA, "--lambda", str(lam), "--path", "e0+,e1-")
     assert code == 0
     assert out.splitlines()[0] == "abs_trace=3"
+
+
+@pytest.mark.parametrize("command, flag, rows", [
+    ("check-cell", "--lambda", ("edge,1", "e1,2", "e2,5")),
+    ("invert", "--coords", ("edge,1", "e1,2", "e2,5")),
+    ("detect", "--exponents", ("edge,1", "e1,1", "e2,0")),
+])
+def test_headerless_csv_may_start_with_the_edge_labelled_edge(tmp_path, capsys, command, flag,
+                                                              rows):
+    # a first row whose label is 'edge' used to be skipped as a header when its value parsed
+    graph = tmp_path / "theta.fg"
+    graph.write_text(Path(THETA).read_text().replace("e e0 :", "e edge :"))
+    outputs = []
+    for lines in (rows, (rows[1], rows[0], rows[2]), ("edge,weight", *rows)):
+        csv = tmp_path / "rows.csv"
+        csv.write_text("\n".join(lines) + "\n")
+        outputs.append(run(capsys, command, str(graph), flag, str(csv)))
+    assert outputs[0][0] == 0 and outputs[0] == outputs[1] == outputs[2]
 
 
 def test_inputs_with_a_byte_order_mark(tmp_path, capsys):
@@ -726,7 +745,7 @@ def test_serialization_round_trips(theta, tmp_path):
     assert ser.read_lambda_csv(theta, text).values == lam.values
 
     fam = ser.read_exponents_csv(theta, "edge,exponent\ne0,3/2\ne1,2\ne2,0\n")
-    assert fam.exponents == scn.monomial_family(["3/2", 2, 0]).exponents
+    assert fam.exponents == oracles.monomial_family(["3/2", 2, 0]).exponents
     with pytest.raises(FormatError, match="bad exponent"):
         ser.read_exponents_csv(theta, "edge,exponent\ne0,1/0\ne1,2\ne2,0\n")
 

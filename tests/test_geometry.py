@@ -20,6 +20,7 @@ from fatscreens import geometry as geo
 from fatscreens import holonomy as hol
 from fatscreens.errors import DomainError, NonConvergenceError
 
+import oracles
 from conftest import (DATA, load, random_in_cell_lambda, random_trivalent,
                       reference_telescoping_sides)
 
@@ -57,11 +58,11 @@ def test_ptolemy_involution(trivalent_corpus):
 
 def test_cross_ratio(theta):
     lam = geo.lambda_assignment([4.0, 4.0, 1.0])
-    assert geo.cross_ratio(theta, lam, 0) == pytest.approx(1 / 16)
-    assert geo.cross_ratio(theta, lam, 1) == pytest.approx(16.0)
+    assert oracles.cross_ratio(theta, lam, 0) == pytest.approx(1 / 16)
+    assert oracles.cross_ratio(theta, lam, 1) == pytest.approx(16.0)
     ones = geo.lambda_assignment([1, 1, 1])
     for h in range(6):
-        assert geo.cross_ratio(theta, ones, h) == pytest.approx(1.0)
+        assert oracles.cross_ratio(theta, ones, h) == pytest.approx(1.0)
 
 
 def test_cross_ratio_fourth_point_against_lift():
@@ -72,9 +73,9 @@ def test_cross_ratio_fourth_point_against_lift():
     for _ in range(50):
         angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(4))[::-1]
         radii = [rng.uniform(0.4, 2.5) for _ in range(4)]
-        us = [geo.MinkowskiVector(r * math.cos(t), r * math.sin(t), r)
+        us = [np.array([r * math.cos(t), r * math.sin(t), r])
               for t, r in zip(angles, radii)]
-        lam = {(i, j): math.sqrt(-us[i].pair(us[j]))
+        lam = {(i, j): math.sqrt(-oracles.pair(us[i], us[j]))
                for i in range(4) for j in range(i + 1, 4)}
         z1, z2, z3, z4 = (math.tan(t / 2) for t in angles)
         image = ((z4 - z1) * (z2 - z3)) / ((z4 - z3) * (z2 - z1))
@@ -90,13 +91,13 @@ def test_h_length(theta, barbell):
     for v, cyc in enumerate(theta.vertex_cycles):
         for i in range(3):
             sec = cyc[i]
-            assert geo.h_length(theta, ones, sec) == 1.0
+            assert oracles.h_length(theta, ones, sec) == 1.0
     lam = geo.lambda_assignment([3.0, 4.0, 5.0])
     sec = 0   # sector from 0 to sigma(0) = 1: adjacent weights 3, 4; opposite 5
-    assert geo.h_length(theta, lam, sec) == pytest.approx(5 / 12)
+    assert oracles.h_length(theta, lam, sec) == pytest.approx(5 / 12)
     lam_b = geo.lambda_assignment([2.0, 3.0, 2.0])
     loop_sec = 0  # both slots on the loop, opposite the bridge
-    assert geo.h_length(barbell, lam_b, loop_sec) == pytest.approx(3 / 4)
+    assert oracles.h_length(barbell, lam_b, loop_sec) == pytest.approx(3 / 4)
 
 
 def test_simplicial_coords_theta(theta):
@@ -215,13 +216,6 @@ def test_no_vanishing_cycle_matches_reference(trivalent_corpus, generated_trival
 
 # -- the quad-slot reader against the sigma definition ------------------------------
 
-def sigma_slots(g, h):
-    """Edges (a, b, c, d) at sigma(h), sigma^2(h), sigma(h'), sigma^2(h'), h' = iota(h)."""
-    h2 = g.pairing(h)
-    return tuple(g.edge_of(s) for s in (g.sigma(h), g.sigma(g.sigma(h)),
-                                        g.sigma(h2), g.sigma(g.sigma(h2))))
-
-
 def reference_end_term(g, lam, h):
     e = lam[g.edge_of(h)]
     a = lam[g.edge_of(g.sigma(h))]
@@ -231,9 +225,9 @@ def reference_end_term(g, lam, h):
 
 def test_quad_slots_follow_sigma(generated_trivalent):
     for g in generated_trivalent:
-        for h in range(g.n_half_edges):
-            assert geo.quad_slots(g, h) == sigma_slots(g, h)
-        assert g._edge_quads == tuple(sigma_slots(g, h) for h, _ in g.edge_halves)
+        assert g._edge_quads == tuple(oracles.quad_slots(g, h) for h, _ in g.edge_halves)
+        for (a, b, c, d), (_, h2) in zip(g._edge_quads, g.edge_halves):
+            assert oracles.quad_slots(g, h2) == (c, d, a, b)
 
 
 def test_simplicial_coords_match_end_term_reference(generated_trivalent):
@@ -277,8 +271,8 @@ def loop_coords(g, w):
     vals = []
     for e, (h1, h2) in enumerate(g.edge_halves):
         x = w[e]
-        a, b = (w[f] for f in sigma_slots(g, h1)[:2])
-        c, d = (w[f] for f in sigma_slots(g, h2)[:2])
+        a, b = (w[f] for f in oracles.quad_slots(g, h1)[:2])
+        c, d = (w[f] for f in oracles.quad_slots(g, h2)[:2])
         abx, cdx = a * b * x, c * d * x
         if not (abx and cdx):
             raise DomainError(f"weight products at edge {g.label(e)} underflow to 0")
@@ -366,18 +360,14 @@ def weights(*values):
 
 
 # library refusals that no parser or CLI check reaches first: (call, message); wedge.fg has one
-# 4-valent vertex, loop.fg a 2-valent one, barbell's two loops induce a disconnected subgraph, and
-# theta's half-edge ids are 0..5 (an unchecked -1 would index from the end)
+# 4-valent vertex, loop.fg a 2-valent one, and barbell's two loops induce a disconnected subgraph
 LIBRARY_REFUSALS = {
     "topology_disconnected": (lambda: fgr.topology(fgr.subgraph(load("barbell.fg"), [0, 2]).graph),
                               "inconsistent map: V-E=0, boundary cycles=4"),
-    "weights_negative": (lambda: fgr.weights_admissible(load("theta.fg"), {0: -2}),
-                         "negative weight"),
     "transport_flipped_edge_only": (
         lambda: fgr.transport_path(load("theta.fg"), fgr.whitehead_move(load("theta.fg"), 0),
                                    fgr.EdgePath((0, 3))),
         "path supported on the flipped edge only"),
-    "lift_nonpositive": (lambda: geo.minkowski_lift((1, 0, 1)), "lambda lengths must be positive"),
     "one_left_turn_one_factor": (lambda: hol.one_left_turn_trace([1.0]),
                                  "need at least two factors (one right turn)"),
     "one_left_turn_nonpositive": (lambda: hol.one_left_turn_trace([1.0, 0.0]),
@@ -388,22 +378,12 @@ LIBRARY_REFUSALS = {
                                 "trace gap nan < 0: no geodesic length"),
     "coords_not_trivalent": (lambda: geo.simplicial_coords(load("wedge.fg"), weights(1, 1)),
                              "operation requires a trivalent graph"),
-    "quad_not_trivalent": (lambda: geo.quad_slots(load("wedge.fg"), 0),
-                           "edge endpoints must be trivalent"),
-    "h_length_not_trivalent": (lambda: geo.h_length(load("wedge.fg"), weights(1, 1), 0),
-                               "h-length needs a trivalent vertex"),
     "invert_target_count": (lambda: geo.invert_coords(load("theta.fg"), geo.simplicial([1, 2])),
                             "one target coordinate per edge required"),
     "refine_low_valence": (lambda: geo.refine_to_trivalent(load("loop.fg"), weights(1)),
                            "refinement needs all valences >= 3"),
     "polygon_two_sides": (lambda: geo.cyclic_polygon([1.0, 1.0]),
                           "need at least three positive finite lengths"),
-    **{f"{name}_{h}": (lambda call=call, h=h: call(load("theta.fg"), h),
-                       f"invalid half-edge id {h}")
-       for name, call in (("quad", geo.quad_slots),
-                          ("cross_ratio", lambda g, h: geo.cross_ratio(g, weights(3, 4, 5), h)),
-                          ("h_length", lambda g, h: geo.h_length(g, weights(3, 4, 5), h)))
-       for h in (-1, 6)},
 }
 
 
@@ -633,7 +613,7 @@ def test_newton_step_meets_its_scaled_bound(newton_graphs, monkeypatch):
 
 
 def sector_sum(g, lam):
-    return sum(geo.h_length(g, lam, cyc[i])
+    return sum(oracles.h_length(g, lam, cyc[i])
                for cyc in g.vertex_cycles for i in range(3))
 
 
@@ -813,21 +793,21 @@ def test_telescoping_theta_values(theta):
 # -- Minkowski lifts ---------------------------------------------------------------------
 
 def test_minkowski_lift_pairings():
-    u1, u2, u3 = geo.minkowski_lift((3, 4, 5))
-    assert u1.pair(u2) == pytest.approx(-9, rel=1e-12)
-    assert u1.pair(u3) == pytest.approx(-16, rel=1e-12)
-    assert u2.pair(u3) == pytest.approx(-25, rel=1e-12)
+    u1, u2, u3 = oracles.minkowski_lift((3, 4, 5))
+    assert oracles.pair(u1, u2) == pytest.approx(-9, rel=1e-12)
+    assert oracles.pair(u1, u3) == pytest.approx(-16, rel=1e-12)
+    assert oracles.pair(u2, u3) == pytest.approx(-25, rel=1e-12)
     for u in (u1, u2, u3):
-        assert abs(u.pair(u)) < 1e-12
-        assert u.z > 0
+        assert abs(oracles.pair(u, u)) < 1e-12
+        assert u[2] > 0
 
 
 def test_minkowski_lift_random():
     rng = random.Random(101)
     for _ in range(200):
         lam = [rng.uniform(0.1, 4) for _ in range(3)]
-        u1, u2, u3 = geo.minkowski_lift(lam)
-        got = [math.sqrt(-u1.pair(u2)), math.sqrt(-u1.pair(u3)), math.sqrt(-u2.pair(u3))]
+        u1, u2, u3 = oracles.minkowski_lift(lam)
+        got = [math.sqrt(-oracles.pair(u1, u2)), math.sqrt(-oracles.pair(u1, u3)), math.sqrt(-oracles.pair(u2, u3))]
         for a, b in zip(got, lam):
             assert a == pytest.approx(b, rel=1e-12)
 
@@ -841,21 +821,21 @@ def test_ellipticity_matches_triangle_inequalities():
             # near-degenerate: c close to a + b from either side
             c = (a + b) * (1 + rng.choice([-1, 1]) * rng.uniform(1e-6, 1e-3))
         strict = a < b + c and b < c + a and c < a + b
-        assert geo.is_elliptic_section((a, b, c)) == strict
+        assert oracles.is_elliptic_section((a, b, c)) == strict
         checked += 1
 
 
 # -- tetrahedron volume ---------------------------------------------------------------
 
-def quad_expression(q: geo.QuadLambdas) -> float:
+def quad_expression(q: oracles.QuadLambdas) -> float:
     e = q.diag_13
     return ((q.s12 ** 2 + q.s23 ** 2 - e ** 2) / (q.s12 * q.s23 * e)
             + (q.s41 ** 2 + q.s34 ** 2 - e ** 2) / (q.s41 * q.s34 * e))
 
 
 def test_tetra_volume_all_ones_quad():
-    q = geo.QuadLambdas(1, 1, 1, 1, 1, 2)    # Ptolemy: 1*2 = 1 + 1
-    vol = geo.tetra_volume_sign(q)
+    q = oracles.QuadLambdas(1, 1, 1, 1, 1, 2)    # Ptolemy: 1*2 = 1 + 1
+    vol = oracles.tetra_volume_sign(q)
     prod = q.s12 * q.s23 * q.s34 * q.s41
     assert vol / (2 * math.sqrt(2) * prod) == pytest.approx(2.0, rel=1e-12)
     assert quad_expression(q) == 2.0
@@ -867,21 +847,21 @@ def test_tetra_volume_random_quads():
         # generate consistent weights from four clockwise points on the cone
         angles = sorted(rng.uniform(0, 2 * math.pi) for _ in range(4))[::-1]
         radii = [rng.uniform(0.4, 2.5) for _ in range(4)]
-        us = [geo.MinkowskiVector(r * math.cos(t), r * math.sin(t), r)
+        us = [np.array([r * math.cos(t), r * math.sin(t), r])
               for t, r in zip(angles, radii)]
         lam = {}
         for i in range(4):
             for j in range(i + 1, 4):
-                lam[(i, j)] = math.sqrt(-us[i].pair(us[j]))
-        q = geo.QuadLambdas(lam[(0, 1)], lam[(1, 2)], lam[(2, 3)], lam[(0, 3)],
+                lam[(i, j)] = math.sqrt(-oracles.pair(us[i], us[j]))
+        q = oracles.QuadLambdas(lam[(0, 1)], lam[(1, 2)], lam[(2, 3)], lam[(0, 3)],
                             lam[(0, 2)], lam[(1, 3)])
-        vol = geo.tetra_volume_sign(q)
+        vol = oracles.tetra_volume_sign(q)
         prod = q.s12 * q.s23 * q.s34 * q.s41
         # the identity is exact; the comparison loses digits to cancellation
         # in the two-term expression, so the tolerance scales with prod
         assert vol == pytest.approx(2 * math.sqrt(2) * prod * quad_expression(q),
                                     rel=1e-6, abs=1e-8 * (1 + prod))
-        flipped = geo.tetra_volume_sign(q.swapped_diagonals())
+        flipped = oracles.tetra_volume_sign(q.swapped_diagonals())
         if abs(vol) > 1e-9:
             assert flipped * vol < 0
 
@@ -890,13 +870,8 @@ def test_tetra_volume_coplanar_is_zero():
     # unit square inscribed in a circle: all four lift points are coplanar
     s = 1.0
     d = math.sqrt(2.0)
-    q = geo.QuadLambdas(s, s, s, s, d, d)
-    assert abs(geo.tetra_volume_sign(q)) < 1e-10
-
-
-def test_tetra_volume_rejects_inconsistent():
-    with pytest.raises(DomainError, match="Ptolemy"):
-        geo.tetra_volume_sign(geo.QuadLambdas(1, 1, 1, 1, 1, 1))
+    q = oracles.QuadLambdas(s, s, s, s, d, d)
+    assert abs(oracles.tetra_volume_sign(q)) < 1e-10
 
 
 # -- cyclic polygons ----------------------------------------------------------------------
@@ -1051,14 +1026,23 @@ def test_refine_rejects_triangle_violation():
 
 
 def test_numpy_runs_only_when_needed():
-    # screens, traces and detection never execute numpy; inversion does
+    # the library calls behind screens, detect, ij-check, sweep, check-cell and trace never
+    # execute numpy, also where a trace or a sweep row reruns in mpf; inversion does
     code = (
         "import sys\n"
         "from fatscreens import asymptotics as asy, fatgraph as fgr, geometry as geo\n"
-        "from fatscreens import screens as scn\n"
+        "from fatscreens import holonomy as hol, screens as scn\n"
         "g = fgr.parse_fatgraph(open(sys.argv[1]).read())\n"
         "for s in scn.enumerate_screens(g):\n"
-        "    asy.detect_short_curves(g, scn.depth_family(s))\n"
+        "    fam = scn.depth_family(s)\n"
+        "    asy.detect_short_curves(g, fam)\n"
+        "    asy.ij_check(g, fam)\n"
+        "    asy.sweep(g, fam, scn.screen_boundary(scn.screen_of_exponents(g, fam)))\n"
+        "lam = geo.lambda_assignment([1000.0, 1000.0, 1.0])\n"
+        "coords = geo.simplicial_coords(g, lam)\n"
+        "geo.no_vanishing_cycle(g, coords, geo.default_zero_tol(coords))\n"
+        "for steps in ((0, 4), (0, 4, 0, 5), (0, 5, 1, 5)):\n"
+        "    hol.hyp_length_from_gap(hol.trace_gap_of_path(g, lam, fgr.EdgePath(steps)))\n"
         "print('numpy.linalg' in sys.modules)\n"
         "geo.invert_coords(g, geo.simplicial([1.0] * g.n_edges))\n"
         "print('numpy.linalg' in sys.modules)\n")

@@ -14,6 +14,7 @@ from fatscreens import geometry as geo
 from fatscreens import screens as scn
 from fatscreens.errors import DomainError
 
+import oracles
 from conftest import CENSUS12, DATA, _cycles_of_permutation, load, random_fatgraph, random_trivalent
 
 
@@ -279,19 +280,19 @@ def test_depth_family_values(theta):
 
 
 def test_screen_of_exponents(theta):
-    fam = scn.monomial_family([1, 1, 0])
+    fam = oracles.monomial_family([1, 1, 0])
     s = scn.screen_of_exponents(theta, fam)
     assert family_sets(s) == {frozenset({0, 1}), theta.all_edges()}
-    const = scn.screen_of_exponents(theta, scn.monomial_family([2, 2, 2]))
+    const = scn.screen_of_exponents(theta, oracles.monomial_family([2, 2, 2]))
     assert family_sets(const) == {theta.all_edges()}
     # rational exponents compare exactly
-    fam2 = scn.monomial_family([Fraction(1, 3), Fraction(1, 3), Fraction(1, 4)])
+    fam2 = oracles.monomial_family([Fraction(1, 3), Fraction(1, 3), Fraction(1, 4)])
     s2 = scn.screen_of_exponents(theta, fam2)
     assert family_sets(s2) == {frozenset({0, 1}), theta.all_edges()}
 
 
 def test_screen_of_exponents_invalid_candidate(theta):
-    s = scn.screen_of_exponents(theta, scn.monomial_family([1, 0, 0]))
+    s = scn.screen_of_exponents(theta, oracles.monomial_family([1, 0, 0]))
     check = scn.validate_screen(s)
     assert not check.ok and check.condition == "ii"
 
@@ -479,7 +480,7 @@ def test_member_table_matches_fresh_walk(screen_corpus):
             assert reference_screen_of_exponents(g, fam) == s.family
         # candidates off the screens: condition (ii) fails for many of them
         for _ in range(100):
-            fam = scn.monomial_family([Fraction(rng.randint(0, 3), rng.randint(1, 2))
+            fam = oracles.monomial_family([Fraction(rng.randint(0, 3), rng.randint(1, 2))
                                        for _ in range(g.n_edges)])
             cand = scn.screen_of_exponents(g, fam)
             assert cand.family == reference_screen_of_exponents(g, fam)
@@ -490,7 +491,7 @@ def test_member_table_holds_recurrent_subsets_only(theta, theta_planar):
     g = fgr.parse_fatgraph((DATA / "genus2.fg").read_text())
     rng = random.Random(8)
     for _ in range(500):
-        fam = scn.monomial_family([Fraction(rng.randint(-2, 3), rng.randint(1, 3))
+        fam = oracles.monomial_family([Fraction(rng.randint(-2, 3), rng.randint(1, 3))
                                    for _ in range(g.n_edges)])
         cand = scn.screen_of_exponents(g, fam)
         scn.validate_screen(cand)
@@ -588,10 +589,10 @@ def test_levels_of_mixed_negative_and_zero_exponents(screen_corpus):
     rng = random.Random(73)
     for g in screen_corpus.values():
         n = g.n_edges
-        families = [scn.monomial_family([0] * n), scn.MonomialFamily(tuple(range(-1, n - 1))),
-                    scn.monomial_family(["5/6", "-1/3", "0"] * (n // 3))]
+        families = [oracles.monomial_family([0] * n), scn.MonomialFamily(tuple(range(-1, n - 1))),
+                    oracles.monomial_family(["5/6", "-1/3", "0"] * (n // 3))]
         for _ in range(200):
-            families.append(scn.monomial_family(
+            families.append(oracles.monomial_family(
                 [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 4, 6, 7))) for _ in range(n)]))
         for fam in families:
             assert_levels_match_fractions(g, fam)

@@ -107,3 +107,69 @@ def test_every_import_is_used():
         unused += [(path.stem, name) for name in _imported_names(tree)
                    if name not in names and (path.stem, name) not in wrapped]
     assert unused == []
+
+
+# Public library names that no command and no benchmark module reaches, each with what it
+# waits for: a ROADMAP item that gives it a caller, or the tracer binding it serves until the
+# tracer reads counters instead (item 1(b)).  The list may only shrink.
+UNREACHED = {
+    "fatgraph.SubFatgraph": "returned by the tracer-wrapped subgraph (item 1(b))",
+    "fatgraph.subgraph": "tracer binding in screens (item 1(b))",
+    "screens.relative_boundary": "tracer binding in screens (item 1(b))",
+    "holonomy.holonomy": "tracer binding in holonomy (item 1(b))",
+    "fatgraph.recurrent_witness_cycles": "recurrent --witness (item 19)",
+    "fatgraph.WhiteheadMove": "Ptolemy flips of locate (item 12)",
+    "fatgraph.whitehead_move": "Ptolemy flips of locate (item 12)",
+    "fatgraph.transport_path": "curves carried through locate's flips (item 12)",
+    "geometry.whitehead_transport": "Ptolemy flips of locate (item 12)",
+    "fatgraph.canonical_form": "isomorphic cells of locate (item 12) and of top_cells (item 8)",
+    "fatgraph.is_isomorphic": "isomorphic cells of locate (item 12)",
+    "fatgraph.collapse_edge": "lower-dimensional cells (item 10)",
+    "geometry.triangle_inequalities_hold": "refinement of lower-dimensional cells (item 10)",
+    "geometry.CyclicPolygon": "refinement of lower-dimensional cells (item 10)",
+    "geometry.cyclic_polygon": "refinement of lower-dimensional cells (item 10)",
+    "geometry.Refinement": "refinement of lower-dimensional cells (item 10)",
+    "geometry.refine_to_trivalent": "refinement of lower-dimensional cells (item 10)",
+    "holonomy.one_left_turn_trace": "base case of decay rates (item 4)",
+}
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Every name and attribute that ``node`` reads, but in type annotations."""
+    names, todo = set(), [node]
+    while todo:
+        n = todo.pop()
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+        todo += [v for key, value in ast.iter_fields(n) if key not in ("annotation", "returns")
+                 for v in (value if isinstance(value, list) else [value]) if isinstance(v, ast.AST)]
+    return names
+
+
+def test_unreached_public_names_are_allow_listed():
+    """Each public top-level function or class of the library that no ``cli.py`` function, no
+    module-level statement and no ``perfbench/*.py`` module reaches, by name and through the
+    definitions it reaches in turn, is in ``UNREACHED``, and each entry there is unreached."""
+    library = {path.stem: ast.parse(path.read_text())
+               for path in sorted((ROOT / "src" / "fatscreens").glob("*.py"))}
+    defs, todo = {}, []
+    for stem, tree in library.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            if stem == "cli" or not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                todo += _references(node)     # module-level code runs on import
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        todo += _references(ast.parse(path.read_text()))
+    reached = set()
+    while todo:
+        if (name := todo.pop()) in defs and name not in reached:
+            reached.add(name)
+            todo += set().union(*map(_references, defs[name]))
+    unreached = {f"{stem}.{node.name}" for stem, tree in library.items() for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                 and not node.name.startswith("_") and node.name not in reached}
+    assert sorted(unreached - UNREACHED.keys()) == []
+    assert sorted(UNREACHED.keys() - unreached) == []
