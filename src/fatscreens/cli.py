@@ -265,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.truncate(0)
         print("error: out of memory", file=stderr)
         return 1
-    except (DomainError, OSError, ImportError) as exc:     # ImportError: numpy or mpmath missing
+    except (DomainError, OSError, ImportError) as exc:     # ImportError: numpy missing
         print(f"error: {exc}", file=stderr)
         return 1
     finally:

@@ -15,7 +15,7 @@ kept unnormalized; only |trace| is geometric (PSL sign ambiguity), and
 |trace| = 2 cosh(length/2) for the hyperbolic length of the geodesic
 representative.
 
-The product is one loop over four scalars, run over ``float``, ``mpmath.mpf``
+The product is one loop over four scalars, run over ``float``, ``Decimal``
 and packed ints.  Each step applies its turn and X in one closed-form update
 (R then X sends (a11, a12, a21, a22) to (-a11/s, (a11 - a12) s, -a21/s,
 (a21 - a22) s)); the other entries being 0 and +-1, these round exactly like
@@ -40,11 +40,18 @@ the entry product and the turn's sum; Higham 2002, ch. 3), so the float
 twice the unit roundoff, which covers a11 + a22, the subtraction and higher
 orders).  The trace functions keep it when that is within ``TRACE_RTOL``, give
 a boundary-parallel path (parabolic for all weights, Penner 1987) the gap 0,
-and else climb the ``mpf`` ladder that ``terms_at`` shares: the first rung at
-20 + log10 of the measured cancellation, each later one 15 or more digits
-above, refused past 1000 digits.  Along a monomial family the loop runs over
-ints packed at u = tau**2: by the lemma, |trace| is a Laurent polynomial with
-coefficients >= 0 (positivity, Fock and Goncharov 2006), its digits.
+and else climb the ladder that ``terms_at`` shares: ``decimal`` reruns, the
+first at 20 + log10 of the measured cancellation digits, each later one 15 or
+more digits above, refused past 1000 digits.  A rung of d digits runs at
+p = d + 2 with no exponent bound, where +, -, *, / and sqrt round once within
+the unit roundoff r = 10**(1 - p) / 2: the bound holds with eps = 2r.  A sum
+rung adds the e digits of n = ``unit`` to p, so n r < 10**-d / 20, and takes
+tau = t**(1/n) by Newton's method at doubling precision, from 1 + expm1(ln t / n)
+(exp below -1), within 1e-12 / n, to within 4r.  An integral power rounds within
+2r, so each c tau**k is within (4 |k| + 3) r, and m terms of mass M sum to within
+M (4 max |k| + m + 3) r.  Along a monomial family the loop runs over ints packed
+at u = tau**2: by the lemma, |trace| is a Laurent polynomial with coefficients
+>= 0 (positivity, Fock and Goncharov 2006), its digits.
 ``_exact_gap_poly`` decodes them all for the rows of a sweep; ``_exact_gap_top``
 reads only the top ones, all that a verdict needs.
 """
@@ -53,6 +60,7 @@ from __future__ import annotations
 
 import math
 import sys
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, getcontext, localcontext
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -60,7 +68,7 @@ from .errors import DomainError
 from .fatgraph import EdgePath, Fatgraph, _one_per_edge, check_closed_path, is_boundary_parallel
 from .geometry import LambdaAssignment, _lazy_import
 
-mpmath = _lazy_import("mpmath")     # only the sums and traces that leave float need it
+mpmath = _lazy_import("mpmath")     # read by nothing here: the binding perfbench's tracer wraps
 
 _EPS = sys.float_info.epsilon   # twice the unit roundoff of a double
 TRACE_RTOL = 1e-13           # relative error certified for every returned |trace| and gap
@@ -205,28 +213,34 @@ def _exact_gap_top(g: Fatgraph, q: Sequence[int], path: EdgePath) -> tuple[int, 
     return 2 * j - degree, trace >> j * bits
 
 
-def _mpf_ladder(rung, args: tuple, value, mass, err, rtol: float, what: str):
+def _ladder(rung, args: tuple, value, mass, err, rtol: float, what: str):
     """The module docstring's ladder: ``value`` within ``rtol`` from ``rung(digits, *args)``."""
-    digits = 0
-    while not err <= rtol * abs(value):
-        digits = max(digits + 15, 20 + int(mpmath.log10(max(mass / max(abs(value), err), 1))))
-        if digits > 1000:
-            raise DomainError(f"{what} cancels past 1000 digits")
-        with mpmath.workdps(digits):
+    with localcontext(Context(Emax=MAX_EMAX, Emin=MIN_EMIN)) as ctx:
+        value, mass, err, rtol, digits = *map(Decimal, (value, mass, err, rtol)), 0
+        while not err <= rtol * abs(value):
+            digits = max(digits + 15, 20 + max(mass / max(abs(value), err), Decimal(1)).adjusted())
+            if digits > 1000:
+                raise DomainError(f"{what} cancels past 1000 digits")
+            ctx.prec = digits + 2     # two guard digits
             value, mass, err = rung(digits, *args)   # args: a closure would slow each float pass
     return value
 
 
-def _sum_rung(digits: int, ks: Sequence[tuple[int, int]], unit: int, t: float, ln_t: float):
-    terms = [c * mpmath.mpf(t) ** (mpmath.mpf(k) / unit) for k, c in ks]
-    mass = mpmath.fsum(terms, absolute=True)
-    err = mass * (2 + max(abs(k) for k, _ in ks) / unit * abs(ln_t))
-    return mpmath.fsum(terms), mass, err * mpmath.mpf(10) ** -digits
+def _sum_rung(digits: int, ks: Sequence[tuple[int, int]], unit: int, t: float):
+    ctx, e, good, y = getcontext(), len(str(unit)), 12, math.log(t) / unit
+    top, ctx.prec, t = ctx.prec + e, e + 14, Decimal(t)
+    tau = Decimal(math.exp(y)) if y < -1 else 1 + Decimal(math.expm1(y))
+    while ctx.prec < top:   # Newton's method for tau**unit = t at doubling precision
+        ctx.prec, good = min(e + 2 * good, top), 2 * good - 1
+        tau += tau * (t / tau ** unit - 1) / unit
+    mass = sum(map(abs, terms := [c * tau ** k for k, c in ks]))
+    err = mass * (4 * max(abs(k) for k, _ in ks) + len(ks) + 3)
+    return sum(terms), mass, err * Decimal(5).scaleb(-top)     # r = 10**(1 - top) / 2
 
 
 def terms_at(ks: Sequence[tuple[int, int]], unit: int, t: float) -> float:
     """Sum of c * t**(k / unit) over (k, c) in ``ks`` to 15 digits: a fsum of float terms under
-    an a-priori bound, else ``_mpf_ladder``.  A term is x = c * t**fl(k / unit) plus f = x * y,
+    an a-priori bound, else ``_ladder``.  A term is x = c * t**fl(k / unit) plus f = x * y,
     y = d ln t, the first-order correction for the rounding d = k / unit - fl(k / unit) (Higham
     2002, ch. 3), skipped where d = 0, as for every power-of-2 ``unit``.  The terms and the fsum
     round by 5 * 2**-53 of the terms' mass; each f adds 2 |f| |y| for the dropped e**y - 1 - y <=
@@ -246,8 +260,8 @@ def terms_at(ks: Sequence[tuple[int, int]], unit: int, t: float) -> float:
         total, mass, err = 0.0, 1.0, 1.0
     if err <= 1e-15 * abs(total):
         return total
-    return float(_mpf_ladder(_sum_rung, (ks, unit, t, ln_t), total, mass, err, 1e-15,
-                             f"a sum of {len(ks)} powers of t={t:g}"))
+    return float(_ladder(_sum_rung, (ks, unit, t), total, mass, err, 1e-15,
+                         f"a sum of {len(ks)} powers of t={t:g}"))
 
 
 def holonomy(g: Fatgraph, lam: LambdaAssignment, path: EdgePath) -> tuple[float, ...]:
@@ -280,11 +294,10 @@ def hyp_length_from_gap(gap: float) -> float:
 
 
 def _trace_rung(digits: int, g: Fatgraph, lam: LambdaAssignment, path: EdgePath, offset: int):
-    w = [mpmath.mpf(v) for v in lam.values]
-    rows = _edge_rows(g, w, mpmath.sqrt, set(map(g.edge_of, path.steps)))
+    rows = _edge_rows(g, [*map(Decimal, lam.values)], Decimal.sqrt, {*map(g.edge_of, path.steps)})
     a11, _, _, a22 = _product(g, path, rows)
     tr = abs(a11 + a22)
-    return tr - offset, tr, (6 * len(path.steps) + 2) * mpmath.eps * tr
+    return tr - offset, tr, (6 * len(path.steps) + 2) * Decimal(10).scaleb(-getcontext().prec) * tr
 
 
 def _abs_trace_minus(g: Fatgraph, lam: LambdaAssignment, path: EdgePath, offset: int) -> float:
@@ -304,10 +317,11 @@ def _abs_trace_minus(g: Fatgraph, lam: LambdaAssignment, path: EdgePath, offset:
             return gap
     if is_boundary_parallel(g, path):
         return 2.0 - offset
-    gap = _mpf_ladder(_trace_rung, (g, lam, path, offset), gap, tr, err, TRACE_RTOL,
-                      f"|trace| - {offset} of a {n}-step path")
+    gap = _ladder(_trace_rung, (g, lam, path, offset), gap, tr, err, TRACE_RTOL,
+                  f"|trace| - {offset} of a {n}-step path")
     if not sys.float_info.min <= abs(gap) <= sys.float_info.max:
-        raise DomainError(f"|trace| - {offset} = {mpmath.nstr(gap, 3)} is beyond double range")
+        gap = f"{gap:.2e}".replace("0e", "e", 1)      # 3 digits, and 1.0e-400 for 1.00e-400
+        raise DomainError(f"|trace| - {offset} = {gap} is beyond double range")
     return float(gap)
 
 

@@ -167,10 +167,11 @@ def test_sweep_row_is_exact_where_float_traces_were_not(genus2):
 
 
 def sweep_counting_mpf(g, exponents, curve, monkeypatch):
-    """The sweep of one curve and the digits of each ``workdps`` it opens."""
+    """The sweep of one curve and the digits of each ladder rung it climbs."""
     entries = []
-    workdps = mpmath.workdps
-    monkeypatch.setattr(hol.mpmath, "workdps", lambda dps: entries.append(dps) or workdps(dps))
+    rung = hol._sum_rung
+    monkeypatch.setattr(hol, "_sum_rung",
+                        lambda digits, *args: entries.append(digits) or rung(digits, *args))
     report = asy.sweep(g, scn.MonomialFamily(exponents), [ser.parse_curve(g, curve)])
     monkeypatch.undo()
     return report, entries

@@ -204,6 +204,61 @@ def test_invert_without_numpy_is_refused_in_one_line(tmp_path, capsys, monkeypat
     assert (captured.out, captured.err) == ("", "error: No module named 'fatscreens_no_numpy'\n")
 
 
+def test_commands_run_without_mpmath_and_numpy(tmp_path, capsys):
+    # a finder claims mpmath and numpy and fails on their first use, as where they are not
+    # installed: reruns of a trace and of a sweep row, sweep and detect print the same bytes,
+    # and inversion is refused in one line
+    files = {"lambda2": "edge,value\n" + "".join(f"{x},{1000 if x in 'acdpst' else 1}\n"
+                                                   for x in "abcdpqrst"),
+             "rung": "edge,exponent\ne0,0\ne1,1/3\ne2,5/6\n",
+             "mixed": "edge,exponent\n" + "".join(f"{x},{p}\n" for x, p in zip(
+                 "abcdpqrst", ["5/6", "1/3", "1/3", "5/6", "5/6", "1/3", 0, "1/3", "5/6"])),
+             "coords": "edge,value\ne0,1\ne1,2\ne2,5\n"}
+    csv = {name: str(tmp_path / f"{name}.csv") for name in files}
+    for name, text in files.items():
+        Path(csv[name]).write_text(text)
+    genus2 = str(DATA / "genus2.fg")
+    commands = [["trace", genus2, "--lambda", csv["lambda2"], "--path", "a+,p-"],
+                ["trace", genus2, "--lambda", csv["lambda2"], "--path", ",".join(["a+,p-"] * 38)],
+                ["sweep", THETA, "--exponents", csv["rung"], "--t", "10"],
+                ["sweep", genus2, "--exponents", csv["mixed"]],
+                ["detect", genus2, "--exponents", csv["mixed"]]]
+    script = tmp_path / "missing.py"
+    script.write_text(
+        "import contextlib, io, json, sys\n"
+        "from importlib.machinery import ModuleSpec\n"
+        "class Missing:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] in ('mpmath', 'numpy'):\n"
+        "            return ModuleSpec(name, self)\n"
+        "    def create_module(self, spec):\n"
+        "        return None\n"
+        "    def exec_module(self, module):\n"
+        "        raise ModuleNotFoundError(f'No module named {module.__name__!r}')\n"
+        "sys.meta_path.insert(0, Missing())\n"
+        "from fatscreens import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        status = cli.main(argv)\n"
+        "    print(json.dumps([status, out.getvalue(), err.getvalue()]))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argvs = [*commands, ["invert", THETA, "--coords", csv["coords"]]]
+    proc = subprocess.run([sys.executable, str(script), json.dumps(argvs)], capture_output=True,
+                          text=True, timeout=120, check=True, env={**os.environ, "PYTHONPATH": src})
+    *bare, refused = map(json.loads, proc.stdout.splitlines())
+    assert refused == [1, "", "error: No module named 'numpy'\n"]
+    want = []
+    for argv in commands:
+        status = cli.main(argv)
+        want.append([status, *capsys.readouterr()])
+    assert bare == want
+    assert want[0][1] == "abs_trace=2.000001\nabs_trace_minus_2=1e-06\nhyp_length=0.00199999991666668\n"
+    assert want[2][1] == ("t,curve,abs_trace,abs_trace_minus_2,hyp_length\n"
+                          "10,e1+.e2-,3.54663463309101,1.54663463309101,2.34977652688449\n"
+                          "# warning: weights leave the cell at t=10\n")
+
+
 def test_ij_check_cli(tmp_path, capsys):
     p = tmp_path / "p.csv"
     p.write_text("edge,exponent\ne0,1\ne1,1\ne2,0\n")

@@ -150,8 +150,9 @@ def test_theta_closed_forms_near_parabolic(theta, monkeypatch):
     # the gaps of e0+ e1- and e1+ e0- round away next to a trace of 2: only the mpf rerun
     # keeps them
     entries = []
-    workdps = mpmath.workdps
-    monkeypatch.setattr(hol.mpmath, "workdps", lambda dps: entries.append(dps) or workdps(dps))
+    rung = hol._trace_rung
+    monkeypatch.setattr(hol, "_trace_rung",
+                        lambda digits, *args: entries.append(digits) or rung(digits, *args))
     for values in ([1, 1, 2 ** -40], [1e10, 1e10, 1], [3, 3 * (1 + 2 ** -30), 2 ** -35]):
         assert_theta_closed_forms(theta, values)
     assert entries == [34, 49, 34, 49, 34, 34, 34, 34]     # the rungs of each rerun, in order
@@ -574,8 +575,9 @@ def test_in_cell_traces_stay_in_float(trivalent_corpus, monkeypatch):
     # in-cell weights certify every pool curve's |trace| from the float product,
     # as the lengths benchmark requires: no extended-precision rerun
     entries = []
-    workdps = mpmath.workdps
-    monkeypatch.setattr(hol.mpmath, "workdps", lambda dps: entries.append(dps) or workdps(dps))
+    rung = hol._trace_rung
+    monkeypatch.setattr(hol, "_trace_rung",
+                        lambda digits, *args: entries.append(digits) or rung(digits, *args))
     rng = random.Random(29)
     for g in trivalent_corpus.values():
         for _ in range(5):
@@ -882,6 +884,27 @@ def test_trace_refuses_gaps_beyond_double_range(genus2):
         gap(1e300)
 
 
+def test_float_pass_certifies_paths_of_at_most_74_steps(genus2, monkeypatch):
+    # |gap| <= |trace|, so the float bound (6n + 2) eps |trace| <= TRACE_RTOL |gap| needs
+    # (6n + 2) eps <= 1e-13, true for n <= 74 only: a+ p- 37 times stays in floats, 38 times
+    # reruns once, whatever the weights
+    rng = random.Random(43)
+    lam = geo.lambda_assignment([rng.uniform(0.5, 2) for _ in range(genus2.n_edges)])
+    steps = ser.parse_curve(genus2, "a+ p-").steps
+    entries = []
+    rung = hol._trace_rung
+    monkeypatch.setattr(hol, "_trace_rung",
+                        lambda digits, *args: entries.append(digits) or rung(digits, *args))
+    for times, rungs in ((37, []), (38, [20])):
+        path = fgr.EdgePath(steps * times)
+        got = hol.abs_trace_of_path(genus2, lam, path)
+        assert entries == rungs
+        entries.clear()
+        with mpmath.workdps(60):
+            want = mp_abs_trace(genus2, lam, path)
+        assert abs(got - want) <= hol.TRACE_RTOL * want
+
+
 def test_trace_refines_when_float_leaves_range(theta):
     # in double precision the cross ratio underflows to 0 (1e200, 1e-200),
     # the product overflows to inf (1e-160), the roundoff bound overflows
@@ -974,12 +997,24 @@ def test_terms_at_refuses_a_sum_that_is_0_at_t():
         hol.terms_at([(0, 2), (1, -1)], 2, 4.0)
 
 
+@pytest.mark.parametrize("unit", [2 * 10 ** 20, 2 * 10 ** 40])
+def test_terms_at_cancels_for_any_unit(unit):
+    # t**(1 / unit) at t = 1e300 is 1 + 3.5e-18 or 1 + 3.5e-38, which no double holds: the root
+    # starts from expm1 and works at unit's digits more, and no decimal signal escapes
+    t = 1e300
+    got = hol.terms_at([(unit, 1), (unit + 1, -1)], unit, t)
+    with mpmath.workdps(60):
+        want = mpmath.mpf(t) - mpmath.mpf(t) ** (mpmath.mpf(unit + 1) / unit)
+    assert abs(got - want) <= 1e-15 * abs(want)
+
+
 def test_terms_at_bounds_each_exponent_by_its_own_rounding(monkeypatch):
     # -11 / 12 rounds by 3.7e-17, so t**(-11 / 12) is good to 15 digits in floats at t = 1e4;
     # its worst case |k / unit| ln t * 2**-53 gave 1.5e-15 and a rerun over mpf
     entries = []
-    workdps = mpmath.workdps
-    monkeypatch.setattr(hol.mpmath, "workdps", lambda dps: entries.append(dps) or workdps(dps))
+    rung = hol._sum_rung
+    monkeypatch.setattr(hol, "_sum_rung",
+                        lambda digits, *args: entries.append(digits) or rung(digits, *args))
     got = hol.terms_at([(-11, 1)], 12, 1e4)
     monkeypatch.undo()
     assert entries == []
@@ -996,10 +1031,11 @@ def test_terms_at_coefficient_beyond_double_range(k):
 
 
 def terms_and_reruns(monkeypatch, evaluations):
-    """``terms_at`` of each (monomials, unit, t), and whether it opened ``workdps``."""
+    """``terms_at`` of each (monomials, unit, t), and whether it climbed a ladder rung."""
     entries, results = [], []
-    workdps = mpmath.workdps
-    monkeypatch.setattr(hol.mpmath, "workdps", lambda dps: entries.append(dps) or workdps(dps))
+    rung = hol._sum_rung
+    monkeypatch.setattr(hol, "_sum_rung",
+                        lambda digits, *args: entries.append(digits) or rung(digits, *args))
     for poly, unit, t in evaluations:
         opened = len(entries)
         results.append((hol.terms_at(poly, unit, t), len(entries) > opened))

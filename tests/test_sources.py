@@ -1,12 +1,13 @@
 """The sources parse as the oldest Python that ``pyproject.toml`` promises, which the
 test machines need not have, the library still has every binding that the benchmark's
-tracer replaces, every field it declares is read somewhere, and every name it imports is
-used."""
+tracer replaces, every field it declares is read somewhere, every name it imports is
+used, and it declares exactly the third-party modules it reads."""
 
 from __future__ import annotations
 
 import ast
 import re
+import sys
 import types
 from pathlib import Path
 
@@ -107,6 +108,35 @@ def test_every_import_is_used():
         unused += [(path.stem, name) for name in _imported_names(tree)
                    if name not in names and (path.stem, name) not in wrapped]
     assert unused == []
+
+
+def _third_party_reads(tree: ast.Module) -> set[str]:
+    """Top-level modules outside the standard library bound by ``import X`` or
+    ``X = _lazy_import("X")`` whose binding has an attribute read, or named by ``from X import``."""
+    bound, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((a.asname or a.name.split(".")[0], a.name.split(".")[0]) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            read.add(node.module.split(".")[0])
+        elif (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+              and ast.unparse(node.value.func) == "_lazy_import"):
+            bound.update((target.id, node.value.args[0].value.split(".")[0])
+                         for target in node.targets)
+    read |= {bound[node.value.id] for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id in bound}
+    return read - set(sys.stdlib_module_names)
+
+
+def test_dependencies_are_the_third_party_modules_read():
+    """``pyproject.toml``'s ``dependencies`` are exactly the third-party modules whose attributes
+    the library reads: ``holonomy``'s ``mpmath``, which only the benchmark's tracer wraps, reads
+    none, and the tests' oracle ``mpmath`` is in the ``test`` extra."""
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    declared = re.search(r"^dependencies = \[(.*)\]$", pyproject, re.M).group(1)
+    read = set().union(*(_third_party_reads(ast.parse(path.read_text()))
+                         for path in sorted((ROOT / "src" / "fatscreens").glob("*.py"))))
+    assert read == set(re.findall(r'"([\w.-]+)', declared))
 
 
 # Public library names that no command and no benchmark module reaches, each with what it
